@@ -32,21 +32,12 @@ from .loop import (
     RunRecord,
     Trajectory,
     TrajectoryEvent,
+    path_efficiency,
     run_ace,
     run_standard,
 )
-from .maze import (
-    Maze,
-    MazeDomain,
-    bfs_shortest_path,
-    execute_trajectory,
-    generate_maze,
-    maze_from_text,
-    maze_to_text,
-    path_efficiency,
-    valid_neighbors,
-)
-from .pso import Particle, PsoExplorer, PsoParams, construct_path, pso_generation, score_neighbor
+from .maze import Maze, MazeDomain, bfs_shortest_path, generate_maze, maze_from_text, maze_to_text
+from .pso import Particle, PsoExplorer, PsoParams, construct_path, pso_generation
 from .stats import (
     PairedSample,
     cohens_d,

@@ -104,13 +104,14 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
 class ChainDomain:
     """Loop-facing adapter.  Sequences longer than the spec budget are
     truncated before scoring so the solver's optimum stays an upper
-    bound; success means reaching success_fraction of that optimum."""
+    bound; success means coming within (1 - success_fraction) *
+    |optimum| of that optimum."""
 
     # The planted structure never references repeats (self-rewards are
     # rejected), so the valid transition relation drops self-succession.
     transition_mask_mode = "no_self"
 
-    def __init__(self, spec: ChainSpec | None = None, success_fraction: float = 0.95):
+    def __init__(self, spec: ChainSpec | None = None, *, success_fraction: float = 0.95):
         self.spec = spec or ChainSpec()
         self.spec.validate()
         self.success_fraction = success_fraction
@@ -118,7 +119,12 @@ class ChainDomain:
         self.atomic_count = self.spec.alphabet_size
         self.default_genome_bounds = (2, self.spec.sequence_length)
         self.optimum, self.optimal_sequence = brute_force_optimum(self.spec)
-        self.success_threshold = success_fraction * self.optimum
+        # Within (1 - success_fraction) * |optimum| of the optimum; for a
+        # positive optimum that is the plain fraction of it.
+        if self.optimum > 0:
+            self.success_threshold = success_fraction * self.optimum
+        else:
+            self.success_threshold = self.optimum - (1 - success_fraction) * abs(self.optimum)
 
     def evaluate_sequence(self, ops: list[int], atomic_tokens: list[int]) -> Trajectory:
         scored = atomic_tokens[: self.spec.sequence_length]
@@ -130,6 +136,3 @@ class ChainDomain:
             success=f >= self.success_threshold - 1e-12,
             steps_used=len(scored),
         )
-
-    def path_efficiency(self, traj: Trajectory) -> float | None:
-        return None

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -21,11 +23,11 @@ import random
 import statistics
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import gca, stats
-from .chain import ChainDomain, ChainSpec, brute_force_optimum, default_rewards
+from .chain import ChainDomain, ChainSpec, brute_force_optimum
 from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError
 from .gca import GcaParams, GcaThresholds
@@ -59,17 +61,180 @@ CSV_COLUMNS = [
 
 # -- suite specification ----------------------------------------------------
 
+# Config keys that differ from the field or parameter they set; every
+# other key is the field name itself.
+ALIASES = {
+    "tau": "temperature",
+    "epsilon": "exploration_floor",
+    "lambda": "learning_rate",
+    "gamma": "decay",
+    "theta_w": "weight_min",
+    "theta_s": "support_min",
+    "theta_l": "lift_min",
+    "theta_eff": "effectiveness_min",
+    "target_bigrams": "rewards",
+}
+_KEY_OF = {name: key for key, name in ALIASES.items()}
+
+# Checkable value types by annotation; ints also pass where floats go.
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "list": list}
+
+
+def _schema(*sources, skip=()) -> dict[str, tuple[str, str]]:
+    """Config key -> (field name, annotation) over the fields of
+    dataclasses and the keyword-only parameters of classes."""
+    schema = {}
+    for src in sources:
+        if dataclasses.is_dataclass(src):
+            items = [(f.name, f.type) for f in dataclasses.fields(src)]
+        else:
+            params = inspect.signature(src).parameters.values()
+            items = [(p.name, p.annotation) for p in params if p.kind is p.KEYWORD_ONLY]
+        for name, hint in items:
+            if name not in skip:
+                schema[_KEY_OF.get(name, name)] = (name, hint)
+    return schema
+
+
+def _plain(hints: dict[str, str]) -> dict[str, tuple[str, str]]:
+    return {key: (key, hint) for key, hint in hints.items()}
+
+
+EXPLORERS = {"ea": (EaParams, EaExplorer), "pso": (PsoParams, PsoExplorer)}
+RUN = _schema(ExperimentConfig, skip=("gca", "warm_start_model"))
+GCA = _schema(GcaParams, GcaThresholds, skip=("thresholds",))
+_THRESHOLDS = {f.name for f in dataclasses.fields(GcaThresholds)}
+CHAIN_OPTIONS = _schema(ChainDomain)
+CHAIN = {
+    **_schema(ChainSpec),
+    **CHAIN_OPTIONS,
+    "target_bigrams": ("rewards", "list"),  # [from, to, reward] triples
+    "kind": ("kind", "str"),
+}
+FITNESS = _schema(MazeDomain, skip=("path_slack",))
+MAZE = _plain({
+    "kind": "str", "width": "int", "height": "int", "path_slack": "int | None",
+    "fitness": "dict", "instances": "list", "connectivity_levels": "list",
+    "mazes_per_level": "int", "maze_seed_base": "int",
+})
+MAZE_INSTANCE = _plain({"connectivity": "float", "maze_seed": "int"})
+SUITE_KEYS = {
+    "notes", "suite_seed", "runs_per_arm", "output_dir", "parallelism",
+    "run", "gca", "domain", "arms",
+}
+ARM_KEYS = {"name", "explorer", "guided", "ea", "pso", "gca", "run", "warm_start_model"}
+
+
+def _check_keys(doc, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in {where}: {', '.join(unknown)} "
+            f"(accepted: {', '.join(sorted(allowed))})"
+        )
+
+
+def _read(doc, schema: dict[str, tuple[str, str]], where: str) -> dict:
+    """Field name -> value for a config section; unknown keys and values
+    of the wrong type raise ConfigError.  Ints given for floats widen."""
+    _check_keys(doc, schema, where)
+    values = {}
+    for key, value in doc.items():
+        name, hint = schema[key]
+        base, _, rest = hint.partition(" | ")
+        kind = _TYPES.get(base)
+        if kind is not None and not (value is None and rest == "None"):
+            if not isinstance(value, kind) or isinstance(value, bool) != (base == "bool"):
+                raise ConfigError(f"{where}.{key} must be {hint}, got {value!r}")
+            if base == "float":
+                value = float(value)
+        values[name] = value
+    return values
+
+
+def _gca_params(values: dict) -> GcaParams:
+    thresholds = {k: v for k, v in values.items() if k in _THRESHOLDS}
+    rest = {k: v for k, v in values.items() if k not in _THRESHOLDS}
+    return GcaParams(**rest, thresholds=GcaThresholds(**thresholds))
+
+
+def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
+    """Validated model hyperparameters from a `gca` config section."""
+    params = _gca_params(_read(doc, GCA, where))
+    params.validate()
+    return params
+
+
+def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
+    """A validated chain spec plus the ChainDomain keywords of a chain
+    document.  An absent key takes the default; a given value is used as
+    given (an empty `target_bigrams` plants no pairs)."""
+    values = _read(doc, CHAIN, where)
+    values.pop("kind", None)
+    options = {k: values.pop(k) for k in CHAIN_OPTIONS if k in values}
+    if "rewards" in values:
+        try:
+            values["rewards"] = {
+                (int(i), int(j)): float(r) for i, j, r in values["rewards"]
+            }
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{where}.target_bigrams must list [from, to, reward]: {e}") from e
+    spec = ChainSpec(**values)
+    spec.validate()
+    return spec, options
+
+
+def _check_domain(doc) -> None:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "chain":
+        parse_chain(doc)
+    elif kind == "maze":
+        _read(doc, MAZE, "domain")
+        _read(doc.get("fitness", {}), FITNESS, "domain.fitness")
+        for i, inst in enumerate(doc.get("instances", [])):
+            _read(inst, MAZE_INSTANCE, f"domain.instances[{i}]")
+    else:
+        raise ConfigError(f"unknown domain kind {kind!r}")
+
 
 @dataclass
 class ArmSpec:
+    """One arm, its explorer parameters and run settings checked and
+    merged over the suite-wide `run` and `gca` sections."""
+
     name: str
     explorer: str
     guided: bool
-    ea: dict = field(default_factory=dict)
-    pso: dict = field(default_factory=dict)
-    gca_overrides: dict = field(default_factory=dict)
-    run_overrides: dict = field(default_factory=dict)
-    warm_start_model: str | None = None
+    params: EaParams | PsoParams
+    config: ExperimentConfig
+
+    @classmethod
+    def from_dict(cls, doc: dict, run: dict, gca: dict) -> "ArmSpec":
+        name = doc["name"]
+        if not isinstance(name, str) or not name or any(
+            c for c in name if not (c.isalnum() or c in "-_")
+        ):
+            raise ConfigError(f"arm name {name!r} must be alphanumeric/-/_")
+        where = f"arm {name}"
+        _check_keys(doc, ARM_KEYS, where)
+        explorer = doc["explorer"]
+        if explorer not in EXPLORERS:
+            raise ConfigError(f"unknown explorer kind {explorer!r}")
+        for other in EXPLORERS:
+            if other != explorer and other in doc:
+                raise ConfigError(f"{where}: {explorer} arms take no {other!r} section")
+        params_cls = EXPLORERS[explorer][0]
+        params = params_cls(**_read(doc.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}"))
+        params.validate()
+        config = ExperimentConfig(
+            **{**run, **_read(doc.get("run", {}), RUN, f"{where}.run")},
+            gca=_gca_params({**gca, **_read(doc.get("gca", {}), GCA, f"{where}.gca")}),
+            warm_start_model=doc.get("warm_start_model"),
+        )
+        config.validate()
+        return cls(name, explorer, bool(doc["guided"]), params, config)
 
 
 @dataclass
@@ -78,34 +243,19 @@ class SuiteSpec:
     runs_per_arm: int
     output_dir: str
     parallelism: int
-    run_params: dict
-    gca_params: dict
     domain: dict
     arms: list[ArmSpec]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SuiteSpec":
+        """Parse and check a whole suite.  Unknown keys, mistyped values
+        and invalid arm settings fail here, before any run starts."""
+        _check_keys(doc, SUITE_KEYS, "suite config")
         try:
-            arms = []
-            for a in doc["arms"]:
-                name = a["name"]
-                if not name or any(c for c in name if not (c.isalnum() or c in "-_")):
-                    raise ConfigError(f"arm name {name!r} must be alphanumeric/-/_")
-                explorer = a["explorer"]
-                if explorer not in ("ea", "pso"):
-                    raise ConfigError(f"unknown explorer kind {explorer!r}")
-                arms.append(
-                    ArmSpec(
-                        name=name,
-                        explorer=explorer,
-                        guided=bool(a["guided"]),
-                        ea=a.get("ea", {}),
-                        pso=a.get("pso", {}),
-                        gca_overrides=a.get("gca", {}),
-                        run_overrides=a.get("run", {}),
-                        warm_start_model=a.get("warm_start_model"),
-                    )
-                )
+            _check_domain(doc["domain"])
+            run = _read(doc.get("run", {}), RUN, "run")
+            gca = _read(doc.get("gca", {}), GCA, "gca")
+            arms = [ArmSpec.from_dict(a, run, gca) for a in doc["arms"]]
             if len({a.name for a in arms}) != len(arms):
                 raise ConfigError("arm names must be unique")
             spec = cls(
@@ -113,8 +263,6 @@ class SuiteSpec:
                 runs_per_arm=int(doc["runs_per_arm"]),
                 output_dir=doc.get("output_dir", "results"),
                 parallelism=int(doc.get("parallelism", 1)),
-                run_params=doc.get("run", {}),
-                gca_params=doc.get("gca", {}),
                 domain=doc["domain"],
                 arms=arms,
             )
@@ -124,8 +272,6 @@ class SuiteSpec:
             raise ConfigError("runs_per_arm must be >= 1")
         if spec.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if spec.domain.get("kind") not in ("maze", "chain"):
-            raise ConfigError(f"unknown domain kind {spec.domain.get('kind')!r}")
         return spec
 
     @classmethod
@@ -138,23 +284,6 @@ class SuiteSpec:
         except json.JSONDecodeError as e:
             raise ConfigError(f"suite config {path} is not valid JSON: {e}") from e
         return cls.from_dict(doc)
-
-
-def _gca_params_from_dict(doc: dict) -> GcaParams:
-    params = GcaParams(
-        temperature=doc.get("tau", 1.0),
-        exploration_floor=doc.get("epsilon", 0.1),
-        learning_rate=doc.get("lambda", 0.15),
-        decay=doc.get("gamma", 0.2),
-        thresholds=GcaThresholds(
-            weight_min=doc.get("theta_w", 0.3),
-            support_min=doc.get("theta_s", 3),
-            lift_min=doc.get("theta_l", 1.4),
-            effectiveness_min=doc.get("theta_eff", 0.1),
-        ),
-    )
-    params.validate()
-    return params
 
 
 def _domain_instances(domain_doc: dict) -> list[tuple[str, dict]]:
@@ -191,39 +320,16 @@ def _domain_instances(domain_doc: dict) -> list[tuple[str, dict]]:
 
 def build_domain(instance_spec: dict):
     if instance_spec["kind"] == "chain":
-        rewards = {
-            (int(i), int(j)): float(r)
-            for i, j, r in instance_spec.get("target_bigrams", [[0, 1, 5.0], [2, 3, 3.0]])
-        }
-        spec = ChainSpec(
-            alphabet_size=int(instance_spec.get("alphabet_size", 6)),
-            sequence_length=int(instance_spec.get("sequence_length", 12)),
-            rewards=rewards,
-            noise_penalty=float(instance_spec.get("noise_penalty", 0.2)),
-        )
-        return ChainDomain(spec, success_fraction=instance_spec.get("success_fraction", 0.95))
+        spec, options = parse_chain(instance_spec)
+        return ChainDomain(spec, **options)
     maze = generate_maze(
         instance_spec["width"],
         instance_spec["height"],
         instance_spec["connectivity"],
         instance_spec["maze_seed"],
     )
-    fit = instance_spec.get("fitness", {})
-    slack = instance_spec.get("path_slack")
-    return MazeDomain(
-        maze,
-        success_base=fit.get("success_base", 10000.0),
-        step_cost=fit.get("step_cost", 10.0),
-        wall_cost=fit.get("wall_cost", 2.0),
-        failure_scale=fit.get("failure_scale", 5000.0),
-        path_slack=int(slack) if slack is not None else None,
-    )
-
-
-def build_explorer(arm: ArmSpec):
-    if arm.explorer == "ea":
-        return EaExplorer(EaParams(**arm.ea))
-    return PsoExplorer(PsoParams(**arm.pso))
+    fitness = _read(instance_spec.get("fitness", {}), FITNESS, "domain.fitness")
+    return MazeDomain(maze, path_slack=instance_spec.get("path_slack"), **fitness)
 
 
 def derive_seed(suite_seed: int, arm_name: str, instance_id: str, run_index: int) -> int:
@@ -246,11 +352,8 @@ def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
                         "arm": arm.name,
                         "explorer": arm.explorer,
                         "guided": arm.guided,
-                        "ea": arm.ea,
-                        "pso": arm.pso,
-                        "gca": {**suite.gca_params, **arm.gca_overrides},
-                        "run": {**suite.run_params, **arm.run_overrides},
-                        "warm_start_model": arm.warm_start_model,
+                        "params": arm.params,
+                        "config": arm.config,
                         "instance_id": instance_id,
                         "instance_spec": instance_spec,
                         "run_index": run_index,
@@ -271,28 +374,8 @@ def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
 def _execute_run(task: dict) -> dict:
     """Worker: build everything from the task dict and run once."""
     domain = build_domain(task["instance_spec"])
-    arm = ArmSpec(
-        name=task["arm"],
-        explorer=task["explorer"],
-        guided=task["guided"],
-        ea=task["ea"],
-        pso=task["pso"],
-    )
-    explorer = build_explorer(arm)
-    run_doc = task["run"]
-    config = ExperimentConfig(
-        population_size=int(run_doc.get("population_size", 30)),
-        max_generations=int(run_doc.get("max_generations", 100)),
-        seed=task["seed"],
-        abstraction_period=int(run_doc.get("abstraction_period", 10)),
-        max_new_macros_per_scan=int(run_doc.get("max_new_macros_per_scan", 3)),
-        prune_min_uses=int(run_doc.get("prune_min_uses", 5)),
-        stop_on_success=bool(run_doc.get("stop_on_success", False)),
-        gca=_gca_params_from_dict(task["gca"]),
-        warm_start_model=task["warm_start_model"],
-        explorer_kind=task["explorer"],
-        domain_kind=task["instance_spec"]["kind"],
-    )
+    explorer = EXPLORERS[task["explorer"]][1](task["params"])
+    config = task["config"]
     rng = random.Random(task["seed"])
     model_json = None
     if task["guided"]:
@@ -481,13 +564,7 @@ def cmd_oracle(args) -> int:
             raise ConfigError(f"cannot read chain spec: {e}") from e
         except json.JSONDecodeError as e:
             raise ParseError(f"chain spec is not valid JSON: {e}") from e
-        rewards = {(int(i), int(j)): float(r) for i, j, r in doc.get("target_bigrams", [])}
-        spec = ChainSpec(
-            alphabet_size=int(doc.get("alphabet_size", 6)),
-            sequence_length=int(doc.get("sequence_length", 12)),
-            rewards=rewards or default_rewards(),
-            noise_penalty=float(doc.get("noise_penalty", 0.2)),
-        )
+        spec, _ = parse_chain(doc, "chain spec")
     value, witness = brute_force_optimum(spec)
     print(f"alphabet={spec.alphabet_size} length={spec.sequence_length}")
     print(f"optimum={value!r}")

@@ -106,9 +106,9 @@ class GcaModel:
 
     The valid transition relation is domain context, not learned state:
     mask_mode "all" admits every ordered pair of unpruned operations
-    (self-pairs included), "no_self" drops self-succession, and
-    mask_pairs pins an explicit pair set.  Loaders re-impose the mask
-    from the domain, so neither field is serialized or compared.
+    (self-pairs included) and "no_self" drops self-succession.  Loaders
+    re-impose the mask from the domain, so it is neither serialized nor
+    compared.
     """
 
     atomic_ops: list[str]
@@ -118,9 +118,7 @@ class GcaModel:
     macros: list[MacroOperation] = field(default_factory=list)
     vocab_size: int = 0
     mask_mode: str = field(default="all", compare=False)
-    mask_pairs: frozenset[tuple[int, int]] | None = field(default=None, compare=False)
 
-    version: int = field(default=0, compare=False, repr=False)
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _flat_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -155,8 +153,6 @@ class GcaModel:
         return ids
 
     def valid_pair(self, i: int, j: int) -> bool:
-        if self.mask_pairs is not None:
-            return (i, j) in self.mask_pairs
         if self.mask_mode == "no_self" and i == j:
             return False
         return not self.is_pruned(i) and not self.is_pruned(j)
@@ -166,7 +162,6 @@ class GcaModel:
             raise DomainError(f"operation id {op} outside vocabulary of size {self.vocab_size}")
 
     def _touch(self) -> None:
-        self.version += 1
         if self._row_cache:
             self._row_cache.clear()
 

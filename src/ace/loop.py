@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import gca
 from .errors import ConfigError
@@ -42,15 +42,12 @@ class ExperimentConfig:
 
     population_size: int = 30
     max_generations: int = 100
-    seed: int = 0
     abstraction_period: int = 10
     max_new_macros_per_scan: int = gca.DEFAULT_MAX_NEW_MACROS
     prune_min_uses: int = gca.DEFAULT_PRUNE_MIN_USES
     stop_on_success: bool = False
     gca: GcaParams = field(default_factory=GcaParams)
     warm_start_model: str | None = None
-    explorer_kind: str = ""
-    domain_kind: str = ""
 
     def validate(self) -> None:
         if self.population_size < 2:
@@ -79,23 +76,7 @@ class RunRecord:
     best_fitness_by_generation: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "best_fitness": self.best_fitness,
-            "success_generation": self.success_generation,
-            "path_efficiency": self.path_efficiency,
-            "macros_created": self.macros_created,
-            "macros_surviving": self.macros_surviving,
-            "mean_macro_effectiveness": self.mean_macro_effectiveness,
-            "hebbian_updates": self.hebbian_updates,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "generations_run": self.generations_run,
-            "best_fitness_by_generation": self.best_fitness_by_generation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -126,6 +107,15 @@ def count_vector(ops: list[int], n: int) -> list[int]:
     for op in ops:
         v[op] += 1
     return v
+
+
+def path_efficiency(domain, traj: Trajectory | None) -> float | None:
+    """Shortest-path length over steps used, for a successful trajectory
+    in a path domain (one exposing shortest_path_len); None otherwise."""
+    shortest = getattr(domain, "shortest_path_len", None)
+    if traj is None or not traj.success or shortest is None:
+        return None
+    return shortest / traj.steps_used if traj.steps_used else 1.0
 
 
 def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
@@ -232,15 +222,11 @@ def _run_loop(
         macros_created = macros_surviving = 0
         effectiveness = 0.0
 
-    efficiency = None
-    if best_successful is not None:
-        efficiency = domain.path_efficiency(best_successful)
-
     record = RunRecord(
         success=success_generation is not None,
         best_fitness=best.fitness,
         success_generation=success_generation,
-        path_efficiency=efficiency,
+        path_efficiency=path_efficiency(domain, best_successful),
         macros_created=macros_created,
         macros_surviving=macros_surviving,
         mean_macro_effectiveness=effectiveness,

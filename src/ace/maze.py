@@ -1,19 +1,20 @@
-"""Grid-maze world: procedural generation, movement queries, trajectory
-execution and scoring, plus a breadth-first shortest-path oracle."""
+"""Grid-maze world: procedural generation, an integer move table,
+trajectory execution and scoring, plus a breadth-first shortest-path
+oracle."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import ConfigError, DomainError, InternalError, ParseError
+from .errors import ConfigError, InternalError, ParseError
 from .loop import Trajectory
 
 MOVE_NAMES = ("N", "E", "S", "W")
 # (dx, dy) per move; y grows downward so N decreases y.
 MOVE_DELTAS = ((0, -1), (1, 0), (0, 1), (-1, 0))
-INVERSE_MOVE = (2, 3, 0, 1)
 
 Cell = tuple[int, int]
 
@@ -34,14 +35,28 @@ class Maze:
     connectivity: float
     seed: int
     open_edges: set[tuple[Cell, Cell]]
-    _bfs: tuple[int, list[int]] | None = field(default=None, repr=False, compare=False)
-
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
 
     def is_open(self, a: Cell, b: Cell) -> bool:
         return _edge(a, b) in self.open_edges
+
+    def index(self, cell: Cell) -> int:
+        return cell[1] * self.width + cell[0]
+
+    @cached_property
+    def neighbor_table(self) -> list[tuple[tuple[int, int], ...]]:
+        """Open moves out of each cell index (y * width + x), as
+        (move, cell index) pairs in N,E,S,W order."""
+        w, h = self.width, self.height
+        table = []
+        for y in range(h):
+            for x in range(w):
+                table.append(tuple(
+                    (move, (y + dy) * w + x + dx)
+                    for move, (dx, dy) in enumerate(MOVE_DELTAS)
+                    if 0 <= x + dx < w and 0 <= y + dy < h
+                    and self.is_open((x, y), (x + dx, y + dy))
+                ))
+        return table
 
     def all_interior_edges(self) -> list[tuple[Cell, Cell]]:
         edges = []
@@ -91,112 +106,35 @@ def generate_maze(width: int, height: int, connectivity: float, seed: int) -> Ma
     return maze
 
 
-def valid_neighbors(maze: Maze, cell: Cell) -> list[tuple[int, Cell]]:
-    """Open cardinal neighbors of a cell as (move, cell), in N,E,S,W order."""
-    if not maze.in_bounds(cell):
-        raise DomainError(f"cell {cell} outside {maze.width}x{maze.height} maze")
-    x, y = cell
-    out = []
-    for move, (dx, dy) in enumerate(MOVE_DELTAS):
-        nxt = (x + dx, y + dy)
-        if maze.in_bounds(nxt) and maze.is_open(cell, nxt):
-            out.append((move, nxt))
-    return out
-
-
-@dataclass(slots=True)
-class ExecutionResult:
-    final: Cell
-    visited: list[Cell]
-    success: bool
-    steps_used: int
-    wall_hits: int
-
-
-def execute_trajectory(maze: Maze, moves: list[int]) -> ExecutionResult:
-    """Walk a move sequence from the start.  Blocked moves are skipped and
-    counted as wall hits; execution stops as soon as the goal is reached."""
-    pos = maze.start
-    visited = [pos]
-    steps = 0
-    hits = 0
-    if pos == maze.goal:
-        return ExecutionResult(pos, visited, True, 0, 0)
-    for move in moves:
-        dx, dy = MOVE_DELTAS[move]
-        nxt = (pos[0] + dx, pos[1] + dy)
-        if maze.in_bounds(nxt) and maze.is_open(pos, nxt):
-            pos = nxt
-            visited.append(pos)
-            steps += 1
-            if pos == maze.goal:
-                break
-        else:
-            hits += 1
-    return ExecutionResult(pos, visited, pos == maze.goal, steps, hits)
-
-
 def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def fitness(
-    maze: Maze,
-    result: ExecutionResult,
-    *,
-    success_base: float = 10000.0,
-    step_cost: float = 10.0,
-    wall_cost: float = 2.0,
-    failure_scale: float = 5000.0,
-) -> float:
-    """Score an execution: successes earn the base minus step and wall
-    penalties; failures earn credit for distance covered toward the goal.
-    Never negative."""
-    if result.success:
-        f = success_base - step_cost * result.steps_used - wall_cost * result.wall_hits
-    else:
-        d_init = manhattan(maze.start, maze.goal)
-        d_rem = manhattan(result.final, maze.goal)
-        progress = 1.0 - d_rem / d_init if d_init > 0 else 0.0
-        f = failure_scale * progress - wall_cost * result.wall_hits
-    return max(f, 0.0)
 
 
 def bfs_shortest_path(maze: Maze) -> tuple[int, list[int]]:
     """Minimal move count from start to goal plus one witness move list;
     ties resolve by N,E,S,W expansion order."""
-    if maze._bfs is not None:
-        return maze._bfs[0], list(maze._bfs[1])
-    prev: dict[Cell, tuple[Cell, int]] = {maze.start: (maze.start, -1)}
-    q = deque([maze.start])
+    table = maze.neighbor_table
+    start = maze.index(maze.start)
+    goal = maze.index(maze.goal)
+    prev = {start: (start, -1)}
+    q = deque([start])
     while q:
         cell = q.popleft()
-        if cell == maze.goal:
+        if cell == goal:
             break
-        for move, nxt in valid_neighbors(maze, cell):
+        for move, nxt in table[cell]:
             if nxt not in prev:
                 prev[nxt] = (cell, move)
                 q.append(nxt)
-    if maze.goal not in prev:
+    if goal not in prev:
         raise InternalError("goal unreachable; maze generation guarantees connectivity")
     moves = []
-    cell = maze.goal
-    while cell != maze.start:
+    cell = goal
+    while cell != start:
         cell, move = prev[cell]
         moves.append(move)
     moves.reverse()
-    maze._bfs = (len(moves), list(moves))
     return len(moves), moves
-
-
-def path_efficiency(maze: Maze, result: ExecutionResult) -> float | None:
-    """Shortest-path length over steps actually used; None for failures."""
-    if not result.success:
-        return None
-    shortest, _ = bfs_shortest_path(maze)
-    if result.steps_used == 0:
-        return 1.0
-    return shortest / result.steps_used
 
 
 # -- text format -----------------------------------------------------------
@@ -268,8 +206,10 @@ def maze_from_text(text: str) -> Maze:
 
 class MazeDomain:
     """Binds a maze to the explorer interfaces: a four-move atomic
-    vocabulary for sequence genomes, and an indexed cell graph with a
-    goal-distance heuristic for stepwise path construction."""
+    vocabulary for sequence genomes, and the maze's indexed move table
+    with a goal-distance heuristic for stepwise path construction.
+    Sequences are walked on that table, paths arrive already walked on
+    it, and both are scored by one rule."""
 
     atomic_op_names = list(MOVE_NAMES)
     atomic_count = len(MOVE_NAMES)
@@ -288,34 +228,32 @@ class MazeDomain:
         path_slack: int | None = None,
     ):
         self.maze = maze
-        self.fitness_args = dict(
-            success_base=success_base,
-            step_cost=step_cost,
-            wall_cost=wall_cost,
-            failure_scale=failure_scale,
-        )
+        self.success_base = success_base
+        self.step_cost = step_cost
+        self.wall_cost = wall_cost
+        self.failure_scale = failure_scale
         w, h = maze.width, maze.height
-        self.start_index = maze.start[1] * w + maze.start[0]
-        self.goal_index = maze.goal[1] * w + maze.goal[0]
+        self.start_index = maze.index(maze.start)
+        self.goal_index = maze.index(maze.goal)
         self.default_genome_bounds = (1, 4 * w * h)
+        self.shortest_path_len, _ = bfs_shortest_path(maze)
         if path_slack is not None:
             # Step budget = this instance's shortest path plus a fixed
             # error allowance; longer optimal routes then offer more
             # chances to waste it, which is what makes sparse mazes hard.
-            shortest, _ = bfs_shortest_path(maze)
-            self.default_max_path_len = shortest + path_slack
+            self.default_max_path_len = self.shortest_path_len + path_slack
         else:
             self.default_max_path_len = 2 * w * h
 
-        self.neighbor_table: list[tuple[tuple[int, int], ...]] = []
-        for y in range(h):
-            for x in range(w):
-                nbrs = tuple(
-                    (move, ny * w + nx)
-                    for move, (nx, ny) in valid_neighbors(maze, (x, y))
-                )
-                self.neighbor_table.append(nbrs)
+        self.neighbor_table = maze.neighbor_table
+        # The same table keyed by cell * 4 + move; -1 marks a wall.
+        self._step = [-1] * (4 * w * h)
+        for cell, nbrs in enumerate(self.neighbor_table):
+            for move, nxt in nbrs:
+                self._step[4 * cell + move] = nxt
 
+        # Fraction of the start-to-goal distance already covered; a
+        # failed trajectory earns it as progress credit.
         d_init = manhattan(maze.start, maze.goal)
         self.heuristic: list[float] = []
         for y in range(h):
@@ -326,44 +264,53 @@ class MazeDomain:
                     v = 1.0 - manhattan((x, y), maze.goal) / d_init
                     self.heuristic.append(min(max(v, 0.0), 1.0))
 
-    def evaluate_sequence(self, ops: list[int], atomic_moves: list[int]) -> Trajectory:
-        w = self.maze.width
-        result = execute_trajectory(self.maze, atomic_moves)
+    def _score(
+        self,
+        ops: list[int],
+        atomic_moves: list[int],
+        states: list[int],
+        success: bool,
+        wall_hits: int,
+    ) -> Trajectory:
+        """Successes earn the base minus step and wall penalties; failures
+        earn credit for distance covered toward the goal.  Never negative."""
+        steps = len(states) - 1
+        if success:
+            f = self.success_base - self.step_cost * steps - self.wall_cost * wall_hits
+        else:
+            f = self.failure_scale * self.heuristic[states[-1]] - self.wall_cost * wall_hits
         return Trajectory(
             ops=ops,
             atomic_ops=atomic_moves,
-            fitness=fitness(self.maze, result, **self.fitness_args),
-            success=result.success,
-            states=[y * w + x for x, y in result.visited],
-            steps_used=result.steps_used,
-            wall_hits=result.wall_hits,
+            fitness=max(f, 0.0),
+            success=success,
+            states=states,
+            steps_used=steps,
+            wall_hits=wall_hits,
         )
+
+    def evaluate_sequence(self, ops: list[int], atomic_moves: list[int]) -> Trajectory:
+        """Walk a move sequence from the start.  Blocked moves are skipped
+        and counted as wall hits; execution stops at the goal."""
+        step = self._step
+        goal = self.goal_index
+        cur = self.start_index
+        states = [cur]
+        hits = 0
+        if cur != goal:
+            for move in atomic_moves:
+                nxt = step[4 * cur + move]
+                if nxt < 0:
+                    hits += 1
+                    continue
+                cur = nxt
+                states.append(cur)
+                if cur == goal:
+                    break
+        return self._score(ops, atomic_moves, states, cur == goal, hits)
 
     def evaluate_path(
         self, states: list[int], ops: list[int], atomic_moves: list[int], success: bool
     ) -> Trajectory:
-        w = self.maze.width
-        final_idx = states[-1]
-        result = ExecutionResult(
-            final=(final_idx % w, final_idx // w),
-            visited=[],
-            success=success,
-            steps_used=len(atomic_moves),
-            wall_hits=0,
-        )
-        return Trajectory(
-            ops=ops,
-            atomic_ops=atomic_moves,
-            fitness=fitness(self.maze, result, **self.fitness_args),
-            success=success,
-            states=states,
-            steps_used=len(atomic_moves),
-        )
-
-    def path_efficiency(self, traj: Trajectory) -> float | None:
-        if not traj.success:
-            return None
-        shortest, _ = bfs_shortest_path(self.maze)
-        if traj.steps_used == 0:
-            return 1.0
-        return shortest / traj.steps_used
+        """Score a wall-free path already walked on the move table."""
+        return self._score(ops, atomic_moves, states, success, 0)

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .gca import GcaModel, apply_exploration_floor
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
@@ -56,57 +56,6 @@ def _aligned(states: list[int] | None, step_index: int, cell: int) -> float:
     return 0.0
 
 
-def score_neighbor(
-    particle: Particle,
-    gbest: Trajectory | None,
-    node: int,
-    neighbor: int,
-    step_index: int,
-    params: PsoParams,
-    model: GcaModel | None,
-    domain,
-    rng: random.Random,
-    prev_op: int | None = None,
-) -> float:
-    """Composite score for moving from node to one valid neighbor.
-
-    The learned term is the floored transition probability of the move
-    among all valid moves at the node, conditioned on the op that entered
-    the node (uniform at the path start); it is zero without a model.
-    Cognitive/social terms draw fresh uniform multipliers per call.
-    """
-    nbrs = domain.neighbor_table[node]
-    move = None
-    for m, c in nbrs:
-        if c == neighbor:
-            move = m
-            break
-    if move is None:
-        raise DomainError(f"cell {neighbor} is not a valid successor of cell {node}")
-
-    score = params.heuristic_weight * domain.heuristic[neighbor]
-    score += params.inertia * _aligned(
-        particle.current.states if particle.current else None, step_index, neighbor
-    )
-    r1 = rng.random()
-    r2 = rng.random()
-    score += params.cognitive * r1 * _aligned(
-        particle.pbest.states if particle.pbest else None, step_index, neighbor
-    )
-    score += params.social * r2 * _aligned(
-        gbest.states if gbest else None, step_index, neighbor
-    )
-    if model is not None:
-        moves = [m for m, _ in nbrs]
-        if prev_op is None:
-            p = 1.0 / len(moves)
-        else:
-            dist = model.floored_distribution(prev_op, moves)
-            p = next(prob for op, prob in dist if op == move)
-        score += params.guidance_weight * p
-    return score
-
-
 def _softmax_floor(scores: list[float], epsilon: float) -> list[float]:
     m = max(scores)
     exps = [math.exp(s - m) for s in scores]
@@ -135,8 +84,11 @@ def construct_path(
     and redrawing without it, since scores are unaffected).  Surviving
     macros are scored at the cell their stride reaches, with alignment
     checked at the corresponding path depth, and carry their own learned
-    transition probability.  Construction stops at the goal or at the
-    path-length cap.
+    transition probability.  That learned term is the floored
+    probability of the candidate among this step's candidates,
+    conditioned on the op that entered the node (uniform at the path
+    start); it is zero without a model.  Construction stops at the goal
+    or at the path-length cap.
     """
     nbr_table = domain.neighbor_table
     heuristic = domain.heuristic

@@ -11,7 +11,6 @@ def make_model(
     weights=None,
     support=None,
     macros=None,
-    mask_pairs=None,
     mask_mode="all",
     **params,
 ):
@@ -24,7 +23,6 @@ def make_model(
         macros=list(macros or []),
         vocab_size=n_atomic + len(macros or []),
         mask_mode=mask_mode,
-        mask_pairs=frozenset(mask_pairs) if mask_pairs is not None else None,
     )
     return model
 
@@ -121,6 +119,3 @@ class GridStub:
             states=states,
             steps_used=len(atomic_moves),
         )
-
-    def path_efficiency(self, traj):
-        return None

@@ -21,8 +21,8 @@ from ace.chain import ChainDomain
 from ace.ea import EaExplorer, EaParams
 from ace.errors import InsufficientDataError
 from ace.gca import GcaParams, deserialize_model, save_model, serialize_model
-from ace.loop import ExperimentConfig, run_ace, run_standard
-from ace.maze import bfs_shortest_path, execute_trajectory, generate_maze, path_efficiency
+from ace.loop import ExperimentConfig, path_efficiency, run_ace, run_standard
+from ace.maze import MazeDomain, bfs_shortest_path, generate_maze
 from ace.stats import PairedSample, sign_test_one_sided, wilcoxon_signed_rank
 
 from helpers import make_model, random_model
@@ -43,9 +43,8 @@ def chain_run(seed, *, guided=True, gens=None, pop=None, gca=None, warm=None):
     config = ExperimentConfig(
         population_size=pop or doc["run"]["population_size"],
         max_generations=gens or doc["run"]["max_generations"],
-        seed=seed,
         abstraction_period=doc["run"]["abstraction_period"],
-        gca=gca or cli._gca_params_from_dict(doc["gca"]),
+        gca=gca or cli.parse_gca(doc["gca"]),
         warm_start_model=warm,
     )
     explorer = EaExplorer(EaParams(**arm["ea"]))
@@ -178,21 +177,21 @@ def test_criterion_6_maze_generator():
     ok = True
     m = generate_maze(15, 15, 0.0, 3)
     ok = ok and len(m.open_edges) == 15 * 15 - 1
-    seen = {m.start}
-    stack = [m.start]
-    from ace.maze import valid_neighbors
-
+    seen = {m.index(m.start)}
+    stack = list(seen)
     while stack:
         cell = stack.pop()
-        for _, nxt in valid_neighbors(m, cell):
+        for _, nxt in m.neighbor_table[cell]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     ok = ok and len(seen) == 225  # spanning tree is connected
 
     length, moves = bfs_shortest_path(m)
-    res = execute_trajectory(m, moves)
-    ok = ok and res.success and path_efficiency(m, res) == 1.0
+    domain = MazeDomain(m)
+    traj = domain.evaluate_sequence(moves, moves)
+    ok = ok and traj.success and traj.steps_used == length
+    ok = ok and path_efficiency(domain, traj) == 1.0
 
     ok = ok and generate_maze(15, 15, 0.3, 9).open_edges == generate_maze(15, 15, 0.3, 9).open_edges
     report(6, "maze generator tree/oracle/determinism", ok)

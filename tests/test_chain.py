@@ -160,6 +160,29 @@ def test_domain_success_threshold():
     assert not traj.success
 
 
+def test_domain_success_threshold_non_positive_optimum():
+    # no planted pairs: every adjacency costs 0.5, so the optimum is -2.0;
+    # success means coming within 5% of |optimum| of it
+    spec = ChainSpec(alphabet_size=4, sequence_length=5, rewards={}, noise_penalty=0.5)
+    dom = ChainDomain(spec)
+    assert dom.optimum == -2.0
+    assert dom.success_threshold == pytest.approx(-2.1)
+    best = dom.evaluate_sequence(dom.optimal_sequence, dom.optimal_sequence)
+    assert best.fitness == dom.optimum and best.success
+    # a small reward below the penalty: optimum -1.8, threshold -1.89
+    spec = ChainSpec(alphabet_size=4, sequence_length=5, rewards={(0, 1): 0.1}, noise_penalty=1.0)
+    dom = ChainDomain(spec)
+    assert dom.optimum == pytest.approx(-1.8)
+    assert dom.evaluate_sequence(dom.optimal_sequence, dom.optimal_sequence).success
+    worse = [0, 1, 2, 3, 2]  # one planted pair, three penalties: -2.9
+    assert not dom.evaluate_sequence(worse, worse).success
+    # a zero optimum (single token) is reached exactly
+    single = ChainDomain(ChainSpec(alphabet_size=2, sequence_length=1, rewards={}))
+    assert single.success_threshold == 0.0
+    # a positive optimum keeps the plain fraction
+    assert ChainDomain(success_fraction=0.9).success_threshold == 0.9 * ChainDomain().optimum
+
+
 def test_domain_uses_no_self_mask():
     assert ChainDomain().transition_mask_mode == "no_self"
 
@@ -184,7 +207,6 @@ def test_guided_runs_learn_the_dominant_pair():
         config = ExperimentConfig(
             population_size=50,
             max_generations=100,
-            seed=seed,
             abstraction_period=5,
             gca=GcaParams(learning_rate=0.01, exploration_floor=0.15),
         )

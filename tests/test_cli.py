@@ -317,14 +317,100 @@ def test_shipped_configs_are_valid():
     assert connectivities == {0.0, 0.3, 0.6, 1.0}
     for task in tasks[:4]:
         cli.build_domain(task["instance_spec"])  # builds without error
-    ea_pops = {t["run"]["population_size"] for t in tasks if t["explorer"] == "ea"}
-    pso_pops = {t["run"]["population_size"] for t in tasks if t["explorer"] == "pso"}
+    ea_pops = {t["config"].population_size for t in tasks if t["explorer"] == "ea"}
+    pso_pops = {t["config"].population_size for t in tasks if t["explorer"] == "pso"}
     assert ea_pops == {30} and pso_pops == {15}
 
     chain = SuiteSpec.from_file(repo / "configs" / "chain_suite.json")
     tasks = build_tasks(chain)
     assert len(tasks) == 2 * 10
     cli.build_domain(tasks[0]["instance_spec"])
+
+
+def _maze_suite(out):
+    return {
+        "runs_per_arm": 1,
+        "output_dir": str(out),
+        "run": {"population_size": 4, "max_generations": 2},
+        "domain": {"kind": "maze", "width": 5, "height": 5,
+                   "instances": [{"connectivity": 0.3, "maze_seed": 1}]},
+        "arms": [{"name": "std-pso", "explorer": "pso", "guided": False}],
+    }
+
+
+def _typo(doc, section, key):
+    """doc with a misspelt key planted in one section."""
+    arm = doc["arms"][0]
+    where = {
+        "suite": lambda: doc,
+        "run": lambda: doc["run"],
+        "gca": lambda: doc.setdefault("gca", {}),
+        "domain": lambda: doc["domain"],
+        "fitness": lambda: doc["domain"].setdefault("fitness", {}),
+        "arm": lambda: arm,
+        "arm-run": lambda: arm.setdefault("run", {}),
+        "ea": lambda: arm["ea"],
+        "pso": lambda: arm.setdefault("pso", {}),
+    }[section]()
+    where[key] = 1
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, section, key",
+    [
+        (tiny_chain_suite, "gca", "lamda"),
+        (tiny_chain_suite, "ea", "mutation_rat"),
+        (tiny_chain_suite, "run", "max_generation"),
+        (tiny_chain_suite, "arm-run", "populaton_size"),
+        (tiny_chain_suite, "domain", "noise_penlty"),
+        (tiny_chain_suite, "arm", "warm_start"),
+        (tiny_chain_suite, "suite", "arm"),
+        (_maze_suite, "fitness", "step_cots"),
+        (_maze_suite, "domain", "path_slak"),
+        (_maze_suite, "pso", "inertai"),
+    ],
+)
+def test_unknown_config_key_exits_1_before_any_run(tmp_path, capsys, make, section, key):
+    out = tmp_path / "out"
+    suite_path = write_suite(tmp_path, _typo(make(out), section, key))
+    assert cli.main(["run", "--config", str(suite_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+    assert not (out / "error_manifest.json").exists()
+
+
+def test_suite_keeps_notes_and_rejects_bad_values_before_any_run(tmp_path):
+    doc = tiny_chain_suite(tmp_path / "out")
+    doc["notes"] = {"anything": "goes"}
+    SuiteSpec.from_dict(doc)
+    bad_value = tiny_chain_suite(tmp_path / "out")
+    bad_value["arms"][1]["ea"]["mutation_rate"] = 1.5  # fails EaParams.validate
+    bad_type = tiny_chain_suite(tmp_path / "out")
+    bad_type["run"]["population_size"] = "10"
+    wrong_section = tiny_chain_suite(tmp_path / "out")
+    wrong_section["arms"][0]["pso"] = {}
+    for doc in (bad_value, bad_type, wrong_section):
+        with pytest.raises(ConfigError):
+            SuiteSpec.from_dict(doc)
+        suite_path = write_suite(tmp_path, doc)
+        assert cli.main(["run", "--config", str(suite_path)]) == 1
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_oracle_and_run_read_a_chain_spec_alike(tmp_path, capsys):
+    doc = {"alphabet_size": 4, "sequence_length": 5, "target_bigrams": [], "noise_penalty": 0.5}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
+    assert "optimum=-2.0" in capsys.readouterr().out
+    assert cli.build_domain(dict(doc, kind="chain")).optimum == -2.0
+    # an absent key takes the default
+    del doc["target_bigrams"]
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
+    optimum = cli.build_domain(dict(doc, kind="chain")).optimum
+    assert optimum > 0 and f"optimum={optimum!r}" in capsys.readouterr().out
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

@@ -37,9 +37,6 @@ class SingleOpDomain:
     def evaluate_sequence(self, ops, flat):
         return Trajectory(ops=ops, atomic_ops=flat, fitness=float(len(flat)))
 
-    def path_efficiency(self, traj):
-        return None
-
 
 # -- crossover -----------------------------------------------------------------
 

@@ -200,9 +200,10 @@ def test_pair_update_zero_counts_pure_decay():
 
 
 def test_pair_update_respects_mask():
-    m = make_model(mask_pairs={(1, 2)}, learning_rate=0.15, decay=0.0)
-    m.hebbian_pair_update([0, 1, 0, 0], [0, 0, 1, 0], 0.0, 0.0, 2.0)
-    assert set(m.weights) == {(1, 2)}
+    # co-active pairs (0, 1), (1, 0) and (1, 1); the self-pair is masked
+    m = make_model(n_atomic=2, mask_mode="no_self", learning_rate=0.15, decay=0.0)
+    m.hebbian_pair_update([1, 1], [0, 1], 0.0, 0.0, 2.0)
+    assert set(m.weights) == {(0, 1), (1, 0)}
 
 
 def test_pair_update_length_mismatch():
@@ -296,7 +297,7 @@ def test_lift_zero_weight_is_zero():
 
 
 def test_lift_zero_marginal_gives_sentinel():
-    m = make_model(n_atomic=2, weights={(0, 1): 0.6}, mask_pairs={(0, 1), (1, 0)})
+    m = make_model(n_atomic=2, weights={(0, 1): 0.6}, mask_mode="no_self")
     assert m.compute_lift(0, 1) == math.inf
 
 

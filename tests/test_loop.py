@@ -19,7 +19,6 @@ def chain_setup(**kw):
     config = ExperimentConfig(
         population_size=kw.pop("population_size", 20),
         max_generations=kw.pop("max_generations", 20),
-        seed=kw.pop("seed", 1),
         abstraction_period=kw.pop("abstraction_period", 5),
         gca=kw.pop("gca", GcaParams(learning_rate=0.01, exploration_floor=0.15)),
         **kw,
@@ -40,7 +39,7 @@ def test_run_is_deterministic():
     records = []
     bests = []
     for _ in range(2):
-        config, explorer, dom = chain_setup(seed=33)
+        config, explorer, dom = chain_setup()
         best, model, record = run_ace(config, explorer, dom, random.Random(33))
         records.append(record)
         bests.append(best)
@@ -74,7 +73,7 @@ def test_standard_run_shares_initialization_with_guided():
 
 
 def test_hebbian_gating_counts_positive_gains(monkeypatch):
-    config, explorer, dom = chain_setup(seed=2)
+    config, explorer, dom = chain_setup()
     calls = {"pair": 0}
     orig = GcaModel.hebbian_pair_update
 
@@ -105,7 +104,7 @@ def test_abstraction_cadence(monkeypatch):
 
 
 def test_elitist_history_is_monotone():
-    config, explorer, dom = chain_setup(max_generations=30, seed=9)
+    config, explorer, dom = chain_setup(max_generations=30)
     _, _, record = run_ace(config, explorer, dom, random.Random(9))
     history = record.best_fitness_by_generation
     assert all(b >= a for a, b in zip(history, history[1:]))
@@ -113,7 +112,7 @@ def test_elitist_history_is_monotone():
 
 def test_stop_on_success_halts_early():
     config, explorer, dom = chain_setup(
-        population_size=50, max_generations=100, stop_on_success=True, seed=3
+        population_size=50, max_generations=100, stop_on_success=True
     )
     _, _, record = run_ace(config, explorer, dom, random.Random(3))
     assert record.success
@@ -122,7 +121,7 @@ def test_stop_on_success_halts_early():
 
 
 def test_success_generation_bounded():
-    config, explorer, dom = chain_setup(population_size=50, max_generations=40, seed=5)
+    config, explorer, dom = chain_setup(population_size=50, max_generations=40)
     _, _, record = run_ace(config, explorer, dom, random.Random(5))
     if record.success:
         assert 1 <= record.success_generation <= 40
@@ -146,13 +145,13 @@ def test_warm_start_vocabulary_mismatch(tmp_path):
 
 
 def test_warm_start_reuses_trained_model(tmp_path):
-    config, explorer, dom = chain_setup(population_size=50, max_generations=60, seed=77)
+    config, explorer, dom = chain_setup(population_size=50, max_generations=60)
     _, donor, donor_record = run_ace(config, explorer, dom, random.Random(77))
     path = tmp_path / "donor.json"
     save_model(donor, path)
 
     config2, explorer2, dom2 = chain_setup(
-        population_size=50, max_generations=10, seed=78, warm_start_model=str(path)
+        population_size=50, max_generations=10, warm_start_model=str(path)
     )
     _, revived, record = run_ace(config2, explorer2, dom2, random.Random(78))
     # macro library carried over; new ids never collide with loaded ones
@@ -183,7 +182,7 @@ def test_maze_run_records_efficiency():
 
 def test_macro_usage_accounting():
     # a successful guided chain run should both create and use macros
-    config, explorer, dom = chain_setup(population_size=50, max_generations=60, seed=11)
+    config, explorer, dom = chain_setup(population_size=50, max_generations=60)
     _, model, record = run_ace(config, explorer, dom, random.Random(11))
     assert record.macros_created == len(model.macros)
     assert record.macros_surviving == sum(1 for m in model.macros if not m.pruned)
@@ -198,7 +197,7 @@ def test_macro_usage_accounting():
 def test_standard_chain_baseline_succeeds_sometimes():
     wins = 0
     for seed in range(20):
-        config, explorer, dom = chain_setup(population_size=50, max_generations=50, seed=seed)
+        config, explorer, dom = chain_setup(population_size=50, max_generations=50)
         _, record = run_standard(config, explorer, dom, random.Random(seed))
         wins += record.success
     assert wins > 0

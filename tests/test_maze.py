@@ -3,19 +3,16 @@ from __future__ import annotations
 
 import pytest
 
-from ace.errors import ConfigError, DomainError, ParseError
+from ace.errors import ConfigError, ParseError
+from ace.loop import path_efficiency
 from ace.maze import (
     Maze,
     MazeDomain,
     bfs_shortest_path,
-    execute_trajectory,
-    fitness,
     generate_maze,
     manhattan,
     maze_from_text,
     maze_to_text,
-    path_efficiency,
-    valid_neighbors,
 )
 
 N, E, S, W = 0, 1, 2, 3
@@ -28,15 +25,19 @@ def corridor(n):
 
 
 def reachable_cells(maze):
-    seen = {maze.start}
-    stack = [maze.start]
+    seen = {maze.index(maze.start)}
+    stack = list(seen)
     while stack:
         cell = stack.pop()
-        for _, nxt in valid_neighbors(maze, cell):
+        for _, nxt in maze.neighbor_table[cell]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def walk(maze, moves):
+    return MazeDomain(maze).evaluate_sequence(list(moves), list(moves))
 
 
 # -- generation -------------------------------------------------------------
@@ -88,20 +89,20 @@ def test_generator_validates_arguments():
 
 def test_neighbors_full_grid_order():
     m = generate_maze(5, 5, 1.0, 1)
-    assert valid_neighbors(m, (2, 2)) == [
-        (N, (2, 1)),
-        (E, (3, 2)),
-        (S, (2, 3)),
-        (W, (1, 2)),
-    ]
-    assert valid_neighbors(m, (0, 0)) == [(E, (1, 0)), (S, (0, 1))]
+    assert m.neighbor_table[m.index((2, 2))] == (
+        (N, m.index((2, 1))),
+        (E, m.index((3, 2))),
+        (S, m.index((2, 3))),
+        (W, m.index((1, 2))),
+    )
+    assert m.neighbor_table[0] == ((E, 1), (S, 5))
 
 
 def test_neighbors_match_rendered_walls():
     m = generate_maze(5, 5, 0.0, 7)
     text = maze_to_text(m)
     lines = text.splitlines()
-    for move, cell in valid_neighbors(m, (0, 0)):
+    for move, cell in m.neighbor_table[0]:
         if move == E:
             assert lines[2][3] == " "  # no wall between (0,0) and (1,0)
         if move == S:
@@ -109,14 +110,20 @@ def test_neighbors_match_rendered_walls():
 
 
 def test_neighbors_out_of_bounds():
-    m = generate_maze(4, 4, 0.0, 1)
-    with pytest.raises(DomainError):
-        valid_neighbors(m, (4, 0))
+    # every move in the table stays on the grid, even with all walls open
+    m = generate_maze(4, 4, 1.0, 1)
+    assert len(m.neighbor_table) == 16
+    for cell, nbrs in enumerate(m.neighbor_table):
+        x, y = cell % 4, cell // 4
+        moves = {move for move, _ in nbrs}
+        assert (N in moves) == (y > 0) and (S in moves) == (y < 3)
+        assert (W in moves) == (x > 0) and (E in moves) == (x < 3)
+        assert all(0 <= nxt < 16 for _, nxt in nbrs)
 
 
 def test_corner_of_perfect_maze_has_single_opening():
     m = corridor(5)
-    assert valid_neighbors(m, (0, 0)) == [(E, (1, 0))]
+    assert m.neighbor_table[0] == ((E, 1),)
 
 
 # -- execution ----------------------------------------------------------------
@@ -124,42 +131,53 @@ def test_corner_of_perfect_maze_has_single_opening():
 
 def test_empty_sequence():
     m = generate_maze(4, 4, 1.0, 1)
-    res = execute_trajectory(m, [])
-    assert res.final == (0, 0)
-    assert not res.success
+    traj = walk(m, [])
+    assert traj.states == [0]
+    assert not traj.success
     trivial = Maze(2, 2, (0, 0), (0, 0), 1.0, 0, {((0, 0), (1, 0))})
-    assert execute_trajectory(trivial, []).success
+    assert walk(trivial, []).success
 
 
 def test_straight_corridor():
-    m = corridor(6)
-    res = execute_trajectory(m, [E] * 5)
-    assert res.success and res.steps_used == 5 and res.wall_hits == 0
+    traj = walk(corridor(6), [E] * 5)
+    assert traj.success and traj.steps_used == 5 and traj.wall_hits == 0
 
 
 def test_wall_hits_are_skipped_and_counted():
-    m = corridor(3)
-    res = execute_trajectory(m, [N, E, S, E])
-    assert res.success
-    assert res.steps_used == 2
-    assert res.wall_hits == 2
+    traj = walk(corridor(3), [N, E, S, E])
+    assert traj.success
+    assert traj.steps_used == 2
+    assert traj.wall_hits == 2
 
 
 def test_execution_stops_at_goal():
-    m = corridor(3)
-    res = execute_trajectory(m, [E, E, W, W])
-    assert res.success and res.steps_used == 2
-    assert res.final == (2, 0)
+    traj = walk(corridor(3), [E, E, W, W])
+    assert traj.success and traj.steps_used == 2
+    assert traj.states == [0, 1, 2]
 
 
 def test_bfs_move_list_executes_optimally():
     for seed in (2, 5, 9):
         m = generate_maze(5, 5, 0.0, seed)
         length, moves = bfs_shortest_path(m)
-        res = execute_trajectory(m, moves)
-        assert res.success
-        assert res.steps_used == length
-        assert path_efficiency(m, res) == 1.0
+        dom = MazeDomain(m)
+        traj = dom.evaluate_sequence(moves, moves)
+        assert traj.success
+        assert traj.steps_used == length
+        assert path_efficiency(dom, traj) == 1.0
+
+
+def test_sequence_and_path_evaluation_agree():
+    # a wall-free walk scores the same whichever evaluator sees it
+    m = generate_maze(7, 7, 0.3, 4)
+    dom = MazeDomain(m)
+    _, moves = bfs_shortest_path(m)
+    for k in (len(moves), 5):
+        seq = dom.evaluate_sequence(moves[:k], moves[:k])
+        path = dom.evaluate_path(seq.states, moves[:k], moves[:k], seq.success)
+        assert (path.fitness, path.success, path.steps_used) == (
+            seq.fitness, seq.success, seq.steps_used,
+        )
 
 
 # -- fitness --------------------------------------------------------------------
@@ -167,51 +185,49 @@ def test_bfs_move_list_executes_optimally():
 
 def test_fitness_success_example():
     m = generate_maze(15, 15, 1.0, 1)
-    res = execute_trajectory(m, bfs_shortest_path(m)[1])
-    assert res.steps_used == 28
-    from ace.maze import ExecutionResult
-
-    twenty = ExecutionResult(final=m.goal, visited=[], success=True, steps_used=20, wall_hits=0)
-    assert fitness(m, twenty) == 9800.0
+    assert walk(m, bfs_shortest_path(m)[1]).steps_used == 28
+    twenty = generate_maze(11, 11, 1.0, 1)
+    traj = walk(twenty, bfs_shortest_path(twenty)[1])
+    assert traj.steps_used == 20
+    assert traj.fitness == 9800.0
 
 
 def test_fitness_no_progress_is_zero():
     m = generate_maze(8, 8, 0.0, 4)
-    res = execute_trajectory(m, [])
-    assert fitness(m, res) == 0.0
+    assert walk(m, []).fitness == 0.0
 
 
 def test_fitness_half_distance():
-    from ace.maze import ExecutionResult
-
     m = generate_maze(15, 15, 1.0, 1)
     d_init = manhattan(m.start, m.goal)
     mid = (7, 7)
     assert manhattan(mid, m.goal) * 2 == d_init
-    res = ExecutionResult(final=mid, visited=[], success=False, steps_used=14, wall_hits=0)
-    assert fitness(m, res) == 2500.0
+    traj = walk(m, [E] * 7 + [S] * 7)
+    assert not traj.success and traj.states[-1] == m.index(mid)
+    assert traj.fitness == 2500.0
 
 
 def test_fitness_success_ordering():
-    from ace.maze import ExecutionResult
-
     m = generate_maze(10, 10, 1.0, 1)
-    f = [
-        fitness(m, ExecutionResult(m.goal, [], True, steps, 3))
-        for steps in (20, 30, 50)
-    ]
+    # three wall hits, then k out-and-back detours before the shortest route
+    f = []
+    for k in (1, 6, 16):
+        traj = walk(m, [N] * 3 + [S, N] * k + [E] * 9 + [S] * 9)
+        assert traj.success and traj.wall_hits == 3 and traj.steps_used == 18 + 2 * k
+        f.append(traj.fitness)
     assert f[0] > f[1] > f[2]
 
 
 def test_path_efficiency_cases():
     m = corridor(5)
-    optimal = execute_trajectory(m, [E] * 4)
-    assert path_efficiency(m, optimal) == 1.0
-    wandering = execute_trajectory(m, [E, W] * 2 + [E] * 4)
+    dom = MazeDomain(m)
+    optimal = dom.evaluate_sequence([E] * 4, [E] * 4)
+    assert path_efficiency(dom, optimal) == 1.0
+    wandering = dom.evaluate_sequence([], [E, W] * 2 + [E] * 4)
     assert wandering.steps_used == 8
-    assert path_efficiency(m, wandering) == pytest.approx(0.5)
-    failed = execute_trajectory(m, [E])
-    assert path_efficiency(m, failed) is None
+    assert path_efficiency(dom, wandering) == pytest.approx(0.5)
+    failed = dom.evaluate_sequence([E], [E])
+    assert path_efficiency(dom, failed) is None
 
 
 # -- shortest path ----------------------------------------------------------------
@@ -275,11 +291,15 @@ def test_domain_tables_match_maze():
     m = generate_maze(6, 6, 0.3, 11)
     dom = MazeDomain(m)
     assert dom.atomic_op_names == ["N", "E", "S", "W"]
+    steps = {N: (0, -1), E: (1, 0), S: (0, 1), W: (-1, 0)}
     for y in range(6):
         for x in range(6):
-            idx = y * 6 + x
-            nbrs = [(mv, (c % 6, c // 6)) for mv, c in dom.neighbor_table[idx]]
-            assert nbrs == valid_neighbors(m, (x, y))
+            expected = tuple(
+                (mv, (y + dy) * 6 + x + dx)
+                for mv, (dx, dy) in steps.items()
+                if 0 <= x + dx < 6 and 0 <= y + dy < 6 and m.is_open((x, y), (x + dx, y + dy))
+            )
+            assert dom.neighbor_table[y * 6 + x] == expected
     assert dom.heuristic[dom.goal_index] == 1.0
     assert dom.heuristic[dom.start_index] == 0.0
 
@@ -297,4 +317,4 @@ def test_domain_evaluates_sequences():
     traj = dom.evaluate_sequence([E, E, E], [E, E, E])
     assert traj.success and traj.fitness == 10000 - 30
     assert traj.states == [0, 1, 2, 3]
-    assert dom.path_efficiency(traj) == 1.0
+    assert path_efficiency(dom, traj) == 1.0

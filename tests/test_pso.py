@@ -1,20 +1,22 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from ace.errors import ConfigError, DomainError
+import ace.pso as pso
+from ace.errors import ConfigError
 from ace.gca import MacroOperation
 from ace.loop import ExperimentConfig, Trajectory
+from ace.maze import MazeDomain, generate_maze
 from ace.pso import (
     Particle,
     PsoExplorer,
     PsoParams,
     construct_path,
     pso_generation,
-    score_neighbor,
 )
 
 from helpers import GridStub, make_model
@@ -24,85 +26,139 @@ def path(states):
     return Trajectory(ops=[], atomic_ops=[], fitness=0.0, states=states)
 
 
-# -- neighbor scoring ---------------------------------------------------------
+def step_scores(monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1):
+    """Candidate scores of every step of one construct_path call, as
+    handed to the softmax."""
+    seen = []
+    real = pso._softmax_floor
+
+    def spy(scores, eps):
+        seen.append(list(scores))
+        return real(scores, eps)
+
+    monkeypatch.setattr(pso, "_softmax_floor", spy)
+    construct_path(particle or Particle(), gbest, params, model, dom, random.Random(seed))
+    return seen
 
 
-def test_score_all_coefficients_zero():
+def entering_center(max_path_len=50):
+    """3x3 open grid whose walk starts at cell 1 and is forced south into
+    the four-way center cell 4, entering it with move S."""
+    dom = GridStub(3, 3, heuristic=[0.0] * 9, max_path_len=max_path_len)
+    dom.start_index = 1
+    dom.neighbor_table[1] = ((2, 4),)
+    return dom
+
+
+# -- step scoring -------------------------------------------------------------
+
+
+def test_score_all_coefficients_zero(monkeypatch):
     dom = GridStub(3, 3)
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0)
-    s = score_neighbor(Particle(), None, 0, 1, 0, params, None, dom, random.Random(1))
-    assert s == 0.0
+    seen = step_scores(monkeypatch, dom, params)
+    assert seen[0] == [0.0, 0.0]
+    assert all(s == 0.0 for step in seen for s in step)
 
 
-def test_score_heuristic_isolated():
+def test_score_heuristic_isolated(monkeypatch):
     dom = GridStub(3, 3, heuristic=[0.0, 0.7, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 1.0])
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=1.0, guidance_weight=0)
-    s = score_neighbor(Particle(), None, 0, 1, 0, params, None, dom, random.Random(1))
-    assert s == pytest.approx(0.7)
+    # the corner start offers E (cell 1) and S (cell 3)
+    assert step_scores(monkeypatch, dom, params)[0] == pytest.approx([0.7, 0.3])
 
 
-def test_score_hand_sum():
+def test_score_hand_sum(monkeypatch):
     dom = GridStub(3, 3, heuristic=[0.0] * 9)
-    # previous path goes 0 -> 1, so neighbor 1 aligns at step 0
+    # previous path goes 0 -> 1, so the E candidate aligns at step 0
     particle = Particle(current=path([0, 1, 2]))
     params = PsoParams(
         inertia=0.5, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0
     )
-    model = make_model()  # zero weights: P over 2 valid moves at corner = 0.5 floored -> 0.5? no: corner 0 has moves E,S
-    # at the start of a walk there is no entering op, so the learned term is uniform
-    s = score_neighbor(particle, None, 0, 1, 0, params, model, dom, random.Random(1), prev_op=None)
-    assert s == pytest.approx(0.5 * 1.0 + 2.0 * 0.5)
+    # at the start of a walk there is no entering op: the learned term is
+    # uniform over the two candidates
+    seen = step_scores(monkeypatch, dom, params, particle, model=make_model())
+    assert seen[0] == pytest.approx([0.5 * 1.0 + 2.0 * 0.5, 2.0 * 0.5])
 
 
-def test_score_guidance_quarter_on_open_cell():
-    dom = GridStub(3, 3, heuristic=[0.0] * 9)
+def test_score_guidance_third_on_open_cell(monkeypatch):
+    dom = entering_center()
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0)
-    model = make_model()
-    # center cell 4 has four valid moves; zero weights + floor keep 0.25 each
-    s = score_neighbor(Particle(), None, 4, 1, 0, params, model, dom, random.Random(1), prev_op=2)
-    assert s == pytest.approx(2.0 * 0.25)
+    seen = step_scores(monkeypatch, dom, params, model=make_model())
+    assert seen[0] == [2.0]  # the forced first step is the only candidate
+    # the center has four moves but backtracking is not a candidate: zero
+    # weights and the floor give 1/3 to each of E, S and W
+    assert seen[1] == pytest.approx([2.0 / 3] * 3)
 
 
-def test_score_inertia_plus_guidance_sums_to_one():
-    # previous path aligned with the scored neighbor, four-way cell,
-    # zero weights: 0.5 * 1 + 2.0 * 0.25 = 1.0
-    dom = GridStub(3, 3, heuristic=[0.0] * 9)
-    particle = Particle(current=path([4, 1]))
-    params = PsoParams(inertia=0.5, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0)
-    model = make_model()
-    s = score_neighbor(particle, None, 4, 1, 0, params, model, dom, random.Random(1), prev_op=2)
-    assert s == pytest.approx(1.0)
+def test_score_inertia_plus_guidance_sums_to_one(monkeypatch):
+    # previous path continues east from the center: 0.5 * 1 + 1.5 / 3 = 1.0
+    dom = entering_center()
+    particle = Particle(current=path([1, 4, 5]))
+    params = PsoParams(inertia=0.5, cognitive=0, social=0, heuristic_weight=0, guidance_weight=1.5)
+    seen = step_scores(monkeypatch, dom, params, particle, model=make_model())
+    assert seen[1] == pytest.approx([1.0, 0.5, 0.5])
 
 
 def test_score_invalid_neighbor_rejected():
-    dom = GridStub(3, 3)
-    with pytest.raises(DomainError):
-        score_neighbor(Particle(), None, 0, 8, 0, PsoParams(), None, dom, random.Random(1))
+    # only valid successors are ever candidates: every step of a built
+    # path, macro strides included, crosses an open edge of the maze
+    dom = MazeDomain(generate_maze(6, 6, 0.0, 2))
+    model = make_model()
+    for left, right in ((1, 1), (2, 2), (1, 2)):
+        macro = MacroOperation(id=model.vocab_size, left=left, right=right)
+        model.macros.append(macro)
+        model.expand_weight_matrix(macro)
+    params = PsoParams(heuristic_weight=1.0, max_path_len=40)
+    rng = random.Random(3)
+    strides = 0
+    for _ in range(50):
+        traj = construct_path(Particle(), None, params, model, dom, rng)
+        strides += sum(1 for op in traj.ops if op >= 4)
+        for a, b in zip(traj.states, traj.states[1:]):
+            assert b in {c for _, c in dom.neighbor_table[a]}
+    assert strides > 0
 
 
-def test_score_linear_in_each_coefficient():
-    dom = GridStub(4, 4)
-    particle = Particle(current=path([0, 1, 2]), pbest=path([0, 1]))
-    gbest = path([0, 1, 5])
+def test_score_linear_in_each_coefficient(monkeypatch):
+    dom = entering_center()
+    particle = Particle(current=path([1, 4, 5]), pbest=path([1, 4, 7]))
+    gbest = path([1, 4, 3])
     base = dict(inertia=0.3, cognitive=0.7, social=0.9, heuristic_weight=0.4, guidance_weight=1.1)
-    model = make_model(weights={(1, 1): 2.0})
-    for coeff in base:
-        values = []
-        for scale in (1.0, 2.0):
-            args = dict(base)
-            args[coeff] = base[coeff] * scale
-            s = score_neighbor(
-                particle, gbest, 0, 1, 0, PsoParams(**args), model, dom,
-                random.Random(42), prev_op=1,
-            )
-            values.append(s)
-        zero_args = dict(base)
-        zero_args[coeff] = 0.0
-        s0 = score_neighbor(
-            particle, gbest, 0, 1, 0, PsoParams(**zero_args), model, dom,
-            random.Random(42), prev_op=1,
+    model = make_model(weights={(2, 1): 2.0})  # S then E is favoured
+
+    def center_scores(args):
+        seen = step_scores(
+            monkeypatch, dom, PsoParams(**args), particle, gbest, model, seed=42
         )
-        assert values[1] - s0 == pytest.approx(2 * (values[0] - s0), rel=1e-9)
+        return seen[1]
+
+    for coeff in base:
+        once = center_scores(base)
+        twice = center_scores(dict(base, **{coeff: 2 * base[coeff]}))
+        zero = center_scores(dict(base, **{coeff: 0.0}))
+        for s1, s2, s0 in zip(once, twice, zero):
+            assert s2 - s0 == pytest.approx(2 * (s1 - s0), rel=1e-9, abs=1e-12)
+
+
+def test_guided_step_frequencies_over_real_candidates():
+    # the learned term is the floored distribution over the three
+    # candidates actually offered at the center, not over all four moves
+    dom = entering_center(max_path_len=2)
+    model = make_model(weights={(2, 1): 3.0})
+    params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0)
+    p_theta = [p for _, p in model.floored_distribution(2, [1, 2, 3])]
+    exps = [math.exp(2.0 * p) for p in p_theta]
+    eps = model.params.exploration_floor
+    expected = [(1 - eps) * e / sum(exps) + eps / 3 for e in exps]
+    rng = random.Random(9)
+    n = 10_000
+    counts = Counter()
+    for _ in range(n):
+        traj = construct_path(Particle(), None, params, model, dom, rng)
+        counts[traj.states[2]] += 1
+    for cell, p in zip((5, 7, 3), expected):
+        assert abs(counts[cell] / n - p) < 0.015
 
 
 # -- path construction -----------------------------------------------------------
