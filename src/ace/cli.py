@@ -32,7 +32,7 @@ from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError
 from .gca import GcaParams, GcaThresholds
 from .loop import ExperimentConfig, run_ace, run_standard
-from .maze import MazeDomain, bfs_shortest_path, generate_maze, maze_to_text
+from .maze import MazeDomain, bfs_shortest_path, check_maze_shape, generate_maze, maze_to_text
 from .pso import PsoExplorer, PsoParams
 
 log = logging.getLogger("ace")
@@ -118,10 +118,10 @@ MAZE = _plain({
     "mazes_per_level": "int", "maze_seed_base": "int",
 })
 MAZE_INSTANCE = _plain({"connectivity": "float", "maze_seed": "int"})
-SUITE_KEYS = {
-    "notes", "suite_seed", "runs_per_arm", "output_dir", "parallelism",
-    "run", "gca", "domain", "arms",
-}
+SUITE = _plain({
+    "suite_seed": "int", "runs_per_arm": "int", "output_dir": "str", "parallelism": "int",
+})
+SUITE_KEYS = {*SUITE, "notes", "run", "gca", "domain", "arms"}
 ARM_KEYS = {"name", "explorer", "guided", "ea", "pso", "gca", "run", "warm_start_model"}
 
 
@@ -195,6 +195,9 @@ def _check_domain(doc) -> None:
         _read(doc.get("fitness", {}), FITNESS, "domain.fitness")
         for i, inst in enumerate(doc.get("instances", [])):
             _read(inst, MAZE_INSTANCE, f"domain.instances[{i}]")
+        # The shape is checked here; the mazes are generated inside the runs.
+        for _, spec in _domain_instances(doc):
+            check_maze_shape(spec["width"], spec["height"], spec["connectivity"])
     else:
         raise ConfigError(f"unknown domain kind {kind!r}")
 
@@ -252,6 +255,7 @@ class SuiteSpec:
         and invalid arm settings fail here, before any run starts."""
         _check_keys(doc, SUITE_KEYS, "suite config")
         try:
+            top = _read({k: v for k, v in doc.items() if k in SUITE}, SUITE, "suite config")
             _check_domain(doc["domain"])
             run = _read(doc.get("run", {}), RUN, "run")
             gca = _read(doc.get("gca", {}), GCA, "gca")
@@ -259,10 +263,10 @@ class SuiteSpec:
             if len({a.name for a in arms}) != len(arms):
                 raise ConfigError("arm names must be unique")
             spec = cls(
-                suite_seed=int(doc.get("suite_seed", 0)),
-                runs_per_arm=int(doc["runs_per_arm"]),
-                output_dir=doc.get("output_dir", "results"),
-                parallelism=int(doc.get("parallelism", 1)),
+                suite_seed=top.get("suite_seed", 0),
+                runs_per_arm=top["runs_per_arm"],
+                output_dir=top.get("output_dir", "results"),
+                parallelism=top.get("parallelism", 1),
                 domain=doc["domain"],
                 arms=arms,
             )

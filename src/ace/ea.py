@@ -81,7 +81,7 @@ def mutate(
             vocab = model.sampling_vocabulary()
             out[0] = vocab[rng.randrange(len(vocab))]
         else:
-            out[t] = model.sample_successor(out[t - 1], None, rng)
+            out[t] = model.sample_successor(out[t - 1], rng)
     return out
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ConfigError, DomainError, InternalError, ParseError
 
@@ -96,13 +98,20 @@ def apply_exploration_floor(
     return [(op, keep * p + floor) for op, p in probs]
 
 
+def draw(cum: list[float], rng: random.Random) -> int:
+    """Inverse-CDF draw: the index of the first cumulative probability
+    above a uniform variate (the last index if rounding leaves none)."""
+    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+
+
 @dataclass(eq=True)
 class GcaModel:
     """Sparse transition model plus macro library.
 
     Ids 0 .. atomic_count-1 are the domain's atomic operations; macro ids
     continue upward and are never reused, even after pruning.  Absent
-    weight/support entries read as zero.
+    weight/support entries read as zero.  vocab_size is atomic_count plus
+    the number of macros; add_macro is the one way to grow it.
 
     The valid transition relation is domain context, not learned state:
     mask_mode "all" admits every ordered pair of unpruned operations
@@ -116,15 +125,14 @@ class GcaModel:
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
     support: dict[tuple[int, int], int] = field(default_factory=dict)
     macros: list[MacroOperation] = field(default_factory=list)
-    vocab_size: int = 0
+    vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
 
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _flat_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.vocab_size == 0:
-            self.vocab_size = len(self.atomic_ops)
+        self.vocab_size = len(self.atomic_ops) + len(self.macros)
         self.params.validate()
 
     # -- vocabulary ------------------------------------------------------
@@ -196,47 +204,24 @@ class GcaModel:
             self.params.exploration_floor,
         )
 
-    def sample_successor(
-        self, from_op: int, successors: list[int] | None, rng: random.Random
-    ) -> int:
-        """Draw a successor from the floored transition distribution.
-
-        successors=None means every sampling-eligible op the transition
-        mask admits after from_op; that path is cached per from-op until
-        the next weight change.
+    def sample_successor(self, from_op: int, rng: random.Random) -> int:
+        """Draw a successor from the floored transition distribution over
+        every sampling-eligible op the transition mask admits after
+        from_op.  The row is cached per from-op until the next weight
+        change.
         """
-        if successors is None:
-            row = self._row_cache.get(from_op)
-            if row is None:
-                vocab = [
-                    j for j in self.sampling_vocabulary() if self.valid_pair(from_op, j)
-                ]
-                if not vocab:
-                    # from_op may itself be pruned or fully masked; any
-                    # eligible op is then a legal continuation.
-                    vocab = self.sampling_vocabulary()
-                dist = self.floored_distribution(from_op, vocab)
-                cum = []
-                acc = 0.0
-                for _, p in dist:
-                    acc += p
-                    cum.append(acc)
-                row = (vocab, cum)
-                self._row_cache[from_op] = row
-            ops, cum = row
-        else:
-            dist = self.floored_distribution(from_op, successors)
-            ops = successors
-            cum = []
-            acc = 0.0
-            for _, p in dist:
-                acc += p
-                cum.append(acc)
-        u = rng.random()
-        for i, c in enumerate(cum):
-            if u < c:
-                return ops[i]
-        return ops[-1]
+        row = self._row_cache.get(from_op)
+        if row is None:
+            vocab = [j for j in self.sampling_vocabulary() if self.valid_pair(from_op, j)]
+            if not vocab:
+                # from_op may itself be pruned or fully masked; any
+                # eligible op is then a legal continuation.
+                vocab = self.sampling_vocabulary()
+            dist = self.floored_distribution(from_op, vocab)
+            row = (vocab, list(accumulate(p for _, p in dist)))
+            self._row_cache[from_op] = row
+        ops, cum = row
+        return ops[draw(cum, rng)]
 
     # -- learning --------------------------------------------------------
 
@@ -324,21 +309,16 @@ class GcaModel:
 
     # -- abstraction -----------------------------------------------------
 
-    def _column_mean(self, i: int) -> float | None:
+    def _mean_weight(self, pairs) -> float | None:
+        """Mean weight over the valid pairs among those given, absent
+        entries counted as zero; None when none is valid.  Summed left to
+        right, so the result does not depend on the Python version."""
+        w = self.weights
         total = 0.0
         count = 0
-        for k in range(self.vocab_size):
-            if self.valid_pair(k, i):
-                total += self.weights.get((k, i), 0.0)
-                count += 1
-        return total / count if count else None
-
-    def _row_mean(self, j: int) -> float | None:
-        total = 0.0
-        count = 0
-        for k in range(self.vocab_size):
-            if self.valid_pair(j, k):
-                total += self.weights.get((j, k), 0.0)
+        for i, j in pairs:
+            if self.valid_pair(i, j):
+                total += w.get((i, j), 0.0)
                 count += 1
         return total / count if count else None
 
@@ -352,8 +332,9 @@ class GcaModel:
         self._check_id(i)
         self._check_id(j)
         w_ij = self.weights.get((i, j), 0.0)
-        col = self._column_mean(i)
-        row = self._row_mean(j)
+        ks = range(self.vocab_size)
+        col = self._mean_weight((k, i) for k in ks)
+        row = self._mean_weight((j, k) for k in ks)
         denom = (col or 0.0) * (row or 0.0)
         if denom == 0.0:
             return math.inf if w_ij > 0 else 0.0
@@ -390,46 +371,38 @@ class GcaModel:
             if self.pair_qualifies(i, j):
                 cands.append((-w, i, j))
         cands.sort()
-        created = []
-        for _, i, j in cands[:k_max_new]:
-            macro = MacroOperation(
-                id=self.vocab_size, left=i, right=j, created_at_generation=generation
-            )
-            self.macros.append(macro)
-            self.expand_weight_matrix(macro)
-            created.append(macro)
-        return created
+        return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
 
-    def expand_weight_matrix(self, macro: MacroOperation) -> None:
-        """Grow the vocabulary by one; seed the new row/column from the
-        constituents' averages.  Pre-existing entries are untouched; the
-        macro's self-transition stays zero; support starts empty."""
-        if macro.left >= self.vocab_size or macro.right >= self.vocab_size:
+    def add_macro(self, left: int, right: int, generation: int = 0) -> MacroOperation:
+        """Append a macro over two existing ops under the next id and grow
+        the vocabulary by one.  The new row and column are seeded from the
+        constituents' averages; pre-existing entries are untouched, the
+        macro's self-transition stays zero and its support starts empty."""
+        m = self.vocab_size
+        if not (0 <= left < m and 0 <= right < m):
             raise DomainError("macro constituents must already exist in the vocabulary")
-        if macro.id != self.vocab_size:
-            raise DomainError(
-                f"macro id {macro.id} must equal the current vocabulary size {self.vocab_size}"
-            )
-        m = macro.id
         w = self.weights
-        old = self.vocab_size
-        for k in range(old):
-            out = 0.5 * (w.get((macro.left, k), 0.0) + w.get((macro.right, k), 0.0))
+        for k in range(m):
+            out = 0.5 * (w.get((left, k), 0.0) + w.get((right, k), 0.0))
             if out != 0.0:
                 w[(m, k)] = out
-            into = 0.5 * (w.get((k, macro.left), 0.0) + w.get((k, macro.right), 0.0))
+            into = 0.5 * (w.get((k, left), 0.0) + w.get((k, right), 0.0))
             if into != 0.0:
                 w[(k, m)] = into
-        self.vocab_size = old + 1
+        macro = MacroOperation(id=m, left=left, right=right, created_at_generation=generation)
+        self.macros.append(macro)
+        self.vocab_size = m + 1
         self._touch()
+        return macro
 
     def prune_macros(self, u_min: int = DEFAULT_PRUNE_MIN_USES) -> list[int]:
         """Retire macros whose success rate fell below the effectiveness
-        floor, once they have been used at least u_min times."""
+        floor, once they have been used at least u_min times (and at least
+        once: an unused macro has no success rate)."""
         theta = self.params.thresholds.effectiveness_min
         pruned = []
         for m in self.macros:
-            if m.pruned or m.uses < u_min:
+            if m.pruned or m.uses < u_min or m.uses == 0:
                 continue
             if m.successful_uses / m.uses < theta:
                 m.pruned = True
@@ -471,24 +444,26 @@ def fresh_model(atomic_ops: list[str], params: GcaParams | None = None) -> GcaMo
 
 
 def serialize_model(model: GcaModel) -> str:
-    """Render a model as JSON text.  Weight values use Python's shortest
-    round-trip float representation, so loading restores them exactly."""
-    t = model.params.thresholds
+    """Render a model as JSON text.  Float fields are written as floats in
+    Python's shortest round-trip representation, so loading restores them
+    exactly and a reloaded model serializes to the same text."""
+    p = model.params
+    t = p.thresholds
     doc = {
         "version": FORMAT_VERSION,
         "atomic_ops": list(model.atomic_ops),
         "vocab_size": model.vocab_size,
-        "tau": model.params.temperature,
-        "epsilon": model.params.exploration_floor,
-        "lambda": model.params.learning_rate,
-        "gamma": model.params.decay,
+        "tau": float(p.temperature),
+        "epsilon": float(p.exploration_floor),
+        "lambda": float(p.learning_rate),
+        "gamma": float(p.decay),
         "thresholds": {
-            "w": t.weight_min,
+            "w": float(t.weight_min),
             "s": t.support_min,
-            "l": t.lift_min,
-            "eff": t.effectiveness_min,
+            "l": float(t.lift_min),
+            "eff": float(t.effectiveness_min),
         },
-        "weights": [[i, j, w] for (i, j), w in sorted(model.weights.items())],
+        "weights": [[i, j, float(w)] for (i, j), w in sorted(model.weights.items())],
         "support": [[i, j, c] for (i, j), c in sorted(model.support.items())],
         "macros": [
             {
@@ -620,7 +595,6 @@ def deserialize_model(text: str) -> GcaModel:
         weights=weights,
         support=support,
         macros=macros,
-        vocab_size=vocab_size,
     )
 
 

@@ -136,6 +136,8 @@ def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
 
 
 def _init_model(config: ExperimentConfig, domain) -> GcaModel:
+    """A fresh model, or on a warm start the donor's weights, support and
+    macros under the run's own hyperparameters (config.gca)."""
     if config.warm_start_model:
         model = gca.load_model(config.warm_start_model)
         if model.atomic_ops != list(domain.atomic_op_names):
@@ -143,6 +145,7 @@ def _init_model(config: ExperimentConfig, domain) -> GcaModel:
                 "warm-start model vocabulary does not match the domain: "
                 f"{model.atomic_ops} vs {list(domain.atomic_op_names)}"
             )
+        model.params = config.gca
     else:
         model = gca.fresh_model(list(domain.atomic_op_names), config.gca)
     # The transition mask is domain context, not learned state.

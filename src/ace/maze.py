@@ -69,14 +69,20 @@ class Maze:
         return edges
 
 
-def generate_maze(width: int, height: int, connectivity: float, seed: int) -> Maze:
-    """Depth-first carved spanning tree, then a connectivity fraction of
-    the remaining closed walls opened uniformly at random.  Deterministic
-    per seed; start is the top-left cell and goal the bottom-right."""
+def check_maze_shape(width: int, height: int, connectivity: float) -> None:
+    """Raise ConfigError unless both sides are >= 2 and connectivity lies
+    in [0, 1]."""
     if width < 2 or height < 2:
         raise ConfigError(f"maze dimensions must be >= 2, got {width}x{height}")
     if not 0.0 <= connectivity <= 1.0:
         raise ConfigError(f"connectivity must lie in [0, 1], got {connectivity}")
+
+
+def generate_maze(width: int, height: int, connectivity: float, seed: int) -> Maze:
+    """Depth-first carved spanning tree, then a connectivity fraction of
+    the remaining closed walls opened uniformly at random.  Deterministic
+    per seed; start is the top-left cell and goal the bottom-right."""
+    check_maze_shape(width, height, connectivity)
     rng = random.Random(seed)
     start = (0, 0)
     goal = (width - 1, height - 1)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ConfigError
-from .gca import GcaModel, apply_exploration_floor
+from .gca import GcaModel, apply_exploration_floor, draw
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
 
@@ -71,7 +72,7 @@ def construct_path(
     model: GcaModel | None,
     domain,
     rng: random.Random,
-    floor_epsilon: float = 0.1,
+    epsilon: float,
 ) -> Trajectory:
     """Build one path from the start, step by step.
 
@@ -87,15 +88,15 @@ def construct_path(
     transition probability.  That learned term is the floored
     probability of the candidate among this step's candidates,
     conditioned on the op that entered the node (uniform at the path
-    start); it is zero without a model.  Construction stops at the goal
-    or at the path-length cap.
+    start); it is zero without a model.  epsilon is the run's
+    exploration floor for the candidate selection.  Construction stops at
+    the goal or at the path-length cap.
     """
     nbr_table = domain.neighbor_table
     heuristic = domain.heuristic
     goal = domain.goal_index
     atomic = domain.atomic_count
     max_len = params.max_path_len or domain.default_max_path_len
-    eps = model.params.exploration_floor if model is not None else floor_epsilon
 
     macro_info = []
     if model is not None:
@@ -177,16 +178,8 @@ def construct_path(
                 s += lam * p_theta[idx]
             scores.append(s)
 
-        probs = _softmax_floor(scores, eps)
-        u = rng.random()
-        acc = 0.0
-        pick = len(candidates) - 1
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                pick = i
-                break
-        op, cells = candidates[pick]
+        probs = _softmax_floor(scores, epsilon)
+        op, cells = candidates[draw(list(accumulate(probs)), rng)]
         taken = len(cells)
         states.extend(cells)
         if op < atomic:
@@ -217,7 +210,7 @@ def pso_generation(
     model: GcaModel | None,
     domain,
     rng: random.Random,
-    floor_epsilon: float = 0.1,
+    epsilon: float,
 ) -> tuple[Trajectory | None, list[Trajectory], list[TrajectoryEvent]]:
     """One sweep: every particle rebuilds its path against the entering
     swarm best; personal-best improvements emit reinforcement events; the
@@ -225,7 +218,7 @@ def pso_generation(
     new_paths: list[Trajectory] = []
     events: list[TrajectoryEvent] = []
     for particle in swarm:
-        traj = construct_path(particle, gbest, params, model, domain, rng, floor_epsilon)
+        traj = construct_path(particle, gbest, params, model, domain, rng, epsilon)
         new_paths.append(traj)
         particle.current = traj
         if particle.pbest is None:
@@ -280,7 +273,7 @@ class PsoExplorer:
             model,
             domain,
             rng,
-            floor_epsilon=config.gca.exploration_floor,
+            config.gca.exploration_floor,
         )
         state.gbest = gbest
         return GenerationResult(new_paths, events)

@@ -21,7 +21,6 @@ def make_model(
         weights=dict(weights or {}),
         support=dict(support or {}),
         macros=list(macros or []),
-        vocab_size=n_atomic + len(macros or []),
         mask_mode=mask_mode,
     )
     return model
@@ -70,7 +69,6 @@ def random_model(rng: random.Random) -> GcaModel:
         weights=weights,
         support=support,
         macros=macros,
-        vocab_size=vocab,
     )
 
 

@@ -1,0 +1,54 @@
+"""The benchmark's layer trace (bench/spans.py) wraps public entry points
+of the package by name.  Entering and leaving it here makes a refactor
+that removes or reshapes a traced entry point fail the test suite rather
+than the benchmark.  Nothing under bench/ is changed."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import ace
+from ace.cli import SuiteSpec, orchestrate
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tiny_maze_suite(out):
+    return {
+        "runs_per_arm": 1,
+        "output_dir": str(out),
+        "run": {"population_size": 4, "max_generations": 4, "abstraction_period": 2},
+        "gca": {"lambda": 0.05},
+        "domain": {"kind": "maze", "width": 5, "height": 5,
+                   "instances": [{"connectivity": 0.3, "maze_seed": 1}]},
+        "arms": [
+            {"name": "ace-pso", "explorer": "pso", "guided": True, "pso": {"max_path_len": 30}},
+            {"name": "ace-ea", "explorer": "ea", "guided": True},
+            {"name": "std-pso", "explorer": "pso", "guided": False},
+        ],
+    }
+
+
+def test_traced_pass_installs_and_restores_every_span(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    targets = [(owner, attr) for owner, attr, _ in spans._patches(spans.Tracer(), ace)]
+    originals = [vars(owner)[attr] for owner, attr in targets]
+
+    with spans.traced(tracer, ace):
+        assert all(vars(o)[a] is not f for (o, a), f in zip(targets, originals))
+        orchestrate(SuiteSpec.from_dict(tiny_maze_suite(tmp_path)), tmp_path)
+
+    assert all(vars(o)[a] is f for (o, a), f in zip(targets, originals))
+    for name in ("cli.run", "loop", "pso.construct", "ea.generation", "maze.eval",
+                 "gca.sample", "gca.learn", "gca.flatten", "gca.abstract", "cli.serialize"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["pso.paths"] == tracer.calls["pso.construct"]

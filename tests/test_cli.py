@@ -266,13 +266,11 @@ def test_maze_command_writes_file(tmp_path, capsys):
 
 
 def test_model_command_inspects(tmp_path, capsys):
-    from ace.gca import MacroOperation, fresh_model, save_model
+    from ace.gca import fresh_model, save_model
 
     model = fresh_model(["N", "E", "S", "W"])
     model.weights[(0, 1)] = 0.75
-    macro = MacroOperation(id=4, left=0, right=1)
-    model.macros.append(macro)
-    model.expand_weight_matrix(macro)
+    model.add_macro(0, 1)
     path = tmp_path / "model.json"
     save_model(model, path)
     rc = cli.main(["model", "--path", str(path)])
@@ -295,6 +293,7 @@ def test_warm_start_arm_through_config(tmp_path):
             "explorer": "ea",
             "guided": True,
             "ea": {"crossover_rate": 0.6, "mutation_rate": 0.2},
+            "gca": {"lambda": 0.5, "tau": 2.0},
             "warm_start_model": str(donor),
         }
     ]
@@ -306,6 +305,10 @@ def test_warm_start_arm_through_config(tmp_path):
     revived = load_model(saved)
     trained = load_model(donor)
     assert revived.vocab_size >= trained.vocab_size  # library carried forward
+    # hyperparameters are the arm's merged gca settings, not the donor's
+    assert (trained.params.learning_rate, trained.params.temperature) == (0.01, 1.0)
+    assert (revived.params.learning_rate, revived.params.temperature) == (0.5, 2.0)
+    assert revived.params.exploration_floor == 0.15  # suite-wide value
 
 
 def test_shipped_configs_are_valid():
@@ -396,6 +399,43 @@ def test_suite_keeps_notes_and_rejects_bad_values_before_any_run(tmp_path):
         suite_path = write_suite(tmp_path, doc)
         assert cli.main(["run", "--config", str(suite_path)]) == 1
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("runs_per_arm", "abc"), ("suite_seed", "x"), ("runs_per_arm", 1.7), ("parallelism", True)],
+)
+def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc[key] = value
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"suite config.{key} must be int" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ({"width": 1}, "dimensions"),
+        ({"height": 1}, "dimensions"),
+        ({"instances": [{"connectivity": 0.3, "maze_seed": 1},
+                        {"connectivity": 1.5, "maze_seed": 2}]}, "connectivity"),
+        ({"instances": None, "connectivity_levels": [0.0, -0.5]}, "connectivity"),
+    ],
+)
+def test_bad_maze_shape_exits_1_before_any_run(tmp_path, capsys, monkeypatch, domain, message):
+    out = tmp_path / "out"
+    doc = _maze_suite(out)
+    doc["domain"].update(domain)
+    if doc["domain"]["instances"] is None:
+        del doc["domain"]["instances"]
+    # the check reads the instance specs; no maze is generated while parsing
+    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+    assert not (out / "error_manifest.json").exists()
 
 
 def test_oracle_and_run_read_a_chain_spec_alike(tmp_path, capsys):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ace.errors import ConfigError, DomainError, ParseError
 from ace.gca import (
+    GcaModel,
     GcaParams,
     MacroOperation,
     apply_exploration_floor,
     deserialize_model,
+    draw,
     fresh_model,
     serialize_model,
 )
@@ -142,9 +144,10 @@ def test_floor_bound_property(k, eps, data):
 
 
 def test_sample_single_successor_always():
-    m = make_model()
+    # two ops without self-succession: 1 is the only successor of 0
+    m = make_model(n_atomic=2, mask_mode="no_self")
     r = random.Random(3)
-    assert all(m.sample_successor(0, [2], r) == 2 for _ in range(50))
+    assert all(m.sample_successor(0, r) == 1 for _ in range(50))
 
 
 def test_sample_uniform_frequencies():
@@ -153,20 +156,37 @@ def test_sample_uniform_frequencies():
     counts = [0] * 4
     n = 100_000
     for _ in range(n):
-        counts[m.sample_successor(0, [0, 1, 2, 3], r)] += 1
+        counts[m.sample_successor(0, r)] += 1
     for c in counts:
         assert abs(c / n - 0.25) < 0.01
 
 
 def test_sample_matches_floored_softmax():
-    m = make_model(weights={(0, 1): 5.0}, temperature=1.0, exploration_floor=0.1)
+    # three ops without self-succession: the successors of 0 are 1 and 2
+    m = make_model(
+        n_atomic=3, mask_mode="no_self", weights={(0, 1): 5.0},
+        temperature=1.0, exploration_floor=0.1,
+    )
     expected = dict(
         apply_exploration_floor(m.transition_distribution(0, [1, 2]), 0.1)
     )[1]
     r = random.Random(11)
     n = 100_000
-    hits = sum(m.sample_successor(0, [1, 2], r) == 1 for _ in range(n))
+    hits = sum(m.sample_successor(0, r) == 1 for _ in range(n))
     assert abs(hits / n - expected) < 0.01
+
+
+def test_draw_is_the_first_cumulative_above_the_variate():
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    cum = [0.25, 0.5, 0.75, 0.99]  # a total rounded short of 1
+    assert [draw(cum, Fixed(u)) for u in (0.0, 0.25, 0.6, 0.9)] == [0, 1, 2, 3]
+    assert draw(cum, Fixed(0.995)) == 3  # past the total: the last index
 
 
 # -- pair update ----------------------------------------------------------------
@@ -404,9 +424,9 @@ def test_scan_soundness_recheck():
 
 def test_expand_averages_constituents():
     m = make_model(weights={(0, 2): 0.4, (1, 2): 0.2, (2, 0): 0.6, (2, 1): 0.0})
-    macro = MacroOperation(id=4, left=0, right=1)
-    m.macros.append(macro)
-    m.expand_weight_matrix(macro)
+    macro = m.add_macro(0, 1, generation=7)
+    assert (macro.id, macro.created_at_generation) == (4, 7)
+    assert m.macros == [macro]
     assert m.vocab_size == 5
     assert m.weights[(4, 2)] == pytest.approx((0.4 + 0.2) / 2)
     assert m.weights[(2, 4)] == pytest.approx((0.6 + 0.0) / 2)
@@ -415,9 +435,7 @@ def test_expand_averages_constituents():
 
 def test_expand_zero_constituents_zero_rows():
     m = make_model()
-    macro = MacroOperation(id=4, left=0, right=1)
-    m.macros.append(macro)
-    m.expand_weight_matrix(macro)
+    m.add_macro(0, 1)
     assert m.vocab_size == 5
     assert m.weights == {}
 
@@ -425,17 +443,24 @@ def test_expand_zero_constituents_zero_rows():
 def test_expand_preserves_existing_entries():
     weights = {(0, 1): 0.25, (1, 2): 1.5, (3, 3): 0.125}
     m = make_model(weights=weights)
-    macro = MacroOperation(id=4, left=1, right=2)
-    m.macros.append(macro)
-    m.expand_weight_matrix(macro)
+    m.add_macro(1, 2)
     for key, value in weights.items():
         assert m.weights[key] == value
 
 
-def test_expand_rejects_wrong_id():
+def test_expand_rejects_unknown_constituent():
     m = make_model()
-    with pytest.raises(DomainError):
-        m.expand_weight_matrix(MacroOperation(id=7, left=0, right=1))
+    for left, right in ((0, 4), (4, 0), (-1, 0)):
+        with pytest.raises(DomainError):
+            m.add_macro(left, right)
+    assert m.vocab_size == 4 and m.macros == []
+
+
+def test_vocab_size_is_derived_not_given():
+    m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])
+    assert m.vocab_size == 5
+    with pytest.raises(TypeError):
+        GcaModel(atomic_ops=["a", "b"], vocab_size=2)
 
 
 # -- pruning -------------------------------------------------------------------
@@ -452,6 +477,14 @@ def test_prune_grace_period():
     m = make_model(macros=[MacroOperation(id=4, left=0, right=1, uses=2, successful_uses=0)])
     assert m.prune_macros(u_min=5) == []
     assert not m.macros[0].pruned
+
+
+def test_prune_without_grace_skips_unused_macros():
+    m = make_model(macros=[
+        MacroOperation(id=4, left=0, right=1),
+        MacroOperation(id=5, left=1, right=2, uses=1),
+    ])
+    assert m.prune_macros(u_min=0) == [5]
 
 
 def test_prune_keeps_effective_macro():
@@ -508,6 +541,20 @@ def test_round_trip_populated_model():
     again = deserialize_model(text)
     assert again == m
     assert serialize_model(again) == text
+
+
+def test_round_trip_int_valued_hyperparameters_is_byte_exact():
+    params = GcaParams(temperature=1, learning_rate=0, decay=1)
+    params.thresholds.weight_min = 0
+    params.thresholds.lift_min = 2
+    params.thresholds.effectiveness_min = 0
+    m = make_model(weights={(0, 1): 3})
+    m.params = params
+    text = serialize_model(m)
+    doc = json.loads(text)
+    assert doc["tau"] == 1.0 and isinstance(doc["tau"], float)
+    assert isinstance(doc["thresholds"]["s"], int)
+    assert serialize_model(deserialize_model(text)) == text
 
 
 def test_round_trip_100_random_models():

@@ -8,7 +8,7 @@ import pytest
 
 import ace.pso as pso
 from ace.errors import ConfigError
-from ace.gca import MacroOperation
+from ace.gca import GcaParams
 from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import (
@@ -20,6 +20,8 @@ from ace.pso import (
 )
 
 from helpers import GridStub, make_model
+
+EPS = GcaParams().exploration_floor
 
 
 def path(states):
@@ -37,7 +39,7 @@ def step_scores(monkeypatch, dom, params, particle=None, gbest=None, model=None,
         return real(scores, eps)
 
     monkeypatch.setattr(pso, "_softmax_floor", spy)
-    construct_path(particle or Particle(), gbest, params, model, dom, random.Random(seed))
+    construct_path(particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS)
     return seen
 
 
@@ -106,14 +108,12 @@ def test_score_invalid_neighbor_rejected():
     dom = MazeDomain(generate_maze(6, 6, 0.0, 2))
     model = make_model()
     for left, right in ((1, 1), (2, 2), (1, 2)):
-        macro = MacroOperation(id=model.vocab_size, left=left, right=right)
-        model.macros.append(macro)
-        model.expand_weight_matrix(macro)
+        model.add_macro(left, right)
     params = PsoParams(heuristic_weight=1.0, max_path_len=40)
     rng = random.Random(3)
     strides = 0
     for _ in range(50):
-        traj = construct_path(Particle(), None, params, model, dom, rng)
+        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         strides += sum(1 for op in traj.ops if op >= 4)
         for a, b in zip(traj.states, traj.states[1:]):
             assert b in {c for _, c in dom.neighbor_table[a]}
@@ -155,7 +155,7 @@ def test_guided_step_frequencies_over_real_candidates():
     n = 10_000
     counts = Counter()
     for _ in range(n):
-        traj = construct_path(Particle(), None, params, model, dom, rng)
+        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         counts[traj.states[2]] += 1
     for cell, p in zip((5, 7, 3), expected):
         assert abs(counts[cell] / n - p) < 0.015
@@ -170,7 +170,7 @@ def test_uniform_walk_first_move_frequencies():
     rng = random.Random(5)
     counts = Counter()
     for _ in range(10_000):
-        traj = construct_path(Particle(), None, params, None, dom, rng)
+        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
         counts[traj.states[1]] += 1
     # corner start: two valid first moves, E (cell 1) and S (cell 3)
     assert abs(counts[1] / 10_000 - 0.5) < 0.02
@@ -180,7 +180,7 @@ def test_uniform_walk_first_move_frequencies():
 def test_max_path_len_one():
     dom = GridStub(3, 3)
     params = PsoParams(max_path_len=1)
-    traj = construct_path(Particle(), None, params, None, dom, random.Random(1))
+    traj = construct_path(Particle(), None, params, None, dom, random.Random(1), EPS)
     assert len(traj.atomic_ops) == 1
     assert len(traj.states) == 2
 
@@ -192,7 +192,7 @@ def test_heuristic_dominant_one_step_goal():
     wins = 0
     rng = random.Random(2)
     for _ in range(200):
-        traj = construct_path(Particle(), None, params, None, dom, rng)
+        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
         wins += traj.success and len(traj.atomic_ops) == 1
     assert wins == 200
 
@@ -202,7 +202,7 @@ def test_no_immediate_backtracking():
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0)
     rng = random.Random(3)
     for _ in range(100):
-        traj = construct_path(Particle(), None, params, None, dom, rng)
+        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
         # in a corridor with backtracking banned the walk is forced rightward
         assert traj.states == [0, 1, 2, 3, 4]
         assert traj.success
@@ -226,7 +226,7 @@ def test_dead_end_termination_mode():
     rng = random.Random(7)
     saw_termination = False
     for _ in range(200):
-        traj = construct_path(Particle(), None, params, None, dom, rng)
+        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
         if not traj.success:
             # walked into the stub and stopped there
             assert traj.states[-1] == 1 * 3 + 1
@@ -240,21 +240,19 @@ def test_dead_end_termination_mode():
     # with turnaround allowed the stub is escapable; some walks still run out
     # of budget, but never end inside the stub one step deep
     for _ in range(200):
-        traj = construct_path(Particle(), None, params_bt, None, dom, rng)
+        traj = construct_path(Particle(), None, params_bt, None, dom, rng, EPS)
         assert traj.success or len(traj.atomic_ops) == 10
 
 
 def test_macro_stride_and_rejection():
     dom = GridStub(4, 1, max_path_len=5)
     model = make_model()  # atomic ops: N,E,S,W as 0..3
-    macro = MacroOperation(id=4, left=1, right=1)  # EE stride
-    model.macros.append(macro)
-    model.expand_weight_matrix(macro)
+    model.add_macro(1, 1)  # EE stride, id 4
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0)
     rng = random.Random(1)
     used_macro = False
     for _ in range(100):
-        traj = construct_path(Particle(), None, params, model, dom, rng)
+        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         assert traj.success  # corridor forces eastward motion
         if 4 in traj.ops:
             used_macro = True
@@ -266,15 +264,13 @@ def test_macro_stride_and_rejection():
 def test_macro_truncated_at_goal_records_prefix():
     dom = GridStub(2, 1, max_path_len=5)
     model = make_model()
-    macro = MacroOperation(id=4, left=1, right=1)
-    model.macros.append(macro)
-    model.expand_weight_matrix(macro)
+    model.add_macro(1, 1)  # id 4
     # bias sampling entirely toward the macro
     model.weights[(1, 4)] = 50.0
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=5.0)
     rng = random.Random(2)
     for _ in range(50):
-        traj = construct_path(Particle(), None, params, model, dom, rng)
+        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         assert traj.success
         assert traj.atomic_ops == [1]
         assert 4 not in traj.ops  # truncated stride is recorded as its moves
@@ -288,13 +284,13 @@ def test_generation_updates_pbest_and_emits_events():
     params = PsoParams(heuristic_weight=2.0)
     swarm = [Particle() for _ in range(6)]
     rng = random.Random(4)
-    gbest, paths, events = pso_generation(swarm, None, params, None, dom, rng)
+    gbest, paths, events = pso_generation(swarm, None, params, None, dom, rng, EPS)
     assert events == []  # first paths seed pbest silently
     assert all(p.pbest is not None for p in swarm)
     assert gbest.fitness == max(p.pbest_fitness for p in swarm)
 
     prev = [p.pbest_fitness for p in swarm]
-    gbest2, _, events2 = pso_generation(swarm, gbest, params, None, dom, rng)
+    gbest2, _, events2 = pso_generation(swarm, gbest, params, None, dom, rng, EPS)
     for ev in events2:
         assert ev.gain > 0
     improved = sum(1 for a, b in zip(prev, [p.pbest_fitness for p in swarm]) if b > a)
@@ -310,7 +306,7 @@ def test_gbest_tie_prefers_lower_index():
     swarm[0].pbest, swarm[0].pbest_fitness = t0, t0.fitness
     swarm[1].pbest, swarm[1].pbest_fitness = t1, t1.fitness
     params = PsoParams(heuristic_weight=1.0)
-    gbest, _, _ = pso_generation(swarm, None, params, None, dom, random.Random(1))
+    gbest, _, _ = pso_generation(swarm, None, params, None, dom, random.Random(1), EPS)
     assert gbest is swarm[0].pbest
 
 
