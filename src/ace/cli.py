@@ -76,7 +76,8 @@ ALIASES = {
 }
 _KEY_OF = {name: key for key, name in ALIASES.items()}
 
-# Checkable value types by annotation; ints also pass where floats go.
+# Checkable value types by annotation (`list[...]` checks the list); ints
+# also pass where floats go.
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "list": list}
 
 
@@ -118,11 +119,10 @@ MAZE = _plain({
     "mazes_per_level": "int", "maze_seed_base": "int",
 })
 MAZE_INSTANCE = _plain({"connectivity": "float", "maze_seed": "int"})
-SUITE = _plain({
-    "suite_seed": "int", "runs_per_arm": "int", "output_dir": "str", "parallelism": "int",
+ARM = _plain({
+    "name": "str", "explorer": "str", "guided": "bool", "warm_start_model": "str | None",
+    "ea": "dict", "pso": "dict", "run": "dict", "gca": "dict",
 })
-SUITE_KEYS = {*SUITE, "notes", "run", "gca", "domain", "arms"}
-ARM_KEYS = {"name", "explorer", "guided", "ea", "pso", "gca", "run", "warm_start_model"}
 
 
 def _check_keys(doc, allowed, where: str) -> None:
@@ -136,15 +136,19 @@ def _check_keys(doc, allowed, where: str) -> None:
         )
 
 
-def _read(doc, schema: dict[str, tuple[str, str]], where: str) -> dict:
-    """Field name -> value for a config section; unknown keys and values
-    of the wrong type raise ConfigError.  Ints given for floats widen."""
+def _read(doc, schema: dict[str, tuple[str, str]], where: str, required=()) -> dict:
+    """Field name -> value for a config section; unknown keys, missing
+    required keys and values of the wrong type raise ConfigError.  Ints
+    given for floats widen."""
     _check_keys(doc, schema, where)
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where} missing required field {key!r}")
     values = {}
     for key, value in doc.items():
         name, hint = schema[key]
         base, _, rest = hint.partition(" | ")
-        kind = _TYPES.get(base)
+        kind = _TYPES.get(base.partition("[")[0])
         if kind is not None and not (value is None and rest == "None"):
             if not isinstance(value, kind) or isinstance(value, bool) != (base == "bool"):
                 raise ConfigError(f"{where}.{key} must be {hint}, got {value!r}")
@@ -186,20 +190,51 @@ def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
     return spec, options
 
 
-def _check_domain(doc) -> None:
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
+    """The checked (instance_id, spec) pairs of a domain section, its one
+    reader.  A chain spec holds a ChainSpec and the ChainDomain keywords.
+    A maze section lists curated `instances` or gives a connectivity-levels
+    x mazes-per-level grid; each maze spec holds the shape, seed and
+    MazeDomain keywords of one instance, its shape checked here (the maze
+    itself is generated inside the run)."""
+    kind = doc.get("kind")
     if kind == "chain":
-        parse_chain(doc)
-    elif kind == "maze":
-        _read(doc, MAZE, "domain")
-        _read(doc.get("fitness", {}), FITNESS, "domain.fitness")
-        for i, inst in enumerate(doc.get("instances", [])):
-            _read(inst, MAZE_INSTANCE, f"domain.instances[{i}]")
-        # The shape is checked here; the mazes are generated inside the runs.
-        for _, spec in _domain_instances(doc):
-            check_maze_shape(spec["width"], spec["height"], spec["connectivity"])
-    else:
+        spec, options = parse_chain(doc)
+        return [("chain", {"kind": kind, "chain": spec, "options": options})]
+    if kind != "maze":
         raise ConfigError(f"unknown domain kind {kind!r}")
+    values = _read(doc, MAZE, "domain")
+    width, height = values.get("width", 15), values.get("height", 15)
+    common = {
+        "kind": kind, "width": width, "height": height, "path_slack": values.get("path_slack"),
+        "fitness": _read(values.get("fitness", {}), FITNESS, "domain.fitness"),
+    }
+    if "instances" in values:
+        listed = [(f"domain.instances[{i}]", inst) for i, inst in enumerate(values["instances"])]
+    else:
+        levels = values.get("connectivity_levels", [0.0, 0.3, 0.6, 1.0])
+        seed_base = values.get("maze_seed_base", 1000)
+        listed = [
+            (f"domain.connectivity_levels[{li}]",
+             {"connectivity": conn, "maze_seed": seed_base + 100 * li + k})
+            for li, conn in enumerate(levels)
+            for k in range(values.get("mazes_per_level", 2))
+        ]
+    instances = []
+    for where, inst in listed:
+        inst = _read(inst, MAZE_INSTANCE, where, required=MAZE_INSTANCE)
+        check_maze_shape(width, height, inst["connectivity"])
+        maze_id = f"m{width}x{height}_c{inst['connectivity']}_s{inst['maze_seed']}"
+        instances.append((maze_id, {**common, **inst}))
+    return instances
+
+
+def build_domain(spec: dict):
+    """The domain of one instance spec from _domain_instances."""
+    if spec["kind"] == "chain":
+        return ChainDomain(spec["chain"], **spec["options"])
+    maze = generate_maze(spec["width"], spec["height"], spec["connectivity"], spec["maze_seed"])
+    return MazeDomain(maze, path_slack=spec["path_slack"], **spec["fitness"])
 
 
 @dataclass
@@ -214,126 +249,82 @@ class ArmSpec:
     config: ExperimentConfig
 
     @classmethod
-    def from_dict(cls, doc: dict, run: dict, gca: dict) -> "ArmSpec":
-        name = doc["name"]
-        if not isinstance(name, str) or not name or any(
-            c for c in name if not (c.isalnum() or c in "-_")
-        ):
+    def from_dict(cls, doc: dict, index: int, suite_run: dict, suite_gca: dict) -> "ArmSpec":
+        values = _read(doc, ARM, f"arms[{index}]", required=("name", "explorer", "guided"))
+        name, explorer = values["name"], values["explorer"]
+        if not name or not all(c.isalnum() or c in "-_" for c in name):
             raise ConfigError(f"arm name {name!r} must be alphanumeric/-/_")
         where = f"arm {name}"
-        _check_keys(doc, ARM_KEYS, where)
-        explorer = doc["explorer"]
         if explorer not in EXPLORERS:
-            raise ConfigError(f"unknown explorer kind {explorer!r}")
+            raise ConfigError(f"{where}: unknown explorer kind {explorer!r}")
         for other in EXPLORERS:
-            if other != explorer and other in doc:
+            if other != explorer and other in values:
                 raise ConfigError(f"{where}: {explorer} arms take no {other!r} section")
         params_cls = EXPLORERS[explorer][0]
-        params = params_cls(**_read(doc.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}"))
+        params = params_cls(**_read(values.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}"))
         params.validate()
         config = ExperimentConfig(
-            **{**run, **_read(doc.get("run", {}), RUN, f"{where}.run")},
-            gca=_gca_params({**gca, **_read(doc.get("gca", {}), GCA, f"{where}.gca")}),
-            warm_start_model=doc.get("warm_start_model"),
+            **{**suite_run, **_read(values.get("run", {}), RUN, f"{where}.run")},
+            gca=_gca_params({**suite_gca, **_read(values.get("gca", {}), GCA, f"{where}.gca")}),
+            warm_start_model=values.get("warm_start_model"),
         )
         config.validate()
-        return cls(name, explorer, bool(doc["guided"]), params, config)
+        if config.warm_start_model:
+            # Read the donor now so that a bad file fails before any run; its
+            # vocabulary is checked against the domain when a run loads it.
+            gca.load_model(config.warm_start_model)
+        return cls(name, explorer, values["guided"], params, config)
 
 
 @dataclass
 class SuiteSpec:
-    suite_seed: int
     runs_per_arm: int
-    output_dir: str
-    parallelism: int
     domain: dict
     arms: list[ArmSpec]
+    suite_seed: int = 0
+    output_dir: str = "results"
+    parallelism: int = 1
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SuiteSpec":
         """Parse and check a whole suite.  Unknown keys, mistyped values
         and invalid arm settings fail here, before any run starts."""
         _check_keys(doc, SUITE_KEYS, "suite config")
-        try:
-            top = _read({k: v for k, v in doc.items() if k in SUITE}, SUITE, "suite config")
-            _check_domain(doc["domain"])
-            run = _read(doc.get("run", {}), RUN, "run")
-            gca = _read(doc.get("gca", {}), GCA, "gca")
-            arms = [ArmSpec.from_dict(a, run, gca) for a in doc["arms"]]
-            if len({a.name for a in arms}) != len(arms):
-                raise ConfigError("arm names must be unique")
-            spec = cls(
-                suite_seed=top.get("suite_seed", 0),
-                runs_per_arm=top["runs_per_arm"],
-                output_dir=top.get("output_dir", "results"),
-                parallelism=top.get("parallelism", 1),
-                domain=doc["domain"],
-                arms=arms,
-            )
-        except KeyError as e:
-            raise ConfigError(f"suite config missing required field {e}") from e
-        if spec.runs_per_arm < 1:
-            raise ConfigError("runs_per_arm must be >= 1")
-        if spec.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        top = _read(
+            {k: v for k, v in doc.items() if k in SUITE}, SUITE, "suite config",
+            required=("runs_per_arm", "domain", "arms"),
+        )
+        _domain_instances(top["domain"])
+        run = _read(doc.get("run", {}), RUN, "run")
+        gca = _read(doc.get("gca", {}), GCA, "gca")
+        top["arms"] = [ArmSpec.from_dict(a, i, run, gca) for i, a in enumerate(top["arms"])]
+        spec = cls(**top)
+        if len({a.name for a in spec.arms}) != len(spec.arms):
+            raise ConfigError("arm names must be unique")
+        for key in ("runs_per_arm", "parallelism"):
+            if getattr(spec, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         return spec
 
     @classmethod
     def from_file(cls, path) -> "SuiteSpec":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read suite config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"suite config {path} is not valid JSON: {e}") from e
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json(path, "suite config"))
 
 
-def _domain_instances(domain_doc: dict) -> list[tuple[str, dict]]:
-    """Expand a domain section into (instance_id, instance_spec) pairs.
-
-    Maze suites either list explicit instances (curated benchmarks) or
-    give a connectivity-levels x mazes-per-level grid.
-    """
-    kind = domain_doc["kind"]
-    if kind == "chain":
-        return [("chain", domain_doc)]
-    width = int(domain_doc.get("width", 15))
-    height = int(domain_doc.get("height", 15))
-    pairs: list[tuple[float, int]] = []
-    if "instances" in domain_doc:
-        for inst in domain_doc["instances"]:
-            pairs.append((float(inst["connectivity"]), int(inst["maze_seed"])))
-    else:
-        levels = domain_doc.get("connectivity_levels", [0.0, 0.3, 0.6, 1.0])
-        per_level = int(domain_doc.get("mazes_per_level", 2))
-        seed_base = int(domain_doc.get("maze_seed_base", 1000))
-        for li, conn in enumerate(levels):
-            for k in range(per_level):
-                pairs.append((float(conn), seed_base + 100 * li + k))
-    instances = []
-    for conn, seed in pairs:
-        maze_id = f"m{width}x{height}_c{conn}_s{seed}"
-        spec = dict(domain_doc)
-        spec.pop("instances", None)
-        spec.update(width=width, height=height, connectivity=conn, maze_seed=seed)
-        instances.append((maze_id, spec))
-    return instances
+SUITE = _schema(SuiteSpec)
+SUITE_KEYS = {*SUITE, "notes", "run", "gca"}
 
 
-def build_domain(instance_spec: dict):
-    if instance_spec["kind"] == "chain":
-        spec, options = parse_chain(instance_spec)
-        return ChainDomain(spec, **options)
-    maze = generate_maze(
-        instance_spec["width"],
-        instance_spec["height"],
-        instance_spec["connectivity"],
-        instance_spec["maze_seed"],
-    )
-    fitness = _read(instance_spec.get("fitness", {}), FITNESS, "domain.fitness")
-    return MazeDomain(maze, path_slack=instance_spec.get("path_slack"), **fitness)
+def _load_json(path, what: str):
+    """The JSON document in a file.  ConfigError when the file cannot be
+    read, ParseError when it is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    except ValueError as e:
+        raise ParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def derive_seed(suite_seed: int, arm_name: str, instance_id: str, run_index: int) -> int:
@@ -344,28 +335,16 @@ def derive_seed(suite_seed: int, arm_name: str, instance_id: str, run_index: int
 
 
 def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
+    """One task per (arm, instance, run), carrying its arm, instance spec
+    and derived seed."""
     instances = _domain_instances(suite.domain)
-    tasks = []
-    for arm in suite.arms:
-        if arm_filter is not None and arm.name != arm_filter:
-            continue
-        for instance_id, instance_spec in instances:
-            for run_index in range(suite.runs_per_arm):
-                tasks.append(
-                    {
-                        "arm": arm.name,
-                        "explorer": arm.explorer,
-                        "guided": arm.guided,
-                        "params": arm.params,
-                        "config": arm.config,
-                        "instance_id": instance_id,
-                        "instance_spec": instance_spec,
-                        "run_index": run_index,
-                        "seed": derive_seed(
-                            suite.suite_seed, arm.name, instance_id, run_index
-                        ),
-                    }
-                )
+    tasks = [
+        {"arm": arm, "instance_id": instance_id, "instance_spec": spec, "run_index": run_index,
+         "seed": derive_seed(suite.suite_seed, arm.name, instance_id, run_index)}
+        for arm in suite.arms if arm_filter is None or arm.name == arm_filter
+        for instance_id, spec in instances
+        for run_index in range(suite.runs_per_arm)
+    ]
     if not tasks:
         raise ConfigError(
             f"no runs selected (arm filter {arm_filter!r} matched nothing)"
@@ -376,28 +355,28 @@ def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
 
 
 def _execute_run(task: dict) -> dict:
-    """Worker: build everything from the task dict and run once."""
+    """Worker: build the task's domain and explorer and run once."""
+    arm = task["arm"]
     domain = build_domain(task["instance_spec"])
-    explorer = EXPLORERS[task["explorer"]][1](task["params"])
-    config = task["config"]
+    explorer = EXPLORERS[arm.explorer][1](arm.params)
     rng = random.Random(task["seed"])
     model_json = None
-    if task["guided"]:
-        _, model, record = run_ace(config, explorer, domain, rng)
+    if arm.guided:
+        _, model, record = run_ace(arm.config, explorer, domain, rng)
         model_json = gca.serialize_model(model)
     else:
-        _, record = run_standard(config, explorer, domain, rng)
+        _, record = run_standard(arm.config, explorer, domain, rng)
 
     row = {
-        "arm": task["arm"],
-        "explorer": task["explorer"],
-        "guided": task["guided"],
+        "arm": arm.name,
+        "explorer": arm.explorer,
+        "guided": arm.guided,
         "domain": task["instance_spec"]["kind"],
         "maze_id": task["instance_id"],
         "connectivity": task["instance_spec"].get("connectivity"),
         "run_index": task["run_index"],
         "seed": task["seed"],
-        "max_generations": config.max_generations,
+        "max_generations": arm.config.max_generations,
     }
     row.update(record.to_dict())
     if model_json is not None:
@@ -540,13 +519,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        with open(args.records, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read records file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"records file is not valid JSON: {e}") from e
+    doc = _load_json(args.records, "records file")
     records = doc["records"] if isinstance(doc, dict) else doc
     text = render_summary(records)
     print(text)
@@ -561,14 +534,7 @@ def cmd_oracle(args) -> int:
     if args.spec == "default":
         spec = ChainSpec()
     else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read chain spec: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"chain spec is not valid JSON: {e}") from e
-        spec, _ = parse_chain(doc, "chain spec")
+        spec, _ = parse_chain(_load_json(args.spec, "chain spec"), "chain spec")
     value, witness = brute_force_optimum(spec)
     print(f"alphabet={spec.alphabet_size} length={spec.sequence_length}")
     print(f"optimum={value!r}")

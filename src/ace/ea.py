@@ -138,6 +138,12 @@ class EaExplorer:
             lo = self.params.min_len
         if self.params.max_len is not None:
             hi = self.params.max_len
+        if lo > hi:
+            raise ConfigError(
+                f"empty genome length range {lo}..{hi}: min_len={self.params.min_len}, "
+                f"max_len={self.params.max_len}, domain default bounds "
+                f"{domain.default_genome_bounds}"
+            )
         return lo, hi
 
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> EaState:

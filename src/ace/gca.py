@@ -605,5 +605,9 @@ def save_model(model: GcaModel, path) -> None:
 
 
 def load_model(path) -> GcaModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return deserialize_model(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read model file {path}: {e}") from e
+    return deserialize_model(text)

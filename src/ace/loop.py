@@ -50,12 +50,12 @@ class ExperimentConfig:
     warm_start_model: str | None = None
 
     def validate(self) -> None:
-        if self.population_size < 2:
-            raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
-        if self.max_generations < 1:
-            raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
-        if self.abstraction_period < 1:
-            raise ConfigError(f"abstraction_period must be >= 1, got {self.abstraction_period}")
+        for name, least in (
+            ("population_size", 2), ("max_generations", 1), ("abstraction_period", 1),
+            ("max_new_macros_per_scan", 0), ("prune_min_uses", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         self.gca.validate()
 
 

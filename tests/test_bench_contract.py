@@ -1,7 +1,8 @@
 """The benchmark's layer trace (bench/spans.py) wraps public entry points
-of the package by name.  Entering and leaving it here makes a refactor
-that removes or reshapes a traced entry point fail the test suite rather
-than the benchmark.  Nothing under bench/ is changed."""
+of the package by name, and its quality references (bench/run.py) read
+the instance specs of ace.cli.  Running both here makes a refactor that
+removes or reshapes what they use fail the test suite rather than the
+benchmark.  Nothing under bench/ is changed."""
 
 from __future__ import annotations
 
@@ -9,16 +10,20 @@ import importlib.util
 from pathlib import Path
 
 import ace
-from ace.cli import SuiteSpec, orchestrate
+from ace.cli import SuiteSpec, build_tasks, orchestrate
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name, alias):
+    spec = importlib.util.spec_from_file_location(alias, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_bench("spans", "bench_spans")
 
 
 def tiny_maze_suite(out):
@@ -52,3 +57,16 @@ def test_traced_pass_installs_and_restores_every_span(tmp_path):
                  "gca.sample", "gca.learn", "gca.flatten", "gca.abstract", "cli.serialize"):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["pso.paths"] == tracer.calls["pso.construct"]
+
+
+def test_references_cover_every_instance(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports spans
+    run = load_bench("run", "bench_run")
+    suites = [
+        SuiteSpec.from_dict(tiny_maze_suite(tmp_path)),
+        SuiteSpec.from_dict(run.round_docs("chain-wide", 1, 1)[0]),
+    ]
+    for suite in suites:
+        refs = run.references(ace, suite)
+        assert set(refs) == {t["instance_id"] for t in build_tasks(suite)}
+        assert all(ref > 0 for ref in refs.values())

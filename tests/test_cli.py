@@ -91,7 +91,7 @@ def test_maze_grid_expansion():
 def test_arm_filter(tmp_path):
     suite = SuiteSpec.from_dict(tiny_chain_suite(tmp_path))
     tasks = build_tasks(suite, arm_filter="ace-ea")
-    assert {t["arm"] for t in tasks} == {"ace-ea"}
+    assert {t["arm"].name for t in tasks} == {"ace-ea"}
     with pytest.raises(ConfigError):
         build_tasks(suite, arm_filter="nonesuch")
 
@@ -320,8 +320,8 @@ def test_shipped_configs_are_valid():
     assert connectivities == {0.0, 0.3, 0.6, 1.0}
     for task in tasks[:4]:
         cli.build_domain(task["instance_spec"])  # builds without error
-    ea_pops = {t["config"].population_size for t in tasks if t["explorer"] == "ea"}
-    pso_pops = {t["config"].population_size for t in tasks if t["explorer"] == "pso"}
+    ea_pops = {t["arm"].config.population_size for t in tasks if t["arm"].explorer == "ea"}
+    pso_pops = {t["arm"].config.population_size for t in tasks if t["arm"].explorer == "pso"}
     assert ea_pops == {30} and pso_pops == {15}
 
     chain = SuiteSpec.from_file(repo / "configs" / "chain_suite.json")
@@ -403,14 +403,20 @@ def test_suite_keeps_notes_and_rejects_bad_values_before_any_run(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("runs_per_arm", "abc"), ("suite_seed", "x"), ("runs_per_arm", 1.7), ("parallelism", True)],
+    [
+        ("runs_per_arm", "abc"), ("suite_seed", "x"), ("runs_per_arm", 1.7), ("parallelism", True),
+        ("arms", {}), ("guided", "false"), ("warm_start_model", 5),
+    ],
 )
 def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     doc = tiny_chain_suite(out)
-    doc[key] = value
+    # arm keys are planted in the first arm entry
+    where, section = ("arms[0]", doc["arms"][0]) if key in cli.ARM else ("suite config", doc)
+    section[key] = value
+    hint = {"arms": "list", "guided": "bool", "warm_start_model": "str | None"}.get(key, "int")
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
-    assert f"suite config.{key} must be int" in capsys.readouterr().err
+    assert f"{where}.{key} must be {hint}" in capsys.readouterr().err
     assert not (out / "records.jsonl").exists()
 
 
@@ -422,6 +428,7 @@ def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, 
         ({"instances": [{"connectivity": 0.3, "maze_seed": 1},
                         {"connectivity": 1.5, "maze_seed": 2}]}, "connectivity"),
         ({"instances": None, "connectivity_levels": [0.0, -0.5]}, "connectivity"),
+        ({"instances": None, "connectivity_levels": ["x"]}, "connectivity_levels"),
     ],
 )
 def test_bad_maze_shape_exits_1_before_any_run(tmp_path, capsys, monkeypatch, domain, message):
@@ -438,18 +445,57 @@ def test_bad_maze_shape_exits_1_before_any_run(tmp_path, capsys, monkeypatch, do
     assert not (out / "error_manifest.json").exists()
 
 
+@pytest.mark.parametrize("key", ["max_new_macros_per_scan", "prune_min_uses"])
+def test_negative_promotion_cadence_exits_1_before_any_run(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["run"] = {key: -1}
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("bounds", [{"min_len": 20}, {"max_len": 1}])
+def test_empty_genome_bounds_exit_1(tmp_path, capsys, bounds):
+    doc = tiny_chain_suite(tmp_path / "out", runs=1)
+    doc["arms"][0]["ea"].update(bounds)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    [(key, value)] = bounds.items()
+    # the tiny chain's default bounds are 2..sequence_length
+    assert f"{key}={value}" in err and "domain default bounds (2, 6)" in err
+
+
+@pytest.mark.parametrize("content", [None, "{}", "not json"])
+def test_unreadable_donor_exits_1_before_any_run(tmp_path, capsys, content):
+    donor = tmp_path / "donor.json"
+    if content is not None:
+        donor.write_text(content)
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert ("cannot read model file" if content is None else "model") in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+def chain_domain(doc):
+    [(_, spec)] = cli._domain_instances(doc)
+    return cli.build_domain(spec)
+
+
 def test_oracle_and_run_read_a_chain_spec_alike(tmp_path, capsys):
     doc = {"alphabet_size": 4, "sequence_length": 5, "target_bigrams": [], "noise_penalty": 0.5}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(doc))
     assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
     assert "optimum=-2.0" in capsys.readouterr().out
-    assert cli.build_domain(dict(doc, kind="chain")).optimum == -2.0
+    assert chain_domain(dict(doc, kind="chain")).optimum == -2.0
     # an absent key takes the default
     del doc["target_bigrams"]
     spec_path.write_text(json.dumps(doc))
     assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
-    optimum = cli.build_domain(dict(doc, kind="chain")).optimum
+    optimum = chain_domain(dict(doc, kind="chain")).optimum
     assert optimum > 0 and f"optimum={optimum!r}" in capsys.readouterr().out
 
 
@@ -459,6 +505,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad_model = tmp_path / "bad.json"
     bad_model.write_text("{}")
     assert cli.main(["model", "--path", str(bad_model)]) == 1  # malformed input
+    assert cli.main(["model", "--path", str(tmp_path / "missing.json")]) == 1  # unreadable
 
     suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "x"))
     monkeypatch.setattr(cli, "orchestrate", lambda *a, **k: 1 / 0)
