@@ -518,9 +518,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+# The record fields render_summary and stats.summarize read.
+SUMMARY_FIELDS = (
+    "arm", "connectivity", "success", "best_fitness", "success_generation",
+    "path_efficiency", "wall_clock_seconds", "macros_created", "macros_surviving",
+    "mean_macro_effectiveness",
+)
+
+
+def _summary_records(doc) -> list[dict]:
+    """The records of a records file (an object with a "records" list, or
+    the list itself); ParseError naming the row and field a summary would
+    trip on."""
+    records = doc.get("records") if isinstance(doc, dict) else doc
+    if not isinstance(records, list):
+        raise ParseError("records file: records must be a list of objects")
+    for i, row in enumerate(records):
+        if not isinstance(row, dict):
+            raise ParseError(f"records file: records[{i}] must be an object")
+        for key in SUMMARY_FIELDS:
+            if key not in row:
+                raise ParseError(f"records file: records[{i}] is missing field '{key}'")
+    return records
+
+
 def cmd_stats(args) -> int:
-    doc = _load_json(args.records, "records file")
-    records = doc["records"] if isinstance(doc, dict) else doc
+    records = _summary_records(_load_json(args.records, "records file"))
     text = render_summary(records)
     print(text)
     if args.out:

@@ -128,6 +128,9 @@ class GcaModel:
     vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
 
+    # Sampling rows, cleared by _touch: sample_successor's (ops, cumulative
+    # probabilities) keyed on from_op, and floored_distribution's rows
+    # keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _flat_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -198,17 +201,30 @@ class GcaModel:
 
     def floored_distribution(
         self, from_op: int, successors: list[int]
-    ) -> list[tuple[int, float]]:
-        return apply_exploration_floor(
-            self.transition_distribution(from_op, successors),
-            self.params.exploration_floor,
-        )
+    ) -> tuple[tuple[int, float], ...]:
+        """The transition distribution mixed with the exploration floor.
+
+        Rows are remembered per (from_op, successors) until the next
+        weight or vocabulary change, and returned as tuples so that no
+        caller can change a remembered row.
+        """
+        key = (from_op, tuple(successors))
+        row = self._row_cache.get(key)
+        if row is None:
+            row = tuple(
+                apply_exploration_floor(
+                    self.transition_distribution(from_op, key[1]),
+                    self.params.exploration_floor,
+                )
+            )
+            self._row_cache[key] = row
+        return row
 
     def sample_successor(self, from_op: int, rng: random.Random) -> int:
         """Draw a successor from the floored transition distribution over
         every sampling-eligible op the transition mask admits after
-        from_op.  The row is cached per from-op until the next weight
-        change.
+        from_op.  The row is cached per from-op until the next weight or
+        vocabulary change.
         """
         row = self._row_cache.get(from_op)
         if row is None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import ConfigError
-from .gca import GcaModel, apply_exploration_floor, draw
+from .gca import GcaModel, draw
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
 
@@ -50,19 +50,21 @@ class Particle:
     pbest_fitness: float = -math.inf
 
 
-def _aligned(states: list[int] | None, step_index: int, cell: int) -> float:
-    """1.0 when the reference path sits on this cell at the same depth."""
-    if states is not None and len(states) > step_index + 1 and states[step_index + 1] == cell:
-        return 1.0
-    return 0.0
-
-
 def _softmax_floor(scores: list[float], epsilon: float) -> list[float]:
+    """Softmax of the scores mixed with the uniform distribution:
+    (1-eps) * e/z + eps/k over the k candidates."""
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
     m = max(scores)
     exps = [math.exp(s - m) for s in scores]
     z = sum(exps)
-    probs = [(i, e / z) for i, e in enumerate(exps)]
-    return [p for _, p in apply_exploration_floor(probs, epsilon)]
+    keep = 1.0 - epsilon
+    floor = epsilon / len(exps)
+    return [keep * (e / z) + floor for e in exps]
+
+
+def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
+    return traj.states or () if traj is not None else ()
 
 
 def construct_path(
@@ -95,7 +97,6 @@ def construct_path(
     nbr_table = domain.neighbor_table
     heuristic = domain.heuristic
     goal = domain.goal_index
-    atomic = domain.atomic_count
     max_len = params.max_path_len or domain.default_max_path_len
 
     macro_info = []
@@ -104,15 +105,19 @@ def construct_path(
             flat = model.flatten_macro(macro.id)
             macro_info.append((macro.id, flat[0], flat))
 
-    prev_states = particle.current.states if particle.current else None
-    pbest_states = particle.pbest.states if particle.pbest else None
-    gbest_states = gbest.states if gbest else None
+    # A candidate aligns with a reference path when that path sits on the
+    # candidate's end cell at the same depth.
+    prev_states = _reference_states(particle.current)
+    pbest_states = _reference_states(particle.pbest)
+    gbest_states = _reference_states(gbest)
+    n_prev, n_pbest, n_gbest = len(prev_states), len(pbest_states), len(gbest_states)
 
     w = params.inertia
     c1 = params.cognitive
     c2 = params.social
     alpha = params.heuristic_weight
     lam = params.guidance_weight
+    guided = model is not None
 
     cur = domain.start_index
     prev_cell = -1
@@ -123,82 +128,94 @@ def construct_path(
     steps = 0
 
     terminate_at_dead_ends = params.dead_end_mode == "terminate"
+    no_term = repeat((None, 0.0))  # standard mode: never added
     while cur != goal and steps < max_len:
+        # Candidates: atomic moves in table order, then macros in id
+        # order; each ends on a cell, at an index of the path being built.
         nbrs = nbr_table[cur]
-        allowed = [(m, c) for m, c in nbrs if c != prev_cell]
-        if not allowed:
+        cand: list[int] = []
+        ends: list[int] = []
+        for m, c in nbrs:
+            if c != prev_cell:
+                cand.append(m)
+                ends.append(c)
+        if not cand:
             if terminate_at_dead_ends or not nbrs:
                 break
-            allowed = list(nbrs)
-
-        # Candidate = (op, cells along its stride); one cell for a move.
-        candidates: list[tuple[int, list[int]]] = [(m, [c]) for m, c in allowed]
+            cand = [m for m, _ in nbrs]
+            ends = [c for _, c in nbrs]
+        n_moves = len(cand)
+        end_at = [steps + 1] * n_moves
+        strides: list[tuple[list[int], list[int]]] = []  # (cells, flat) per macro
         if macro_info:
-            allowed_moves = {m for m, _ in allowed}
+            allowed = tuple(cand)
+            room = max_len - steps
             for macro_id, first_move, flat in macro_info:
-                if first_move not in allowed_moves:
+                if first_move not in allowed:
                     continue
-                sim_cells = []
+                cells: list[int] | None = []
                 pos = cur
-                rejected = False
                 for mv in flat:
-                    nxt = None
                     for m, c in nbr_table[pos]:
                         if m == mv:
-                            nxt = c
                             break
-                    if nxt is None:
-                        rejected = True
+                    else:
+                        cells = None  # a wall: not a candidate this step
                         break
-                    sim_cells.append(nxt)
-                    pos = nxt
-                    if pos == goal or steps + len(sim_cells) >= max_len:
+                    cells.append(c)
+                    pos = c
+                    if pos == goal or len(cells) >= room:
                         break
-                if not rejected:
-                    candidates.append((macro_id, sim_cells))
+                if cells is not None:
+                    cand.append(macro_id)
+                    ends.append(pos)
+                    end_at.append(steps + len(cells))
+                    strides.append((cells, flat))
 
-        if model is not None:
-            if prev_op is None:
-                p_uniform = 1.0 / len(candidates)
-                p_theta = [p_uniform] * len(candidates)
-            else:
-                dist = model.floored_distribution(prev_op, [op for op, _ in candidates])
-                p_theta = [p for _, p in dist]
+        # The learned term, as (op, probability) per candidate.
+        if not guided:
+            learned = no_term
+        elif prev_op is None:
+            learned = repeat((None, 1.0 / len(cand)))
+        else:
+            learned = model.floored_distribution(prev_op, cand)
 
+        # A bool counts as 1 or 0: the alignment terms are coefficient * 1.0
+        # or coefficient * 0.0, as a 0/1 float would give.
         scores = []
-        for idx, (op, cells) in enumerate(candidates):
-            depth = steps + len(cells) - 1
-            end = cells[-1]
-            s = alpha * heuristic[end] + w * _aligned(prev_states, depth, end)
+        for end, at, (_, p) in zip(ends, end_at, learned):
+            s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
             r1 = rng.random()
             r2 = rng.random()
-            s += c1 * r1 * _aligned(pbest_states, depth, end)
-            s += c2 * r2 * _aligned(gbest_states, depth, end)
-            if model is not None:
-                s += lam * p_theta[idx]
+            s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
+            s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
+            if guided:
+                s += lam * p
             scores.append(s)
 
-        probs = _softmax_floor(scores, epsilon)
-        op, cells = candidates[draw(list(accumulate(probs)), rng)]
-        taken = len(cells)
-        states.extend(cells)
-        if op < atomic:
+        pick = draw(list(accumulate(_softmax_floor(scores, epsilon))), rng)
+        op = cand[pick]
+        if pick < n_moves:
             moves.append(op)
             ops.append(op)
             prev_op = op
+            states.append(ends[pick])
+            steps += 1
         else:
-            stride = model.flatten_macro(op)
-            moves.extend(stride[:taken])
-            if taken < len(stride):
+            cells, flat = strides[pick - n_moves]
+            taken = len(cells)
+            states.extend(cells)
+            moves.extend(flat[:taken])
+            if taken < len(flat):
                 # Stride cut short by the goal or the cap: record what ran.
-                ops.extend(stride[:taken])
-                prev_op = stride[taken - 1]
+                ops.extend(flat[:taken])
+                prev_op = flat[taken - 1]
             else:
                 ops.append(op)
                 prev_op = op
+            steps += taken
         prev_cell = states[-2]
         cur = states[-1]
-        steps += taken
 
     return domain.evaluate_path(states, ops, moves, success=cur == goal)
 

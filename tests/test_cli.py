@@ -218,6 +218,35 @@ def test_stats_command_round_trips_summary(tmp_path, capsys):
     assert (tmp_path / "redo" / "summary.txt").read_text() == original
 
 
+SUMMARY_ROW = {
+    "arm": "a", "connectivity": None, "success": True, "best_fitness": 1.0,
+    "success_generation": 3, "path_efficiency": None, "wall_clock_seconds": 0.1,
+    "macros_created": 0, "macros_surviving": 0, "mean_macro_effectiveness": 0.0,
+}
+TIMELESS_ROW = {k: v for k, v in SUMMARY_ROW.items() if k != "wall_clock_seconds"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"records": [{"arm": "a"}]}, "records[0] is missing field 'connectivity'"),
+        ({"records": 5}, "records must be a list"),
+        ({"suite": {}}, "records must be a list"),
+        ([SUMMARY_ROW, 7], "records[1] must be an object"),
+        ({"records": [SUMMARY_ROW, TIMELESS_ROW]},
+         "records[1] is missing field 'wall_clock_seconds'"),
+    ],
+)
+def test_stats_rejects_malformed_records_with_exit_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["stats", "--records", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    # the same rows, complete, summarize
+    path.write_text(json.dumps([SUMMARY_ROW, SUMMARY_ROW]))
+    assert cli.main(["stats", "--records", str(path)]) == 0
+
+
 def test_log_level_env_var(monkeypatch, capsys):
     monkeypatch.setenv("ACE_LOG", "debug")
     assert cli.main(["oracle", "--spec", "default"]) == 0

@@ -10,7 +10,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from ace.gca import GcaModel, GcaParams, GcaThresholds, deserialize_model, serialize_model
+from ace.gca import (
+    GcaModel,
+    GcaParams,
+    GcaThresholds,
+    apply_exploration_floor,
+    deserialize_model,
+    serialize_model,
+)
 
 GAINS = st.floats(-1.0, 2.0, allow_nan=False)
 
@@ -105,6 +112,18 @@ class GcaModelMachine(RuleBasedStateMachine):
             assert macro.id == m.atomic_count + k
             assert 0 <= macro.left < macro.id and 0 <= macro.right < macro.id
             assert 0 <= macro.successful_uses <= macro.uses
+
+    @invariant()
+    def floored_rows_match_fresh(self):
+        # Reading the rows fills the memo, so a rule that changes weights
+        # or the vocabulary without clearing it fails at the next step.
+        m = self.model
+        vocab = m.sampling_vocabulary()
+        for op in range(m.vocab_size):
+            fresh = apply_exploration_floor(
+                m.transition_distribution(op, vocab), m.params.exploration_floor
+            )
+            assert list(m.floored_distribution(op, vocab)) == fresh
 
     @invariant()
     def round_trip_exact(self):

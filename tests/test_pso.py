@@ -276,6 +276,89 @@ def test_macro_truncated_at_goal_records_prefix():
         assert 4 not in traj.ops  # truncated stride is recorded as its moves
 
 
+def eastward_stride(max_path_len):
+    """3x2 open grid and a model whose one unpruned macro is EEE (id 5).
+    From the start corner the stride runs E to cell 1, E to cell 2 and
+    then into the east wall; the heuristic pulls hard toward cell 2."""
+    dom = GridStub(3, 2, heuristic=[0.0, 0.0, 100.0, 0.0, 0.0, 0.0],
+                   max_path_len=max_path_len)
+    model = make_model()
+    model.add_macro(1, 1).pruned = True  # EE, id 4
+    model.add_macro(4, 1)  # EEE, id 5
+    params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=1.0, guidance_weight=0)
+    return dom, model, params
+
+
+def test_macro_cut_by_cap_before_wall_is_candidate(monkeypatch):
+    # cap 2: the stride stops after E, E, so the wall its third move would
+    # hit is never reached and the macro competes, ending on cell 2
+    dom, model, params = eastward_stride(max_path_len=2)
+    strides = 0
+    for seed in range(20):
+        seen = step_scores(monkeypatch, dom, params, model=model, seed=seed)
+        assert len(seen[0]) == 3  # E, S and the cut EEE
+        assert seen[0][2] == 100.0
+        took_macro = len(seen) == 1  # one step used the whole budget
+        traj = construct_path(Particle(), None, params, model, dom, random.Random(seed), EPS)
+        if took_macro:
+            strides += 1
+            # the cut stride is recorded as the moves it made
+            assert traj.ops == [1, 1]
+            assert traj.atomic_ops == [1, 1]
+            assert traj.states == [0, 1, 2]
+    assert strides > 0
+
+
+@pytest.mark.parametrize("max_path_len", [3, 5])
+def test_macro_wall_before_cap_rejects_it(monkeypatch, max_path_len):
+    dom, model, params = eastward_stride(max_path_len)
+    for seed in range(5):
+        seen = step_scores(monkeypatch, dom, params, model=model, seed=seed)
+        assert len(seen[0]) == 2  # E and S only
+        traj = construct_path(Particle(), None, params, model, dom, random.Random(seed), EPS)
+        assert 5 not in traj.ops
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
+    # draw order is part of the result: two variates per candidate (atomic
+    # moves, then macros), then one for the selection
+    dom = GridStub(4, 4, max_path_len=30)
+    model = make_model(weights={(1, 2): 1.0, (2, 1): 0.5})
+    for left, right in ((1, 1), (2, 2), (1, 2)):
+        model.add_macro(left, right)
+    params = PsoParams(heuristic_weight=1.0)
+    particle = Particle(current=path(list(range(16))), pbest=path([0, 1, 2, 3]))
+    rng = CountingRandom(8)
+    steps = []
+    real = pso._softmax_floor
+
+    def spy(scores, eps):
+        steps.append((len(scores), rng.calls))
+        return real(scores, eps)
+
+    monkeypatch.setattr(pso, "_softmax_floor", spy)
+    for _ in range(5):
+        steps.clear()
+        rng.calls = 0
+        construct_path(particle, path([0, 4, 8]), params, model, dom, rng, EPS)
+        drawn = 0
+        for candidates, calls_at_softmax in steps:
+            assert calls_at_softmax == drawn + 2 * candidates
+            drawn += 2 * candidates + 1
+        assert rng.calls == drawn
+        assert any(candidates > 2 for candidates, _ in steps)
+
+
 # -- swarm generation ----------------------------------------------------------
 
 
