@@ -317,10 +317,10 @@ SUITE_KEYS = {*SUITE, "notes", "run", "gca"}
 
 def _load_json(path, what: str):
     """The JSON document in a file.  ConfigError when the file cannot be
-    read, ParseError when it is not JSON."""
+    read, ParseError when it is not JSON or holds a non-finite number."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return gca.finite_json(f.read())
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
     except ValueError as e:
@@ -354,8 +354,9 @@ def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
     return tasks
 
 
-def _execute_run(task: dict) -> dict:
-    """Worker: build the task's domain and explorer and run once."""
+def _execute_run(task: dict, save_model: bool) -> dict:
+    """Worker: build the task's domain and explorer and run once.  A
+    guided run's model is serialized only when it will be saved."""
     arm = task["arm"]
     domain = build_domain(task["instance_spec"])
     explorer = EXPLORERS[arm.explorer][1](arm.params)
@@ -363,7 +364,8 @@ def _execute_run(task: dict) -> dict:
     model_json = None
     if arm.guided:
         _, model, record = run_ace(arm.config, explorer, domain, rng)
-        model_json = gca.serialize_model(model)
+        if save_model:
+            model_json = gca.serialize_model(model)
     else:
         _, record = run_standard(arm.config, explorer, domain, rng)
 
@@ -394,15 +396,17 @@ def orchestrate(
     """Run every (arm, instance, run) combination, streaming finished
     records to records.jsonl.  On failure the partial records file stays
     in place and an error manifest is written before re-raising."""
-    tasks = build_tasks(suite, arm_filter)
     workers = parallelism if parallelism is not None else suite.parallelism
+    if workers < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {workers}")
+    tasks = build_tasks(suite, arm_filter)
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl_path = out_dir / "records.jsonl"
     records = []
     log.info("starting suite: %d runs, parallelism %d", len(tasks), workers)
 
     def _consume(row: dict, jsonl) -> None:
-        if save_models and "_model_json" in row:
+        if "_model_json" in row:
             name = f"gca_{row['arm']}_{row['maze_id']}_{row['run_index']}.json"
             (out_dir / name).write_text(row["_model_json"], encoding="utf-8")
         row = {k: v for k, v in row.items() if not k.startswith("_")}
@@ -419,10 +423,10 @@ def orchestrate(
         with open(jsonl_path, "w", encoding="utf-8") as jsonl:
             if workers <= 1:
                 for task in tasks:
-                    _consume(_execute_run(task), jsonl)
+                    _consume(_execute_run(task, save_models), jsonl)
             else:
                 with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {pool.submit(_execute_run, t): t for t in tasks}
+                    futures = {pool.submit(_execute_run, t, save_models): t for t in tasks}
                     for fut in concurrent.futures.as_completed(futures):
                         _consume(fut.result(), jsonl)
     except Exception as e:
@@ -566,8 +570,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_maze(args) -> int:
-    width = args.width or args.size
-    height = args.height or args.size
+    width = args.size if args.width is None else args.width
+    height = args.size if args.height is None else args.height
     maze = generate_maze(width, height, args.connectivity, args.seed)
     text = maze_to_text(maze)
     length, _ = bfs_shortest_path(maze)

@@ -72,8 +72,8 @@ class GcaParams:
 class MacroOperation:
     """A composite operation built from two existing vocabulary items.
 
-    Constituents always carry strictly smaller ids than the macro itself,
-    which makes flattening terminate by construction.  Pruned macros keep
+    Constituents carry strictly smaller ids than the macro, and neither
+    they nor the id change once the macro is made.  Pruned macros keep
     their id and weight entries; they only leave the sampling vocabulary.
     """
 
@@ -132,11 +132,16 @@ class GcaModel:
     # probabilities) keyed on from_op, and floored_distribution's rows
     # keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _flat_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # The op table: _flat[op] is the tuple of atomic ids op expands to.
+    # Macros never change once made, so an entry never goes stale.
+    _flat: list[tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.vocab_size = len(self.atomic_ops) + len(self.macros)
         self.params.validate()
+        self._flat = [(op,) for op in range(len(self.atomic_ops))]
+        for macro in self.macros:
+            self._extend_table(macro)
+        self.vocab_size = len(self._flat)
 
     # -- vocabulary ------------------------------------------------------
 
@@ -144,18 +149,9 @@ class GcaModel:
     def atomic_count(self) -> int:
         return len(self.atomic_ops)
 
-    def macro_by_id(self, op: int) -> MacroOperation | None:
-        k = op - self.atomic_count
-        if 0 <= k < len(self.macros):
-            return self.macros[k]
-        return None
-
     def is_pruned(self, op: int) -> bool:
-        m = self.macro_by_id(op)
-        return m.pruned if m is not None else False
-
-    def unpruned_macros(self) -> list[MacroOperation]:
-        return [m for m in self.macros if not m.pruned]
+        k = op - len(self.atomic_ops)
+        return 0 <= k < len(self.macros) and self.macros[k].pruned
 
     def sampling_vocabulary(self) -> list[int]:
         """All operation ids currently eligible for sampling, ascending."""
@@ -171,6 +167,14 @@ class GcaModel:
     def _check_id(self, op: int) -> None:
         if not 0 <= op < self.vocab_size:
             raise DomainError(f"operation id {op} outside vocabulary of size {self.vocab_size}")
+
+    def _extend_table(self, macro: MacroOperation) -> None:
+        op = len(self._flat)
+        if macro.id != op or not (0 <= macro.left < op and 0 <= macro.right < op):
+            raise InternalError(
+                f"macro {macro.id} = ({macro.left}, {macro.right}) needs id {op} and smaller constituents"
+            )
+        self._flat.append(self._flat[macro.left] + self._flat[macro.right])
 
     def _touch(self) -> None:
         if self._row_cache:
@@ -406,6 +410,7 @@ class GcaModel:
             if into != 0.0:
                 w[(k, m)] = into
         macro = MacroOperation(id=m, left=left, right=right, created_at_generation=generation)
+        self._extend_table(macro)
         self.macros.append(macro)
         self.vocab_size = m + 1
         self._touch()
@@ -428,26 +433,19 @@ class GcaModel:
         return pruned
 
     def flatten_macro(self, op: int) -> list[int]:
-        """Expand an operation to its atomic sequence (identity for atoms)."""
+        """An operation's atomic sequence (itself for an atom), as a fresh list."""
         self._check_id(op)
-        cached = self._flat_cache.get(op)
-        if cached is not None:
-            return list(cached)
-        macro = self.macro_by_id(op)
-        if macro is None:
-            return [op]
-        if macro.left >= op or macro.right >= op:
-            raise InternalError(
-                f"macro {op} references constituent with id >= its own; flattening would not terminate"
-            )
-        flat = self.flatten_macro(macro.left) + self.flatten_macro(macro.right)
-        self._flat_cache[op] = tuple(flat)
-        return flat
+        return list(self._flat[op])
 
     def flatten_sequence(self, ops: list[int]) -> list[int]:
+        """The atomic sequences of the given operations, concatenated."""
+        flat = self._flat
+        n = len(flat)
         out: list[int] = []
         for op in ops:
-            out.extend(self.flatten_macro(op))
+            if not 0 <= op < n:
+                self._check_id(op)  # raises DomainError
+            out.extend(flat[op])
         return out
 
 
@@ -497,6 +495,19 @@ def serialize_model(model: GcaModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def finite_json(text: str):
+    """Parse JSON text whose numbers are all finite: NaN, Infinity,
+    -Infinity and float literals that overflow raise ValueError."""
+    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+
+
 def _parse_field(doc: dict, key: str, kind, ctx: str):
     if key not in doc:
         raise ParseError(f"{ctx}: missing field '{key}'")
@@ -512,9 +523,11 @@ def deserialize_model(text: str) -> GcaModel:
     """Parse and validate a serialized model; raises ParseError with the
     offending field on any malformed or invariant-breaking content."""
     try:
-        doc = json.loads(text)
+        doc = finite_json(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"model document is not valid JSON: line {e.lineno}: {e.msg}") from e
+    except ValueError as e:
+        raise ParseError(f"model document: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     ctx = "model"
@@ -626,4 +639,7 @@ def load_model(path) -> GcaModel:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read model file {path}: {e}") from e
-    return deserialize_model(text)
+    try:
+        return deserialize_model(text)
+    except ParseError as e:
+        raise ParseError(f"model file {path}: {e}") from e

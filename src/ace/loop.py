@@ -129,7 +129,7 @@ def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
         won = traj.fitness > median
         for op in traj.ops:
             if op >= atomic:
-                m = model.macro_by_id(op)
+                m = model.macros[op - atomic]
                 m.uses += 1
                 if won:
                     m.successful_uses += 1

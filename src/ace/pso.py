@@ -101,9 +101,10 @@ def construct_path(
 
     macro_info = []
     if model is not None:
-        for macro in model.unpruned_macros():
-            flat = model.flatten_macro(macro.id)
-            macro_info.append((macro.id, flat[0], flat))
+        for macro in model.macros:
+            if not macro.pruned:
+                flat = model.flatten_macro(macro.id)
+                macro_info.append((macro.id, flat[0], flat))
 
     # A candidate aligns with a reference path when that path sits on the
     # candidate's end cell at the same depth.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -144,11 +145,11 @@ def test_orchestrate_crash_preserves_partial_results(tmp_path, monkeypatch):
     real = cli._execute_run
     calls = {"n": 0}
 
-    def flaky(task):
+    def flaky(task, save_model):
         calls["n"] += 1
         if calls["n"] == 3:
             raise RuntimeError("simulated abort")
-        return real(task)
+        return real(task, save_model)
 
     monkeypatch.setattr(cli, "_execute_run", flaky)
     with pytest.raises(RuntimeError):
@@ -279,6 +280,12 @@ def test_maze_command_tree_edges(capsys):
     out = capsys.readouterr().out
     assert "open edges: 224" in out
     assert out.count("+") > 100  # wall rendering present
+
+
+@pytest.mark.parametrize("side", ["--width", "--height"])
+def test_maze_command_explicit_zero_side_exits_1(capsys, side):
+    assert cli.main(["maze", side, "0", "--size", "4"]) == 1
+    assert "maze dimensions must be >= 2" in capsys.readouterr().err
 
 
 def test_maze_command_writes_file(tmp_path, capsys):
@@ -506,6 +513,96 @@ def test_unreadable_donor_exits_1_before_any_run(tmp_path, capsys, content):
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     assert ("cannot read model file" if content is None else "model") in capsys.readouterr().err
     assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("suite", 0), ("suite", -3), ("flag", 0), ("flag", -3)],
+)
+def test_parallelism_below_1_exits_1_before_any_run(tmp_path, capsys, where, value):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    argv = ["run", "--config", str(tmp_path / "suite.json")]
+    if where == "suite":
+        doc["parallelism"] = value
+    else:
+        argv += ["--parallelism", str(value)]
+    write_suite(tmp_path, doc)
+    assert cli.main(argv) == 1
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+def _plant(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("gca", "lambda"), math.nan),
+        (("gca", "theta_w"), math.nan),
+        (("arms", 1, "gca"), {"tau": math.inf}),
+        (("domain", "noise_penalty"), math.nan),
+        (("domain", "noise_penalty"), -math.inf),
+    ],
+)
+def test_non_finite_suite_number_exits_1_before_any_run(tmp_path, capsys, path, value):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    _plant(doc, path, value)
+    suite_path = write_suite(tmp_path, doc)  # json.dumps writes NaN / Infinity
+    assert cli.main(["run", "--config", str(suite_path)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite number" in err and str(suite_path) in err
+    assert not (out / "records.jsonl").exists()
+
+
+def test_non_finite_chain_spec_exits_1(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"alphabet_size": 4, "sequence_length": 5, "noise_penalty": NaN}')
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite number NaN" in err and str(spec_path) in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"lambda": 0.15', '"lambda": Infinity'), ("0.75", "NaN"), ("0.75", "1e999")],
+)
+def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
+    from ace.gca import fresh_model, serialize_model
+
+    model = fresh_model(["t0", "t1", "t2", "t3"])
+    model.weights[(0, 1)] = 0.75
+    text = serialize_model(model)
+    assert old in text
+    donor = tmp_path / "donor.json"
+    donor.write_text(text.replace(old, new))
+    assert cli.main(["model", "--path", str(donor)]) == 1
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"model file {donor}: model document: non-finite number") == 2
+    assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("save", [False, True])
+def test_guided_models_serialized_only_when_saved(tmp_path, monkeypatch, save):
+    real = cli.gca.serialize_model
+    calls = []
+    monkeypatch.setattr(cli.gca, "serialize_model", lambda m: calls.append(m) or real(m))
+    suite = SuiteSpec.from_dict(tiny_chain_suite(tmp_path / "r"))
+    records = orchestrate(suite, tmp_path / "r", save_models=save)
+    guided = sum(r["guided"] for r in records)
+    assert guided == 2
+    assert len(calls) == (guided if save else 0)
+    assert len(list((tmp_path / "r").glob("gca_*.json"))) == len(calls)
 
 
 def chain_domain(doc):

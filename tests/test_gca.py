@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ace.errors import ConfigError, DomainError, ParseError
+from ace.errors import ConfigError, DomainError, InternalError, ParseError
 from ace.gca import (
     GcaModel,
     GcaParams,
@@ -503,6 +503,8 @@ def test_flatten_atomic():
 def test_flatten_simple_macro():
     m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])
     assert m.flatten_macro(4) == [0, 1]
+    m.flatten_macro(4).append(3)  # each call returns a fresh list
+    assert m.flatten_macro(4) == [0, 1]
 
 
 def test_flatten_nested_macro():
@@ -514,6 +516,33 @@ def test_flatten_nested_macro():
     )
     assert m.flatten_macro(5) == [0, 1, 2]
     assert m.flatten_sequence([5, 3]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("op", [-1, -5, 5, 6])
+def test_flatten_rejects_ids_outside_vocabulary(op):
+    m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])  # vocab_size 5
+    with pytest.raises(DomainError, match="outside vocabulary"):
+        m.flatten_sequence([op])
+    with pytest.raises(DomainError, match="outside vocabulary"):
+        m.flatten_sequence([0, 4, op])
+    with pytest.raises(DomainError, match="outside vocabulary"):
+        m.flatten_macro(op)
+
+
+@pytest.mark.parametrize(
+    "macros",
+    [
+        [MacroOperation(id=4, left=4, right=0)],  # constituent is the macro itself
+        [MacroOperation(id=4, left=0, right=5)],  # constituent above the macro
+        [MacroOperation(id=4, left=-1, right=0)],  # negative constituent
+        [MacroOperation(id=5, left=0, right=1)],  # id skips 4
+        [MacroOperation(id=4, left=0, right=1), MacroOperation(id=4, left=1, right=2)],
+        [MacroOperation(id=3, left=0, right=1)],  # id of an atom
+    ],
+)
+def test_construction_rejects_malformed_macro_library(macros):
+    with pytest.raises(InternalError, match="needs id"):
+        make_model(macros=macros)
 
 
 def test_flatten_ids_strictly_increase_after_scans():

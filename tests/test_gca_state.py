@@ -114,6 +114,23 @@ class GcaModelMachine(RuleBasedStateMachine):
             assert 0 <= macro.successful_uses <= macro.uses
 
     @invariant()
+    def flattening_matches_recursive_expansion(self):
+        m = self.model
+
+        def expand(op):
+            if op < m.atomic_count:
+                return [op]
+            macro = m.macros[op - m.atomic_count]
+            return expand(macro.left) + expand(macro.right)
+
+        ops = list(range(m.vocab_size))
+        for op in ops:
+            flat = m.flatten_macro(op)
+            assert flat == expand(op)
+            assert all(0 <= x < m.atomic_count for x in flat)
+        assert m.flatten_sequence(ops) == [x for op in ops for x in expand(op)]
+
+    @invariant()
     def floored_rows_match_fresh(self):
         # Reading the rows fills the memo, so a rule that changes weights
         # or the vocabulary without clearing it fails at the next step.
