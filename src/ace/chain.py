@@ -10,6 +10,7 @@ patterns the guidance model is supposed to learn and promote to macros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import ConfigError
 from .loop import Trajectory
@@ -76,17 +77,15 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     if length == 1:
         return 0.0, [0]
 
-    def score(i: int, j: int) -> float:
-        r = spec.rewards.get((i, j))
-        return r if r is not None else -spec.noise_penalty
-
+    # score[i][j]: the fitness term of the adjacency (i, j).
+    score = [[-spec.noise_penalty] * a for _ in range(a)]
+    for (i, j), r in spec.rewards.items():
+        score[i][j] = r
     # suffix[t][i]: best total over positions t..end given token i at t.
     suffix = [[0.0] * a for _ in range(length)]
     for t in range(length - 2, -1, -1):
         nxt = suffix[t + 1]
-        row = suffix[t]
-        for i in range(a):
-            row[i] = max(score(i, j) + nxt[j] for j in range(a))
+        suffix[t] = [max(map(add, score_row, nxt)) for score_row in score]
     best = max(suffix[0])
     first = min(i for i in range(a) if suffix[0][i] == best)
     seq = [first]
@@ -95,7 +94,7 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
         target = suffix[t][cur]
         nxt_row = suffix[t + 1]
         for j in range(a):
-            if score(cur, j) + nxt_row[j] == target:
+            if score[cur][j] + nxt_row[j] == target:
                 seq.append(j)
                 break
     return best, seq

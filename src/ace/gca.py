@@ -128,9 +128,13 @@ class GcaModel:
     vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
 
-    # Sampling rows, cleared by _touch: sample_successor's (ops, cumulative
-    # probabilities) keyed on from_op, and floored_distribution's rows
-    # keyed on (from_op, successor tuple).
+    # Successor lists: _successors[from_op] is the tuple of ops the mask
+    # admits after from_op.  They change only with the vocabulary or a
+    # pruned flag, so add_macro and prune_macros clear them.
+    _successors: dict = field(default_factory=dict, compare=False, repr=False)
+    # Sampling rows, cleared by _touch on every weight change as well:
+    # sample_successor's (ops, cumulative probabilities) keyed on from_op,
+    # and floored_distribution's rows keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # The op table: _flat[op] is the tuple of atomic ids op expands to.
     # Macros never change once made, so an entry never goes stale.
@@ -164,6 +168,9 @@ class GcaModel:
             return False
         return not self.is_pruned(i) and not self.is_pruned(j)
 
+    def _pruned_ids(self) -> set[int]:
+        return {m.id for m in self.macros if m.pruned}
+
     def _check_id(self, op: int) -> None:
         if not 0 <= op < self.vocab_size:
             raise DomainError(f"operation id {op} outside vocabulary of size {self.vocab_size}")
@@ -180,6 +187,10 @@ class GcaModel:
         if self._row_cache:
             self._row_cache.clear()
 
+    def _vocabulary_changed(self) -> None:
+        self._successors.clear()
+        self._touch()
+
     # -- sampling --------------------------------------------------------
 
     def transition_distribution(
@@ -194,9 +205,11 @@ class GcaModel:
         self._check_id(from_op)
         w = self.weights
         t = self.params.temperature
+        n = self.vocab_size
         logits = []
         for s in successors:
-            self._check_id(s)
+            if not 0 <= s < n:
+                self._check_id(s)  # raises DomainError
             logits.append(w.get((from_op, s), 0.0) / t)
         m = max(logits)
         exps = [math.exp(x - m) for x in logits]
@@ -227,18 +240,23 @@ class GcaModel:
     def sample_successor(self, from_op: int, rng: random.Random) -> int:
         """Draw a successor from the floored transition distribution over
         every sampling-eligible op the transition mask admits after
-        from_op.  The row is cached per from-op until the next weight or
-        vocabulary change.
+        from_op.  The successor list is kept until the next vocabulary
+        change, the row until the next weight or vocabulary change.
         """
         row = self._row_cache.get(from_op)
         if row is None:
-            vocab = [j for j in self.sampling_vocabulary() if self.valid_pair(from_op, j)]
-            if not vocab:
-                # from_op may itself be pruned or fully masked; any
-                # eligible op is then a legal continuation.
-                vocab = self.sampling_vocabulary()
-            dist = self.floored_distribution(from_op, vocab)
-            row = (vocab, list(accumulate(p for _, p in dist)))
+            ops = self._successors.get(from_op)
+            if ops is None:
+                self._check_id(from_op)
+                # The sampling vocabulary holds no pruned op, so the mask
+                # drops at most from_op itself.  A pruned or fully masked
+                # from_op may go on to any eligible op.
+                ops = tuple(self.sampling_vocabulary())
+                if self.mask_mode == "no_self" and not self.is_pruned(from_op):
+                    ops = tuple(j for j in ops if j != from_op) or ops
+                self._successors[from_op] = ops
+            dist = self.floored_distribution(from_op, ops)
+            row = (ops, list(accumulate(p for _, p in dist)))
             self._row_cache[from_op] = row
         ops, cum = row
         return ops[draw(cum, rng)]
@@ -297,8 +315,11 @@ class GcaModel:
             return gain
         w = self.weights
         s = self.support
+        pruned = self._pruned_ids()
+        no_self = self.mask_mode == "no_self"
         for key, term in inc.items():
-            if term <= 0 or not self.valid_pair(*key):
+            i, j = key
+            if term <= 0 or i in pruned or j in pruned or (no_self and i == j):
                 continue
             w[key] = w.get(key, 0.0) + scale * term
             s[key] = s.get(key, 0) + 1
@@ -309,8 +330,13 @@ class GcaModel:
 
         Used by explorers without recombination; gain is the improvement
         over the trajectory owner's previous best.  Decay applies per call
-        regardless; pairs are only strengthened on positive gain.
+        regardless; pairs are only strengthened on positive gain.  An id
+        outside the vocabulary raises DomainError before anything changes.
         """
+        n = self.vocab_size
+        for op in ops:
+            if not 0 <= op < n:
+                self._check_id(op)  # raises DomainError
         self._decay_weights()
         self._touch()
         if gain <= 0 or len(ops) < 2:
@@ -329,19 +355,6 @@ class GcaModel:
 
     # -- abstraction -----------------------------------------------------
 
-    def _mean_weight(self, pairs) -> float | None:
-        """Mean weight over the valid pairs among those given, absent
-        entries counted as zero; None when none is valid.  Summed left to
-        right, so the result does not depend on the Python version."""
-        w = self.weights
-        total = 0.0
-        count = 0
-        for i, j in pairs:
-            if self.valid_pair(i, j):
-                total += w.get((i, j), 0.0)
-                count += 1
-        return total / count if count else None
-
     def compute_lift(self, i: int, j: int) -> float:
         """Pair weight relative to the product of its marginal mean weights.
 
@@ -349,33 +362,12 @@ class GcaModel:
         entries counted as zero.  A zero (or empty) marginal yields +inf
         when the pair itself has weight, else 0.
         """
-        self._check_id(i)
-        self._check_id(j)
-        w_ij = self.weights.get((i, j), 0.0)
-        ks = range(self.vocab_size)
-        col = self._mean_weight((k, i) for k in ks)
-        row = self._mean_weight((j, k) for k in ks)
-        denom = (col or 0.0) * (row or 0.0)
-        if denom == 0.0:
-            return math.inf if w_ij > 0 else 0.0
-        return w_ij / denom
-
-    def macro_for_pair(self, i: int, j: int) -> MacroOperation | None:
-        for m in self.macros:
-            if not m.pruned and m.left == i and m.right == j:
-                return m
-        return None
+        return _Promotion(self).lift(i, j)
 
     def pair_qualifies(self, i: int, j: int) -> bool:
         """True when (i, j) clears every promotion gate right now."""
-        t = self.params.thresholds
-        return (
-            self.weights.get((i, j), 0.0) > t.weight_min
-            and self.support.get((i, j), 0) >= t.support_min
-            and self.valid_pair(i, j)
-            and self.macro_for_pair(i, j) is None
-            and self.compute_lift(i, j) >= t.lift_min
-        )
+        entry = ((i, j), self.weights.get((i, j), 0.0))
+        return any(_Promotion(self).qualifying([entry]))
 
     def scan_and_abstract(
         self, generation: int, k_max_new: int = DEFAULT_MAX_NEW_MACROS
@@ -386,11 +378,8 @@ class GcaModel:
         candidates are processed in descending weight order with (i, j)
         lexicographic tie-breaks, capped at k_max_new per scan.
         """
-        cands = []
-        for (i, j), w in self.weights.items():
-            if self.pair_qualifies(i, j):
-                cands.append((-w, i, j))
-        cands.sort()
+        qualifying = _Promotion(self).qualifying(self.weights.items())
+        cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
 
     def add_macro(self, left: int, right: int, generation: int = 0) -> MacroOperation:
@@ -413,7 +402,7 @@ class GcaModel:
         self._extend_table(macro)
         self.macros.append(macro)
         self.vocab_size = m + 1
-        self._touch()
+        self._vocabulary_changed()
         return macro
 
     def prune_macros(self, u_min: int = DEFAULT_PRUNE_MIN_USES) -> list[int]:
@@ -429,7 +418,7 @@ class GcaModel:
                 m.pruned = True
                 pruned.append(m.id)
         if pruned:
-            self._touch()
+            self._vocabulary_changed()
         return pruned
 
     def flatten_macro(self, op: int) -> list[int]:
@@ -447,6 +436,70 @@ class GcaModel:
                 self._check_id(op)  # raises DomainError
             out.extend(flat[op])
         return out
+
+
+class _Promotion:
+    """The promotion gates, judged against one unchanging model state.
+
+    The pruned ids and the promoted pairs are read once, and each op's
+    column and row mean weight is computed the first time a candidate
+    needs it, so a scan pays O(V) per op rather than per candidate.
+    """
+
+    def __init__(self, model: GcaModel):
+        self.model = model
+        self.pruned = model._pruned_ids()
+        self.no_self = model.mask_mode == "no_self"
+        self.promoted = {(m.left, m.right) for m in model.macros if not m.pruned}
+        self.col_means: dict[int, float | None] = {}
+        self.row_means: dict[int, float | None] = {}
+
+    def valid(self, i: int, j: int) -> bool:
+        return not (self.no_self and i == j) and i not in self.pruned and j not in self.pruned
+
+    def _mean(self, op: int, into: bool) -> float | None:
+        """Mean weight over the valid pairs (k, op) if into, else (op, k),
+        absent entries counted as zero; None when none is valid.  Summed
+        in ascending k, so the result does not depend on the Python
+        version."""
+        means = self.col_means if into else self.row_means
+        if op in means:
+            return means[op]
+        w = self.model.weights
+        total = 0.0
+        count = 0
+        for k in range(self.model.vocab_size):
+            pair = (k, op) if into else (op, k)
+            if self.valid(*pair):
+                total += w.get(pair, 0.0)
+                count += 1
+        means[op] = mean = total / count if count else None
+        return mean
+
+    def lift(self, i: int, j: int) -> float:
+        model = self.model
+        model._check_id(i)
+        model._check_id(j)
+        w_ij = model.weights.get((i, j), 0.0)
+        denom = (self._mean(i, into=True) or 0.0) * (self._mean(j, into=False) or 0.0)
+        if denom == 0.0:
+            return math.inf if w_ij > 0 else 0.0
+        return w_ij / denom
+
+    def qualifying(self, entries):
+        """The ((i, j), weight) entries among those given that clear every
+        promotion gate, in the order given."""
+        t = self.model.params.thresholds
+        support = self.model.support
+        for (i, j), w in entries:
+            if (
+                w > t.weight_min
+                and support.get((i, j), 0) >= t.support_min
+                and self.valid(i, j)
+                and (i, j) not in self.promoted
+                and self.lift(i, j) >= t.lift_min
+            ):
+                yield (i, j), w
 
 
 def fresh_model(atomic_ops: list[str], params: GcaParams | None = None) -> GcaModel:
@@ -477,8 +530,8 @@ def serialize_model(model: GcaModel) -> str:
             "l": float(t.lift_min),
             "eff": float(t.effectiveness_min),
         },
-        "weights": [[i, j, float(w)] for (i, j), w in sorted(model.weights.items())],
-        "support": [[i, j, c] for (i, j), c in sorted(model.support.items())],
+    }
+    tail = {
         "macros": [
             {
                 "id": m.id,
@@ -492,7 +545,27 @@ def serialize_model(model: GcaModel) -> str:
             for m in model.macros
         ],
     }
-    return json.dumps(doc, indent=2)
+    # The weight and support tables are most of the text, so they are
+    # written here, laid out as json.dumps(doc, indent=2) lays out a list
+    # of triples one level down; the rest goes through json.dumps, and
+    # the two documents are joined at their outer braces.
+    weights = _triples((i, j, _float_text(float(w))) for (i, j), w in sorted(model.weights.items()))
+    support = _triples((i, j, c) for (i, j), c in sorted(model.support.items()))
+    head = json.dumps(doc, indent=2)[: -len("\n}")]
+    rest = json.dumps(tail, indent=2)[len("{"):]
+    return f'{head},\n  "weights": {weights},\n  "support": {support},{rest}'
+
+
+def _float_text(x: float) -> str:
+    """A float as the json module writes it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _triples(rows) -> str:
+    """Integer [i, j, value] rows (a float value already as text), as
+    json.dumps(indent=2) writes a list of them under a top-level key."""
+    items = ",\n".join(f"    [\n      {i},\n      {j},\n      {v}\n    ]" for i, j, v in rows)
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
 def _finite_number(text: str) -> float:
@@ -517,6 +590,10 @@ def _parse_field(doc: dict, key: str, kind, ctx: str):
     if not isinstance(val, kind) or isinstance(val, bool):
         raise ParseError(f"{ctx}: field '{key}' has wrong type {type(val).__name__}")
     return val
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def deserialize_model(text: str) -> GcaModel:
@@ -588,7 +665,7 @@ def deserialize_model(text: str) -> GcaModel:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{wc}: expected [from, to, value]")
         i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise ParseError(f"{wc}: ids must be integers")
         if not (0 <= i < vocab_size and 0 <= j < vocab_size):
             raise ParseError(f"{wc}: id outside vocabulary of size {vocab_size}")
@@ -608,7 +685,7 @@ def deserialize_model(text: str) -> GcaModel:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{sc}: expected [from, to, count]")
         i, j, c = entry
-        if not isinstance(i, int) or not isinstance(j, int) or not isinstance(c, int):
+        if not (_is_int(i) and _is_int(j) and _is_int(c)):
             raise ParseError(f"{sc}: entries must be integers")
         if not (0 <= i < vocab_size and 0 <= j < vocab_size):
             raise ParseError(f"{sc}: id outside vocabulary of size {vocab_size}")

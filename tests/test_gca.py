@@ -176,6 +176,28 @@ def test_sample_matches_floored_softmax():
     assert abs(hits / n - expected) < 0.01
 
 
+def test_sample_out_of_range_op_raises_on_every_call():
+    m = make_model(n_atomic=3, mask_mode="no_self")
+    r = random.Random(5)
+    m.sample_successor(0, r)  # memos filled for a valid op
+    for op in (-1, 3, 7):
+        for _ in range(3):
+            with pytest.raises(DomainError, match="outside vocabulary"):
+                m.sample_successor(op, r)
+
+
+def test_remembered_successors_follow_vocabulary_changes():
+    m = make_model(n_atomic=2, mask_mode="no_self")
+    r = random.Random(8)
+    m.sample_successor(0, r)  # remembers 0 -> (1,)
+    m.add_macro(0, 1).uses = 5  # id 2
+    assert {m.sample_successor(0, r) for _ in range(200)} == {1, 2}
+    assert m.prune_macros(1) == [2]
+    assert {m.sample_successor(0, r) for _ in range(200)} == {1}
+    # A pruned op may still be a from-op: it goes on to any eligible op.
+    assert {m.sample_successor(2, r) for _ in range(200)} == {0, 1}
+
+
 def test_draw_is_the_first_cumulative_above_the_variate():
     class Fixed:
         def __init__(self, u):
@@ -292,6 +314,17 @@ def test_trajectory_update_nonpositive_gain():
     m.hebbian_trajectory_update([0, 1, 2], 0.0)
     assert m.weights == {(0, 1): 0.8}
     assert m.support == {}
+
+
+@pytest.mark.parametrize("ops", [[0, 5, -1], [0, 1, 2], [-1, 0], [2]])
+def test_trajectory_update_rejects_ids_outside_vocabulary(ops):
+    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, support={(0, 1): 2}, decay=0.5)
+    with pytest.raises(DomainError, match="outside vocabulary"):
+        m.hebbian_trajectory_update(ops, 1.0)
+    # Nothing changed, decay included, and the model still round-trips.
+    assert m.weights == {(0, 1): 1.0}
+    assert m.support == {(0, 1): 2}
+    assert deserialize_model(serialize_model(m)) == m
 
 
 def test_decay_contraction_property(rng):
@@ -417,6 +450,68 @@ def test_scan_soundness_recheck():
             assert snapshot.weights.get((i, j), 0.0) > t.weight_min
             assert snapshot.support.get((i, j), 0) >= t.support_min
             assert snapshot.compute_lift(i, j) >= t.lift_min
+
+
+def _reference_scan(m, k):
+    """The first k qualifying pairs of a model, in (-w, i, j) order, with
+    every gate and the lift written out from their definitions."""
+    t = m.params.thresholds
+    w = m.weights
+    pruned = {mac.id for mac in m.macros if mac.pruned}
+    promoted = {(mac.left, mac.right) for mac in m.macros if not mac.pruned}
+
+    def valid(i, j):
+        return not (m.mask_mode == "no_self" and i == j) and not {i, j} & pruned
+
+    def mean(pairs):
+        total, count = 0.0, 0
+        for pair in pairs:
+            if valid(*pair):
+                total += w.get(pair, 0.0)
+                count += 1
+        return total / count if count else 0.0
+
+    def lift(i, j):
+        ks = range(m.vocab_size)
+        denom = mean((x, i) for x in ks) * mean((j, x) for x in ks)
+        if denom == 0.0:
+            return math.inf if w.get((i, j), 0.0) > 0 else 0.0
+        return w.get((i, j), 0.0) / denom
+
+    cands = sorted(
+        (-wij, i, j)
+        for (i, j), wij in w.items()
+        if wij > t.weight_min
+        and m.support.get((i, j), 0) >= t.support_min
+        and valid(i, j)
+        and (i, j) not in promoted
+        and lift(i, j) >= t.lift_min
+    )
+    return [(i, j) for _, i, j in cands[:k]]
+
+
+@pytest.mark.parametrize("mask_mode", ["all", "no_self"])
+def test_scan_promotes_exactly_the_first_k_qualifying_pairs(mask_mode):
+    rng = random.Random(17)
+    promoted = 0
+    for _ in range(200):
+        m = make_model(n_atomic=rng.randint(2, 5), mask_mode=mask_mode)
+        for _ in range(rng.randint(0, 4)):
+            m.add_macro(rng.randrange(m.vocab_size), rng.randrange(m.vocab_size))
+        for mac in m.macros:
+            mac.pruned = rng.random() < 0.4
+        n = m.vocab_size
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 25))]
+        # Pairs already promoted, so that gate is met too.
+        pairs += [(mac.left, mac.right) for mac in m.macros if rng.random() < 0.5]
+        m.weights = {p: rng.choice([rng.uniform(0, 1.5), 0.9]) for p in pairs}
+        m.support = {p: rng.randint(0, 6) for p in m.weights}
+        k = rng.randint(1, 4)
+        expected = _reference_scan(m, k)
+        created = m.scan_and_abstract(3, k)
+        assert [(mac.left, mac.right) for mac in created] == expected
+        promoted += len(created)
+    assert promoted > 50
 
 
 # -- expansion -----------------------------------------------------------------
@@ -593,6 +688,48 @@ def test_round_trip_100_random_models():
         assert deserialize_model(serialize_model(m)) == m
 
 
+def test_serialize_matches_json_dumps_byte_for_byte():
+    names = ['q"uote', "back\\slash", "nul\u0000", "plain"]
+    cases = [
+        ({}, {}),
+        ({(0, 1): 5e-324, (1, 0): 1e20, (2, 3): 1.0, (3, 3): 2, (4, 0): 0.1 + 0.2},
+         {(0, 1): 1, (2, 3): 12}),
+        ({(1, 2): 3.0}, {}),
+        ({}, {(0, 0): 4}),
+    ]
+    for weights, support in cases:
+        m = make_model(weights=weights, support=support)
+        m.atomic_ops = list(names)
+        m.add_macro(0, 1, generation=3).uses = 2
+        m.weights, m.support = weights, support
+        p, t = m.params, m.params.thresholds
+        doc = {
+            "version": 1,
+            "atomic_ops": names,
+            "vocab_size": 5,
+            "tau": p.temperature,
+            "epsilon": p.exploration_floor,
+            "lambda": p.learning_rate,
+            "gamma": p.decay,
+            "thresholds": {
+                "w": t.weight_min, "s": t.support_min, "l": t.lift_min,
+                "eff": t.effectiveness_min,
+            },
+            "weights": [[i, j, float(v)] for (i, j), v in sorted(weights.items())],
+            "support": [[i, j, c] for (i, j), c in sorted(support.items())],
+            "macros": [{
+                "id": 4, "left": 0, "right": 1, "uses": 2, "successful_uses": 0,
+                "created_at_generation": 3, "pruned": False,
+            }],
+        }
+        assert serialize_model(m) == json.dumps(doc, indent=2)
+    assert serialize_model(fresh_model(["a"])) == json.dumps({
+        "version": 1, "atomic_ops": ["a"], "vocab_size": 1, "tau": 1.0, "epsilon": 0.1,
+        "lambda": 0.15, "gamma": 0.2, "thresholds": {"w": 0.3, "s": 3, "l": 1.4, "eff": 0.1},
+        "weights": [], "support": [], "macros": [],
+    }, indent=2)
+
+
 def _mangled(model, mutate):
     doc = json.loads(serialize_model(model))
     mutate(doc)
@@ -622,6 +759,19 @@ def test_out_of_range_weight_id_rejected():
     m = make_model(weights={(0, 1): 0.5})
     text = _mangled(m, lambda d: d["weights"][0].__setitem__(1, 9))
     with pytest.raises(ParseError, match="outside vocabulary"):
+        deserialize_model(text)
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("weights", [True, 1, 0.5]),
+    ("weights", [0, False, 0.5]),
+    ("support", [0, 1, True]),
+    ("support", [True, 1, 2]),
+])
+def test_boolean_ids_and_counts_rejected(table, entry):
+    m = make_model(weights={(0, 1): 0.5}, support={(0, 1): 2})
+    text = _mangled(m, lambda d: d[table].__setitem__(0, entry))
+    with pytest.raises(ParseError, match="must be integers"):
         deserialize_model(text)
 
 

@@ -5,6 +5,7 @@ model's invariants checked after every step."""
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -67,12 +68,12 @@ class GcaModelMachine(RuleBasedStateMachine):
         macro = self.model.add_macro(self._op(data), self._op(data), generation)
         assert macro.id == before and self.model.macros[-1] is macro
 
-    @rule(data=st.data(), won=st.booleans())
-    def credit_macro(self, data, won):
+    @rule(data=st.data(), uses=st.integers(1, 4))
+    def credit_macro(self, data, uses):
         if self.model.macros:
             m = data.draw(st.sampled_from(self.model.macros))
-            m.uses += 1
-            m.successful_uses += won
+            m.uses += uses
+            m.successful_uses += data.draw(st.integers(0, uses))
 
     @rule(u_min=st.integers(0, 3))
     def prune(self, u_min):
@@ -143,6 +144,20 @@ class GcaModelMachine(RuleBasedStateMachine):
             assert list(m.floored_distribution(op, vocab)) == fresh
 
     @invariant()
+    def successor_rows_match_fresh(self):
+        # Sampling from every op fills both memos, so a rule that changes
+        # the vocabulary, a pruned flag or a weight without clearing the
+        # memo it invalidates fails at the next step.
+        m = self.model
+        rng = random.Random(0)
+        vocab = m.sampling_vocabulary()
+        for op in range(m.vocab_size):
+            m.sample_successor(op, rng)
+            ops = [j for j in vocab if m.valid_pair(op, j)] or vocab
+            cum = list(accumulate(p for _, p in m.floored_distribution(op, ops)))
+            assert m._row_cache[op] == (tuple(ops), cum)
+
+    @invariant()
     def round_trip_exact(self):
         text = serialize_model(self.model)
         again = deserialize_model(text)
@@ -151,6 +166,6 @@ class GcaModelMachine(RuleBasedStateMachine):
 
 
 GcaModelMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None
+    max_examples=100, stateful_step_count=25, deadline=None
 )
 TestGcaModelMachine = GcaModelMachine.TestCase

@@ -1,14 +1,16 @@
 """Golden result fingerprints.
 
-Three tiny suites run through the same orchestration as `ace-bench run`:
+Four tiny suites run through the same orchestration as `ace-bench run`:
 a maze suite with all four arm kinds on one curated instance, a chain
-suite with a standard and a guided EA arm, and a maze suite whose PSO
+suite with a standard and a guided EA arm, a maze suite whose PSO
 arms turn around at dead ends and stop at a 40-step cap (the branches
 of path construction the benchmark suites leave out: turnarounds, and
-macro strides cut short by the cap).  The SHA-256 of their
-records, leaving out the wall-clock field, must match the constants
-below.  A behaviour-neutral change keeps them; a change that moves
-results must update them and say why.
+macro strides cut short by the cap), and a chain suite whose guided
+runs prune macros and save their models.  The SHA-256 of their
+records, leaving out the wall-clock field (and, for the last suite, of
+the saved model files too), must match the constants below.  A
+behaviour-neutral change keeps them; a change that moves results must
+update them and say why.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ace.cli import SuiteSpec, orchestrate
 MAZE_FINGERPRINT = "9cf905963f1e3e732d6427e5ea332004fbecb5f5a84fe1eb7efeb8189814f4db"
 CHAIN_FINGERPRINT = "059970c1f0ffd26a76b07f7c3a5061e2b5d411c332ae0e204b7b3322e9149e13"
 BACKTRACK_FINGERPRINT = "c900359c44ac08f1282a338bce3dc589b7f67c160b5e0cf90916622a7e07974b"
+PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38f66873c"
 
 GCA = {
     "tau": 0.25, "epsilon": 0.1, "lambda": 1e-05, "gamma": 0.2,
@@ -97,6 +100,27 @@ CHAIN_SUITE = {
     ],
 }
 
+# Lenient promotion and pruning gates: both guided runs create macros and
+# prune some of them, so scans, learning and sampling all meet pruned ids.
+PRUNING_SUITE = {
+    "suite_seed": 5,
+    "runs_per_arm": 2,
+    "run": {
+        "population_size": 16, "max_generations": 20, "abstraction_period": 4,
+        "max_new_macros_per_scan": 3, "prune_min_uses": 3,
+    },
+    "gca": {
+        "tau": 0.5, "epsilon": 0.1, "lambda": 0.05, "gamma": 0.1,
+        "theta_w": 0.2, "theta_s": 2, "theta_l": 1.2, "theta_eff": 0.3,
+    },
+    "domain": {
+        "kind": "chain", "alphabet_size": 8, "sequence_length": 12,
+        "target_bigrams": [[0, 1, 5.0], [2, 3, 3.0], [4, 5, 2.0], [6, 7, 1.5]],
+        "noise_penalty": 0.2,
+    },
+    "arms": CHAIN_SUITE["arms"],
+}
+
 
 def fingerprint(records: list[dict]) -> str:
     lines = sorted(
@@ -121,3 +145,17 @@ def test_chain_suite_fingerprint(tmp_path):
 
 def test_backtrack_capped_pso_fingerprint(tmp_path):
     assert suite_fingerprint(BACKTRACK_SUITE, tmp_path) == BACKTRACK_FINGERPRINT
+
+
+def test_pruning_chain_suite_fingerprint_with_models(tmp_path):
+    records = orchestrate(SuiteSpec.from_dict(PRUNING_SUITE), tmp_path, parallelism=1,
+                          save_models=True)
+    files = sorted(tmp_path.glob("gca_*.json"))
+    models = [json.loads(f.read_text(encoding="utf-8")) for f in files]
+    assert len(models) == 2
+    assert all(any(m["pruned"] for m in doc["macros"]) for doc in models)
+    digest = hashlib.sha256(fingerprint(records).encode())
+    for f in files:
+        digest.update(f"\n{f.name}\n".encode())
+        digest.update(f.read_bytes())
+    assert digest.hexdigest() == PRUNING_FINGERPRINT
