@@ -116,7 +116,8 @@ class ChainDomain:
         self.success_fraction = success_fraction
         self.atomic_op_names = [f"t{i}" for i in range(self.spec.alphabet_size)]
         self.atomic_count = self.spec.alphabet_size
-        self.default_genome_bounds = (2, self.spec.sequence_length)
+        length = self.spec.sequence_length
+        self.default_genome_bounds = (min(2, length), length)
         self.optimum, self.optimal_sequence = brute_force_optimum(self.spec)
         # Within (1 - success_fraction) * |optimum| of the optimum; for a
         # positive optimum that is the plain fraction of it.

@@ -64,14 +64,7 @@ CSV_COLUMNS = [
 # Config keys that differ from the field or parameter they set; every
 # other key is the field name itself.
 ALIASES = {
-    "tau": "temperature",
-    "epsilon": "exploration_floor",
-    "lambda": "learning_rate",
-    "gamma": "decay",
-    "theta_w": "weight_min",
-    "theta_s": "support_min",
-    "theta_l": "lift_min",
-    "theta_eff": "effectiveness_min",
+    **{key: name for key, _, name, _ in gca.HYPERPARAMETERS},
     "target_bigrams": "rewards",
 }
 _KEY_OF = {name: key for key, name in ALIASES.items()}
@@ -104,7 +97,6 @@ def _plain(hints: dict[str, str]) -> dict[str, tuple[str, str]]:
 EXPLORERS = {"ea": (EaParams, EaExplorer), "pso": (PsoParams, PsoExplorer)}
 RUN = _schema(ExperimentConfig, skip=("gca", "warm_start_model"))
 GCA = _schema(GcaParams, GcaThresholds, skip=("thresholds",))
-_THRESHOLDS = {f.name for f in dataclasses.fields(GcaThresholds)}
 CHAIN_OPTIONS = _schema(ChainDomain)
 CHAIN = {
     **_schema(ChainSpec),
@@ -158,15 +150,9 @@ def _read(doc, schema: dict[str, tuple[str, str]], where: str, required=()) -> d
     return values
 
 
-def _gca_params(values: dict) -> GcaParams:
-    thresholds = {k: v for k, v in values.items() if k in _THRESHOLDS}
-    rest = {k: v for k, v in values.items() if k not in _THRESHOLDS}
-    return GcaParams(**rest, thresholds=GcaThresholds(**thresholds))
-
-
 def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
     """Validated model hyperparameters from a `gca` config section."""
-    params = _gca_params(_read(doc, GCA, where))
+    params = gca.gca_params(_read(doc, GCA, where))
     params.validate()
     return params
 
@@ -265,7 +251,7 @@ class ArmSpec:
         params.validate()
         config = ExperimentConfig(
             **{**suite_run, **_read(values.get("run", {}), RUN, f"{where}.run")},
-            gca=_gca_params({**suite_gca, **_read(values.get("gca", {}), GCA, f"{where}.gca")}),
+            gca=gca.gca_params({**suite_gca, **_read(values.get("gca", {}), GCA, f"{where}.gca")}),
             warm_start_model=values.get("warm_start_model"),
         )
         config.validate()
@@ -589,10 +575,8 @@ def cmd_model(args) -> int:
     unpruned = [m for m in model.macros if not m.pruned]
     print(f"atomic ops: {' '.join(model.atomic_ops)}")
     print(f"vocabulary: {model.vocab_size} ({len(model.macros)} macros, {len(unpruned)} active)")
-    print(
-        f"params: tau={model.params.temperature} epsilon={model.params.exploration_floor} "
-        f"lambda={model.params.learning_rate} gamma={model.params.decay}"
-    )
+    values = gca.hyperparameter_values(model.params)
+    print("params: " + " ".join(f"{key}={values[name]}" for key, _, name, _ in gca.HYPERPARAMETERS))
     print(f"stored weights: {len(model.weights)}  support entries: {len(model.support)}")
     top = sorted(model.weights.items(), key=lambda kv: -kv[1])[:5]
     for (i, j), w in top:

@@ -12,6 +12,7 @@ every update event.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -66,6 +67,38 @@ class GcaParams:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.decay <= 1.0:
             raise ConfigError(f"decay must lie in [0, 1], got {self.decay}")
+
+
+# Every hyperparameter once: (suite-config key, model-file key, field,
+# type).  GcaParams fields sit at the top level of a model file, the
+# GcaThresholds fields under "thresholds"; both keep this order.
+HYPERPARAMETERS = (
+    ("tau", "tau", "temperature", float),
+    ("epsilon", "epsilon", "exploration_floor", float),
+    ("lambda", "lambda", "learning_rate", float),
+    ("gamma", "gamma", "decay", float),
+    ("theta_w", "w", "weight_min", float),
+    ("theta_s", "s", "support_min", int),
+    ("theta_l", "l", "lift_min", float),
+    ("theta_eff", "eff", "effectiveness_min", float),
+)
+_THRESHOLD_FIELDS = frozenset(f.name for f in dataclasses.fields(GcaThresholds))
+
+
+def gca_params(values: dict) -> GcaParams:
+    """GcaParams from field name -> value, threshold fields included;
+    absent fields take their defaults.  Not validated."""
+    thresholds = {k: v for k, v in values.items() if k in _THRESHOLD_FIELDS}
+    rest = {k: v for k, v in values.items() if k not in _THRESHOLD_FIELDS}
+    return GcaParams(**rest, thresholds=GcaThresholds(**thresholds))
+
+
+def hyperparameter_values(params: GcaParams) -> dict:
+    """Field name -> value for every row of HYPERPARAMETERS, in its order."""
+    return {
+        name: getattr(params.thresholds if name in _THRESHOLD_FIELDS else params, name)
+        for _, _, name, _ in HYPERPARAMETERS
+    }
 
 
 @dataclass
@@ -376,8 +409,11 @@ class GcaModel:
 
         Qualification is judged against the model state at scan entry;
         candidates are processed in descending weight order with (i, j)
-        lexicographic tie-breaks, capped at k_max_new per scan.
+        lexicographic tie-breaks, capped at k_max_new per scan.  A
+        negative cap raises DomainError.
         """
+        if k_max_new < 0:
+            raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
         qualifying = _Promotion(self).qualifying(self.weights.items())
         cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
@@ -514,37 +550,19 @@ def serialize_model(model: GcaModel) -> str:
     """Render a model as JSON text.  Float fields are written as floats in
     Python's shortest round-trip representation, so loading restores them
     exactly and a reloaded model serializes to the same text."""
-    p = model.params
-    t = p.thresholds
+    top, thresholds = {}, {}
+    values = hyperparameter_values(model.params)
+    for _, key, name, kind in HYPERPARAMETERS:
+        value = float(values[name]) if kind is float else values[name]
+        (thresholds if name in _THRESHOLD_FIELDS else top)[key] = value
     doc = {
         "version": FORMAT_VERSION,
         "atomic_ops": list(model.atomic_ops),
         "vocab_size": model.vocab_size,
-        "tau": float(p.temperature),
-        "epsilon": float(p.exploration_floor),
-        "lambda": float(p.learning_rate),
-        "gamma": float(p.decay),
-        "thresholds": {
-            "w": float(t.weight_min),
-            "s": t.support_min,
-            "l": float(t.lift_min),
-            "eff": float(t.effectiveness_min),
-        },
+        **top,
+        "thresholds": thresholds,
     }
-    tail = {
-        "macros": [
-            {
-                "id": m.id,
-                "left": m.left,
-                "right": m.right,
-                "uses": m.uses,
-                "successful_uses": m.successful_uses,
-                "created_at_generation": m.created_at_generation,
-                "pruned": m.pruned,
-            }
-            for m in model.macros
-        ],
-    }
+    tail = {"macros": [dataclasses.asdict(m) for m in model.macros]}
     # The weight and support tables are most of the text, so they are
     # written here, laid out as json.dumps(doc, indent=2) lays out a list
     # of triples one level down; the rest goes through json.dumps, and
@@ -581,13 +599,29 @@ def finite_json(text: str):
     return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
 
 
+# The keys a model document may hold, at the top level and under
+# "thresholds"; a macro entry holds the MacroOperation fields.
+_MODEL_KEYS = {"version", "atomic_ops", "vocab_size", "thresholds", "weights", "support", "macros"}
+_MODEL_KEYS.update(key for _, key, name, _ in HYPERPARAMETERS if name not in _THRESHOLD_FIELDS)
+_THRESHOLD_KEYS = {key for _, key, name, _ in HYPERPARAMETERS if name in _THRESHOLD_FIELDS}
+_MACRO_FIELDS = {
+    f.name: {"int": int, "bool": bool}[f.type] for f in dataclasses.fields(MacroOperation)
+}
+
+
+def _check_keys(doc: dict, allowed, ctx: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ParseError(f"{ctx}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _parse_field(doc: dict, key: str, kind, ctx: str):
     if key not in doc:
         raise ParseError(f"{ctx}: missing field '{key}'")
     val = doc[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
+    if kind is float and _is_int(val):
         val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool):
+    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
         raise ParseError(f"{ctx}: field '{key}' has wrong type {type(val).__name__}")
     return val
 
@@ -596,9 +630,36 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _parse_table(doc: dict, key: str, noun: str, kind, vocab_size: int) -> dict:
+    """The weights or support table: [from, to, value] triples of integer
+    ids inside the vocabulary and a non-negative value of the given kind
+    (an integer weight widens to float), each pair at most once."""
+    table = {}
+    for idx, entry in enumerate(_parse_field(doc, key, list, "model")):
+        ec = f"{key}[{idx}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ParseError(f"{ec}: expected [from, to, {noun}]")
+        i, j, v = entry
+        if not _is_int(i) or not _is_int(j):
+            raise ParseError(f"{ec}: ids must be integers")
+        if not (0 <= i < vocab_size and 0 <= j < vocab_size):
+            raise ParseError(f"{ec}: id outside vocabulary of size {vocab_size}")
+        if kind is float and _is_int(v):
+            v = float(v)
+        if not isinstance(v, kind) or isinstance(v, bool):
+            raise ParseError(f"{ec}: {noun}s must be {'numbers' if kind is float else 'integers'}")
+        if v < 0:
+            raise ParseError(f"{ec}: negative {noun} {v}")
+        if (i, j) in table:
+            raise ParseError(f"{ec}: duplicate entry ({i}, {j})")
+        table[(i, j)] = v
+    return table
+
+
 def deserialize_model(text: str) -> GcaModel:
     """Parse and validate a serialized model; raises ParseError with the
-    offending field on any malformed or invariant-breaking content."""
+    offending field on any malformed, unknown or invariant-breaking
+    content."""
     try:
         doc = finite_json(text)
     except json.JSONDecodeError as e:
@@ -608,6 +669,7 @@ def deserialize_model(text: str) -> GcaModel:
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     ctx = "model"
+    _check_keys(doc, _MODEL_KEYS, ctx)
     version = _parse_field(doc, "version", int, ctx)
     if version != FORMAT_VERSION:
         raise ParseError(f"{ctx}: unsupported format version {version}")
@@ -616,18 +678,12 @@ def deserialize_model(text: str) -> GcaModel:
         raise ParseError(f"{ctx}: atomic_ops must be a non-empty list of names")
     vocab_size = _parse_field(doc, "vocab_size", int, ctx)
     th_doc = _parse_field(doc, "thresholds", dict, ctx)
-    params = GcaParams(
-        temperature=_parse_field(doc, "tau", float, ctx),
-        exploration_floor=_parse_field(doc, "epsilon", float, ctx),
-        learning_rate=_parse_field(doc, "lambda", float, ctx),
-        decay=_parse_field(doc, "gamma", float, ctx),
-        thresholds=GcaThresholds(
-            weight_min=_parse_field(th_doc, "w", float, "thresholds"),
-            support_min=_parse_field(th_doc, "s", int, "thresholds"),
-            lift_min=_parse_field(th_doc, "l", float, "thresholds"),
-            effectiveness_min=_parse_field(th_doc, "eff", float, "thresholds"),
-        ),
-    )
+    _check_keys(th_doc, _THRESHOLD_KEYS, "thresholds")
+    params = gca_params({
+        name: _parse_field(th_doc, key, kind, "thresholds")
+        if name in _THRESHOLD_FIELDS else _parse_field(doc, key, kind, ctx)
+        for _, key, name, kind in HYPERPARAMETERS
+    })
     try:
         params.validate()
     except ConfigError as e:
@@ -638,17 +694,13 @@ def deserialize_model(text: str) -> GcaModel:
         mc = f"macros[{idx}]"
         if not isinstance(m_doc, dict):
             raise ParseError(f"{mc}: must be an object")
-        m = MacroOperation(
-            id=_parse_field(m_doc, "id", int, mc),
-            left=_parse_field(m_doc, "left", int, mc),
-            right=_parse_field(m_doc, "right", int, mc),
-            uses=_parse_field(m_doc, "uses", int, mc),
-            successful_uses=_parse_field(m_doc, "successful_uses", int, mc),
-            created_at_generation=_parse_field(m_doc, "created_at_generation", int, mc),
-            pruned=m_doc.get("pruned", False),
-        )
-        if not isinstance(m.pruned, bool):
-            raise ParseError(f"{mc}: field 'pruned' must be a boolean")
+        _check_keys(m_doc, _MACRO_FIELDS, mc)
+        # Every field is required but "pruned", whose absence means active.
+        m = MacroOperation(**{
+            name: _parse_field(m_doc, name, kind, mc)
+            for name, kind in _MACRO_FIELDS.items()
+            if name in m_doc or name != "pruned"
+        })
         if m.id != len(atomic_ops) + idx:
             raise ParseError(f"{mc}: macro ids must be consecutive from atomic_count")
         if m.left >= m.id or m.right >= m.id or m.left < 0 or m.right < 0:
@@ -659,47 +711,11 @@ def deserialize_model(text: str) -> GcaModel:
     if vocab_size != len(atomic_ops) + len(macros):
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
 
-    weights: dict[tuple[int, int], float] = {}
-    for idx, entry in enumerate(_parse_field(doc, "weights", list, ctx)):
-        wc = f"weights[{idx}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{wc}: expected [from, to, value]")
-        i, j, w = entry
-        if not _is_int(i) or not _is_int(j):
-            raise ParseError(f"{wc}: ids must be integers")
-        if not (0 <= i < vocab_size and 0 <= j < vocab_size):
-            raise ParseError(f"{wc}: id outside vocabulary of size {vocab_size}")
-        if isinstance(w, int) and not isinstance(w, bool):
-            w = float(w)
-        if not isinstance(w, float):
-            raise ParseError(f"{wc}: weight must be a number")
-        if w < 0:
-            raise ParseError(f"{wc}: negative weight {w}")
-        if (i, j) in weights:
-            raise ParseError(f"{wc}: duplicate entry ({i}, {j})")
-        weights[(i, j)] = w
-
-    support: dict[tuple[int, int], int] = {}
-    for idx, entry in enumerate(_parse_field(doc, "support", list, ctx)):
-        sc = f"support[{idx}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{sc}: expected [from, to, count]")
-        i, j, c = entry
-        if not (_is_int(i) and _is_int(j) and _is_int(c)):
-            raise ParseError(f"{sc}: entries must be integers")
-        if not (0 <= i < vocab_size and 0 <= j < vocab_size):
-            raise ParseError(f"{sc}: id outside vocabulary of size {vocab_size}")
-        if c < 0:
-            raise ParseError(f"{sc}: negative count {c}")
-        if (i, j) in support:
-            raise ParseError(f"{sc}: duplicate entry ({i}, {j})")
-        support[(i, j)] = c
-
     return GcaModel(
         atomic_ops=list(atomic_ops),
         params=params,
-        weights=weights,
-        support=support,
+        weights=_parse_table(doc, "weights", "weight", float, vocab_size),
+        support=_parse_table(doc, "support", "count", int, vocab_size),
         macros=macros,
     )
 

@@ -43,19 +43,18 @@ class Maze:
         return cell[1] * self.width + cell[0]
 
     @cached_property
-    def neighbor_table(self) -> list[tuple[tuple[int, int], ...]]:
-        """Open moves out of each cell index (y * width + x), as
-        (move, cell index) pairs in N,E,S,W order."""
+    def step_table(self) -> list[int]:
+        """The move table every walker reads: step_table[4 * cell + move]
+        is the cell index (y * width + x) that move reaches from cell, or
+        -1 where a wall or the border blocks it."""
         w, h = self.width, self.height
-        table = []
+        table = [-1] * (4 * w * h)
         for y in range(h):
             for x in range(w):
-                table.append(tuple(
-                    (move, (y + dy) * w + x + dx)
-                    for move, (dx, dy) in enumerate(MOVE_DELTAS)
-                    if 0 <= x + dx < w and 0 <= y + dy < h
-                    and self.is_open((x, y), (x + dx, y + dy))
-                ))
+                for move, (dx, dy) in enumerate(MOVE_DELTAS):
+                    nx, ny = x + dx, y + dy
+                    if 0 <= nx < w and 0 <= ny < h and self.is_open((x, y), (nx, ny)):
+                        table[4 * (y * w + x) + move] = ny * w + nx
         return table
 
     def all_interior_edges(self) -> list[tuple[Cell, Cell]]:
@@ -119,7 +118,7 @@ def manhattan(a: Cell, b: Cell) -> int:
 def bfs_shortest_path(maze: Maze) -> tuple[int, list[int]]:
     """Minimal move count from start to goal plus one witness move list;
     ties resolve by N,E,S,W expansion order."""
-    table = maze.neighbor_table
+    step = maze.step_table
     start = maze.index(maze.start)
     goal = maze.index(maze.goal)
     prev = {start: (start, -1)}
@@ -128,8 +127,9 @@ def bfs_shortest_path(maze: Maze) -> tuple[int, list[int]]:
         cell = q.popleft()
         if cell == goal:
             break
-        for move, nxt in table[cell]:
-            if nxt not in prev:
+        for move in range(4):
+            nxt = step[4 * cell + move]
+            if nxt >= 0 and nxt not in prev:
                 prev[nxt] = (cell, move)
                 q.append(nxt)
     if goal not in prev:
@@ -251,12 +251,7 @@ class MazeDomain:
         else:
             self.default_max_path_len = 2 * w * h
 
-        self.neighbor_table = maze.neighbor_table
-        # The same table keyed by cell * 4 + move; -1 marks a wall.
-        self._step = [-1] * (4 * w * h)
-        for cell, nbrs in enumerate(self.neighbor_table):
-            for move, nxt in nbrs:
-                self._step[4 * cell + move] = nxt
+        self.step_table = maze.step_table
 
         # Fraction of the start-to-goal distance already covered; a
         # failed trajectory earns it as progress credit.
@@ -298,7 +293,7 @@ class MazeDomain:
     def evaluate_sequence(self, ops: list[int], atomic_moves: list[int]) -> Trajectory:
         """Walk a move sequence from the start.  Blocked moves are skipped
         and counted as wall hits; execution stops at the goal."""
-        step = self._step
+        step = self.step_table
         goal = self.goal_index
         cur = self.start_index
         states = [cur]

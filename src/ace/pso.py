@@ -94,7 +94,7 @@ def construct_path(
     exploration floor for the candidate selection.  Construction stops at
     the goal or at the path-length cap.
     """
-    nbr_table = domain.neighbor_table
+    step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index
     max_len = params.max_path_len or domain.default_max_path_len
@@ -131,20 +131,22 @@ def construct_path(
     terminate_at_dead_ends = params.dead_end_mode == "terminate"
     no_term = repeat((None, 0.0))  # standard mode: never added
     while cur != goal and steps < max_len:
-        # Candidates: atomic moves in table order, then macros in id
+        # Candidates: atomic moves in N,E,S,W order, then macros in id
         # order; each ends on a cell, at an index of the path being built.
-        nbrs = nbr_table[cur]
+        base = 4 * cur
         cand: list[int] = []
         ends: list[int] = []
-        for m, c in nbrs:
-            if c != prev_cell:
+        for m in (0, 1, 2, 3):
+            c = step[base + m]
+            if c != prev_cell and c >= 0:
                 cand.append(m)
                 ends.append(c)
         if not cand:
-            if terminate_at_dead_ends or not nbrs:
+            # A dead end: the only open move, if any, leads back.
+            cand = [m for m in (0, 1, 2, 3) if step[base + m] >= 0]
+            if terminate_at_dead_ends or not cand:
                 break
-            cand = [m for m, _ in nbrs]
-            ends = [c for _, c in nbrs]
+            ends = [step[base + m] for m in cand]
         n_moves = len(cand)
         end_at = [steps + 1] * n_moves
         strides: list[tuple[list[int], list[int]]] = []  # (cells, flat) per macro
@@ -154,20 +156,16 @@ def construct_path(
             for macro_id, first_move, flat in macro_info:
                 if first_move not in allowed:
                     continue
-                cells: list[int] | None = []
+                cells: list[int] = []
                 pos = cur
                 for mv in flat:
-                    for m, c in nbr_table[pos]:
-                        if m == mv:
-                            break
-                    else:
-                        cells = None  # a wall: not a candidate this step
-                        break
-                    cells.append(c)
-                    pos = c
+                    pos = step[4 * pos + mv]
+                    if pos < 0:
+                        break  # a wall: not a candidate this step
+                    cells.append(pos)
                     if pos == goal or len(cells) >= room:
                         break
-                if cells is not None:
+                if pos >= 0:
                     cand.append(macro_id)
                     ends.append(pos)
                     end_at.append(steps + len(cells))
@@ -266,7 +264,7 @@ class PsoExplorer:
         self.params.validate()
 
     def check_domain(self, domain) -> None:
-        needed = ("neighbor_table", "heuristic", "start_index", "goal_index")
+        needed = ("step_table", "heuristic", "start_index", "goal_index")
         if not all(hasattr(domain, a) for a in needed):
             raise ConfigError(
                 f"domain {type(domain).__name__} does not expose a stepwise path interface"

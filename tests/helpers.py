@@ -89,15 +89,14 @@ class GridStub:
         self.default_max_path_len = max_path_len
         self.default_genome_bounds = (1, 4 * width * height)
         deltas = ((0, -1), (1, 0), (0, 1), (-1, 0))
-        self.neighbor_table = []
+        # step_table[4 * cell + move]: the cell reached, or -1 off the grid.
+        self.step_table = [-1] * (4 * width * height)
         for y in range(height):
             for x in range(width):
-                nbrs = []
                 for move, (dx, dy) in enumerate(deltas):
                     nx, ny = x + dx, y + dy
                     if 0 <= nx < width and 0 <= ny < height:
-                        nbrs.append((move, ny * width + nx))
-                self.neighbor_table.append(tuple(nbrs))
+                        self.step_table[4 * (y * width + x) + move] = ny * width + nx
         if heuristic is None:
             gx, gy = (width - 1, height - 1)
             span = gx + gy

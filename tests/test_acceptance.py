@@ -181,8 +181,8 @@ def test_criterion_6_maze_generator():
     stack = list(seen)
     while stack:
         cell = stack.pop()
-        for _, nxt in m.neighbor_table[cell]:
-            if nxt not in seen:
+        for nxt in m.step_table[4 * cell:4 * cell + 4]:
+            if nxt >= 0 and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     ok = ok and len(seen) == 225  # spanning tree is connected

@@ -183,6 +183,19 @@ def test_domain_success_threshold_non_positive_optimum():
     assert ChainDomain(success_fraction=0.9).success_threshold == 0.9 * ChainDomain().optimum
 
 
+def test_one_token_chain_runs_under_both_ea_arms():
+    from ace.ea import EaExplorer
+    from ace.loop import ExperimentConfig, run_ace, run_standard
+
+    domain = ChainDomain(ChainSpec(alphabet_size=3, sequence_length=1, rewards={}))
+    assert domain.default_genome_bounds == (1, 1)
+    config = ExperimentConfig(population_size=6, max_generations=5)
+    _, standard = run_standard(config, EaExplorer(), domain, random.Random(1))
+    _, _, guided = run_ace(config, EaExplorer(), domain, random.Random(1))
+    assert standard.success and guided.success
+    assert ChainDomain(ChainSpec(sequence_length=2)).default_genome_bounds == (2, 2)
+
+
 def test_domain_uses_no_self_mask():
     assert ChainDomain().transition_mask_mode == "no_self"
 

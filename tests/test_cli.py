@@ -314,6 +314,37 @@ def test_model_command_inspects(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "model OK" in out
     assert "macro 4" in out
+    assert (
+        "params: tau=1.0 epsilon=0.1 lambda=0.15 gamma=0.2 "
+        "theta_w=0.3 theta_s=3 theta_l=1.4 theta_eff=0.1\n"
+    ) in out
+
+
+def test_gca_config_keys_are_the_hyperparameter_table():
+    from ace.gca import HYPERPARAMETERS
+
+    assert sorted(cli.GCA) == sorted(key for key, _, _, _ in HYPERPARAMETERS)
+    for key, _, name, _ in HYPERPARAMETERS:
+        assert cli.ALIASES[key] == name and cli.GCA[key][0] == name
+
+
+def test_model_with_unknown_macro_key_exits_1(tmp_path, capsys):
+    from ace.gca import fresh_model, serialize_model
+
+    model = fresh_model(["t0", "t1", "t2", "t3"])
+    model.add_macro(0, 1)
+    doc = json.loads(serialize_model(model))
+    doc["macros"][0]["prunned"] = True  # a misspelled optional flag
+    donor = tmp_path / "donor.json"
+    donor.write_text(json.dumps(doc))
+    assert cli.main(["model", "--path", str(donor)]) == 1
+    assert "macros[0]: unknown key(s) 'prunned'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    suite = tiny_chain_suite(out)
+    suite["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, suite))]) == 1
+    assert "macros[0]: unknown key(s) 'prunned'" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
 
 
 def test_warm_start_arm_through_config(tmp_path):
@@ -500,6 +531,18 @@ def test_empty_genome_bounds_exit_1(tmp_path, capsys, bounds):
     [(key, value)] = bounds.items()
     # the tiny chain's default bounds are 2..sequence_length
     assert f"{key}={value}" in err and "domain default bounds (2, 6)" in err
+
+
+def test_one_token_chain_suite_runs(tmp_path, capsys):
+    # the default genome bounds shrink to the chain: 1..1, not 2..1
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out, runs=2)
+    doc["domain"].update(sequence_length=1, target_bigrams=[])
+    doc["arms"] = doc["arms"][1:]
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 0
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert len(records) == 2 and all(r["success"] for r in records)
+    assert not (out / "error_manifest.json").exists()
 
 
 @pytest.mark.parametrize("content", [None, "{}", "not json"])

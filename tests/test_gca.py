@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 
 from ace.errors import ConfigError, DomainError, InternalError, ParseError
 from ace.gca import (
+    HYPERPARAMETERS,
     GcaModel,
     GcaParams,
+    GcaThresholds,
     MacroOperation,
     apply_exploration_floor,
     deserialize_model,
@@ -432,6 +436,16 @@ def test_scan_cap_and_order():
     assert [(c.left, c.right) for c in created] == [(0, 1), (1, 2)]
 
 
+def test_scan_negative_cap_raises_before_any_change():
+    weights = {(0, 1): 0.9, (1, 2): 0.8, (2, 3): 0.7}
+    m = make_model(weights=weights, support={k: 10 for k in weights})
+    with pytest.raises(DomainError, match="k_max_new must be >= 0"):
+        m.scan_and_abstract(1, k_max_new=-1)
+    assert m.macros == [] and m.vocab_size == 4
+    assert m.scan_and_abstract(1, k_max_new=0) == []
+    assert len(m.scan_and_abstract(1, k_max_new=3)) == 3
+
+
 def test_scan_soundness_recheck():
     rng = random.Random(9)
     for _ in range(30):
@@ -730,6 +744,18 @@ def test_serialize_matches_json_dumps_byte_for_byte():
     }, indent=2)
 
 
+def test_hyperparameter_table_lists_every_field_once():
+    fields = {f.name: f.type for f in dataclasses.fields(GcaParams) if f.name != "thresholds"}
+    fields.update((f.name, f.type) for f in dataclasses.fields(GcaThresholds))
+    names = [name for _, _, name, _ in HYPERPARAMETERS]
+    assert sorted(names) == sorted(fields)
+    for column in range(2):
+        keys = [row[column] for row in HYPERPARAMETERS]
+        assert len(set(keys)) == len(keys)
+    # each row's type is its field's annotation
+    assert all(kind.__name__ == fields[name] for _, _, name, kind in HYPERPARAMETERS)
+
+
 def _mangled(model, mutate):
     doc = json.loads(serialize_model(model))
     mutate(doc)
@@ -773,6 +799,28 @@ def test_boolean_ids_and_counts_rejected(table, entry):
     text = _mangled(m, lambda d: d[table].__setitem__(0, entry))
     with pytest.raises(ParseError, match="must be integers"):
         deserialize_model(text)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("model", "lamda", 0.15),
+    ("thresholds", "ww", 0.3),
+    ("macros[0]", "prunned", True),
+])
+def test_unknown_model_keys_rejected(where, key, value):
+    m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])
+
+    def plant(doc):
+        parts = {"model": doc, "thresholds": doc["thresholds"], "macros[0]": doc["macros"][0]}
+        parts[where][key] = value
+
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: unknown key\(s\) '{key}'$"):
+        deserialize_model(_mangled(m, plant))
+
+
+def test_macro_without_pruned_flag_loads_active():
+    m = make_model(macros=[MacroOperation(id=4, left=0, right=1, pruned=True)])
+    again = deserialize_model(_mangled(m, lambda d: d["macros"][0].pop("pruned")))
+    assert again.macros[0].pruned is False
 
 
 def test_params_validated():

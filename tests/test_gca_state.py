@@ -165,7 +165,9 @@ class GcaModelMachine(RuleBasedStateMachine):
         assert serialize_model(again) == text
 
 
+# Derandomized: every run draws the same examples, so a failure is
+# reproducible and a pass is not luck.
 GcaModelMachine.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=25, deadline=None
+    max_examples=100, stateful_step_count=25, deadline=None, derandomize=True
 )
 TestGcaModelMachine = GcaModelMachine.TestCase

@@ -24,13 +24,18 @@ def corridor(n):
     return Maze(n, 1, (0, 0), (n - 1, 0), 0.0, 0, edges)
 
 
+def exits(maze, cell):
+    """The step table's N, E, S, W entries for one cell index."""
+    return maze.step_table[4 * cell:4 * cell + 4]
+
+
 def reachable_cells(maze):
     seen = {maze.index(maze.start)}
     stack = list(seen)
     while stack:
         cell = stack.pop()
-        for _, nxt in maze.neighbor_table[cell]:
-            if nxt not in seen:
+        for nxt in exits(maze, cell):
+            if nxt >= 0 and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
@@ -89,20 +94,22 @@ def test_generator_validates_arguments():
 
 def test_neighbors_full_grid_order():
     m = generate_maze(5, 5, 1.0, 1)
-    assert m.neighbor_table[m.index((2, 2))] == (
-        (N, m.index((2, 1))),
-        (E, m.index((3, 2))),
-        (S, m.index((2, 3))),
-        (W, m.index((1, 2))),
-    )
-    assert m.neighbor_table[0] == ((E, 1), (S, 5))
+    assert exits(m, m.index((2, 2))) == [
+        m.index((2, 1)),
+        m.index((3, 2)),
+        m.index((2, 3)),
+        m.index((1, 2)),
+    ]
+    assert exits(m, 0) == [-1, 1, 5, -1]
 
 
 def test_neighbors_match_rendered_walls():
     m = generate_maze(5, 5, 0.0, 7)
     text = maze_to_text(m)
     lines = text.splitlines()
-    for move, cell in m.neighbor_table[0]:
+    for move, cell in enumerate(exits(m, 0)):
+        if cell < 0:
+            continue
         if move == E:
             assert lines[2][3] == " "  # no wall between (0,0) and (1,0)
         if move == S:
@@ -112,18 +119,35 @@ def test_neighbors_match_rendered_walls():
 def test_neighbors_out_of_bounds():
     # every move in the table stays on the grid, even with all walls open
     m = generate_maze(4, 4, 1.0, 1)
-    assert len(m.neighbor_table) == 16
-    for cell, nbrs in enumerate(m.neighbor_table):
+    assert len(m.step_table) == 4 * 16
+    for cell in range(16):
         x, y = cell % 4, cell // 4
-        moves = {move for move, _ in nbrs}
+        moves = {move for move, nxt in enumerate(exits(m, cell)) if nxt >= 0}
         assert (N in moves) == (y > 0) and (S in moves) == (y < 3)
         assert (W in moves) == (x > 0) and (E in moves) == (x < 3)
-        assert all(0 <= nxt < 16 for _, nxt in nbrs)
+    assert all(-1 <= nxt < 16 for nxt in m.step_table)
 
 
 def test_corner_of_perfect_maze_has_single_opening():
     m = corridor(5)
-    assert m.neighbor_table[0] == ((E, 1),)
+    assert exits(m, 0) == [-1, 1, -1, -1]
+
+
+@pytest.mark.parametrize("width, height, connectivity, seed", [
+    (7, 5, 0.0, 1), (5, 7, 0.3, 2), (6, 6, 1.0, 3), (9, 4, 0.6, 4),
+])
+def test_step_table_agrees_with_open_edges(width, height, connectivity, seed):
+    m = generate_maze(width, height, connectivity, seed)
+    deltas = {N: (0, -1), E: (1, 0), S: (0, 1), W: (-1, 0)}
+    for y in range(height):
+        for x in range(width):
+            for move, (dx, dy) in deltas.items():
+                other = (x + dx, y + dy)
+                is_open = tuple(sorted([(x, y), other])) in m.open_edges
+                expected = other[1] * width + other[0] if is_open else -1
+                assert m.step_table[4 * (y * width + x) + move] == expected
+    # every open edge is walkable both ways, and nothing else is
+    assert sum(nxt >= 0 for nxt in m.step_table) == 2 * len(m.open_edges)
 
 
 # -- execution ----------------------------------------------------------------
@@ -294,12 +318,13 @@ def test_domain_tables_match_maze():
     steps = {N: (0, -1), E: (1, 0), S: (0, 1), W: (-1, 0)}
     for y in range(6):
         for x in range(6):
-            expected = tuple(
-                (mv, (y + dy) * 6 + x + dx)
-                for mv, (dx, dy) in steps.items()
+            expected = [
+                (y + dy) * 6 + x + dx
                 if 0 <= x + dx < 6 and 0 <= y + dy < 6 and m.is_open((x, y), (x + dx, y + dy))
-            )
-            assert dom.neighbor_table[y * 6 + x] == expected
+                else -1
+                for mv, (dx, dy) in steps.items()
+            ]
+            assert exits(dom, y * 6 + x) == expected
     assert dom.heuristic[dom.goal_index] == 1.0
     assert dom.heuristic[dom.start_index] == 0.0
 

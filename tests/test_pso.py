@@ -48,7 +48,7 @@ def entering_center(max_path_len=50):
     the four-way center cell 4, entering it with move S."""
     dom = GridStub(3, 3, heuristic=[0.0] * 9, max_path_len=max_path_len)
     dom.start_index = 1
-    dom.neighbor_table[1] = ((2, 4),)
+    dom.step_table[4:8] = [-1, -1, 4, -1]  # cell 1: only S, to cell 4
     return dom
 
 
@@ -116,7 +116,7 @@ def test_score_invalid_neighbor_rejected():
         traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         strides += sum(1 for op in traj.ops if op >= 4)
         for a, b in zip(traj.states, traj.states[1:]):
-            assert b in {c for _, c in dom.neighbor_table[a]}
+            assert b in dom.step_table[4 * a:4 * a + 4]
     assert strides > 0
 
 
