@@ -31,31 +31,16 @@ from .chain import ChainDomain, ChainSpec, brute_force_optimum
 from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError
 from .gca import GcaParams, GcaThresholds
-from .loop import ExperimentConfig, run_ace, run_standard
+from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_shape, generate_maze, maze_to_text
 from .pso import PsoExplorer, PsoParams
 
 log = logging.getLogger("ace")
 
+# records.csv: the task columns, then the scalar fields of RunRecord.
 CSV_COLUMNS = [
-    "arm",
-    "explorer",
-    "guided",
-    "domain",
-    "maze_id",
-    "connectivity",
-    "run_index",
-    "seed",
-    "success",
-    "best_fitness",
-    "success_generation",
-    "path_efficiency",
-    "macros_created",
-    "macros_surviving",
-    "mean_macro_effectiveness",
-    "hebbian_updates",
-    "generations_run",
-    "wall_clock_seconds",
+    "arm", "explorer", "guided", "domain", "maze_id", "connectivity", "run_index", "seed",
+    *(f.name for f in dataclasses.fields(RunRecord) if f.name != "best_fitness_by_generation"),
 ]
 
 
@@ -139,15 +124,22 @@ def _read(doc, schema: dict[str, tuple[str, str]], where: str, required=()) -> d
     values = {}
     for key, value in doc.items():
         name, hint = schema[key]
-        base, _, rest = hint.partition(" | ")
-        kind = _TYPES.get(base.partition("[")[0])
-        if kind is not None and not (value is None and rest == "None"):
-            if not isinstance(value, kind) or isinstance(value, bool) != (base == "bool"):
-                raise ConfigError(f"{where}.{key} must be {hint}, got {value!r}")
-            if base == "float":
-                value = float(value)
+        if not _fits(value, hint):
+            raise ConfigError(f"{where}.{key} must be {hint}, got {value!r}")
+        if value is not None and hint.partition(" | ")[0] == "float":
+            value = float(value)
         values[name] = value
     return values
+
+
+def _fits(value, hint: str) -> bool:
+    """Whether a value has the type an annotation names (True for a type
+    without a check); a bool is no number, an int passes for a float."""
+    base, _, rest = hint.partition(" | ")
+    kind = _TYPES.get(base.partition("[")[0])
+    if kind is None or (value is None and rest == "None"):
+        return True
+    return isinstance(value, kind) and isinstance(value, bool) == (base == "bool")
 
 
 def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
@@ -508,27 +500,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The record fields render_summary and stats.summarize read.
-SUMMARY_FIELDS = (
-    "arm", "connectivity", "success", "best_fitness", "success_generation",
-    "path_efficiency", "wall_clock_seconds", "macros_created", "macros_surviving",
-    "mean_macro_effectiveness",
-)
+# The group keys render_summary passes to stats.summarize, with the type
+# of their values.
+SUMMARY_GROUPS = {"arm": "str", "connectivity": "float | None"}
 
 
 def _summary_records(doc) -> list[dict]:
     """The records of a records file (an object with a "records" list, or
     the list itself); ParseError naming the row and field a summary would
-    trip on."""
+    trip on: a missing field or a value of the wrong type."""
     records = doc.get("records") if isinstance(doc, dict) else doc
     if not isinstance(records, list):
         raise ParseError("records file: records must be a list of objects")
     for i, row in enumerate(records):
         if not isinstance(row, dict):
             raise ParseError(f"records file: records[{i}] must be an object")
-        for key in SUMMARY_FIELDS:
+        for key, hint in {**SUMMARY_GROUPS, **stats.RECORD_FIELDS}.items():
             if key not in row:
                 raise ParseError(f"records file: records[{i}] is missing field '{key}'")
+            if not _fits(row[key], hint):
+                raise ParseError(f"records file: records[{i}].{key} must be {hint}, got {row[key]!r}")
     return records
 
 

@@ -67,6 +67,12 @@ class GcaParams:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.decay <= 1.0:
             raise ConfigError(f"decay must lie in [0, 1], got {self.decay}")
+        t = self.thresholds
+        for name in ("weight_min", "support_min", "lift_min"):
+            if not getattr(t, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(t, name)}")
+        if not 0.0 <= t.effectiveness_min <= 1.0:
+            raise ConfigError(f"effectiveness_min must lie in [0, 1], got {t.effectiveness_min}")
 
 
 # Every hyperparameter once: (suite-config key, model-file key, field,
@@ -288,7 +294,9 @@ class GcaModel:
                 if self.mask_mode == "no_self" and not self.is_pruned(from_op):
                     ops = tuple(j for j in ops if j != from_op) or ops
                 self._successors[from_op] = ops
-            dist = self.floored_distribution(from_op, ops)
+            dist = apply_exploration_floor(
+                self.transition_distribution(from_op, ops), self.params.exploration_floor
+            )
             row = (ops, list(accumulate(p for _, p in dist)))
             self._row_cache[from_op] = row
         ops, cum = row

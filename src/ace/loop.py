@@ -71,8 +71,8 @@ class RunRecord:
     macros_surviving: int
     mean_macro_effectiveness: float
     hebbian_updates: int
-    wall_clock_seconds: float
     generations_run: int
+    wall_clock_seconds: float
     best_fitness_by_generation: list[float]
 
     def to_dict(self) -> dict:
@@ -234,8 +234,8 @@ def _run_loop(
         macros_surviving=macros_surviving,
         mean_macro_effectiveness=effectiveness,
         hebbian_updates=hebbian_updates,
-        wall_clock_seconds=time.perf_counter() - t_start,
         generations_run=generations_run,
+        wall_clock_seconds=time.perf_counter() - t_start,
         best_fitness_by_generation=history,
     )
     return best, record

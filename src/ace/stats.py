@@ -125,83 +125,65 @@ def sign_test_one_sided(n_positive: int, n_negative: int) -> float:
     return sum(math.comb(n, k) for k in range(n_positive, n + 1)) / 2**n
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    return statistics.fmean(values) if values else None
+# The summary's columns after group, runs and succ%, one row each:
+# (header, summary key, record field, format, success only).  A success-
+# only field is averaged over the successful runs, its nulls skipped;
+# every other field over all runs.  A mean over no values is None,
+# printed "-".
+COLUMNS = (
+    ("fitness", "mean_best_fitness", "best_fitness", "{:.1f}", False),
+    ("gen", "mean_success_generation", "success_generation", "{:.1f}", True),
+    ("patheff", "mean_path_efficiency", "path_efficiency", "{:.3f}", True),
+    ("macros", "mean_macros_created", "macros_created", "{:.1f}", False),
+    ("surv", "mean_macros_surviving", "macros_surviving", "{:.1f}", False),
+    ("eff", "mean_macro_effectiveness", "mean_macro_effectiveness", "{:.3f}", False),
+    ("time_s", "mean_wall_clock_seconds", "wall_clock_seconds", "{:.2f}", False),
+)
+
+# The record fields summarize reads besides the group keys, with the type
+# of their values; only a success-only field may be null.
+RECORD_FIELDS = {
+    "success": "bool",
+    **{field: "float | None" if only else "float" for _, _, field, _, only in COLUMNS},
+}
 
 
-def summarize(
-    rows: list[dict],
-    keys: list[str],
-    expected_groups: list[tuple] | None = None,
-) -> list[dict]:
-    """Aggregate run records per group.
-
-    Each input row is a flat record dict (success, best_fitness, ...).
-    Success-conditional means (generation, path efficiency) are None for
-    groups without successes; expected_groups may list group keys that
-    must appear even when no record matched (emitted with zero rate).
-    """
+def summarize(rows: list[dict], keys: list[str]) -> list[dict]:
+    """Aggregate run records per group of equal key values: the keys,
+    runs, success_rate and the mean of each column's field."""
     groups: dict[tuple, list[dict]] = {}
-    if expected_groups:
-        for g in expected_groups:
-            groups[tuple(g)] = []
     for row in rows:
-        key = tuple(row[k] for k in keys)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
 
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
         members = groups[key]
         successes = [r for r in members if r["success"]]
-        summary = dict(zip(keys, key))
-        summary.update(
-            runs=len(members),
-            success_rate=len(successes) / len(members) if members else 0.0,
-            mean_best_fitness=_mean_or_none([r["best_fitness"] for r in members]),
-            mean_success_generation=_mean_or_none(
-                [r["success_generation"] for r in successes]
-            ),
-            mean_path_efficiency=_mean_or_none(
-                [r["path_efficiency"] for r in successes if r["path_efficiency"] is not None]
-            ),
-            mean_wall_clock_seconds=_mean_or_none(
-                [r["wall_clock_seconds"] for r in members]
-            ),
-            mean_macros_created=_mean_or_none([r["macros_created"] for r in members]),
-            mean_macros_surviving=_mean_or_none([r["macros_surviving"] for r in members]),
-            mean_macro_effectiveness=_mean_or_none(
-                [r["mean_macro_effectiveness"] for r in members]
-            ),
-        )
+        summary = dict(zip(keys, key), runs=len(members), success_rate=len(successes) / len(members))
+        for _, name, field, _, only in COLUMNS:
+            if only:
+                values = [r[field] for r in successes if r[field] is not None]
+            else:
+                values = [r[field] for r in members]
+            summary[name] = statistics.fmean(values) if values else None
         out.append(summary)
     return out
 
 
 def format_summary_table(summaries: list[dict], keys: list[str]) -> str:
     """Fixed-width text rendering of summarize() output."""
-    cols = [
-        ("group", lambda s: "/".join(str(s[k]) for k in keys)),
-        ("runs", lambda s: str(s["runs"])),
-        ("succ%", lambda s: f"{100 * s['success_rate']:.1f}"),
-        ("fitness", lambda s: _fmt(s["mean_best_fitness"], "{:.1f}")),
-        ("gen", lambda s: _fmt(s["mean_success_generation"], "{:.1f}")),
-        ("patheff", lambda s: _fmt(s["mean_path_efficiency"], "{:.3f}")),
-        ("macros", lambda s: _fmt(s["mean_macros_created"], "{:.1f}")),
-        ("surv", lambda s: _fmt(s["mean_macros_surviving"], "{:.1f}")),
-        ("eff", lambda s: _fmt(s["mean_macro_effectiveness"], "{:.3f}")),
-        ("time_s", lambda s: _fmt(s["mean_wall_clock_seconds"], "{:.2f}")),
-    ]
-    table = [[name for name, _ in cols]]
+    table = [["group", "runs", "succ%", *(header for header, *_ in COLUMNS)]]
     for s in summaries:
-        table.append([fn(s) for _, fn in cols])
-    widths = [max(len(row[i]) for row in table) for i in range(len(cols))]
+        table.append([
+            "/".join(str(s[k]) for k in keys),
+            str(s["runs"]),
+            f"{100 * s['success_rate']:.1f}",
+            *("-" if s[name] is None else spec.format(s[name]) for _, name, _, spec, _ in COLUMNS),
+        ])
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     lines = []
     for r, row in enumerate(table):
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         if r == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def _fmt(value, spec: str) -> str:
-    return spec.format(value) if value is not None else "-"

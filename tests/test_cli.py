@@ -219,6 +219,50 @@ def test_stats_command_round_trips_summary(tmp_path, capsys):
     assert (tmp_path / "redo" / "summary.txt").read_text() == original
 
 
+def test_csv_header_is_pinned():
+    assert cli.CSV_COLUMNS == [
+        "arm", "explorer", "guided", "domain", "maze_id", "connectivity", "run_index", "seed",
+        "success", "best_fitness", "success_generation", "path_efficiency", "macros_created",
+        "macros_surviving", "mean_macro_effectiveness", "hebbian_updates", "generations_run",
+        "wall_clock_seconds",
+    ]
+
+
+def _summary_record(arm, connectivity, success, fitness, gen, eff, wall, created, surviving,
+                    effness):
+    return {
+        "arm": arm, "connectivity": connectivity, "success": success, "best_fitness": fitness,
+        "success_generation": gen, "path_efficiency": eff, "wall_clock_seconds": wall,
+        "macros_created": created, "macros_surviving": surviving,
+        "mean_macro_effectiveness": effness,
+    }
+
+
+def test_summary_text_is_pinned():
+    records = [
+        _summary_record("ace-pso", 0.0, True, 12.5, 4, 0.5, 0.25, 3, 2, 0.4),
+        _summary_record("ace-pso", 0.3, False, -3.0, None, None, 0.75, 5, 1, 0.125),
+        _summary_record("ace-pso", 0.3, True, 20.0, 9, 0.25, 1.5, 4, 4, 0.6),
+        _summary_record("std-pso", 0.0, False, -7.5, None, None, 0.1, 0, 0, 0.0),
+        _summary_record("std-pso", 0.3, False, -1.0, None, None, 0.3, 0, 0, 0.0),
+    ]
+    assert cli.render_summary(records) == (
+        "Per arm:\n"
+        "group    runs  succ%  fitness  gen  patheff  macros  surv  eff    time_s\n"
+        "-------  ----  -----  -------  ---  -------  ------  ----  -----  ------\n"
+        "ace-pso  3     66.7   9.8      6.5  0.375    4.0     2.3   0.375  0.83\n"
+        "std-pso  2     0.0    -4.2     -    -        0.0     0.0   0.000  0.20\n"
+        "\n"
+        "Per arm and connectivity:\n"
+        "group        runs  succ%  fitness  gen  patheff  macros  surv  eff    time_s\n"
+        "-----------  ----  -----  -------  ---  -------  ------  ----  -----  ------\n"
+        "ace-pso/0.0  1     100.0  12.5     4.0  0.500    3.0     2.0   0.400  0.25\n"
+        "ace-pso/0.3  2     50.0   8.5      9.0  0.250    4.5     2.5   0.362  1.12\n"
+        "std-pso/0.0  1     0.0    -7.5     -    -        0.0     0.0   0.000  0.10\n"
+        "std-pso/0.3  1     0.0    -1.0     -    -        0.0     0.0   0.000  0.30\n"
+    )
+
+
 SUMMARY_ROW = {
     "arm": "a", "connectivity": None, "success": True, "best_fitness": 1.0,
     "success_generation": 3, "path_efficiency": None, "wall_clock_seconds": 0.1,
@@ -236,6 +280,19 @@ TIMELESS_ROW = {k: v for k, v in SUMMARY_ROW.items() if k != "wall_clock_seconds
         ([SUMMARY_ROW, 7], "records[1] must be an object"),
         ({"records": [SUMMARY_ROW, TIMELESS_ROW]},
          "records[1] is missing field 'wall_clock_seconds'"),
+        ([SUMMARY_ROW, {**SUMMARY_ROW, "best_fitness": "abc"}],
+         "records[1].best_fitness must be float, got 'abc'"),
+        ([{**SUMMARY_ROW, "arm": ["x"]}], "records[0].arm must be str, got ['x']"),
+        ([{**SUMMARY_ROW, "connectivity": "0.3"}],
+         "records[0].connectivity must be float | None, got '0.3'"),
+        ([{**SUMMARY_ROW, "success": 1}], "records[0].success must be bool, got 1"),
+        ([{**SUMMARY_ROW, "macros_created": True}],
+         "records[0].macros_created must be float, got True"),
+        ([{**SUMMARY_ROW, "best_fitness": None}], "records[0].best_fitness must be float, got None"),
+        ([{**SUMMARY_ROW, "wall_clock_seconds": None}],
+         "records[0].wall_clock_seconds must be float, got None"),
+        ([{**SUMMARY_ROW, "success_generation": "3"}],
+         "records[0].success_generation must be float | None, got '3'"),
     ],
 )
 def test_stats_rejects_malformed_records_with_exit_1(tmp_path, capsys, doc, message):
@@ -246,6 +303,18 @@ def test_stats_rejects_malformed_records_with_exit_1(tmp_path, capsys, doc, mess
     # the same rows, complete, summarize
     path.write_text(json.dumps([SUMMARY_ROW, SUMMARY_ROW]))
     assert cli.main(["stats", "--records", str(path)]) == 0
+
+
+def test_stats_skips_null_success_only_fields(tmp_path, capsys):
+    # a null generation or path efficiency, even in a successful row, is left out of its mean
+    rows = [{**SUMMARY_ROW, "success_generation": None, "path_efficiency": 0.5},
+            {**SUMMARY_ROW, "success_generation": 5}]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(rows))
+    assert cli.main(["stats", "--records", str(path)]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()[1:4]
+    cells = dict(zip(header.split(), row.split()))
+    assert (cells["gen"], cells["patheff"]) == ("5.0", "0.500")
 
 
 def test_log_level_env_var(monkeypatch, capsys):
@@ -632,6 +701,44 @@ def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     err = capsys.readouterr().err
     assert err.count(f"model file {donor}: model document: non-finite number") == 2
+    assert not (out / "records.jsonl").exists()
+
+
+BAD_THRESHOLDS = [
+    ("theta_w", "w", -1.0, "weight_min must be >= 0"),
+    ("theta_s", "s", -4, "support_min must be >= 0"),
+    ("theta_l", "l", -2.0, "lift_min must be >= 0"),
+    ("theta_eff", "eff", 7.0, "effectiveness_min must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("section", ["suite", "arm"])
+@pytest.mark.parametrize("key, _model_key, value, message", BAD_THRESHOLDS)
+def test_bad_threshold_in_suite_exits_1_before_any_run(
+    tmp_path, capsys, section, key, _model_key, value, message
+):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    (doc["gca"] if section == "suite" else doc["arms"][1].setdefault("gca", {}))[key] = value
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"{message}, got {value}" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("_key, model_key, value, message", BAD_THRESHOLDS)
+def test_bad_threshold_in_model_file_exits_1(tmp_path, capsys, _key, model_key, value, message):
+    from ace.gca import fresh_model, serialize_model
+
+    doc = json.loads(serialize_model(fresh_model(["t0", "t1", "t2", "t3"])))
+    doc["thresholds"][model_key] = value
+    donor = tmp_path / "donor.json"
+    donor.write_text(json.dumps(doc))
+    assert cli.main(["model", "--path", str(donor)]) == 1
+    out = tmp_path / "out"
+    suite = tiny_chain_suite(out)
+    suite["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, suite))]) == 1
+    assert capsys.readouterr().err.count(f"model file {donor}: model: {message}") == 2
     assert not (out / "records.jsonl").exists()
 
 

@@ -829,3 +829,22 @@ def test_params_validated():
     with pytest.raises(ConfigError):
         GcaParams(exploration_floor=1.0).validate()
     GcaParams(learning_rate=0.0).validate()  # neutral guidance is legal
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("weight_min", -1.0), ("support_min", -4), ("lift_min", -2.0),
+     ("effectiveness_min", 7.0), ("effectiveness_min", -0.1)],
+)
+def test_thresholds_validated(name, value):
+    params = GcaParams()
+    setattr(params.thresholds, name, value)
+    with pytest.raises(ConfigError, match=f"{name} must"):
+        params.validate()
+
+
+def test_threshold_range_ends_are_legal():
+    for values in ({"weight_min": 0.0, "support_min": 0, "lift_min": 0.0, "effectiveness_min": 0.0},
+                   {"effectiveness_min": 1.0}):
+        GcaParams(thresholds=GcaThresholds(**values)).validate()
+

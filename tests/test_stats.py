@@ -215,22 +215,13 @@ def test_summarize_mixed_group():
     assert s["mean_success_generation"] == 15
 
 
-def test_summarize_empty_expected_group():
-    rows = summarize([], ["arm"], expected_groups=[("ghost",)])
-    assert rows == [
-        {
-            "arm": "ghost",
-            "runs": 0,
-            "success_rate": 0.0,
-            "mean_best_fitness": None,
-            "mean_success_generation": None,
-            "mean_path_efficiency": None,
-            "mean_wall_clock_seconds": None,
-            "mean_macros_created": None,
-            "mean_macros_surviving": None,
-            "mean_macro_effectiveness": None,
-        }
-    ]
+def test_summarize_skips_null_success_only_values():
+    # success-only means run over the successes whose value is not null
+    bare = {**record(gen=7), "success_generation": None, "path_efficiency": None}
+    rows = summarize([bare, record(gen=3, eff=0.5), record(success=False)], ["arm"])
+    s = rows[0]
+    assert (s["mean_success_generation"], s["mean_path_efficiency"]) == (3, 0.5)
+    assert s["mean_best_fitness"] == 10.0  # over all three runs
 
 
 def test_summary_table_renders():
