@@ -28,8 +28,12 @@ class EaParams:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.tournament_size < 2:
             raise ConfigError(f"tournament_size must be >= 2, got {self.tournament_size}")
+        for name in ("min_len", "max_len"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
         if self.min_len is not None and self.max_len is not None:
-            if not 1 <= self.min_len <= self.max_len:
+            if self.min_len > self.max_len:
                 raise ConfigError(
                     f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}"
                 )

@@ -17,8 +17,9 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import ConfigError, DomainError, InternalError, ParseError
 
@@ -131,16 +132,96 @@ def apply_exploration_floor(
     """Mix a distribution with the uniform one: p' = (1-eps)*p + eps/k."""
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
-    k = len(probs)
-    floor = epsilon / k
+    if not probs:
+        raise DomainError("no valid successors")
+    floor = epsilon / len(probs)
     keep = 1.0 - epsilon
     return [(op, keep * p + floor) for op, p in probs]
+
+
+def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
+    """Softmax of the logits mixed with the uniform distribution:
+    (1-eps) * e/z + eps/k over the k entries, as apply_exploration_floor
+    would mix the softmax."""
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
+    if not logits:
+        raise DomainError("no valid successors")
+    m = max(logits)
+    exps = [math.exp(x - m) for x in logits]
+    z = sum(exps)
+    keep = 1.0 - epsilon
+    floor = epsilon / len(exps)
+    return [keep * (e / z) + floor for e in exps]
 
 
 def draw(cum: list[float], rng: random.Random) -> int:
     """Inverse-CDF draw: the index of the first cumulative probability
     above a uniform variate (the last index if rounding leaves none)."""
-    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+    last = len(cum) - 1
+    if last < 0:
+        raise DomainError("no valid successors")
+    return min(bisect_right(cum, rng.random()), last)
+
+
+class WeightTable(Mapping):
+    """The stored weights: a slot dict maps each ordered pair to an index,
+    in first-write order, and the values sit at those indices in one
+    list, so decay is one pass over the list.
+
+    It is a live mapping from pair to weight: reads, writes, iteration in
+    first-write order and equality with a dict work as on a dict.  An
+    entry is never removed; one decayed to 0.0 stays stored.
+    """
+
+    __slots__ = ("_slots", "_values")
+
+    def __init__(self, entries=()):
+        entries = dict(entries)
+        self._slots = {key: slot for slot, key in enumerate(entries)}
+        self._values = list(entries.values())
+
+    def __getitem__(self, key):
+        return self._values[self._slots[key]]
+
+    def __setitem__(self, key, value) -> None:
+        slot = self._slots.get(key)
+        if slot is None:
+            self._slots[key] = len(self._values)
+            self._values.append(value)
+        else:
+            self._values[slot] = value
+
+    def __contains__(self, key) -> bool:
+        return key in self._slots
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"WeightTable({dict(zip(self._slots, self._values))!r})"
+
+    def get(self, key, default=None):
+        slot = self._slots.get(key)
+        return default if slot is None else self._values[slot]
+
+    def lookup(self, pairs) -> list[float]:
+        """The weights of the given pairs, in order; 0.0 for an absent one."""
+        values = self._values
+        return [0.0 if k is None else values[k] for k in map(self._slots.get, pairs)]
+
+    def append(self, pairs: list, values: list[float]) -> None:
+        """Store the weights of pairs not yet stored, in order."""
+        n = len(self._values)
+        self._slots.update(zip(pairs, range(n, n + len(pairs))))
+        self._values.extend(values)
+
+    def scale(self, factor: float) -> None:
+        """Multiply every stored weight by factor."""
+        self._values = [v * factor for v in self._values]
 
 
 @dataclass(eq=True)
@@ -161,7 +242,7 @@ class GcaModel:
 
     atomic_ops: list[str]
     params: GcaParams = field(default_factory=GcaParams)
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    weights: WeightTable = field(default_factory=WeightTable)
     support: dict[tuple[int, int], int] = field(default_factory=dict)
     macros: list[MacroOperation] = field(default_factory=list)
     vocab_size: int = field(init=False)
@@ -178,6 +259,12 @@ class GcaModel:
     # The op table: _flat[op] is the tuple of atomic ids op expands to.
     # Macros never change once made, so an entry never goes stale.
     _flat: list[tuple[int, ...]] = field(init=False, compare=False, repr=False)
+
+    def __setattr__(self, name, value):
+        # weights is always a WeightTable; a mapping assigned to it is copied in.
+        if name == "weights" and not isinstance(value, WeightTable):
+            value = WeightTable(value)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.params.validate()
@@ -232,6 +319,23 @@ class GcaModel:
 
     # -- sampling --------------------------------------------------------
 
+    def _check_row(self, from_op: int, successors) -> None:
+        if not successors:
+            raise DomainError("no valid successors")
+        self._check_id(from_op)
+        n = self.vocab_size
+        for s in successors:
+            if not 0 <= s < n:
+                self._check_id(s)  # raises DomainError
+
+    def _logits(self, from_op: int, successors) -> list[float]:
+        """The weights from from_op to the successors over the model
+        temperature, in successor order; ids are not checked."""
+        slots = map(self.weights._slots.get, zip(repeat(from_op), successors))
+        values = self.weights._values
+        t = self.params.temperature
+        return [0.0 if k is None else values[k] / t for k in slots]
+
     def transition_distribution(
         self, from_op: int, successors: list[int]
     ) -> list[tuple[int, float]]:
@@ -239,17 +343,8 @@ class GcaModel:
 
         Output order matches the successor order; probabilities sum to 1.
         """
-        if not successors:
-            raise DomainError("no valid successors")
-        self._check_id(from_op)
-        w = self.weights
-        t = self.params.temperature
-        n = self.vocab_size
-        logits = []
-        for s in successors:
-            if not 0 <= s < n:
-                self._check_id(s)  # raises DomainError
-            logits.append(w.get((from_op, s), 0.0) / t)
+        self._check_row(from_op, successors)
+        logits = self._logits(from_op, successors)
         m = max(logits)
         exps = [math.exp(x - m) for x in logits]
         z = sum(exps)
@@ -267,13 +362,12 @@ class GcaModel:
         key = (from_op, tuple(successors))
         row = self._row_cache.get(key)
         if row is None:
-            row = tuple(
-                apply_exploration_floor(
-                    self.transition_distribution(from_op, key[1]),
-                    self.params.exploration_floor,
-                )
-            )
-            self._row_cache[key] = row
+            ops = key[1]
+            self._check_row(from_op, ops)
+            probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
+            # Through a list: tuple() of a bare zip grows and then shrinks
+            # each row, which left maze-pso's peak RSS 0.5 MB higher.
+            row = self._row_cache[key] = tuple(list(zip(ops, probs)))
         return row
 
     def sample_successor(self, from_op: int, rng: random.Random) -> int:
@@ -294,11 +388,8 @@ class GcaModel:
                 if self.mask_mode == "no_self" and not self.is_pruned(from_op):
                     ops = tuple(j for j in ops if j != from_op) or ops
                 self._successors[from_op] = ops
-            dist = apply_exploration_floor(
-                self.transition_distribution(from_op, ops), self.params.exploration_floor
-            )
-            row = (ops, list(accumulate(p for _, p in dist)))
-            self._row_cache[from_op] = row
+            probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
+            row = self._row_cache[from_op] = (ops, list(accumulate(probs)))
         ops, cum = row
         return ops[draw(cum, rng)]
 
@@ -306,12 +397,23 @@ class GcaModel:
 
     def _decay_weights(self) -> None:
         d = self.params.decay
-        if d == 0.0:
-            return
-        f = 1.0 - d
-        w = self.weights
-        for k in w:
-            w[k] *= f
+        if d != 0.0:
+            self.weights.scale(1.0 - d)
+
+    def _reinforce(self, terms, scale: float) -> None:
+        """Add scale * term to the weight of each (pair, term) given, in
+        order, and count one co-occurrence for each."""
+        slots = self.weights._slots
+        values = self.weights._values
+        support = self.support
+        for key, term in terms:
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(values)
+                values.append(0.0 + scale * term)  # an absent weight reads as 0.0
+            else:
+                values[slot] += scale * term
+            support[key] = support.get(key, 0) + 1
 
     def hebbian_pair_update(
         self,
@@ -328,7 +430,8 @@ class GcaModel:
         (i, j) additionally receives learning_rate * gain *
         (counts_a[i]*counts_b[j] + counts_b[i]*counts_a[j]), restricted to
         the valid transition relation, and its support count increments.
-        Returns the gain.
+        Returns the gain.  Count vectors of the wrong length or a gain
+        that is not finite raise DomainError before anything changes.
         """
         n = self.vocab_size
         if len(counts_a) != n or len(counts_b) != n:
@@ -336,34 +439,35 @@ class GcaModel:
                 f"count vectors must have length {n}, got {len(counts_a)} and {len(counts_b)}"
             )
         gain = fit_child - 0.5 * (fit_a + fit_b)
+        if not math.isfinite(gain):
+            raise DomainError(f"fitness gain must be finite, got {gain}")
         self._decay_weights()
         self._touch()
         if gain <= 0:
             return gain
-        nz_a = [(i, c) for i, c in enumerate(counts_a) if c]
-        nz_b = [(i, c) for i, c in enumerate(counts_b) if c]
-        inc: dict[tuple[int, int], float] = {}
-        for i, ca in nz_a:
-            for j, cb in nz_b:
-                key = (i, j)
-                inc[key] = inc.get(key, 0.0) + ca * cb
-        for i, cb in nz_b:
-            for j, ca in nz_a:
-                key = (i, j)
-                inc[key] = inc.get(key, 0.0) + cb * ca
         scale = self.params.learning_rate * gain
         if scale == 0.0:
             return gain
-        w = self.weights
-        s = self.support
         pruned = self._pruned_ids()
+        nz_a = [i for i, c in enumerate(counts_a) if c and i not in pruned]
+        nz_b = [i for i, c in enumerate(counts_b) if c and i not in pruned]
+        # The pair terms in the order the two outer products first meet
+        # them: a's ops against b's, then b's against a's for the pairs
+        # the first one did not reach.
+        a, b = counts_a, counts_b
+        terms = [((i, j), a[i] * b[j] + b[i] * a[j]) for i in nz_a for j in nz_b]
+        in_a, in_b = set(nz_a), set(nz_b)
+        terms += [
+            ((i, j), b[i] * a[j])
+            for i in nz_b for j in nz_a
+            if not (i in in_a and j in in_b)
+        ]
         no_self = self.mask_mode == "no_self"
-        for key, term in inc.items():
-            i, j = key
-            if term <= 0 or i in pruned or j in pruned or (no_self and i == j):
-                continue
-            w[key] = w.get(key, 0.0) + scale * term
-            s[key] = s.get(key, 0) + 1
+        self._reinforce(
+            [(key, term) for key, term in terms
+             if term > 0 and not (no_self and key[0] == key[1])],
+            scale,
+        )
         return gain
 
     def hebbian_trajectory_update(self, ops: list[int], gain: float) -> None:
@@ -372,12 +476,15 @@ class GcaModel:
         Used by explorers without recombination; gain is the improvement
         over the trajectory owner's previous best.  Decay applies per call
         regardless; pairs are only strengthened on positive gain.  An id
-        outside the vocabulary raises DomainError before anything changes.
+        outside the vocabulary or a gain that is not finite raises
+        DomainError before anything changes.
         """
         n = self.vocab_size
         for op in ops:
             if not 0 <= op < n:
                 self._check_id(op)  # raises DomainError
+        if not math.isfinite(gain):
+            raise DomainError(f"fitness gain must be finite, got {gain}")
         self._decay_weights()
         self._touch()
         if gain <= 0 or len(ops) < 2:
@@ -385,14 +492,13 @@ class GcaModel:
         scale = self.params.learning_rate * gain
         if scale == 0.0:
             return
-        w = self.weights
-        s = self.support
-        for t in range(len(ops) - 1):
-            key = (ops[t], ops[t + 1])
-            if not self.valid_pair(*key):
-                continue
-            w[key] = w.get(key, 0.0) + scale
-            s[key] = s.get(key, 0) + 1
+        pruned = self._pruned_ids()
+        no_self = self.mask_mode == "no_self"
+        self._reinforce(
+            [((i, j), 1) for i, j in zip(ops, ops[1:])
+             if i not in pruned and j not in pruned and not (no_self and i == j)],
+            scale,
+        )
 
     # -- abstraction -----------------------------------------------------
 
@@ -422,7 +528,8 @@ class GcaModel:
         """
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
-        qualifying = _Promotion(self).qualifying(self.weights.items())
+        table = self.weights
+        qualifying = _Promotion(self).qualifying(zip(table._slots, table._values))
         cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
 
@@ -435,13 +542,24 @@ class GcaModel:
         if not (0 <= left < m and 0 <= right < m):
             raise DomainError("macro constituents must already exist in the vocabulary")
         w = self.weights
-        for k in range(m):
-            out = 0.5 * (w.get((left, k), 0.0) + w.get((right, k), 0.0))
+        ops = range(m)
+        left_out = w.lookup(zip(repeat(left), ops))
+        right_out = w.lookup(zip(repeat(right), ops))
+        left_in = w.lookup(zip(ops, repeat(left)))
+        right_in = w.lookup(zip(ops, repeat(right)))
+        # Row and column m are new: every entry is appended, (m, k) before
+        # (k, m) in ascending k.
+        pairs, values = [], []
+        for k in ops:
+            out = 0.5 * (left_out[k] + right_out[k])
             if out != 0.0:
-                w[(m, k)] = out
-            into = 0.5 * (w.get((k, left), 0.0) + w.get((k, right), 0.0))
+                pairs.append((m, k))
+                values.append(out)
+            into = 0.5 * (left_in[k] + right_in[k])
             if into != 0.0:
-                w[(k, m)] = into
+                pairs.append((k, m))
+                values.append(into)
+        w.append(pairs, values)
         macro = MacroOperation(id=m, left=left, right=right, created_at_generation=generation)
         self._extend_table(macro)
         self.macros.append(macro)
@@ -509,15 +627,13 @@ class _Promotion:
         means = self.col_means if into else self.row_means
         if op in means:
             return means[op]
-        w = self.model.weights
+        ks = range(self.model.vocab_size)
+        pairs = [(k, op) for k in ks] if into else [(op, k) for k in ks]
+        pairs = [pair for pair in pairs if self.valid(*pair)]
         total = 0.0
-        count = 0
-        for k in range(self.model.vocab_size):
-            pair = (k, op) if into else (op, k)
-            if self.valid(*pair):
-                total += w.get(pair, 0.0)
-                count += 1
-        means[op] = mean = total / count if count else None
+        for x in self.model.weights.lookup(pairs):
+            total += x
+        means[op] = mean = total / len(pairs) if pairs else None
         return mean
 
     def lift(self, i: int, j: int) -> float:
@@ -575,8 +691,9 @@ def serialize_model(model: GcaModel) -> str:
     # written here, laid out as json.dumps(doc, indent=2) lays out a list
     # of triples one level down; the rest goes through json.dumps, and
     # the two documents are joined at their outer braces.
-    weights = _triples((i, j, _float_text(float(w))) for (i, j), w in sorted(model.weights.items()))
-    support = _triples((i, j, c) for (i, j), c in sorted(model.support.items()))
+    slots, values = model.weights._slots, model.weights._values
+    weights = _triples((i, j, _float_text(float(values[slots[i, j]]))) for i, j in sorted(slots))
+    support = _triples((i, j, model.support[i, j]) for i, j in sorted(model.support))
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
     return f'{head},\n  "weights": {weights},\n  "support": {support},{rest}'
@@ -638,11 +755,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_table(doc: dict, key: str, noun: str, kind, vocab_size: int) -> dict:
-    """The weights or support table: [from, to, value] triples of integer
-    ids inside the vocabulary and a non-negative value of the given kind
-    (an integer weight widens to float), each pair at most once."""
-    table = {}
+def _parse_table(doc: dict, key: str, noun: str, kind, vocab_size: int, table):
+    """Fill the empty table with the weights or support table: [from, to,
+    value] triples of integer ids inside the vocabulary and a
+    non-negative value of the given kind (an integer weight widens to
+    float), each pair at most once."""
     for idx, entry in enumerate(_parse_field(doc, key, list, "model")):
         ec = f"{key}[{idx}]"
         if not isinstance(entry, list) or len(entry) != 3:
@@ -722,8 +839,8 @@ def deserialize_model(text: str) -> GcaModel:
     return GcaModel(
         atomic_ops=list(atomic_ops),
         params=params,
-        weights=_parse_table(doc, "weights", "weight", float, vocab_size),
-        support=_parse_table(doc, "support", "count", int, vocab_size),
+        weights=_parse_table(doc, "weights", "weight", float, vocab_size, WeightTable()),
+        support=_parse_table(doc, "support", "count", int, vocab_size, {}),
         macros=macros,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .errors import ConfigError
-from .gca import GcaModel, draw
+from .gca import GcaModel, draw, softmax_floor
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
 
@@ -48,19 +48,6 @@ class Particle:
     current: Trajectory | None = None
     pbest: Trajectory | None = None
     pbest_fitness: float = -math.inf
-
-
-def _softmax_floor(scores: list[float], epsilon: float) -> list[float]:
-    """Softmax of the scores mixed with the uniform distribution:
-    (1-eps) * e/z + eps/k over the k candidates."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
-    m = max(scores)
-    exps = [math.exp(s - m) for s in scores]
-    z = sum(exps)
-    keep = 1.0 - epsilon
-    floor = epsilon / len(exps)
-    return [keep * (e / z) + floor for e in exps]
 
 
 def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
@@ -192,7 +179,7 @@ def construct_path(
                 s += lam * p
             scores.append(s)
 
-        pick = draw(list(accumulate(_softmax_floor(scores, epsilon))), rng)
+        pick = draw(list(accumulate(softmax_floor(scores, epsilon))), rng)
         op = cand[pick]
         if pick < n_moves:
             moves.append(op)

@@ -602,6 +602,16 @@ def test_empty_genome_bounds_exit_1(tmp_path, capsys, bounds):
     assert f"{key}={value}" in err and "domain default bounds (2, 6)" in err
 
 
+@pytest.mark.parametrize("key, value", [("min_len", -5), ("min_len", 0), ("max_len", 0)])
+def test_lone_genome_bound_below_1_exits_1_at_parse_time(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["ea"][key] = value
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
 def test_one_token_chain_suite_runs(tmp_path, capsys):
     # the default genome bounds shrink to the chain: 1..1, not 2..1
     out = tmp_path / "out"

@@ -163,6 +163,14 @@ def test_params_validation():
         EaParams(min_len=5, max_len=2).validate()
 
 
+@pytest.mark.parametrize("bounds", [{"min_len": 0}, {"min_len": -5}, {"max_len": 0},
+                                    {"min_len": 0, "max_len": 3}])
+def test_params_reject_a_bound_below_1(bounds):
+    [(key, value), *_] = bounds.items()
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+        EaParams(**bounds).validate()
+
+
 # -- explorer loop pieces ---------------------------------------------------------
 
 

@@ -57,6 +57,15 @@ def test_empty_successors_rejected():
         m.transition_distribution(0, [])
 
 
+def test_empty_row_rejected_by_floor_and_draw():
+    with pytest.raises(DomainError, match="no valid successors"):
+        apply_exploration_floor([], 0.1)
+    with pytest.raises(DomainError, match="no valid successors"):
+        draw([], random.Random(0))
+    with pytest.raises(DomainError, match="no valid successors"):
+        make_model().floored_distribution(0, [])
+
+
 def test_invalid_ids_rejected():
     m = make_model(n_atomic=3)
     with pytest.raises(DomainError):
@@ -329,6 +338,27 @@ def test_trajectory_update_rejects_ids_outside_vocabulary(ops):
     assert m.weights == {(0, 1): 1.0}
     assert m.support == {(0, 1): 2}
     assert deserialize_model(serialize_model(m)) == m
+
+
+@pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+def test_updates_reject_non_finite_gain_before_any_change(gain):
+    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, support={(0, 1): 2}, decay=0.5)
+    with pytest.raises(DomainError, match="gain must be finite"):
+        m.hebbian_trajectory_update([0, 1, 0], gain)
+    with pytest.raises(DomainError, match="gain must be finite"):
+        m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, gain)
+    # Nothing changed, decay included, and the model still round-trips.
+    assert m.weights == {(0, 1): 1.0}
+    assert m.support == {(0, 1): 2}
+    assert deserialize_model(serialize_model(m)) == m
+
+
+def test_pair_update_rejects_non_finite_parent_fitness():
+    # inf - inf: the gain is NaN even though no argument is
+    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, decay=0.5)
+    with pytest.raises(DomainError, match="gain must be finite"):
+        m.hebbian_pair_update([1, 1], [1, 1], math.inf, 0.0, math.inf)
+    assert m.weights == {(0, 1): 1.0}
 
 
 def test_decay_contraction_property(rng):

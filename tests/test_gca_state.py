@@ -15,6 +15,7 @@ from ace.gca import (
     GcaModel,
     GcaParams,
     GcaThresholds,
+    WeightTable,
     apply_exploration_floor,
     deserialize_model,
     serialize_model,
@@ -96,6 +97,17 @@ class GcaModelMachine(RuleBasedStateMachine):
     @invariant()
     def weights_non_negative(self):
         assert all(w >= 0.0 for w in self.model.weights.values())
+
+    @invariant()
+    def weight_table_consistent(self):
+        # The slot dict numbers the pairs 0..n-1 in first-write order, the
+        # value list has one entry per slot, and the mapping view reads them.
+        w = self.model.weights
+        assert isinstance(w, WeightTable)
+        assert list(w._slots.values()) == list(range(len(w._values)))
+        assert len(w) == len(w._slots) == len(w._values)
+        assert [w[key] for key in w] == w._values
+        assert dict(w.items()) == dict(zip(w._slots, w._values))
 
     @invariant()
     def support_only_on_valid_pairs(self):

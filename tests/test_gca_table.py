@@ -1,0 +1,222 @@
+"""Differential test of the weight table.
+
+A reference model keeps its weights in a plain dict and applies the
+learning, abstraction and pruning rules as they were written before the
+weights moved to a `WeightTable`: decay multiplies each entry in place,
+pair terms are summed in a dict, marginals read the dict.  Random
+sequences of steps drive it and a `GcaModel` side by side; after every
+step both must hold the same weights, bit for bit and in the same key
+order, and the same support counts and macros.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, WeightTable
+
+
+class DictReference:
+    """The transition model's update rules over a plain weight dict."""
+
+    def __init__(self, n_atomic: int, params: GcaParams, mask_mode: str):
+        self.params = params
+        self.mask_mode = mask_mode
+        self.vocab_size = n_atomic
+        self.weights: dict[tuple[int, int], float] = {}
+        self.support: dict[tuple[int, int], int] = {}
+        self.macros: list[MacroOperation] = []
+
+    def pruned(self) -> set[int]:
+        return {m.id for m in self.macros if m.pruned}
+
+    def valid(self, i: int, j: int) -> bool:
+        pruned = self.pruned()
+        return not (self.mask_mode == "no_self" and i == j) and i not in pruned and j not in pruned
+
+    def decay(self) -> None:
+        d = self.params.decay
+        if d == 0.0:
+            return
+        for k in self.weights:
+            self.weights[k] *= 1.0 - d
+
+    def pair_update(self, counts_a, counts_b, fit_a, fit_b, fit_child) -> None:
+        gain = fit_child - 0.5 * (fit_a + fit_b)
+        self.decay()
+        if gain <= 0:
+            return
+        nz_a = [(i, c) for i, c in enumerate(counts_a) if c]
+        nz_b = [(i, c) for i, c in enumerate(counts_b) if c]
+        inc: dict[tuple[int, int], float] = {}
+        for i, ca in nz_a:
+            for j, cb in nz_b:
+                inc[(i, j)] = inc.get((i, j), 0.0) + ca * cb
+        for i, cb in nz_b:
+            for j, ca in nz_a:
+                inc[(i, j)] = inc.get((i, j), 0.0) + cb * ca
+        scale = self.params.learning_rate * gain
+        if scale == 0.0:
+            return
+        for key, term in inc.items():
+            if term <= 0 or not self.valid(*key):
+                continue
+            self.weights[key] = self.weights.get(key, 0.0) + scale * term
+            self.support[key] = self.support.get(key, 0) + 1
+
+    def trajectory_update(self, ops, gain) -> None:
+        self.decay()
+        if gain <= 0 or len(ops) < 2:
+            return
+        scale = self.params.learning_rate * gain
+        if scale == 0.0:
+            return
+        for key in zip(ops, ops[1:]):
+            if self.valid(*key):
+                self.weights[key] = self.weights.get(key, 0.0) + scale
+                self.support[key] = self.support.get(key, 0) + 1
+
+    def mean(self, op: int, into: bool):
+        total, count = 0.0, 0
+        for k in range(self.vocab_size):
+            pair = (k, op) if into else (op, k)
+            if self.valid(*pair):
+                total += self.weights.get(pair, 0.0)
+                count += 1
+        return total / count if count else None
+
+    def lift(self, i: int, j: int) -> float:
+        w_ij = self.weights.get((i, j), 0.0)
+        denom = (self.mean(i, True) or 0.0) * (self.mean(j, False) or 0.0)
+        if denom == 0.0:
+            return math.inf if w_ij > 0 else 0.0
+        return w_ij / denom
+
+    def scan(self, generation: int, k_max_new: int) -> None:
+        t = self.params.thresholds
+        promoted = {(m.left, m.right) for m in self.macros if not m.pruned}
+        cands = sorted(
+            (-w, i, j)
+            for (i, j), w in self.weights.items()
+            if w > t.weight_min
+            and self.support.get((i, j), 0) >= t.support_min
+            and self.valid(i, j)
+            and (i, j) not in promoted
+            and self.lift(i, j) >= t.lift_min
+        )
+        for _, i, j in cands[:k_max_new]:
+            self.add_macro(i, j, generation)
+
+    def add_macro(self, left: int, right: int, generation: int) -> None:
+        m = self.vocab_size
+        w = self.weights
+        for k in range(m):
+            out = 0.5 * (w.get((left, k), 0.0) + w.get((right, k), 0.0))
+            if out != 0.0:
+                w[(m, k)] = out
+            into = 0.5 * (w.get((k, left), 0.0) + w.get((k, right), 0.0))
+            if into != 0.0:
+                w[(k, m)] = into
+        self.macros.append(
+            MacroOperation(id=m, left=left, right=right, created_at_generation=generation)
+        )
+        self.vocab_size = m + 1
+
+    def prune(self, u_min: int) -> None:
+        theta = self.params.thresholds.effectiveness_min
+        for m in self.macros:
+            if not m.pruned and m.uses >= u_min and m.uses and m.successful_uses / m.uses < theta:
+                m.pruned = True
+
+
+def exact(weights) -> list[tuple[tuple[int, int], str]]:
+    """The entries in key order, each weight as float.hex text."""
+    return [(key, float(weights[key]).hex()) for key in weights]
+
+
+def run_sequence(seed: int) -> None:
+    rng = random.Random(seed)
+    n_atomic = rng.randint(2, 6)
+    mask_mode = rng.choice(["all", "no_self"])
+    params = GcaParams(
+        learning_rate=rng.choice([0.0, 0.15, 0.5, 1.7]),
+        decay=rng.choice([0.0, 0.1, 0.2, 1.0, rng.random()]),
+        thresholds=GcaThresholds(
+            weight_min=rng.uniform(0.0, 0.3), support_min=rng.randint(1, 3),
+            lift_min=rng.uniform(0.5, 1.5), effectiveness_min=rng.uniform(0.2, 0.6),
+        ),
+    )
+    model = GcaModel(atomic_ops=[f"a{i}" for i in range(n_atomic)], params=params,
+                     mask_mode=mask_mode)
+    ref = DictReference(n_atomic, params, mask_mode)
+    for step in range(rng.randint(10, 40)):
+        n = model.vocab_size
+        kind = rng.choices(["pair", "trajectory", "scan", "macro", "credit", "prune"],
+                           weights=[5, 5, 2, 1, 2, 1])[0]
+        if kind == "pair":
+            counts = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(2)]
+            fits = [rng.uniform(-1.0, 2.0) for _ in range(3)]
+            model.hebbian_pair_update(*counts, *fits)
+            ref.pair_update(*counts, *fits)
+        elif kind == "trajectory":
+            ops = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
+            gain = rng.uniform(-0.5, 2.0)
+            model.hebbian_trajectory_update(ops, gain)
+            ref.trajectory_update(ops, gain)
+        elif kind == "scan":
+            k = rng.randint(0, 3)
+            model.scan_and_abstract(step, k)
+            ref.scan(step, k)
+        elif kind == "macro":
+            left, right = rng.randrange(n), rng.randrange(n)
+            model.add_macro(left, right, step)
+            ref.add_macro(left, right, step)
+        elif kind == "credit" and model.macros:
+            k = rng.randrange(len(model.macros))
+            uses = rng.randint(1, 4)
+            won = rng.randint(0, uses)
+            for m in (model.macros[k], ref.macros[k]):
+                m.uses += uses
+                m.successful_uses += won
+        elif kind == "prune":
+            u_min = rng.randint(0, 3)
+            model.prune_macros(u_min)
+            ref.prune(u_min)
+        assert exact(model.weights) == exact(ref.weights), (seed, step, kind)
+        assert list(model.support.items()) == list(ref.support.items()), (seed, step, kind)
+        assert model.macros == ref.macros, (seed, step, kind)
+        assert model.vocab_size == ref.vocab_size
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_table_matches_dict_reference(block):
+    for seed in range(50 * block, 50 * block + 50):
+        run_sequence(seed)
+
+
+def test_table_is_a_live_mapping():
+    table = WeightTable({(0, 1): 0.5, (2, 0): 0.0})
+    table[(1, 1)] = 0.25
+    table[(0, 1)] = 0.75
+    assert list(table) == [(0, 1), (2, 0), (1, 1)]
+    assert table == {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.75}
+    assert {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.75} == table
+    assert table != {(0, 1): 0.75}
+    assert len(table) == 3 and (2, 0) in table and (3, 3) not in table
+    assert table.get((3, 3), 0.0) == 0.0 and table.get((2, 0)) == 0.0
+    assert table.lookup([(1, 1), (3, 3), (0, 1)]) == [0.25, 0.0, 0.75]
+    table.scale(0.0)
+    assert table == {(0, 1): 0.0, (2, 0): 0.0, (1, 1): 0.0}
+
+
+def test_model_weights_stay_a_table():
+    model = GcaModel(atomic_ops=["a", "b"], weights={(0, 1): 0.5})
+    assert isinstance(model.weights, WeightTable) and model.weights == {(0, 1): 0.5}
+    model.weights = {(1, 0): 2.0}
+    assert isinstance(model.weights, WeightTable) and list(model.weights.items()) == [((1, 0), 2.0)]
+    table = WeightTable({(0, 0): 1.0})
+    model.weights = table
+    assert model.weights is table

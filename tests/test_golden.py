@@ -1,14 +1,15 @@
 """Golden result fingerprints.
 
-Four tiny suites run through the same orchestration as `ace-bench run`:
+Six tiny suites run through the same orchestration as `ace-bench run`:
 a maze suite with all four arm kinds on one curated instance, a chain
 suite with a standard and a guided EA arm, a maze suite whose PSO
 arms turn around at dead ends and stop at a 40-step cap (the branches
 of path construction the benchmark suites leave out: turnarounds, and
-macro strides cut short by the cap), and a chain suite whose guided
-runs prune macros and save their models.  The SHA-256 of their
-records, leaving out the wall-clock field (and, for the last suite, of
-the saved model files too), must match the constants below.  A
+macro strides cut short by the cap), a chain suite whose guided runs
+prune macros and save their models, and that suite again at the two
+decay edges, gamma 1.0 and 0.0.  The SHA-256 of their records, leaving
+out the wall-clock field (and, for the last three suites, of the saved
+model files too), must match the constants below.  A
 behaviour-neutral change keeps them; a change that moves results must
 update them and say why.
 """
@@ -24,6 +25,8 @@ MAZE_FINGERPRINT = "9cf905963f1e3e732d6427e5ea332004fbecb5f5a84fe1eb7efeb8189814
 CHAIN_FINGERPRINT = "059970c1f0ffd26a76b07f7c3a5061e2b5d411c332ae0e204b7b3322e9149e13"
 BACKTRACK_FINGERPRINT = "c900359c44ac08f1282a338bce3dc589b7f67c160b5e0cf90916622a7e07974b"
 PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38f66873c"
+FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d934070c76c7307"
+NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
 
 GCA = {
     "tau": 0.25, "epsilon": 0.1, "lambda": 1e-05, "gamma": 0.2,
@@ -121,6 +124,12 @@ PRUNING_SUITE = {
     "arms": CHAIN_SUITE["arms"],
 }
 
+# The decay edges on the pruning suite: at gamma 1.0 every update zeroes
+# each stored weight before it adds its own terms, so the saved models
+# hold zero-valued entries; at gamma 0.0 nothing decays.
+FULL_DECAY_SUITE = {**PRUNING_SUITE, "gca": {**PRUNING_SUITE["gca"], "gamma": 1.0}}
+NO_DECAY_SUITE = {**PRUNING_SUITE, "gca": {**PRUNING_SUITE["gca"], "gamma": 0.0}}
+
 
 def fingerprint(records: list[dict]) -> str:
     lines = sorted(
@@ -147,15 +156,34 @@ def test_backtrack_capped_pso_fingerprint(tmp_path):
     assert suite_fingerprint(BACKTRACK_SUITE, tmp_path) == BACKTRACK_FINGERPRINT
 
 
-def test_pruning_chain_suite_fingerprint_with_models(tmp_path):
-    records = orchestrate(SuiteSpec.from_dict(PRUNING_SUITE), tmp_path, parallelism=1,
-                          save_models=True)
-    files = sorted(tmp_path.glob("gca_*.json"))
-    models = [json.loads(f.read_text(encoding="utf-8")) for f in files]
-    assert len(models) == 2
-    assert all(any(m["pruned"] for m in doc["macros"]) for doc in models)
+def models_fingerprint(doc: dict, out) -> tuple[str, list[dict]]:
+    """The digest of a suite's records and of the model files its guided
+    runs save, and the parsed model files."""
+    records = orchestrate(SuiteSpec.from_dict(doc), out, parallelism=1, save_models=True)
+    files = sorted(out.glob("gca_*.json"))
     digest = hashlib.sha256(fingerprint(records).encode())
     for f in files:
         digest.update(f"\n{f.name}\n".encode())
         digest.update(f.read_bytes())
-    assert digest.hexdigest() == PRUNING_FINGERPRINT
+    return digest.hexdigest(), [json.loads(f.read_text(encoding="utf-8")) for f in files]
+
+
+def test_pruning_chain_suite_fingerprint_with_models(tmp_path):
+    digest, models = models_fingerprint(PRUNING_SUITE, tmp_path)
+    assert len(models) == 2
+    assert all(any(m["pruned"] for m in doc["macros"]) for doc in models)
+    assert digest == PRUNING_FINGERPRINT
+
+
+def test_full_decay_chain_suite_keeps_zero_weights(tmp_path):
+    digest, models = models_fingerprint(FULL_DECAY_SUITE, tmp_path)
+    assert len(models) == 2
+    # decayed entries stay stored and serialized at 0.0
+    assert all(any(w == 0.0 for _, _, w in doc["weights"]) for doc in models)
+    assert digest == FULL_DECAY_FINGERPRINT
+
+
+def test_no_decay_chain_suite_fingerprint_with_models(tmp_path):
+    digest, models = models_fingerprint(NO_DECAY_SUITE, tmp_path)
+    assert len(models) == 2
+    assert digest == NO_DECAY_FINGERPRINT

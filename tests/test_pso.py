@@ -32,13 +32,13 @@ def step_scores(monkeypatch, dom, params, particle=None, gbest=None, model=None,
     """Candidate scores of every step of one construct_path call, as
     handed to the softmax."""
     seen = []
-    real = pso._softmax_floor
+    real = pso.softmax_floor
 
     def spy(scores, eps):
         seen.append(list(scores))
         return real(scores, eps)
 
-    monkeypatch.setattr(pso, "_softmax_floor", spy)
+    monkeypatch.setattr(pso, "softmax_floor", spy)
     construct_path(particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS)
     return seen
 
@@ -340,13 +340,13 @@ def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
     particle = Particle(current=path(list(range(16))), pbest=path([0, 1, 2, 3]))
     rng = CountingRandom(8)
     steps = []
-    real = pso._softmax_floor
+    real = pso.softmax_floor
 
     def spy(scores, eps):
         steps.append((len(scores), rng.calls))
         return real(scores, eps)
 
-    monkeypatch.setattr(pso, "_softmax_floor", spy)
+    monkeypatch.setattr(pso, "softmax_floor", spy)
     for _ in range(5):
         steps.clear()
         rng.calls = 0
