@@ -58,14 +58,16 @@ class GcaParams:
     thresholds: GcaThresholds = field(default_factory=GcaThresholds)
 
     def validate(self) -> None:
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be > 0 and finite, got {self.temperature}")
         if not 0.0 < self.exploration_floor < 1.0:
             raise ConfigError(
                 f"exploration_floor must lie in (0, 1), got {self.exploration_floor}"
             )
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be >= 0 and finite, got {self.learning_rate}"
+            )
         if not 0.0 <= self.decay <= 1.0:
             raise ConfigError(f"decay must lie in [0, 1], got {self.decay}")
         t = self.thresholds
@@ -430,8 +432,10 @@ class GcaModel:
         (i, j) additionally receives learning_rate * gain *
         (counts_a[i]*counts_b[j] + counts_b[i]*counts_a[j]), restricted to
         the valid transition relation, and its support count increments.
-        Returns the gain.  Count vectors of the wrong length or a gain
-        that is not finite raise DomainError before anything changes.
+        Returns the gain.  Count vectors of the wrong length, a gain that
+        is not finite, or a positive gain whose increment (learning_rate *
+        gain, or that times the largest pair term) is not finite raise
+        DomainError before anything changes.
         """
         n = self.vocab_size
         if len(counts_a) != n or len(counts_b) != n:
@@ -439,15 +443,36 @@ class GcaModel:
                 f"count vectors must have length {n}, got {len(counts_a)} and {len(counts_b)}"
             )
         gain = fit_child - 0.5 * (fit_a + fit_b)
-        if not math.isfinite(gain):
-            raise DomainError(f"fitness gain must be finite, got {gain}")
+        scale = self._increment_scale(gain)
+        # The terms read only the count vectors, so they are built before
+        # the decay, and an overflowing increment is caught before it.
+        terms = self._pair_terms(counts_a, counts_b) if scale else []
+        if terms:
+            top = scale * max(term for _, term in terms)
+            if not math.isfinite(top):
+                raise DomainError(f"weight increment must be finite, got {top}")
         self._decay_weights()
         self._touch()
+        if terms:
+            self._reinforce(terms, scale)
+        return gain
+
+    def _increment_scale(self, gain: float) -> float:
+        """learning_rate * gain for a positive gain, 0.0 for any other
+        finite one.  A gain or positive increment that is not finite
+        raises DomainError."""
+        if not math.isfinite(gain):
+            raise DomainError(f"fitness gain must be finite, got {gain}")
         if gain <= 0:
-            return gain
+            return 0.0
         scale = self.params.learning_rate * gain
-        if scale == 0.0:
-            return gain
+        if not math.isfinite(scale):
+            raise DomainError(f"weight increment must be finite, got {scale}")
+        return scale
+
+    def _pair_terms(self, counts_a: list[int], counts_b: list[int]) -> list:
+        """(pair, term) for every pair with a positive term that the
+        transition relation admits, as the pair update reinforces them."""
         pruned = self._pruned_ids()
         nz_a = [i for i, c in enumerate(counts_a) if c and i not in pruned]
         nz_b = [i for i, c in enumerate(counts_b) if c and i not in pruned]
@@ -463,12 +488,8 @@ class GcaModel:
             if not (i in in_a and j in in_b)
         ]
         no_self = self.mask_mode == "no_self"
-        self._reinforce(
-            [(key, term) for key, term in terms
-             if term > 0 and not (no_self and key[0] == key[1])],
-            scale,
-        )
-        return gain
+        return [(key, term) for key, term in terms
+                if term > 0 and not (no_self and key[0] == key[1])]
 
     def hebbian_trajectory_update(self, ops: list[int], gain: float) -> None:
         """Single-trajectory reinforcement: strengthen each adjacent pair.
@@ -476,21 +497,18 @@ class GcaModel:
         Used by explorers without recombination; gain is the improvement
         over the trajectory owner's previous best.  Decay applies per call
         regardless; pairs are only strengthened on positive gain.  An id
-        outside the vocabulary or a gain that is not finite raises
+        outside the vocabulary, a gain that is not finite, or a positive
+        gain whose increment learning_rate * gain is not finite raises
         DomainError before anything changes.
         """
         n = self.vocab_size
         for op in ops:
             if not 0 <= op < n:
                 self._check_id(op)  # raises DomainError
-        if not math.isfinite(gain):
-            raise DomainError(f"fitness gain must be finite, got {gain}")
+        scale = self._increment_scale(gain)
         self._decay_weights()
         self._touch()
-        if gain <= 0 or len(ops) < 2:
-            return
-        scale = self.params.learning_rate * gain
-        if scale == 0.0:
+        if scale == 0.0 or len(ops) < 2:
             return
         pruned = self._pruned_ids()
         no_self = self.mask_mode == "no_self"

@@ -78,9 +78,15 @@ def construct_path(
     probability of the candidate among this step's candidates,
     conditioned on the op that entered the node (uniform at the path
     start); it is zero without a model.  epsilon is the run's
-    exploration floor for the candidate selection.  Construction stops at
+    exploration floor for the candidate selection; it must lie in (0, 1),
+    which is checked before any variate is drawn.  A step with a single
+    candidate draws the three variates a scored candidate would (two for
+    alignment, one for the selection) and takes it unscored: a one-entry
+    distribution selects it whatever its score.  Construction stops at
     the goal or at the path-length cap.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
     step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index
@@ -106,6 +112,7 @@ def construct_path(
     alpha = params.heuristic_weight
     lam = params.guidance_weight
     guided = model is not None
+    rand = rng.random
 
     cur = domain.start_index
     prev_cell = -1
@@ -158,28 +165,37 @@ def construct_path(
                     end_at.append(steps + len(cells))
                     strides.append((cells, flat))
 
-        # The learned term, as (op, probability) per candidate.
-        if not guided:
-            learned = no_term
-        elif prev_op is None:
-            learned = repeat((None, 1.0 / len(cand)))
+        if len(cand) == 1:
+            # A lone candidate is an atomic move (a macro competes only
+            # beside its first move), and any score selects it: only the
+            # two alignment variates and the selection variate remain.
+            rand()
+            rand()
+            rand()
+            pick = 0
         else:
-            learned = model.floored_distribution(prev_op, cand)
+            # The learned term, as (op, probability) per candidate.
+            if not guided:
+                learned = no_term
+            elif prev_op is None:
+                learned = repeat((None, 1.0 / len(cand)))
+            else:
+                learned = model.floored_distribution(prev_op, cand)
 
-        # A bool counts as 1 or 0: the alignment terms are coefficient * 1.0
-        # or coefficient * 0.0, as a 0/1 float would give.
-        scores = []
-        for end, at, (_, p) in zip(ends, end_at, learned):
-            s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
-            r1 = rng.random()
-            r2 = rng.random()
-            s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
-            s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
-            if guided:
-                s += lam * p
-            scores.append(s)
+            # A bool counts as 1 or 0: the alignment terms are
+            # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float would.
+            scores = []
+            for end, at, (_, p) in zip(ends, end_at, learned):
+                s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
+                r1 = rand()
+                r2 = rand()
+                s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
+                s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
+                if guided:
+                    s += lam * p
+                scores.append(s)
 
-        pick = draw(list(accumulate(softmax_floor(scores, epsilon))), rng)
+            pick = draw(list(accumulate(softmax_floor(scores, epsilon))), rng)
         op = cand[pick]
         if pick < n_moves:
             moves.append(op)

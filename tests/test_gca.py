@@ -353,6 +353,35 @@ def test_updates_reject_non_finite_gain_before_any_change(gain):
     assert deserialize_model(serialize_model(m)) == m
 
 
+@pytest.mark.parametrize(
+    "update, gain, counts",
+    [("trajectory", 1e308, None),  # learning_rate * gain overflows
+     ("pair", 1e308, [1, 1]),
+     ("pair", 5e307, [2, 1])],     # finite, but not times the largest pair term, 8
+)
+def test_updates_reject_overflowing_increment_before_any_change(update, gain, counts):
+    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, support={(0, 1): 2}, decay=0.5,
+                   learning_rate=2.0)
+    with pytest.raises(DomainError, match="increment must be finite"):
+        if update == "trajectory":
+            m.hebbian_trajectory_update([0, 1], gain)
+        else:
+            m.hebbian_pair_update(counts, counts, 0.0, 0.0, gain)
+    # Nothing changed, decay included, and the model still round-trips.
+    assert m.weights == {(0, 1): 1.0}
+    assert m.support == {(0, 1): 2}
+    assert deserialize_model(serialize_model(m)) == m
+
+
+def test_updates_with_non_positive_gain_ignore_the_increment():
+    # a negative gain reinforces nothing, so a huge one only decays
+    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, decay=0.5, learning_rate=2.0)
+    m.hebbian_trajectory_update([0, 1], -1e308)
+    assert m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, -1e308) == -1e308
+    assert m.weights == {(0, 1): 0.25}
+    assert m.support == {}
+
+
 def test_pair_update_rejects_non_finite_parent_fitness():
     # inf - inf: the gain is NaN even though no argument is
     m = make_model(n_atomic=2, weights={(0, 1): 1.0}, decay=0.5)
@@ -859,6 +888,18 @@ def test_params_validated():
     with pytest.raises(ConfigError):
         GcaParams(exploration_floor=1.0).validate()
     GcaParams(learning_rate=0.0).validate()  # neutral guidance is legal
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -math.inf),
+     ("temperature", math.inf), ("temperature", math.nan)],
+)
+def test_params_reject_non_finite(name, value):
+    # a NaN learning rate would store NaN weights that the model's own
+    # loader rejects
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        GcaParams(**{name: value}).validate()
 
 
 @pytest.mark.parametrize(

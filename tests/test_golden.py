@@ -9,17 +9,25 @@ macro strides cut short by the cap), a chain suite whose guided runs
 prune macros and save their models, and that suite again at the two
 decay edges, gamma 1.0 and 0.0.  The SHA-256 of their records, leaving
 out the wall-clock field (and, for the last three suites, of the saved
-model files too), must match the constants below.  A
-behaviour-neutral change keeps them; a change that moves results must
-update them and say why.
+model files too), must match the constants below.  One more constant
+pins swarm path construction alone: about two hundred `construct_path`
+calls over generated mazes, both dead-end modes, a tight cap, standard
+and guided mode with and without macros, and with and without reference
+paths.  A behaviour-neutral change keeps them; a change that moves
+results must update them and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 from ace.cli import SuiteSpec, orchestrate
+from ace.maze import MazeDomain, generate_maze
+from ace.pso import Particle, PsoParams, construct_path
+
+from helpers import make_model
 
 MAZE_FINGERPRINT = "9cf905963f1e3e732d6427e5ea332004fbecb5f5a84fe1eb7efeb8189814f4db"
 CHAIN_FINGERPRINT = "059970c1f0ffd26a76b07f7c3a5061e2b5d411c332ae0e204b7b3322e9149e13"
@@ -27,6 +35,7 @@ BACKTRACK_FINGERPRINT = "c900359c44ac08f1282a338bce3dc589b7f67c160b5e0cf90916622
 PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38f66873c"
 FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d934070c76c7307"
 NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
+PATH_FINGERPRINT = "e05b2214dd6cd201b89353435356ab405cca3b33b4ba1d496cb6f7d2115035d5"
 
 GCA = {
     "tau": 0.25, "epsilon": 0.1, "lambda": 1e-05, "gamma": 0.2,
@@ -187,3 +196,42 @@ def test_no_decay_chain_suite_fingerprint_with_models(tmp_path):
     digest, models = models_fingerprint(NO_DECAY_SUITE, tmp_path)
     assert len(models) == 2
     assert digest == NO_DECAY_FINGERPRINT
+
+
+def path_models():
+    """Standard mode, a guided model without macros, and one with three
+    (EE, SS and EES)."""
+    weights = {(1, 2): 1.0, (2, 1): 0.5, (0, 1): 0.25}
+    plain = make_model(weights=weights)
+    macros = make_model(weights=weights)
+    for left, right in ((1, 1), (2, 2), (4, 2)):
+        macros.add_macro(left, right)
+    macros.weights[(1, 4)] = 2.0
+    macros.weights[(6, 3)] = 1.5
+    return (None, plain, macros)
+
+
+def test_construct_path_fingerprint():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    calls = 0
+    for connectivity in (0.0, 0.3, 1.0):
+        dom = MazeDomain(generate_maze(8, 8, connectivity, 7), path_slack=10)
+        for mode in ("backtrack", "terminate"):
+            for cap in (None, 5):
+                params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode, max_path_len=cap)
+                for model in path_models():
+                    for with_references in (False, True):
+                        particle, gbest = Particle(), None
+                        for _ in range(3):
+                            traj = construct_path(particle, gbest, params, model, dom, rng, 0.1)
+                            digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
+                            calls += 1
+                            if with_references:
+                                particle.current = traj
+                                if traj.fitness > particle.pbest_fitness:
+                                    particle.pbest, particle.pbest_fitness = traj, traj.fitness
+                                gbest = particle.pbest
+    digest.update(repr(rng.random()).encode())
+    assert calls == 216
+    assert digest.hexdigest() == PATH_FINGERPRINT

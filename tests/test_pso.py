@@ -87,10 +87,10 @@ def test_score_guidance_third_on_open_cell(monkeypatch):
     dom = entering_center()
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0)
     seen = step_scores(monkeypatch, dom, params, model=make_model())
-    assert seen[0] == [2.0]  # the forced first step is the only candidate
-    # the center has four moves but backtracking is not a candidate: zero
+    # the forced first step is the only candidate and goes unscored; the
+    # center has four moves but backtracking is not a candidate: zero
     # weights and the floor give 1/3 to each of E, S and W
-    assert seen[1] == pytest.approx([2.0 / 3] * 3)
+    assert seen[0] == pytest.approx([2.0 / 3] * 3)
 
 
 def test_score_inertia_plus_guidance_sums_to_one(monkeypatch):
@@ -99,7 +99,7 @@ def test_score_inertia_plus_guidance_sums_to_one(monkeypatch):
     particle = Particle(current=path([1, 4, 5]))
     params = PsoParams(inertia=0.5, cognitive=0, social=0, heuristic_weight=0, guidance_weight=1.5)
     seen = step_scores(monkeypatch, dom, params, particle, model=make_model())
-    assert seen[1] == pytest.approx([1.0, 0.5, 0.5])
+    assert seen[0] == pytest.approx([1.0, 0.5, 0.5])
 
 
 def test_score_invalid_neighbor_rejected():
@@ -131,7 +131,7 @@ def test_score_linear_in_each_coefficient(monkeypatch):
         seen = step_scores(
             monkeypatch, dom, PsoParams(**args), particle, gbest, model, seed=42
         )
-        return seen[1]
+        return seen[0]
 
     for coeff in base:
         once = center_scores(base)
@@ -331,8 +331,8 @@ class CountingRandom(random.Random):
 
 def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
     # draw order is part of the result: two variates per candidate (atomic
-    # moves, then macros), then one for the selection
-    dom = GridStub(4, 4, max_path_len=30)
+    # moves, then macros), then one for the selection; a step with one
+    # candidate goes unscored but draws the same three (k = 1)
     model = make_model(weights={(1, 2): 1.0, (2, 1): 0.5})
     for left, right in ((1, 1), (2, 2), (1, 2)):
         model.add_macro(left, right)
@@ -347,16 +347,72 @@ def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
         return real(scores, eps)
 
     monkeypatch.setattr(pso, "softmax_floor", spy)
-    for _ in range(5):
-        steps.clear()
-        rng.calls = 0
-        construct_path(particle, path([0, 4, 8]), params, model, dom, rng, EPS)
-        drawn = 0
-        for candidates, calls_at_softmax in steps:
-            assert calls_at_softmax == drawn + 2 * candidates
-            drawn += 2 * candidates + 1
-        assert rng.calls == drawn
-        assert any(candidates > 2 for candidates, _ in steps)
+    # an open grid, where every step has several candidates, and a perfect
+    # maze, whose corridors leave many steps a single one
+    grid = GridStub(4, 4, max_path_len=30)
+    maze = MazeDomain(generate_maze(6, 6, 0.0, 2), path_slack=10)
+    unscored_total = 0
+    for dom in (grid, maze):
+        wide = False
+        for _ in range(5):
+            steps.clear()
+            rng.calls = 0
+            traj = construct_path(particle, path([0, 4, 8]), params, model, dom, rng, EPS)
+            # every macro here is two moves long, so even a stride cut
+            # short records one op: the path took one step per op
+            n_steps = len(traj.ops)
+            n_unscored = n_steps - len(steps)
+            k_sum = sum(candidates for candidates, _ in steps) + n_unscored
+            assert rng.calls == 2 * k_sum + n_steps
+            drawn = 0
+            for candidates, calls_at_softmax in steps:
+                # unscored steps since the last scored one drew three each
+                unscored = calls_at_softmax - drawn - 2 * candidates
+                assert unscored >= 0 and unscored % 3 == 0
+                drawn = calls_at_softmax + 1
+            assert (rng.calls - drawn) % 3 == 0
+            wide = wide or any(candidates > 2 for candidates, _ in steps)
+            unscored_total += n_unscored
+        assert wide
+    assert unscored_total > 0
+
+
+def single_candidate_walks():
+    """Walks whose every step has one candidate: the forced S step into
+    the center of entering_center, and a 2x1 corridor with no reachable
+    goal, walked E into its dead end and turned back W."""
+    center = entering_center(max_path_len=1)
+    corridor = GridStub(2, 1, max_path_len=2)
+    corridor.goal_index = -1
+    return [(center, [1, 4], [2]), (corridor, [0, 1, 0], [1, 3])]
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
+    def unscored(*args):
+        raise AssertionError("a single-candidate step must not be scored")
+
+    monkeypatch.setattr(pso, "softmax_floor", unscored)
+    for dom, states, ops in single_candidate_walks():
+        model = None
+        if guided:
+            model = make_model(weights={(1, 3): 2.0})
+            model.add_macro(1, 1)  # EE: never a candidate (E closed, or a wall after it)
+            monkeypatch.setattr(model, "floored_distribution", unscored)
+        params = PsoParams(heuristic_weight=1.0, dead_end_mode="backtrack")
+        rng = CountingRandom(4)
+        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        assert (traj.states, traj.ops) == (states, ops)
+        assert rng.calls == 3 * len(ops)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_epsilon_checked_before_any_variate(epsilon):
+    dom = GridStub(5, 1)  # a corridor: no step has a second candidate
+    rng = CountingRandom(1)
+    with pytest.raises(ConfigError):
+        construct_path(Particle(), None, PsoParams(), None, dom, rng, epsilon)
+    assert rng.calls == 0
 
 
 # -- swarm generation ----------------------------------------------------------
