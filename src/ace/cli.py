@@ -37,6 +37,10 @@ from .pso import PsoExplorer, PsoParams
 
 log = logging.getLogger("ace")
 
+# Runs in one suite (arms x instances x runs_per_arm), capped so that a
+# mistyped count fails at parse time instead of building the task list.
+MAX_TASKS = 1_000_000
+
 # records.csv: the task columns, then the scalar fields of RunRecord.
 CSV_COLUMNS = [
     "arm", "explorer", "guided", "domain", "maze_id", "connectivity", "run_index", "seed",
@@ -272,7 +276,7 @@ class SuiteSpec:
             {k: v for k, v in doc.items() if k in SUITE}, SUITE, "suite config",
             required=("runs_per_arm", "domain", "arms"),
         )
-        _domain_instances(top["domain"])
+        instances = _domain_instances(top["domain"])
         run = _read(doc.get("run", {}), RUN, "run")
         gca = _read(doc.get("gca", {}), GCA, "gca")
         top["arms"] = [ArmSpec.from_dict(a, i, run, gca) for i, a in enumerate(top["arms"])]
@@ -282,6 +286,10 @@ class SuiteSpec:
         for key in ("runs_per_arm", "parallelism"):
             if getattr(spec, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        tasks = len(spec.arms) * len(instances) * spec.runs_per_arm
+        if tasks > MAX_TASKS:
+            raise ConfigError(
+                f"suite has {tasks} runs (arms x instances x runs_per_arm), over {MAX_TASKS}")
         return spec
 
     @classmethod
@@ -568,7 +576,7 @@ def cmd_model(args) -> int:
     print(f"vocabulary: {model.vocab_size} ({len(model.macros)} macros, {len(unpruned)} active)")
     values = gca.hyperparameter_values(model.params)
     print("params: " + " ".join(f"{key}={values[name]}" for key, _, name, _ in gca.HYPERPARAMETERS))
-    print(f"stored weights: {len(model.weights)}  support entries: {len(model.support)}")
+    print(f"stored weights: {len(model.weights)}  support entries: {len(model.weights.support())}")
     top = sorted(model.weights.items(), key=lambda kv: -kv[1])[:5]
     for (i, j), w in top:
         print(f"  W[{i},{j}] = {w:.4f}")

@@ -166,36 +166,28 @@ def draw(cum: list[float], rng: random.Random) -> int:
     return min(bisect_right(cum, rng.random()), last)
 
 
-class WeightTable(Mapping):
-    """The stored weights: a slot dict maps each ordered pair to an index,
-    in first-write order, and the values sit at those indices in one
-    list, so decay is one pass over the list.
+class PairTable(Mapping):
+    """The stored pairs: a slot dict numbers each ordered pair in
+    first-write order, and its weight and support count (0 when no
+    co-occurrence was recorded) sit at that index in two parallel lists.
 
-    It is a live mapping from pair to weight: reads, writes, iteration in
-    first-write order and equality with a dict work as on a dict.  An
-    entry is never removed; one decayed to 0.0 stays stored.
+    It reads as a mapping from pair to weight, in first-write order.  An
+    entry is never removed; one decayed to 0.0 stays stored.  Equality
+    with another table compares the counts too.
     """
 
-    __slots__ = ("_slots", "_values")
+    __slots__ = ("_slots", "_values", "_counts")
 
-    def __init__(self, entries=()):
-        entries = dict(entries)
-        self._slots = {key: slot for slot, key in enumerate(entries)}
-        self._values = list(entries.values())
+    def __init__(self, weights=(), support=()):
+        weights = dict(weights)
+        self._slots = {key: slot for slot, key in enumerate(weights)}
+        self._values = list(weights.values())
+        self._counts = [0] * len(self._values)
+        for key, count in dict(support).items():
+            self._counts[self._slots[key]] = count
 
     def __getitem__(self, key):
         return self._values[self._slots[key]]
-
-    def __setitem__(self, key, value) -> None:
-        slot = self._slots.get(key)
-        if slot is None:
-            self._slots[key] = len(self._values)
-            self._values.append(value)
-        else:
-            self._values[slot] = value
-
-    def __contains__(self, key) -> bool:
-        return key in self._slots
 
     def __iter__(self):
         return iter(self._slots)
@@ -203,12 +195,14 @@ class WeightTable(Mapping):
     def __len__(self) -> int:
         return len(self._values)
 
-    def __repr__(self) -> str:
-        return f"WeightTable({dict(zip(self._slots, self._values))!r})"
+    def __eq__(self, other):
+        if isinstance(other, PairTable):
+            return dict(self.items()) == dict(other.items()) and self.support() == other.support()
+        return super().__eq__(other)
 
-    def get(self, key, default=None):
-        slot = self._slots.get(key)
-        return default if slot is None else self._values[slot]
+    def support(self) -> dict:
+        """Pair -> support count for every pair with a count of 1 or more."""
+        return {key: c for key, c in zip(self._slots, self._counts) if c}
 
     def lookup(self, pairs) -> list[float]:
         """The weights of the given pairs, in order; 0.0 for an absent one."""
@@ -216,10 +210,11 @@ class WeightTable(Mapping):
         return [0.0 if k is None else values[k] for k in map(self._slots.get, pairs)]
 
     def append(self, pairs: list, values: list[float]) -> None:
-        """Store the weights of pairs not yet stored, in order."""
+        """Store the weights of pairs not yet stored, in order, count 0."""
         n = len(self._values)
         self._slots.update(zip(pairs, range(n, n + len(pairs))))
         self._values.extend(values)
+        self._counts.extend([0] * len(pairs))
 
     def scale(self, factor: float) -> None:
         """Multiply every stored weight by factor."""
@@ -232,8 +227,8 @@ class GcaModel:
 
     Ids 0 .. atomic_count-1 are the domain's atomic operations; macro ids
     continue upward and are never reused, even after pruning.  Absent
-    weight/support entries read as zero.  vocab_size is atomic_count plus
-    the number of macros; add_macro is the one way to grow it.
+    weights and support counts read as zero.  vocab_size is atomic_count
+    plus the number of macros; add_macro is the one way to grow it.
 
     The valid transition relation is domain context, not learned state:
     mask_mode "all" admits every ordered pair of unpruned operations
@@ -244,8 +239,7 @@ class GcaModel:
 
     atomic_ops: list[str]
     params: GcaParams = field(default_factory=GcaParams)
-    weights: WeightTable = field(default_factory=WeightTable)
-    support: dict[tuple[int, int], int] = field(default_factory=dict)
+    weights: PairTable = field(default_factory=PairTable)
     macros: list[MacroOperation] = field(default_factory=list)
     vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
@@ -262,14 +256,10 @@ class GcaModel:
     # Macros never change once made, so an entry never goes stale.
     _flat: list[tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
-    def __setattr__(self, name, value):
-        # weights is always a WeightTable; a mapping assigned to it is copied in.
-        if name == "weights" and not isinstance(value, WeightTable):
-            value = WeightTable(value)
-        object.__setattr__(self, name, value)
-
     def __post_init__(self):
         self.params.validate()
+        if not isinstance(self.weights, PairTable):
+            self.weights = PairTable(self.weights)
         self._flat = [(op,) for op in range(len(self.atomic_ops))]
         for macro in self.macros:
             self._extend_table(macro)
@@ -405,17 +395,17 @@ class GcaModel:
     def _reinforce(self, terms, scale: float) -> None:
         """Add scale * term to the weight of each (pair, term) given, in
         order, and count one co-occurrence for each."""
-        slots = self.weights._slots
-        values = self.weights._values
-        support = self.support
+        table = self.weights
+        slots, values, counts = table._slots, table._values, table._counts
         for key, term in terms:
             slot = slots.get(key)
             if slot is None:
                 slots[key] = len(values)
                 values.append(0.0 + scale * term)  # an absent weight reads as 0.0
+                counts.append(1)
             else:
                 values[slot] += scale * term
-            support[key] = support.get(key, 0) + 1
+                counts[slot] += 1
 
     def hebbian_pair_update(
         self,
@@ -529,11 +519,6 @@ class GcaModel:
         """
         return _Promotion(self).lift(i, j)
 
-    def pair_qualifies(self, i: int, j: int) -> bool:
-        """True when (i, j) clears every promotion gate right now."""
-        entry = ((i, j), self.weights.get((i, j), 0.0))
-        return any(_Promotion(self).qualifying([entry]))
-
     def scan_and_abstract(
         self, generation: int, k_max_new: int = DEFAULT_MAX_NEW_MACROS
     ) -> list[MacroOperation]:
@@ -547,7 +532,8 @@ class GcaModel:
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
         table = self.weights
-        qualifying = _Promotion(self).qualifying(zip(table._slots, table._values))
+        entries = zip(table._slots, table._values, table._counts)
+        qualifying = _Promotion(self).qualifying(entries)
         cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
 
@@ -658,21 +644,20 @@ class _Promotion:
         model = self.model
         model._check_id(i)
         model._check_id(j)
-        w_ij = model.weights.get((i, j), 0.0)
+        (w_ij,) = model.weights.lookup([(i, j)])
         denom = (self._mean(i, into=True) or 0.0) * (self._mean(j, into=False) or 0.0)
         if denom == 0.0:
             return math.inf if w_ij > 0 else 0.0
         return w_ij / denom
 
     def qualifying(self, entries):
-        """The ((i, j), weight) entries among those given that clear every
-        promotion gate, in the order given."""
+        """The ((i, j), weight) of each ((i, j), weight, support count)
+        entry given that clears every promotion gate, in the order given."""
         t = self.model.params.thresholds
-        support = self.model.support
-        for (i, j), w in entries:
+        for (i, j), w, count in entries:
             if (
                 w > t.weight_min
-                and support.get((i, j), 0) >= t.support_min
+                and count >= t.support_min
                 and self.valid(i, j)
                 and (i, j) not in self.promoted
                 and self.lift(i, j) >= t.lift_min
@@ -709,9 +694,10 @@ def serialize_model(model: GcaModel) -> str:
     # written here, laid out as json.dumps(doc, indent=2) lays out a list
     # of triples one level down; the rest goes through json.dumps, and
     # the two documents are joined at their outer braces.
-    slots, values = model.weights._slots, model.weights._values
-    weights = _triples((i, j, _float_text(float(values[slots[i, j]]))) for i, j in sorted(slots))
-    support = _triples((i, j, model.support[i, j]) for i, j in sorted(model.support))
+    table = model.weights
+    rows = sorted(zip(table._slots, table._values, table._counts))
+    weights = _triples((i, j, _float_text(float(w))) for (i, j), w, _ in rows)
+    support = _triples((i, j, c) for (i, j), _, c in rows if c)
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
     return f'{head},\n  "weights": {weights},\n  "support": {support},{rest}'
@@ -773,11 +759,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_table(doc: dict, key: str, noun: str, kind, vocab_size: int, table):
-    """Fill the empty table with the weights or support table: [from, to,
-    value] triples of integer ids inside the vocabulary and a
+def _triples_in(doc: dict, key: str, noun: str, kind, vocab_size: int):
+    """(context, pair, value) for each [from, to, value] triple of the
+    weights or support table: integer ids inside the vocabulary and a
     non-negative value of the given kind (an integer weight widens to
-    float), each pair at most once."""
+    float)."""
     for idx, entry in enumerate(_parse_field(doc, key, list, "model")):
         ec = f"{key}[{idx}]"
         if not isinstance(entry, list) or len(entry) != 3:
@@ -793,10 +779,7 @@ def _parse_table(doc: dict, key: str, noun: str, kind, vocab_size: int, table):
             raise ParseError(f"{ec}: {noun}s must be {'numbers' if kind is float else 'integers'}")
         if v < 0:
             raise ParseError(f"{ec}: negative {noun} {v}")
-        if (i, j) in table:
-            raise ParseError(f"{ec}: duplicate entry ({i}, {j})")
-        table[(i, j)] = v
-    return table
+        yield ec, (i, j), v
 
 
 def deserialize_model(text: str) -> GcaModel:
@@ -853,14 +836,21 @@ def deserialize_model(text: str) -> GcaModel:
         macros.append(m)
     if vocab_size != len(atomic_ops) + len(macros):
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
-
-    return GcaModel(
-        atomic_ops=list(atomic_ops),
-        params=params,
-        weights=_parse_table(doc, "weights", "weight", float, vocab_size, WeightTable()),
-        support=_parse_table(doc, "support", "count", int, vocab_size, {}),
-        macros=macros,
-    )
+    table = PairTable()
+    for ec, pair, w in _triples_in(doc, "weights", "weight", float, vocab_size):
+        if pair in table._slots:
+            raise ParseError(f"{ec}: duplicate entry {pair}")
+        table.append([pair], [w])
+    for ec, pair, count in _triples_in(doc, "support", "count", int, vocab_size):
+        slot = table._slots.get(pair)
+        if slot is None:
+            raise ParseError(f"{ec}: support for {pair}, which has no weight entry")
+        if count == 0:
+            raise ParseError(f"{ec}: support count must be >= 1, got 0")
+        if table._counts[slot]:
+            raise ParseError(f"{ec}: duplicate entry {pair}")
+        table._counts[slot] = count
+    return GcaModel(atomic_ops=list(atomic_ops), params=params, weights=table, macros=macros)
 
 
 def save_model(model: GcaModel, path) -> None:

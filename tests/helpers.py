@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation
+from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
 from ace.loop import Trajectory
 
 
@@ -14,12 +14,12 @@ def make_model(
     mask_mode="all",
     **params,
 ):
-    """Model with preset state for unit tests."""
+    """Model with preset state for unit tests; every support key must
+    have a weight."""
     model = GcaModel(
         atomic_ops=[f"op{i}" for i in range(n_atomic)],
         params=GcaParams(**params) if params else GcaParams(),
-        weights=dict(weights or {}),
-        support=dict(support or {}),
+        weights=PairTable(weights or {}, support or {}),
         macros=list(macros or []),
         mask_mode=mask_mode,
     )
@@ -66,8 +66,7 @@ def random_model(rng: random.Random) -> GcaModel:
                 effectiveness_min=rng.uniform(0, 1),
             ),
         ),
-        weights=weights,
-        support=support,
+        weights=PairTable(weights, support),
         macros=macros,
     )
 

@@ -371,10 +371,9 @@ def test_maze_command_writes_file(tmp_path, capsys):
 
 
 def test_model_command_inspects(tmp_path, capsys):
-    from ace.gca import fresh_model, save_model
+    from ace.gca import GcaModel, save_model
 
-    model = fresh_model(["N", "E", "S", "W"])
-    model.weights[(0, 1)] = 0.75
+    model = GcaModel(["N", "E", "S", "W"], weights={(0, 1): 0.75})
     model.add_macro(0, 1)
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -655,6 +654,28 @@ def test_parallelism_below_1_exits_1_before_any_run(tmp_path, capsys, where, val
     assert not (out / "records.jsonl").exists()
 
 
+def test_suite_over_the_task_cap_exits_1_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)  # two arms, one chain instance
+    doc["runs_per_arm"] = 10**20
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"over {cli.MAX_TASKS}" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+    # The cap counts arms x instances x runs; parsing builds no task.
+    doc["runs_per_arm"] = cli.MAX_TASKS // 2
+    SuiteSpec.from_dict(doc)
+    doc["runs_per_arm"] += 1
+    with pytest.raises(ConfigError, match=f"suite has {cli.MAX_TASKS + 2} runs"):
+        SuiteSpec.from_dict(doc)
+
+
+def test_shipped_configs_are_far_under_the_task_cap():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(configs.glob("*.json")):
+        spec = SuiteSpec.from_file(path)
+        assert len(build_tasks(spec)) * 1000 < cli.MAX_TASKS, path
+
+
 def _plant(doc, path, value):
     *keys, last = path
     for key in keys:
@@ -696,10 +717,9 @@ def test_non_finite_chain_spec_exits_1(tmp_path, capsys):
     [('"lambda": 0.15', '"lambda": Infinity'), ("0.75", "NaN"), ("0.75", "1e999")],
 )
 def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
-    from ace.gca import fresh_model, serialize_model
+    from ace.gca import GcaModel, serialize_model
 
-    model = fresh_model(["t0", "t1", "t2", "t3"])
-    model.weights[(0, 1)] = 0.75
+    model = GcaModel(["t0", "t1", "t2", "t3"], weights={(0, 1): 0.75})
     text = serialize_model(model)
     assert old in text
     donor = tmp_path / "donor.json"
@@ -711,6 +731,27 @@ def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     err = capsys.readouterr().err
     assert err.count(f"model file {donor}: model document: non-finite number") == 2
+    assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize("support, message", [
+    ([[1, 0, 2]], "support[0]: support for (1, 0), which has no weight entry"),
+    ([[0, 1, 0]], "support[0]: support count must be >= 1, got 0"),
+])
+def test_bad_support_entry_exits_1_before_any_run(tmp_path, capsys, support, message):
+    from ace.gca import GcaModel, serialize_model
+
+    doc = json.loads(serialize_model(GcaModel(["t0", "t1", "t2", "t3"], weights={(0, 1): 0.75})))
+    doc["support"] = support
+    donor = tmp_path / "donor.json"
+    donor.write_text(json.dumps(doc))
+    assert cli.main(["model", "--path", str(donor)]) == 1
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"model file {donor}: {message}") == 2
     assert not (out / "records.jsonl").exists()
 
 

@@ -17,6 +17,7 @@ from ace.gca import (
     GcaParams,
     GcaThresholds,
     MacroOperation,
+    PairTable,
     apply_exploration_floor,
     deserialize_model,
     draw,
@@ -233,7 +234,7 @@ def test_pair_update_decay_only_branch():
     assert gain == -1.0
     assert m.weights[(0, 1)] == 1.0 * 0.8
     assert m.weights[(2, 3)] == 0.5 * 0.8
-    assert m.support == {}
+    assert m.weights.support() == {}
 
 
 def test_pair_update_symmetric_outer_product():
@@ -244,14 +245,14 @@ def test_pair_update_symmetric_outer_product():
     assert m.weights[(1, 2)] == pytest.approx(0.3, abs=1e-15)
     assert m.weights[(2, 1)] == pytest.approx(0.3, abs=1e-15)
     assert set(m.weights) == {(1, 2), (2, 1)}
-    assert m.support == {(1, 2): 1, (2, 1): 1}
+    assert m.weights.support() == {(1, 2): 1, (2, 1): 1}
 
 
 def test_pair_update_zero_counts_pure_decay():
     m = make_model(weights={(0, 1): 2.0}, decay=0.25)
     m.hebbian_pair_update([0] * 4, [0] * 4, 0.0, 0.0, 5.0)
     assert m.weights == {(0, 1): 1.5}
-    assert m.support == {}
+    assert m.weights.support() == {}
 
 
 def test_pair_update_respects_mask():
@@ -311,7 +312,7 @@ def test_trajectory_update_short_trajectory_decay_only():
     m = make_model(weights={(0, 1): 1.0}, decay=0.5)
     m.hebbian_trajectory_update([0], 3.0)
     assert m.weights == {(0, 1): 0.5}
-    assert m.support == {}
+    assert m.weights.support() == {}
 
 
 def test_trajectory_update_counts_adjacent_pairs():
@@ -319,14 +320,14 @@ def test_trajectory_update_counts_adjacent_pairs():
     m.hebbian_trajectory_update([0, 1, 0, 1], 1.0)
     assert m.weights[(0, 1)] == pytest.approx(0.3, abs=1e-15)
     assert m.weights[(1, 0)] == pytest.approx(0.15, abs=1e-15)
-    assert m.support == {(0, 1): 2, (1, 0): 1}
+    assert m.weights.support() == {(0, 1): 2, (1, 0): 1}
 
 
 def test_trajectory_update_nonpositive_gain():
     m = make_model(weights={(0, 1): 1.0}, decay=0.2)
     m.hebbian_trajectory_update([0, 1, 2], 0.0)
     assert m.weights == {(0, 1): 0.8}
-    assert m.support == {}
+    assert m.weights.support() == {}
 
 
 @pytest.mark.parametrize("ops", [[0, 5, -1], [0, 1, 2], [-1, 0], [2]])
@@ -336,7 +337,7 @@ def test_trajectory_update_rejects_ids_outside_vocabulary(ops):
         m.hebbian_trajectory_update(ops, 1.0)
     # Nothing changed, decay included, and the model still round-trips.
     assert m.weights == {(0, 1): 1.0}
-    assert m.support == {(0, 1): 2}
+    assert m.weights.support() == {(0, 1): 2}
     assert deserialize_model(serialize_model(m)) == m
 
 
@@ -349,7 +350,7 @@ def test_updates_reject_non_finite_gain_before_any_change(gain):
         m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, gain)
     # Nothing changed, decay included, and the model still round-trips.
     assert m.weights == {(0, 1): 1.0}
-    assert m.support == {(0, 1): 2}
+    assert m.weights.support() == {(0, 1): 2}
     assert deserialize_model(serialize_model(m)) == m
 
 
@@ -369,7 +370,7 @@ def test_updates_reject_overflowing_increment_before_any_change(update, gain, co
             m.hebbian_pair_update(counts, counts, 0.0, 0.0, gain)
     # Nothing changed, decay included, and the model still round-trips.
     assert m.weights == {(0, 1): 1.0}
-    assert m.support == {(0, 1): 2}
+    assert m.weights.support() == {(0, 1): 2}
     assert deserialize_model(serialize_model(m)) == m
 
 
@@ -379,7 +380,7 @@ def test_updates_with_non_positive_gain_ignore_the_increment():
     m.hebbian_trajectory_update([0, 1], -1e308)
     assert m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, -1e308) == -1e308
     assert m.weights == {(0, 1): 0.25}
-    assert m.support == {}
+    assert m.weights.support() == {}
 
 
 def test_pair_update_rejects_non_finite_parent_fitness():
@@ -450,7 +451,6 @@ def qualifying_model(**overrides):
 
 def test_scan_creates_single_macro():
     m = qualifying_model()
-    assert m.pair_qualifies(0, 1)
     assert m.compute_lift(0, 1) >= 1.4
     created = m.scan_and_abstract(generation=10)
     assert len(created) == 1
@@ -521,7 +521,7 @@ def test_scan_soundness_recheck():
         for macro in created:
             i, j = macro.left, macro.right
             assert snapshot.weights.get((i, j), 0.0) > t.weight_min
-            assert snapshot.support.get((i, j), 0) >= t.support_min
+            assert snapshot.weights.support().get((i, j), 0) >= t.support_min
             assert snapshot.compute_lift(i, j) >= t.lift_min
 
 
@@ -529,7 +529,7 @@ def _reference_scan(m, k):
     """The first k qualifying pairs of a model, in (-w, i, j) order, with
     every gate and the lift written out from their definitions."""
     t = m.params.thresholds
-    w = m.weights
+    w, support = m.weights, m.weights.support()
     pruned = {mac.id for mac in m.macros if mac.pruned}
     promoted = {(mac.left, mac.right) for mac in m.macros if not mac.pruned}
 
@@ -555,7 +555,7 @@ def _reference_scan(m, k):
         (-wij, i, j)
         for (i, j), wij in w.items()
         if wij > t.weight_min
-        and m.support.get((i, j), 0) >= t.support_min
+        and support.get((i, j), 0) >= t.support_min
         and valid(i, j)
         and (i, j) not in promoted
         and lift(i, j) >= t.lift_min
@@ -577,8 +577,8 @@ def test_scan_promotes_exactly_the_first_k_qualifying_pairs(mask_mode):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 25))]
         # Pairs already promoted, so that gate is met too.
         pairs += [(mac.left, mac.right) for mac in m.macros if rng.random() < 0.5]
-        m.weights = {p: rng.choice([rng.uniform(0, 1.5), 0.9]) for p in pairs}
-        m.support = {p: rng.randint(0, 6) for p in m.weights}
+        weights = {p: rng.choice([rng.uniform(0, 1.5), 0.9]) for p in pairs}
+        m.weights = PairTable(weights, {p: rng.randint(0, 6) for p in weights})
         k = rng.randint(1, 4)
         expected = _reference_scan(m, k)
         created = m.scan_and_abstract(3, k)
@@ -761,6 +761,26 @@ def test_round_trip_100_random_models():
         assert deserialize_model(serialize_model(m)) == m
 
 
+def test_model_equality_and_round_trip_see_support_counts():
+    weights = {(0, 1): 0.5, (1, 2): 0.25}
+    a = make_model(weights=weights, support={(0, 1): 3, (1, 2): 1})
+    assert a == make_model(weights=weights, support={(0, 1): 3, (1, 2): 1})
+    assert a != make_model(weights=weights, support={(0, 1): 3, (1, 2): 2})
+    assert a != make_model(weights=weights, support={(0, 1): 3})
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(50):
+        m = random_model(rng)
+        again = deserialize_model(serialize_model(m))
+        assert again == m and again.weights.support() == m.weights.support()
+        assert again.weights._counts == [m.weights.support().get(p, 0) for p in again.weights]
+        if m.weights:
+            again.weights._counts[0] += 1
+            assert again != m
+            checked += 1
+    assert checked > 30
+
+
 def test_serialize_matches_json_dumps_byte_for_byte():
     names = ['q"uote', "back\\slash", "nul\u0000", "plain"]
     cases = [
@@ -768,13 +788,12 @@ def test_serialize_matches_json_dumps_byte_for_byte():
         ({(0, 1): 5e-324, (1, 0): 1e20, (2, 3): 1.0, (3, 3): 2, (4, 0): 0.1 + 0.2},
          {(0, 1): 1, (2, 3): 12}),
         ({(1, 2): 3.0}, {}),
-        ({}, {(0, 0): 4}),
     ]
     for weights, support in cases:
         m = make_model(weights=weights, support=support)
         m.atomic_ops = list(names)
         m.add_macro(0, 1, generation=3).uses = 2
-        m.weights, m.support = weights, support
+        m.weights = PairTable(weights, support)  # without the macro's seeds
         p, t = m.params, m.params.thresholds
         doc = {
             "version": 1,
@@ -825,6 +844,30 @@ def test_negative_weight_rejected():
     m = make_model(weights={(0, 1): 0.5})
     text = _mangled(m, lambda d: d["weights"][0].__setitem__(2, -0.5))
     with pytest.raises(ParseError, match="negative weight"):
+        deserialize_model(text)
+
+
+@pytest.mark.parametrize("weights, support, message", [
+    ({(0, 1): 0.5}, [[0, 1, 2], [1, 0, 4]],
+     r"support\[1\]: support for \(1, 0\), which has no weight entry"),
+    ({}, [[0, 0, 4]], r"support\[0\]: support for \(0, 0\), which has no weight entry"),
+    ({(0, 1): 0.5, (0, 0): 0.25}, [[0, 0, 0], [0, 1, 2]],
+     r"support\[0\]: support count must be >= 1, got 0"),
+])
+def test_support_entry_needs_a_weight_and_a_count(weights, support, message):
+    text = _mangled(make_model(weights=weights), lambda d: d.__setitem__("support", support))
+    with pytest.raises(ParseError, match=message):
+        deserialize_model(text)
+
+
+@pytest.mark.parametrize("table, entries", [
+    ("weights", [[0, 1, 0.5], [1, 0, 0.5], [0, 1, 0.25]]),
+    ("support", [[0, 1, 2], [1, 0, 1], [0, 1, 3]]),
+])
+def test_duplicate_table_entries_rejected(table, entries):
+    m = make_model(weights={(0, 1): 0.5, (1, 0): 0.5})
+    text = _mangled(m, lambda d: d.__setitem__(table, entries))
+    with pytest.raises(ParseError, match=re.escape(f"{table}[2]: duplicate entry (0, 1)")):
         deserialize_model(text)
 
 

@@ -15,7 +15,7 @@ from ace.gca import (
     GcaModel,
     GcaParams,
     GcaThresholds,
-    WeightTable,
+    PairTable,
     apply_exploration_floor,
     deserialize_model,
     serialize_model,
@@ -101,18 +101,20 @@ class GcaModelMachine(RuleBasedStateMachine):
     @invariant()
     def weight_table_consistent(self):
         # The slot dict numbers the pairs 0..n-1 in first-write order, the
-        # value list has one entry per slot, and the mapping view reads them.
+        # value and count lists have one entry per slot, and the mapping
+        # view reads the values.
         w = self.model.weights
-        assert isinstance(w, WeightTable)
+        assert isinstance(w, PairTable)
         assert list(w._slots.values()) == list(range(len(w._values)))
-        assert len(w) == len(w._slots) == len(w._values)
+        assert len(w) == len(w._slots) == len(w._values) == len(w._counts)
         assert [w[key] for key in w] == w._values
         assert dict(w.items()) == dict(zip(w._slots, w._values))
 
     @invariant()
     def support_only_on_valid_pairs(self):
         m = self.model
-        for (i, j), c in m.support.items():
+        assert all(c >= 0 for c in m.weights._counts)
+        for (i, j), c in m.weights.support().items():
             assert c >= 1 and (i, j) in m.weights
             assert 0 <= i < m.vocab_size and 0 <= j < m.vocab_size
             assert not (m.mask_mode == "no_self" and i == j)

@@ -1,12 +1,13 @@
-"""Differential test of the weight table.
+"""Differential test of the pair table.
 
-A reference model keeps its weights in a plain dict and applies the
-learning, abstraction and pruning rules as they were written before the
-weights moved to a `WeightTable`: decay multiplies each entry in place,
-pair terms are summed in a dict, marginals read the dict.  Random
-sequences of steps drive it and a `GcaModel` side by side; after every
-step both must hold the same weights, bit for bit and in the same key
-order, and the same support counts and macros.
+A reference model keeps its weights and support counts in two plain
+dicts and applies the learning, abstraction and pruning rules as they
+were written before both moved to one `PairTable`: decay multiplies each
+entry in place, pair terms are summed in a dict, marginals read the
+dict.  Random sequences of steps drive it and a `GcaModel` side by side;
+after every step both must hold the same weights, bit for bit and in the
+same key order, and the same support counts and macros.  Support is
+compared as a dict: nothing reads it in insertion order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, WeightTable
+from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
 
 
 class DictReference:
@@ -186,7 +187,7 @@ def run_sequence(seed: int) -> None:
             model.prune_macros(u_min)
             ref.prune(u_min)
         assert exact(model.weights) == exact(ref.weights), (seed, step, kind)
-        assert list(model.support.items()) == list(ref.support.items()), (seed, step, kind)
+        assert model.weights.support() == ref.support, (seed, step, kind)
         assert model.macros == ref.macros, (seed, step, kind)
         assert model.vocab_size == ref.vocab_size
 
@@ -198,25 +199,48 @@ def test_table_matches_dict_reference(block):
 
 
 def test_table_is_a_live_mapping():
-    table = WeightTable({(0, 1): 0.5, (2, 0): 0.0})
-    table[(1, 1)] = 0.25
-    table[(0, 1)] = 0.75
+    table = PairTable({(0, 1): 0.5, (2, 0): 0.0}, {(0, 1): 3})
+    items = table.items()
+    table.append([(1, 1)], [0.25])
     assert list(table) == [(0, 1), (2, 0), (1, 1)]
-    assert table == {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.75}
-    assert {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.75} == table
-    assert table != {(0, 1): 0.75}
+    assert list(items) == [((0, 1), 0.5), ((2, 0), 0.0), ((1, 1), 0.25)]
+    assert table == {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.5}
+    assert {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.5} == table
+    assert table != {(0, 1): 0.5}
     assert len(table) == 3 and (2, 0) in table and (3, 3) not in table
     assert table.get((3, 3), 0.0) == 0.0 and table.get((2, 0)) == 0.0
-    assert table.lookup([(1, 1), (3, 3), (0, 1)]) == [0.25, 0.0, 0.75]
+    assert table.lookup([(1, 1), (3, 3), (0, 1)]) == [0.25, 0.0, 0.5]
+    # An appended pair has no count; support lists only pairs with one.
+    assert table.support() == {(0, 1): 3} and table._counts == [3, 0, 0]
+    with pytest.raises(TypeError):
+        table[(0, 1)] = 1.0  # read-only: weights change through the model
     table.scale(0.0)
     assert table == {(0, 1): 0.0, (2, 0): 0.0, (1, 1): 0.0}
+    assert table.support() == {(0, 1): 3}
+    with pytest.raises(KeyError):
+        PairTable({}, {(0, 0): 1})  # a count needs a weight
+
+
+def test_table_equality_compares_counts():
+    a = PairTable({(0, 1): 0.5, (1, 0): 0.25}, {(0, 1): 3})
+    assert a == PairTable({(1, 0): 0.25, (0, 1): 0.5}, {(0, 1): 3})
+    assert a == PairTable({(0, 1): 0.5, (1, 0): 0.25}, {(0, 1): 3, (1, 0): 0})
+    assert a != PairTable({(0, 1): 0.5, (1, 0): 0.25}, {(0, 1): 4})
+    assert a != PairTable({(0, 1): 0.5, (1, 0): 0.25})
+    assert a != PairTable({(0, 1): 0.5, (1, 0): 0.5}, {(0, 1): 3})
+    # A plain mapping holds weights only, so it compares weights only.
+    assert a == {(0, 1): 0.5, (1, 0): 0.25}
 
 
 def test_model_weights_stay_a_table():
     model = GcaModel(atomic_ops=["a", "b"], weights={(0, 1): 0.5})
-    assert isinstance(model.weights, WeightTable) and model.weights == {(0, 1): 0.5}
-    model.weights = {(1, 0): 2.0}
-    assert isinstance(model.weights, WeightTable) and list(model.weights.items()) == [((1, 0), 2.0)]
-    table = WeightTable({(0, 0): 1.0})
-    model.weights = table
+    assert isinstance(model.weights, PairTable) and model.weights == {(0, 1): 0.5}
+    assert model.weights.support() == {}
+    table = PairTable({(0, 0): 1.0}, {(0, 0): 2})
+    model = GcaModel(atomic_ops=["a", "b"], weights=table)
     assert model.weights is table
+    # The counts live in the table only: the model has no support field.
+    with pytest.raises(AttributeError):
+        model.support
+    with pytest.raises(TypeError):
+        GcaModel(atomic_ops=["a"], support={})

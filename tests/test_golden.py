@@ -24,6 +24,7 @@ import json
 import random
 
 from ace.cli import SuiteSpec, orchestrate
+from ace.gca import PairTable
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import Particle, PsoParams, construct_path
 
@@ -206,8 +207,7 @@ def path_models():
     macros = make_model(weights=weights)
     for left, right in ((1, 1), (2, 2), (4, 2)):
         macros.add_macro(left, right)
-    macros.weights[(1, 4)] = 2.0
-    macros.weights[(6, 3)] = 1.5
+    macros.weights = PairTable({**macros.weights, (1, 4): 2.0, (6, 3): 1.5})
     return (None, plain, macros)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import ace.pso as pso
 from ace.errors import ConfigError
-from ace.gca import GcaParams
+from ace.gca import GcaParams, PairTable
 from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import (
@@ -266,7 +266,7 @@ def test_macro_truncated_at_goal_records_prefix():
     model = make_model()
     model.add_macro(1, 1)  # id 4
     # bias sampling entirely toward the macro
-    model.weights[(1, 4)] = 50.0
+    model.weights = PairTable({**model.weights, (1, 4): 50.0})
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=5.0)
     rng = random.Random(2)
     for _ in range(50):
