@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .gca import GcaModel
 from .loop import ExperimentConfig, GenerationResult, PairEvent, Trajectory
 
@@ -61,6 +61,16 @@ def crossover(
     return child
 
 
+def _atomic_count(domain) -> int:
+    # The inlined draws below never end on an empty range.
+    n = domain.atomic_count
+    if n < 1:
+        raise ConfigError(
+            f"domain {type(domain).__name__} has no atomic operations (atomic_count {n})"
+        )
+    return n
+
+
 def mutate(
     ops: list[int],
     model: GcaModel | None,
@@ -73,32 +83,58 @@ def mutate(
     Guided mode draws the replacement from the model's floored transition
     distribution conditioned on the preceding op (uniform over the
     vocabulary at position 0); standard mode draws uniformly from the
-    domain's atomic operations.
+    domain's atomic operations, as rng.randrange(domain.atomic_count)
+    would.  A domain without atomic operations raises ConfigError before
+    any variate is drawn.
     """
+    n = _atomic_count(domain)
     out = list(ops)
+    rand = rng.random
+    if model is None:
+        # randrange(n)'s rule for n >= 1, without its three frames per draw
+        k = n.bit_length()
+        getrandbits = rng.getrandbits
+        for t in range(len(out)):
+            if rand() < rate:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                out[t] = r
+        return out
+    sample = model.sample_successor
     for t in range(len(out)):
-        if rng.random() >= rate:
+        if rand() >= rate:
             continue
-        if model is None:
-            out[t] = rng.randrange(domain.atomic_count)
-        elif t == 0:
+        if t == 0:
             vocab = model.sampling_vocabulary()
             out[0] = vocab[rng.randrange(len(vocab))]
         else:
-            out[t] = model.sample_successor(out[t - 1], rng)
+            out[t] = sample(out[t - 1], rng)
     return out
 
 
 def _tournament(
     population: list[Trajectory], size: int, rng: random.Random
 ) -> Trajectory:
-    best_idx = rng.randrange(len(population))
+    """The fittest of size entrants drawn with replacement, as
+    rng.randrange(len(population)) would draw them; ties go to the
+    lower index."""
+    n = len(population)
+    if n < 1:
+        raise DomainError("tournament over an empty population")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    best_idx = getrandbits(k)
+    while best_idx >= n:
+        best_idx = getrandbits(k)
+    best = population[best_idx].fitness
     for _ in range(size - 1):
-        idx = rng.randrange(len(population))
-        if population[idx].fitness > population[best_idx].fitness or (
-            population[idx].fitness == population[best_idx].fitness and idx < best_idx
-        ):
-            best_idx = idx
+        idx = getrandbits(k)
+        while idx >= n:
+            idx = getrandbits(k)
+        f = population[idx].fitness
+        if f > best or (f == best and idx < best_idx):
+            best_idx, best = idx, f
     return population[best_idx]
 
 
@@ -135,6 +171,7 @@ class EaExplorer:
             raise ConfigError(
                 f"domain {type(domain).__name__} does not evaluate operation sequences"
             )
+        _atomic_count(domain)
 
     def _bounds(self, domain) -> tuple[int, int]:
         lo, hi = domain.default_genome_bounds
@@ -152,10 +189,17 @@ class EaExplorer:
 
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> EaState:
         lo, hi = self._bounds(domain)
+        n = _atomic_count(domain)
+        k = n.bit_length()
+        getrandbits = rng.getrandbits
         population = []
         for _ in range(config.population_size):
-            length = rng.randint(lo, hi)
-            ops = [rng.randrange(domain.atomic_count) for _ in range(length)]
+            ops = []
+            for _ in range(rng.randint(lo, hi)):
+                r = getrandbits(k)  # as rng.randrange(n), see mutate
+                while r >= n:
+                    r = getrandbits(k)
+                ops.append(r)
             population.append(Trajectory(ops=ops, atomic_ops=[]))
         return EaState(population)
 

@@ -245,10 +245,12 @@ class GcaModel:
     mask_mode: str = field(default="all", compare=False)
 
     # Successor lists: _successors[from_op] is the tuple of ops the mask
-    # admits after from_op.  They change only with the vocabulary or a
-    # pruned flag, so add_macro and prune_macros clear them.
+    # admits after from_op.  They change only with the vocabulary, a
+    # pruned flag or the mask, so add_macro, prune_macros and a new
+    # mask_mode clear them.
     _successors: dict = field(default_factory=dict, compare=False, repr=False)
-    # Sampling rows, cleared by _touch on every weight change as well:
+    # Sampling rows, cleared by _touch on every weight change, on a new
+    # weights or params, and with the successor lists as well:
     # sample_successor's (ops, cumulative probabilities) keyed on from_op,
     # and floored_distribution's rows keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -258,12 +260,23 @@ class GcaModel:
 
     def __post_init__(self):
         self.params.validate()
-        if not isinstance(self.weights, PairTable):
-            self.weights = PairTable(self.weights)
         self._flat = [(op,) for op in range(len(self.atomic_ops))]
         for macro in self.macros:
             self._extend_table(macro)
         self.vocab_size = len(self._flat)
+
+    def __setattr__(self, name, value):
+        # weights is always a PairTable.  The sampling rows are derived from
+        # weights and params, the successor lists from mask_mode, so a new
+        # value drops them (there are none yet while __init__ runs).
+        if name == "weights" and not isinstance(value, PairTable):
+            value = PairTable(value)
+        object.__setattr__(self, name, value)
+        if "_row_cache" in self.__dict__:
+            if name in ("weights", "params"):
+                self._touch()
+            elif name == "mask_mode":
+                self._vocabulary_changed()
 
     # -- vocabulary ------------------------------------------------------
 

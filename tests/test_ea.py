@@ -7,7 +7,7 @@ import pytest
 
 from ace.chain import ChainDomain
 from ace.ea import EaExplorer, EaParams, crossover, mutate, select
-from ace.errors import ConfigError
+from ace.errors import ConfigError, DomainError
 from ace.loop import ExperimentConfig, Trajectory
 
 from helpers import make_model
@@ -29,13 +29,15 @@ class ScriptedRng:
         return getattr(self._rng, name)
 
 
-class SingleOpDomain:
-    atomic_op_names = ["only"]
-    atomic_count = 1
-    default_genome_bounds = (1, 8)
+class AtomsDomain:
+    """A domain of n atomic operations, enough for seeding and mutation."""
+
+    def __init__(self, n, bounds=(1, 40)):
+        self.atomic_count = n
+        self.default_genome_bounds = bounds
 
     def evaluate_sequence(self, ops, flat):
-        return Trajectory(ops=ops, atomic_ops=flat, fitness=float(len(flat)))
+        return Trajectory(ops=ops, atomic_ops=flat, fitness=0.0)
 
 
 # -- crossover -----------------------------------------------------------------
@@ -80,7 +82,7 @@ def test_mutate_rate_zero_is_identity():
 
 
 def test_mutate_rate_one_single_op_deterministic():
-    dom = SingleOpDomain()
+    dom = AtomsDomain(1)
     rng = random.Random(2)
     assert mutate([0, 0, 0], None, dom, 1.0, rng) == [0, 0, 0]
     m = make_model(n_atomic=1)
@@ -91,7 +93,7 @@ def test_mutate_guided_matches_floored_softmax():
     # planted dominant transition 0 -> 1
     m = make_model(n_atomic=4, weights={(0, 1): 5.0}, exploration_floor=0.1)
     expected = dict(m.floored_distribution(0, [0, 1, 2, 3]))[1]
-    dom = type("D", (), {"atomic_count": 4})()
+    dom = AtomsDomain(4)
     rng = random.Random(3)
     hits = 0
     first_zero = 0
@@ -105,7 +107,7 @@ def test_mutate_guided_matches_floored_softmax():
 
 
 def test_mutate_standard_is_uniform_over_atoms():
-    dom = type("D", (), {"atomic_count": 4})()
+    dom = AtomsDomain(4)
     rng = random.Random(8)
     counts = Counter()
     for _ in range(20_000):
@@ -211,3 +213,107 @@ def test_elitism_never_regresses():
         gen_best = max(tr.fitness for tr in state.population)
         assert best is None or gen_best >= best
         best = gen_best
+
+
+# -- integer draws -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("seed", [0, 1, 77])
+def test_integer_draws_are_randranges(n, seed):
+    # every draw is the integer randrange(n) gives, from the same state,
+    # and leaves the generator where randrange leaves it
+    rng, ref = random.Random(seed), random.Random(seed)
+    dom = AtomsDomain(n)
+    state = EaExplorer().initialize(dom, ExperimentConfig(population_size=5), rng)
+    for traj in state.population:
+        length = ref.randint(1, 40)
+        assert traj.ops == [ref.randrange(n) for _ in range(length)]
+    assert rng.getstate() == ref.getstate()
+
+    out = mutate([0] * 60, None, dom, 1.0, rng)
+    assert out == [(ref.random(), ref.randrange(n))[1] for _ in range(60)]
+    assert rng.getstate() == ref.getstate()
+
+    population = [t(float(i % 3)) for i in range(n)]
+    for size in (2, 3, 5):
+        params = EaParams(elitism_fraction=0.0, tournament_size=size)
+        for _ in range(20):
+            winner = select(population, params, rng, target_size=1)[0]
+            idx = [ref.randrange(n) for _ in range(size)]
+            best = max(idx, key=lambda i: (population[i].fitness, -i))
+            assert winner is population[best]
+    assert rng.getstate() == ref.getstate()
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+
+    def random(self):
+        u = super().random()
+        self.log.append(("random", u))
+        return u
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.log.append(("bits", r))
+        return r
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_standard_mutate_draws_one_variate_per_position(n):
+    # one random() per position; a mutated position then draws 3-bit
+    # values until one below n comes up, and takes it
+    rng = CountingRandom(3)
+    ops = [0] * 300
+    out = mutate(ops, None, AtomsDomain(n), 0.3, rng)
+    log = iter(rng.log)
+    mutated = 0
+    for op in out:
+        kind, u = next(log)
+        assert kind == "random"
+        if u < 0.3:
+            mutated += 1
+            kind, r = next(log)
+            while r >= n:
+                assert kind == "bits"
+                kind, r = next(log)
+            assert (kind, r) == ("bits", op)
+        else:
+            assert op == 0
+    assert next(log, None) is None
+    assert 0 < mutated < len(ops)
+
+
+# -- an empty range never reaches the draw loops -----------------------------------
+
+
+class NoDrawRandom:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew a variate ({name})")
+
+
+@pytest.mark.parametrize("model", [None, "guided"])
+def test_mutate_without_atomic_ops_raises_before_any_variate(model):
+    guide = make_model(n_atomic=1) if model else None
+    with pytest.raises(ConfigError, match="no atomic operations"):
+        mutate([0, 0], guide, AtomsDomain(0), 1.0, NoDrawRandom())
+
+
+def test_check_domain_rejects_a_domain_without_atomic_ops():
+    explorer = EaExplorer()
+    explorer.check_domain(AtomsDomain(1))
+    with pytest.raises(ConfigError, match=r"no atomic operations \(atomic_count 0\)"):
+        explorer.check_domain(AtomsDomain(0))
+
+
+def test_initialize_without_atomic_ops_raises_before_any_variate():
+    with pytest.raises(ConfigError, match="no atomic operations"):
+        EaExplorer().initialize(AtomsDomain(0), ExperimentConfig(), NoDrawRandom())
+
+
+def test_tournament_over_an_empty_population_raises():
+    with pytest.raises(DomainError, match="empty population"):
+        select([], EaParams(), NoDrawRandom(), target_size=2)

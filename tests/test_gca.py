@@ -212,6 +212,45 @@ def test_remembered_successors_follow_vocabulary_changes():
     assert {m.sample_successor(2, r) for _ in range(200)} == {0, 1}
 
 
+def test_new_weights_after_a_draw_replace_the_remembered_row():
+    m = GcaModel(["a", "b", "c"])
+    r = random.Random(0)
+    m.sample_successor(0, r)  # remembers the uniform row of 0
+    m.weights = PairTable({(0, 2): 50.0})
+    # the stale uniform row would give 2, 1, 0, 1, 1, 2, 0, 1 here
+    assert [m.sample_successor(0, r) for _ in range(8)] == [2] * 8
+
+
+def test_new_weights_mapping_becomes_a_table_and_replaces_rows():
+    m = make_model(n_atomic=3)
+    m.floored_distribution(0, [0, 1, 2])
+    m.weights = {(0, 1): 50.0}
+    assert isinstance(m.weights, PairTable)
+    assert m.weights == {(0, 1): 50.0}
+    assert m.floored_distribution(0, [0, 1, 2]) == make_model(
+        n_atomic=3, weights={(0, 1): 50.0}
+    ).floored_distribution(0, [0, 1, 2])
+
+
+def test_new_params_after_a_draw_replace_the_remembered_rows():
+    m = make_model(n_atomic=3, weights={(0, 1): 1.0})
+    m.sample_successor(0, random.Random(3))
+    m.floored_distribution(0, [1, 2])
+    m.params = GcaParams(temperature=0.01)
+    fresh = make_model(n_atomic=3, weights={(0, 1): 1.0}, temperature=0.01)
+    assert m.floored_distribution(0, [1, 2]) == fresh.floored_distribution(0, [1, 2])
+    draws = [m.sample_successor(0, random.Random(s)) for s in range(40)]
+    assert draws == [fresh.sample_successor(0, random.Random(s)) for s in range(40)]
+
+
+def test_new_mask_mode_after_a_draw_replaces_the_successor_lists():
+    m = make_model(n_atomic=3)
+    r = random.Random(4)
+    assert 0 in {m.sample_successor(0, r) for _ in range(100)}
+    m.mask_mode = "no_self"
+    assert {m.sample_successor(0, r) for _ in range(100)} == {1, 2}
+
+
 def test_draw_is_the_first_cumulative_above_the_variate():
     class Fixed:
         def __init__(self, u):

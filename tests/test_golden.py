@@ -13,8 +13,11 @@ model files too), must match the constants below.  One more constant
 pins swarm path construction alone: about two hundred `construct_path`
 calls over generated mazes, both dead-end modes, a tight cap, standard
 and guided mode with and without macros, and with and without reference
-paths.  A behaviour-neutral change keeps them; a change that moves
-results must update them and say why.
+paths.  Another pins the EA's draws alone: seeding, tournaments,
+selection and both mutation modes over a maze and two chain alphabets
+(4, 6 and 64 atomic operations) at three population sizes.  A
+behaviour-neutral change keeps them; a change that moves results must
+update them and say why.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import hashlib
 import json
 import random
 
+from ace.chain import ChainDomain, ChainSpec
 from ace.cli import SuiteSpec, orchestrate
+from ace.ea import EaExplorer, EaParams, _tournament, mutate, select
 from ace.gca import PairTable
+from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import Particle, PsoParams, construct_path
 
@@ -37,6 +43,7 @@ PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38
 FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d934070c76c7307"
 NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
 PATH_FINGERPRINT = "e05b2214dd6cd201b89353435356ab405cca3b33b4ba1d496cb6f7d2115035d5"
+EA_DRAWS_FINGERPRINT = "67b04108f4b575d88848f5b9367bee177564f7a0301c23091937c5d9cfe8445a"
 
 GCA = {
     "tau": 0.25, "epsilon": 0.1, "lambda": 1e-05, "gamma": 0.2,
@@ -235,3 +242,51 @@ def test_construct_path_fingerprint():
     digest.update(repr(rng.random()).encode())
     assert calls == 216
     assert digest.hexdigest() == PATH_FINGERPRINT
+
+
+def ea_domains():
+    """A maze (4 moves) and chains over 6 and 64 tokens."""
+    rewards = {(7, 57): 2.0, (3, 9): 1.5, (40, 63): 1.0}
+    wide = ChainSpec(alphabet_size=64, sequence_length=48, rewards=rewards)
+    return (
+        MazeDomain(generate_maze(8, 8, 0.3, 7), path_slack=10),
+        ChainDomain(),
+        ChainDomain(wide),
+    )
+
+
+def test_ea_draws_fingerprint():
+    rng = random.Random(2025)
+    digest = hashlib.sha256()
+    explorer = EaExplorer()
+    params = EaParams()
+    calls = 0
+    for dom in ea_domains():
+        model = make_model(
+            n_atomic=dom.atomic_count,
+            weights={(0, 1): 2.0, (1, 2): 1.0, (2, 0): 0.5},
+            mask_mode=getattr(dom, "transition_mask_mode", "all"),
+        )
+        model.add_macro(0, 1)
+        for size in (15, 30, 50):
+            state = explorer.initialize(dom, ExperimentConfig(population_size=size), rng)
+            # five fitness levels, so tournaments often break ties by index
+            population = [
+                Trajectory(ops=ops, atomic_ops=ops, fitness=float((len(ops) + sum(ops[:3])) % 5))
+                for ops in (tr.ops for tr in state.population)
+            ]
+            digest.update(repr([tr.ops for tr in population]).encode())
+            index = {id(tr): i for i, tr in enumerate(population)}
+            for tsize in (2, 3, 5):
+                picks = [_tournament(population, tsize, rng) for _ in range(size)]
+                digest.update(repr([index[id(tr)] for tr in picks]).encode())
+            survivors = select(population, params, rng, target_size=size)
+            digest.update(repr([index[id(tr)] for tr in survivors]).encode())
+            for rate in (0.08, 0.4, 1.0):
+                for guide in (None, model):
+                    for tr in population:
+                        digest.update(repr(mutate(tr.ops, guide, dom, rate, rng)).encode())
+                        calls += 1
+    digest.update(repr(rng.random()).encode())
+    assert calls == 3 * (15 + 30 + 50) * 3 * 2
+    assert digest.hexdigest() == EA_DRAWS_FINGERPRINT
