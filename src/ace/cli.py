@@ -40,6 +40,10 @@ log = logging.getLogger("ace")
 # Runs in one suite (arms x instances x runs_per_arm), capped so that a
 # mistyped count fails at parse time instead of building the task list.
 MAX_TASKS = 1_000_000
+# Candidate evaluations in one run (population_size x max_generations),
+# capped likewise so that a mistyped size fails at parse time instead of
+# running without end.  The shipped suites ask for at most 5,000.
+MAX_RUN_EVALUATIONS = 10_000_000
 
 # records.csv: the task columns, then the scalar fields of RunRecord.
 CSV_COLUMNS = [
@@ -251,6 +255,11 @@ class ArmSpec:
             warm_start_model=values.get("warm_start_model"),
         )
         config.validate()
+        evaluations = config.population_size * config.max_generations
+        if evaluations > MAX_RUN_EVALUATIONS:
+            raise ConfigError(
+                f"{where}: a run makes {evaluations} evaluations "
+                f"(population_size x max_generations), over {MAX_RUN_EVALUATIONS}")
         if config.warm_start_model:
             # Read the donor now so that a bad file fails before any run; its
             # vocabulary is checked against the domain when a run loads it.

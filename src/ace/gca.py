@@ -157,6 +157,25 @@ def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
     return [keep * (e / z) + floor for e in exps]
 
 
+def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random) -> int:
+    """One draw from softmax_floor(logits, epsilon) in a single pass: the
+    index draw(list(accumulate(softmax_floor(logits, epsilon))), rng)
+    returns, from the same float operations in the same order.  The
+    caller checks epsilon; logits must not be empty."""
+    m = max(logits)
+    exps = [math.exp(x - m) for x in logits]
+    z = sum(exps)
+    keep = 1.0 - epsilon
+    floor = epsilon / len(exps)
+    u = rng.random()
+    total = 0.0  # 0.0 + p is p: the first sum is accumulate's first entry
+    for i, e in enumerate(exps):
+        total += keep * (e / z) + floor
+        if total > u:
+            return i
+    return len(exps) - 1
+
+
 def draw(cum: list[float], rng: random.Random) -> int:
     """Inverse-CDF draw: the index of the first cumulative probability
     above a uniform variate (the last index if rounding leaves none)."""

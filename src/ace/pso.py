@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import accumulate, repeat
+from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import ConfigError
-from .gca import GcaModel, draw, softmax_floor
+from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
 
@@ -54,6 +54,25 @@ def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
     return traj.states or () if traj is not None else ()
 
 
+# A stride memo: a macro's atomic moves -> {cell: (cells, wall)}, where
+# cells are the cells its stride walks from that cell until a wall or the
+# goal, and wall is the index of the move into the wall (-1 if none).
+StrideMemo = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]
+
+
+def _walk_stride(step: list[int], cell: int, flat: tuple[int, ...], goal: int):
+    """A stride's (cells, wall) from cell, with no path-length cap."""
+    cells: list[int] = []
+    for i, mv in enumerate(flat):
+        cell = step[4 * cell + mv]
+        if cell < 0:
+            return tuple(cells), i
+        cells.append(cell)
+        if cell == goal:
+            break
+    return tuple(cells), -1
+
+
 def construct_path(
     particle: Particle,
     gbest: Trajectory | None,
@@ -62,6 +81,8 @@ def construct_path(
     domain,
     rng: random.Random,
     epsilon: float,
+    *,
+    stride_memo: StrideMemo | None = None,
 ) -> Trajectory:
     """Build one path from the start, step by step.
 
@@ -84,6 +105,12 @@ def construct_path(
     alignment, one for the selection) and takes it unscored: a one-entry
     distribution selects it whatever its score.  Construction stops at
     the goal or at the path-length cap.
+
+    stride_memo keeps each macro stride walked from a cell, uncapped, so
+    that it is walked once per memo; each step cuts it to the remaining
+    budget.  It assumes the domain's step table and goal stay as they
+    are while the memo lives: share one only between calls on one domain
+    (None: a fresh memo for this call).
     """
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
@@ -94,10 +121,12 @@ def construct_path(
 
     macro_info = []
     if model is not None:
+        if stride_memo is None:
+            stride_memo = {}
         for macro in model.macros:
             if not macro.pruned:
-                flat = model.flatten_macro(macro.id)
-                macro_info.append((macro.id, flat[0], flat))
+                flat = tuple(model.flatten_macro(macro.id))
+                macro_info.append((macro.id, flat[0], flat, stride_memo.setdefault(flat, {})))
 
     # A candidate aligns with a reference path when that path sits on the
     # candidate's end cell at the same depth.
@@ -143,27 +172,25 @@ def construct_path(
             ends = [step[base + m] for m in cand]
         n_moves = len(cand)
         end_at = [steps + 1] * n_moves
-        strides: list[tuple[list[int], list[int]]] = []  # (cells, flat) per macro
+        strides: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (cells, flat) per macro
         if macro_info:
             allowed = tuple(cand)
             room = max_len - steps
-            for macro_id, first_move, flat in macro_info:
+            for macro_id, first_move, flat, walks in macro_info:
                 if first_move not in allowed:
                     continue
-                cells: list[int] = []
-                pos = cur
-                for mv in flat:
-                    pos = step[4 * pos + mv]
-                    if pos < 0:
-                        break  # a wall: not a candidate this step
-                    cells.append(pos)
-                    if pos == goal or len(cells) >= room:
-                        break
-                if pos >= 0:
-                    cand.append(macro_id)
-                    ends.append(pos)
-                    end_at.append(steps + len(cells))
-                    strides.append((cells, flat))
+                walk = walks.get(cur)
+                if walk is None:
+                    walk = walks[cur] = _walk_stride(step, cur, flat, goal)
+                cells, wall = walk
+                if 0 <= wall < room:
+                    continue  # a wall within the budget: not a candidate this step
+                if len(cells) > room:
+                    cells = cells[:room]
+                cand.append(macro_id)
+                ends.append(cells[-1])
+                end_at.append(steps + len(cells))
+                strides.append((cells, flat))
 
         if len(cand) == 1:
             # A lone candidate is an atomic move (a macro competes only
@@ -195,7 +222,7 @@ def construct_path(
                     s += lam * p
                 scores.append(s)
 
-            pick = draw(list(accumulate(softmax_floor(scores, epsilon))), rng)
+            pick = softmax_floor_choice(scores, epsilon, rng)
         op = cand[pick]
         if pick < n_moves:
             moves.append(op)
@@ -230,14 +257,21 @@ def pso_generation(
     domain,
     rng: random.Random,
     epsilon: float,
+    *,
+    stride_memo: StrideMemo | None = None,
 ) -> tuple[Trajectory | None, list[Trajectory], list[TrajectoryEvent]]:
     """One sweep: every particle rebuilds its path against the entering
     swarm best; personal-best improvements emit reinforcement events; the
-    swarm best is recomputed afterwards (ties keep the lowest index)."""
+    swarm best is recomputed afterwards (ties keep the lowest index).
+    The particles share stride_memo (None: a fresh one for this sweep)."""
+    if stride_memo is None:
+        stride_memo = {}
     new_paths: list[Trajectory] = []
     events: list[TrajectoryEvent] = []
     for particle in swarm:
-        traj = construct_path(particle, gbest, params, model, domain, rng, epsilon)
+        traj = construct_path(
+            particle, gbest, params, model, domain, rng, epsilon, stride_memo=stride_memo
+        )
         new_paths.append(traj)
         particle.current = traj
         if particle.pbest is None:
@@ -259,6 +293,8 @@ def pso_generation(
 class PsoState:
     swarm: list[Particle]
     gbest: Trajectory | None = None
+    # Macro strides walked so far in this run, on its one domain.
+    stride_memo: StrideMemo = field(default_factory=dict)
 
 
 class PsoExplorer:
@@ -293,6 +329,7 @@ class PsoExplorer:
             domain,
             rng,
             config.gca.exploration_floor,
+            stride_memo=state.stride_memo,
         )
         state.gbest = gbest
         return GenerationResult(new_paths, events)

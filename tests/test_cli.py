@@ -669,6 +669,31 @@ def test_suite_over_the_task_cap_exits_1_before_any_run(tmp_path, capsys):
         SuiteSpec.from_dict(doc)
 
 
+def test_arm_over_the_run_budget_exits_1_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)  # population_size 10
+    doc["arms"][1]["run"] = {"max_generations": 10**20}
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "arm ace-ea" in err and f"over {cli.MAX_RUN_EVALUATIONS}" in err
+    assert not (out / "records.jsonl").exists()
+    # The budget counts population_size x max_generations of each arm.
+    doc["arms"][1]["run"] = {"max_generations": cli.MAX_RUN_EVALUATIONS // 10}
+    SuiteSpec.from_dict(doc)
+    doc["arms"][1]["run"]["population_size"] = 11
+    evaluations = 11 * (cli.MAX_RUN_EVALUATIONS // 10)
+    with pytest.raises(ConfigError, match=f"arm ace-ea: a run makes {evaluations} evaluations"):
+        SuiteSpec.from_dict(doc)
+
+
+def test_shipped_configs_are_far_under_the_run_budget():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for path in sorted(configs.glob("*.json")):
+        for arm in SuiteSpec.from_file(path).arms:
+            budget = arm.config.population_size * arm.config.max_generations
+            assert budget * 1000 < cli.MAX_RUN_EVALUATIONS, (path, arm.name)
+
+
 def test_shipped_configs_are_far_under_the_task_cap():
     configs = Path(__file__).resolve().parent.parent / "configs"
     for path in sorted(configs.glob("*.json")):

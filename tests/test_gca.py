@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from ace.gca import (
     draw,
     fresh_model,
     serialize_model,
+    softmax_floor,
+    softmax_floor_choice,
 )
 
 from helpers import make_model, random_model
@@ -262,6 +265,58 @@ def test_draw_is_the_first_cumulative_above_the_variate():
     cum = [0.25, 0.5, 0.75, 0.99]  # a total rounded short of 1
     assert [draw(cum, Fixed(u)) for u in (0.0, 0.25, 0.6, 0.9)] == [0, 1, 2, 3]
     assert draw(cum, Fixed(0.995)) == 3  # past the total: the last index
+
+
+class FixedVariate:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def random_scores(rng, k):
+    """k scores in one of several shapes: small, wide, tied or nearly tied."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return [rng.uniform(-3.0, 3.0) for _ in range(k)]
+    if shape == 1:
+        return [rng.choice((-1, 1)) * 10 ** rng.uniform(-12, 300) for _ in range(k)]
+    if shape == 2:
+        return [rng.choice((0.0, 0.5, 2.0)) for _ in range(k)]
+    base = rng.uniform(-1.0, 1.0)
+    return [base + rng.choice((0.0, 1e-15, 2e-16)) for _ in range(k)]
+
+
+EPSILONS = (1e-12, 1e-6, 0.1, 0.5, 1 - 1e-6, 1 - 1e-12)
+
+
+def test_softmax_floor_choice_matches_draw_over_the_accumulated_row():
+    rng = random.Random(14)
+    for _ in range(4000):
+        k = rng.randint(2, 8)
+        scores = random_scores(rng, k)
+        eps = rng.choice(EPSILONS)
+        seed = rng.randrange(2**32)
+        reference, mine = random.Random(seed), random.Random(seed)
+        cum = list(accumulate(softmax_floor(scores, eps)))
+        assert softmax_floor_choice(scores, eps, mine) == draw(cum, reference), (scores, eps)
+        assert mine.getstate() == reference.getstate()  # one variate each
+        # A variate on a running sum, or just either side of it.
+        for c in cum:
+            for u in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0)):
+                if 0.0 <= u < 1.0:
+                    variate = FixedVariate(u)
+                    assert softmax_floor_choice(scores, eps, variate) == draw(cum, variate)
+
+
+def test_softmax_floor_choice_past_the_total_is_the_last_index():
+    scores, eps = [1.0, 0.1], 0.15
+    u = 1 - 2**-53  # the largest variate random() returns
+    cum = list(accumulate(softmax_floor(scores, eps)))
+    assert cum[-1] <= u  # the running sum never exceeds the variate
+    assert softmax_floor_choice(scores, eps, FixedVariate(u)) == 1
+    assert draw(cum, FixedVariate(u)) == 1
 
 
 # -- pair update ----------------------------------------------------------------

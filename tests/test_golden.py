@@ -218,12 +218,19 @@ def path_models():
     return (None, plain, macros)
 
 
-def test_construct_path_fingerprint():
+def construct_path_digest(memo_per_maze):
+    """216 construct_path calls over three mazes, both dead-end modes, caps
+    None and 5 and the three path models: the call count, the SHA-256 of
+    every path and the rng's next variate, and the stride memos.  With
+    memo_per_maze, every call on one maze shares one stride memo."""
     rng = random.Random(2024)
     digest = hashlib.sha256()
     calls = 0
+    memos = []
     for connectivity in (0.0, 0.3, 1.0):
         dom = MazeDomain(generate_maze(8, 8, connectivity, 7), path_slack=10)
+        memo = {} if memo_per_maze else None
+        memos.append(memo)
         for mode in ("backtrack", "terminate"):
             for cap in (None, 5):
                 params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode, max_path_len=cap)
@@ -231,7 +238,9 @@ def test_construct_path_fingerprint():
                     for with_references in (False, True):
                         particle, gbest = Particle(), None
                         for _ in range(3):
-                            traj = construct_path(particle, gbest, params, model, dom, rng, 0.1)
+                            traj = construct_path(
+                                particle, gbest, params, model, dom, rng, 0.1, stride_memo=memo
+                            )
                             digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
                             calls += 1
                             if with_references:
@@ -240,8 +249,22 @@ def test_construct_path_fingerprint():
                                     particle.pbest, particle.pbest_fitness = traj, traj.fitness
                                 gbest = particle.pbest
     digest.update(repr(rng.random()).encode())
+    return calls, digest.hexdigest(), memos
+
+
+def test_construct_path_fingerprint():
+    calls, digest, _ = construct_path_digest(memo_per_maze=False)
     assert calls == 216
-    assert digest.hexdigest() == PATH_FINGERPRINT
+    assert digest == PATH_FINGERPRINT
+
+
+def test_construct_path_fingerprint_with_one_stride_memo_per_maze():
+    # Strides walked uncapped under one cap and read back under the other
+    # give the paths of a fresh memo per call.
+    calls, digest, memos = construct_path_digest(memo_per_maze=True)
+    assert calls == 216
+    assert digest == PATH_FINGERPRINT
+    assert all(len(memo) == 3 and all(memo.values()) for memo in memos)
 
 
 def ea_domains():

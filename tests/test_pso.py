@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 
 import ace.pso as pso
 from ace.errors import ConfigError
-from ace.gca import GcaParams, PairTable
+from ace.gca import GcaParams, PairTable, softmax_floor_choice
 from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import (
@@ -28,18 +29,22 @@ def path(states):
     return Trajectory(ops=[], atomic_ops=[], fitness=0.0, states=states)
 
 
-def step_scores(monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1):
+def step_scores(
+    monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1, stride_memo=None
+):
     """Candidate scores of every step of one construct_path call, as
-    handed to the softmax."""
+    handed to the floored choice."""
     seen = []
-    real = pso.softmax_floor
 
-    def spy(scores, eps):
+    def spy(scores, eps, rng):
         seen.append(list(scores))
-        return real(scores, eps)
+        return softmax_floor_choice(scores, eps, rng)
 
-    monkeypatch.setattr(pso, "softmax_floor", spy)
-    construct_path(particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS)
+    monkeypatch.setattr(pso, "softmax_floor_choice", spy)
+    construct_path(
+        particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS,
+        stride_memo=stride_memo,
+    )
     return seen
 
 
@@ -319,6 +324,28 @@ def test_macro_wall_before_cap_rejects_it(monkeypatch, max_path_len):
         assert 5 not in traj.ops
 
 
+def test_stride_memo_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
+    dom, model, params = eastward_stride(max_path_len=50)
+    memo = {}
+    construct_path(Particle(), None, params, model, dom, random.Random(0), EPS, stride_memo=memo)
+    # Walked uncapped from the start: E to 1, E to 2, then the wall.
+    assert memo[(1, 1, 1)][0] == ((1, 2), 2)
+    for cap, first_scores in ((1, [0.0, 0.0, 0.0]), (2, [0.0, 0.0, 100.0]), (3, [0.0, 0.0])):
+        capped = dataclasses.replace(params, max_path_len=cap)
+        for seed in range(5):
+            seen = step_scores(monkeypatch, dom, capped, model=model, seed=seed, stride_memo=memo)
+            # cap 1 and 2 cut EEE before its wall (ending on cell 1 or 2),
+            # cap 3 reaches the wall and drops it
+            assert seen[0] == first_scores
+            assert seen == step_scores(monkeypatch, dom, capped, model=model, seed=seed)
+            shared = construct_path(
+                Particle(), None, capped, model, dom, random.Random(seed), EPS, stride_memo=memo
+            )
+            alone = construct_path(Particle(), None, capped, model, dom, random.Random(seed), EPS)
+            assert (shared.states, shared.ops) == (alone.states, alone.ops)
+    assert memo[(1, 1, 1)][0] == ((1, 2), 2)
+
+
 class CountingRandom(random.Random):
     def __init__(self, seed):
         super().__init__(seed)
@@ -340,13 +367,12 @@ def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
     particle = Particle(current=path(list(range(16))), pbest=path([0, 1, 2, 3]))
     rng = CountingRandom(8)
     steps = []
-    real = pso.softmax_floor
 
-    def spy(scores, eps):
+    def spy(scores, eps, choice_rng):
         steps.append((len(scores), rng.calls))
-        return real(scores, eps)
+        return softmax_floor_choice(scores, eps, choice_rng)
 
-    monkeypatch.setattr(pso, "softmax_floor", spy)
+    monkeypatch.setattr(pso, "softmax_floor_choice", spy)
     # an open grid, where every step has several candidates, and a perfect
     # maze, whose corridors leave many steps a single one
     grid = GridStub(4, 4, max_path_len=30)
@@ -392,7 +418,7 @@ def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
     def unscored(*args):
         raise AssertionError("a single-candidate step must not be scored")
 
-    monkeypatch.setattr(pso, "softmax_floor", unscored)
+    monkeypatch.setattr(pso, "softmax_floor_choice", unscored)
     for dom, states, ops in single_candidate_walks():
         model = None
         if guided:
