@@ -10,7 +10,6 @@ patterns the guidance model is supposed to learn and promote to macros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 
 from .errors import ConfigError
 from .loop import Trajectory
@@ -47,16 +46,21 @@ class ChainSpec:
                 raise ConfigError(f"reward for ({i}, {j}) must be > 0, got {r}")
         if self.noise_penalty < 0:
             raise ConfigError(f"noise_penalty must be >= 0, got {self.noise_penalty}")
+        a, length = self.alphabet_size, self.sequence_length
+        if a * a * length > MAX_DP_STATES:
+            raise ConfigError(
+                f"chain spec too large for exact solving: {a}^2 * {length} transitions"
+                f" over {MAX_DP_STATES}"
+            )
 
 
 def chain_fitness(spec: ChainSpec, tokens: list[int]) -> float:
-    """Sum of planted-pair rewards minus the penalty per other adjacency."""
+    """Sum of planted-pair rewards minus the penalty per other adjacency,
+    added left to right."""
     total = 0.0
-    rewards = spec.rewards
-    penalty = spec.noise_penalty
-    for t in range(len(tokens) - 1):
-        r = rewards.get((tokens[t], tokens[t + 1]))
-        total += r if r is not None else -penalty
+    penalty = -spec.noise_penalty
+    for r in map(spec.rewards.get, zip(tokens, tokens[1:])):
+        total += penalty if r is None else r
     return total
 
 
@@ -67,25 +71,30 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     lexicographically smallest optimal sequence, recovered by walking the
     suffix-value table greedily from the front.
     """
-    spec.validate()
+    spec.validate()  # checks the size cap, MAX_DP_STATES
     a = spec.alphabet_size
     length = spec.sequence_length
-    if a * a * length > MAX_DP_STATES:
-        raise ConfigError(
-            f"chain spec too large for exact solving: {a}^2 * {length} transitions"
-        )
     if length == 1:
         return 0.0, [0]
 
-    # score[i][j]: the fitness term of the adjacency (i, j).
-    score = [[-spec.noise_penalty] * a for _ in range(a)]
+    # planted[i]: column -> reward of the planted pairs (i, j).  Every
+    # other adjacency scores -penalty.
+    planted: dict[int, dict[int, float]] = {}
     for (i, j), r in spec.rewards.items():
-        score[i][j] = r
+        planted.setdefault(i, {})[j] = r
+    penalty = -spec.noise_penalty
     # suffix[t][i]: best total over positions t..end given token i at t.
+    # Float addition is monotone, so no unplanted column of a row scores
+    # above penalty + max(next row), and when a planted column j holds
+    # that max, it scores r + nxt[j], no less, since r > 0 >= penalty.
+    # So the row's best is the larger of that value and its planted
+    # scores: the same float as a max over every column.
     suffix = [[0.0] * a for _ in range(length)]
     for t in range(length - 2, -1, -1):
         nxt = suffix[t + 1]
-        suffix[t] = [max(map(add, score_row, nxt)) for score_row in score]
+        row = suffix[t] = [penalty + max(nxt)] * a
+        for i, cols in planted.items():
+            row[i] = max(row[i], *(r + nxt[j] for j, r in cols.items()))
     best = max(suffix[0])
     first = min(i for i in range(a) if suffix[0][i] == best)
     seq = [first]
@@ -93,8 +102,9 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
         cur = seq[-1]
         target = suffix[t][cur]
         nxt_row = suffix[t + 1]
+        cols = planted.get(cur, {})
         for j in range(a):
-            if score[cur][j] + nxt_row[j] == target:
+            if cols.get(j, penalty) + nxt_row[j] == target:
                 seq.append(j)
                 break
     return best, seq

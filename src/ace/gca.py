@@ -19,7 +19,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .errors import ConfigError, DomainError, InternalError, ParseError
 
@@ -186,30 +186,51 @@ def draw(cum: list[float], rng: random.Random) -> int:
 
 
 class PairTable(Mapping):
-    """The stored pairs: a slot dict numbers each ordered pair in
+    """The stored pairs: each ordered pair (i, j) has a slot, numbered in
     first-write order, and its weight and support count (0 when no
     co-occurrence was recorded) sit at that index in two parallel lists.
+    The row index _rows[i][j] gives the slot through int-keyed dicts, so
+    a reader of one row hashes no pair; _keys[slot] is the slot's pair.
 
     It reads as a mapping from pair to weight, in first-write order.  An
     entry is never removed; one decayed to 0.0 stays stored.  Equality
     with another table compares the counts too.
     """
 
-    __slots__ = ("_slots", "_values", "_counts")
+    __slots__ = ("_rows", "_keys", "_values", "_counts")
 
     def __init__(self, weights=(), support=()):
         weights = dict(weights)
-        self._slots = {key: slot for slot, key in enumerate(weights)}
-        self._values = list(weights.values())
-        self._counts = [0] * len(self._values)
+        self._rows: dict[int, dict[int, int]] = {}
+        self._keys: list[tuple[int, int]] = []
+        self._values: list[float] = []
+        self._counts: list[int] = []
+        self.append(list(weights), list(weights.values()))
         for key, count in dict(support).items():
-            self._counts[self._slots[key]] = count
+            self._counts[self._slot(key)] = count
+
+    def _slot(self, key) -> int:
+        try:
+            i, j = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        row = self._rows.get(i)
+        if row is None or j not in row:
+            raise KeyError(key)
+        return row[j]
+
+    def _row(self, i: int) -> dict[int, int]:
+        """Row i of the index, column -> slot, made empty if absent."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = {}
+        return row
 
     def __getitem__(self, key):
-        return self._values[self._slots[key]]
+        return self._values[self._slot(key)]
 
     def __iter__(self):
-        return iter(self._slots)
+        return iter(self._keys)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -221,17 +242,32 @@ class PairTable(Mapping):
 
     def support(self) -> dict:
         """Pair -> support count for every pair with a count of 1 or more."""
-        return {key: c for key, c in zip(self._slots, self._counts) if c}
+        return {key: c for key, c in zip(self._keys, self._counts) if c}
 
-    def lookup(self, pairs) -> list[float]:
-        """The weights of the given pairs, in order; 0.0 for an absent one."""
+    def row_weights(self, i: int, columns) -> list[float]:
+        """The weights of the pairs (i, j) for the given columns j, in
+        order; 0.0 for an absent one."""
+        row = self._rows.get(i)
+        if row is None:
+            return [0.0] * len(columns)
         values = self._values
-        return [0.0 if k is None else values[k] for k in map(self._slots.get, pairs)]
+        return [0.0 if k is None else values[k] for k in map(row.get, columns)]
+
+    def column_weights(self, j: int, rows) -> list[float]:
+        """The weights of the pairs (i, j) for the given rows i, in order;
+        0.0 for an absent one."""
+        index, values = self._rows, self._values
+        out = []
+        for row in map(index.get, rows):
+            k = None if row is None else row.get(j)
+            out.append(0.0 if k is None else values[k])
+        return out
 
     def append(self, pairs: list, values: list[float]) -> None:
         """Store the weights of pairs not yet stored, in order, count 0."""
-        n = len(self._values)
-        self._slots.update(zip(pairs, range(n, n + len(pairs))))
+        for slot, (i, j) in enumerate(pairs, len(self._keys)):
+            self._row(i)[j] = slot
+            self._keys.append((i, j))
         self._values.extend(values)
         self._counts.extend([0] * len(pairs))
 
@@ -355,10 +391,12 @@ class GcaModel:
     def _logits(self, from_op: int, successors) -> list[float]:
         """The weights from from_op to the successors over the model
         temperature, in successor order; ids are not checked."""
-        slots = map(self.weights._slots.get, zip(repeat(from_op), successors))
+        row = self.weights._rows.get(from_op)
+        if row is None:
+            return [0.0] * len(successors)
         values = self.weights._values
         t = self.params.temperature
-        return [0.0 if k is None else values[k] / t for k in slots]
+        return [0.0 if k is None else values[k] / t for k in map(row.get, successors)]
 
     def transition_distribution(
         self, from_op: int, successors: list[int]
@@ -415,7 +453,7 @@ class GcaModel:
             probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
             row = self._row_cache[from_op] = (ops, list(accumulate(probs)))
         ops, cum = row
-        return ops[draw(cum, rng)]
+        return ops[min(bisect_right(cum, rng.random()), len(ops) - 1)]  # draw(cum, rng)
 
     # -- learning --------------------------------------------------------
 
@@ -424,20 +462,24 @@ class GcaModel:
         if d != 0.0:
             self.weights.scale(1.0 - d)
 
-    def _reinforce(self, terms, scale: float) -> None:
-        """Add scale * term to the weight of each (pair, term) given, in
-        order, and count one co-occurrence for each."""
+    def _reinforce(self, rows, scale: float) -> None:
+        """Add scale * term to the weight of each pair (i, j) of each
+        (i, columns, terms) row given, in order, and count one
+        co-occurrence for each."""
         table = self.weights
-        slots, values, counts = table._slots, table._values, table._counts
-        for key, term in terms:
-            slot = slots.get(key)
-            if slot is None:
-                slots[key] = len(values)
-                values.append(0.0 + scale * term)  # an absent weight reads as 0.0
-                counts.append(1)
-            else:
-                values[slot] += scale * term
-                counts[slot] += 1
+        keys, values, counts = table._keys, table._values, table._counts
+        for i, columns, terms in rows:
+            row = table._row(i)
+            for j, term in zip(columns, terms):
+                slot = row.get(j)
+                if slot is None:
+                    row[j] = len(values)
+                    keys.append((i, j))
+                    values.append(0.0 + scale * term)  # an absent weight reads as 0.0
+                    counts.append(1)
+                else:
+                    values[slot] += scale * term
+                    counts[slot] += 1
 
     def hebbian_pair_update(
         self,
@@ -468,15 +510,15 @@ class GcaModel:
         scale = self._increment_scale(gain)
         # The terms read only the count vectors, so they are built before
         # the decay, and an overflowing increment is caught before it.
-        terms = self._pair_terms(counts_a, counts_b) if scale else []
-        if terms:
-            top = scale * max(term for _, term in terms)
+        rows = self._pair_rows(counts_a, counts_b) if scale else []
+        if rows:
+            top = scale * max(max(terms) for _, _, terms in rows)
             if not math.isfinite(top):
                 raise DomainError(f"weight increment must be finite, got {top}")
         self._decay_weights()
         self._touch()
-        if terms:
-            self._reinforce(terms, scale)
+        if rows:
+            self._reinforce(rows, scale)
         return gain
 
     def _increment_scale(self, gain: float) -> float:
@@ -492,26 +534,39 @@ class GcaModel:
             raise DomainError(f"weight increment must be finite, got {scale}")
         return scale
 
-    def _pair_terms(self, counts_a: list[int], counts_b: list[int]) -> list:
-        """(pair, term) for every pair with a positive term that the
-        transition relation admits, as the pair update reinforces them."""
+    def _pair_rows(self, counts_a: list[int], counts_b: list[int]) -> list:
+        """(i, columns, terms) for each row i of the pairs (i, j) with a
+        positive term that the transition relation admits, as the pair
+        update reinforces them; no row is empty."""
         pruned = self._pruned_ids()
         nz_a = [i for i, c in enumerate(counts_a) if c and i not in pruned]
         nz_b = [i for i, c in enumerate(counts_b) if c and i not in pruned]
         # The pair terms in the order the two outer products first meet
         # them: a's ops against b's, then b's against a's for the pairs
-        # the first one did not reach.
+        # the first one did not reach.  Those are a whole row outside a's
+        # ops, and the columns outside b's ops in a row inside them, so
+        # no self-pair is among them.
         a, b = counts_a, counts_b
-        terms = [((i, j), a[i] * b[j] + b[i] * a[j]) for i in nz_a for j in nz_b]
         in_a, in_b = set(nz_a), set(nz_b)
-        terms += [
-            ((i, j), b[i] * a[j])
-            for i in nz_b for j in nz_a
-            if not (i in in_a and j in in_b)
-        ]
+        only_a = [j for j in nz_a if j not in in_b]
         no_self = self.mask_mode == "no_self"
-        return [(key, term) for key, term in terms
-                if term > 0 and not (no_self and key[0] == key[1])]
+        rows = []
+        for i in nz_a:
+            columns = [j for j in nz_b if j != i] if no_self and i in in_b else nz_b
+            ai, bi = a[i], b[i]
+            rows.append((i, columns, [ai * b[j] + bi * a[j] for j in columns]))
+        for i in nz_b:
+            columns = only_a if i in in_a else nz_a
+            bi = b[i]
+            rows.append((i, columns, [bi * a[j] for j in columns]))
+        kept = []
+        for i, columns, terms in rows:
+            if terms and min(terms) <= 0:  # only with a negative count
+                columns = [j for j, term in zip(columns, terms) if term > 0]
+                terms = [term for term in terms if term > 0]
+            if terms:
+                kept.append((i, columns, terms))
+        return kept
 
     def hebbian_trajectory_update(self, ops: list[int], gain: float) -> None:
         """Single-trajectory reinforcement: strengthen each adjacent pair.
@@ -534,11 +589,23 @@ class GcaModel:
             return
         pruned = self._pruned_ids()
         no_self = self.mask_mode == "no_self"
-        self._reinforce(
-            [((i, j), 1) for i, j in zip(ops, ops[1:])
-             if i not in pruned and j not in pruned and not (no_self and i == j)],
-            scale,
-        )
+        # _reinforce with a term of 1 per adjacent pair, one pair at a
+        # time: a trajectory seldom repeats a row back to back.
+        table = self.weights
+        keys, values, counts = table._keys, table._values, table._counts
+        for i, j in zip(ops, ops[1:]):
+            if i in pruned or j in pruned or (no_self and i == j):
+                continue
+            row = table._row(i)
+            slot = row.get(j)
+            if slot is None:
+                row[j] = len(values)
+                keys.append((i, j))
+                values.append(scale)  # 0.0 + scale * 1, scale > 0
+                counts.append(1)
+            else:
+                values[slot] += scale
+                counts[slot] += 1
 
     # -- abstraction -----------------------------------------------------
 
@@ -564,7 +631,7 @@ class GcaModel:
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
         table = self.weights
-        entries = zip(table._slots, table._values, table._counts)
+        entries = zip(table._keys, table._values, table._counts)
         qualifying = _Promotion(self).qualifying(entries)
         cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
@@ -579,10 +646,8 @@ class GcaModel:
             raise DomainError("macro constituents must already exist in the vocabulary")
         w = self.weights
         ops = range(m)
-        left_out = w.lookup(zip(repeat(left), ops))
-        right_out = w.lookup(zip(repeat(right), ops))
-        left_in = w.lookup(zip(ops, repeat(left)))
-        right_in = w.lookup(zip(ops, repeat(right)))
+        left_out, right_out = w.row_weights(left, ops), w.row_weights(right, ops)
+        left_in, right_in = w.column_weights(left, ops), w.column_weights(right, ops)
         # Row and column m are new: every entry is appended, (m, k) before
         # (k, m) in ascending k.
         pairs, values = [], []
@@ -649,6 +714,7 @@ class _Promotion:
         self.pruned = model._pruned_ids()
         self.no_self = model.mask_mode == "no_self"
         self.promoted = {(m.left, m.right) for m in model.macros if not m.pruned}
+        self.unpruned = [k for k in range(model.vocab_size) if k not in self.pruned]
         self.col_means: dict[int, float | None] = {}
         self.row_means: dict[int, float | None] = {}
 
@@ -663,20 +729,26 @@ class _Promotion:
         means = self.col_means if into else self.row_means
         if op in means:
             return means[op]
-        ks = range(self.model.vocab_size)
-        pairs = [(k, op) for k in ks] if into else [(op, k) for k in ks]
-        pairs = [pair for pair in pairs if self.valid(*pair)]
+        # A pair is valid read either way round, so one list of partners
+        # serves the row and the column.
+        if op in self.pruned:
+            ks = []
+        elif self.no_self:
+            ks = [k for k in self.unpruned if k != op]
+        else:
+            ks = self.unpruned
+        weights = self.model.weights
         total = 0.0
-        for x in self.model.weights.lookup(pairs):
+        for x in weights.column_weights(op, ks) if into else weights.row_weights(op, ks):
             total += x
-        means[op] = mean = total / len(pairs) if pairs else None
+        means[op] = mean = total / len(ks) if ks else None
         return mean
 
     def lift(self, i: int, j: int) -> float:
         model = self.model
         model._check_id(i)
         model._check_id(j)
-        (w_ij,) = model.weights.lookup([(i, j)])
+        w_ij = model.weights.get((i, j), 0.0)
         denom = (self._mean(i, into=True) or 0.0) * (self._mean(j, into=False) or 0.0)
         if denom == 0.0:
             return math.inf if w_ij > 0 else 0.0
@@ -686,13 +758,14 @@ class _Promotion:
         """The ((i, j), weight) of each ((i, j), weight, support count)
         entry given that clears every promotion gate, in the order given."""
         t = self.model.params.thresholds
+        weight_min, support_min, lift_min = t.weight_min, t.support_min, t.lift_min
         for (i, j), w, count in entries:
             if (
-                w > t.weight_min
-                and count >= t.support_min
+                w > weight_min
+                and count >= support_min
                 and self.valid(i, j)
                 and (i, j) not in self.promoted
-                and self.lift(i, j) >= t.lift_min
+                and self.lift(i, j) >= lift_min
             ):
                 yield (i, j), w
 
@@ -727,9 +800,12 @@ def serialize_model(model: GcaModel) -> str:
     # of triples one level down; the rest goes through json.dumps, and
     # the two documents are joined at their outer braces.
     table = model.weights
-    rows = sorted(zip(table._slots, table._values, table._counts))
-    weights = _triples((i, j, _float_text(float(w))) for (i, j), w, _ in rows)
-    support = _triples((i, j, c) for (i, j), _, c in rows if c)
+    values, counts = table._values, table._counts
+    entries = []  # (i, j, slot) in ascending (i, j)
+    for i, row in sorted(table._rows.items()):
+        entries.extend((i, j, row[j]) for j in sorted(row))
+    weights = _triples((i, j, _float_text(float(values[k]))) for i, j, k in entries)
+    support = _triples((i, j, counts[k]) for i, j, k in entries if counts[k])
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
     return f'{head},\n  "weights": {weights},\n  "support": {support},{rest}'
@@ -870,11 +946,11 @@ def deserialize_model(text: str) -> GcaModel:
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
     table = PairTable()
     for ec, pair, w in _triples_in(doc, "weights", "weight", float, vocab_size):
-        if pair in table._slots:
+        if pair in table:
             raise ParseError(f"{ec}: duplicate entry {pair}")
         table.append([pair], [w])
     for ec, pair, count in _triples_in(doc, "support", "count", int, vocab_size):
-        slot = table._slots.get(pair)
+        slot = table._rows.get(pair[0], {}).get(pair[1])
         if slot is None:
             raise ParseError(f"{ec}: support for {pair}, which has no weight entry")
         if count == 0:

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from ace.chain import ChainDomain, ChainSpec, brute_force_optimum, chain_fitness
+from ace.chain import (
+    MAX_DP_STATES,
+    ChainDomain,
+    ChainSpec,
+    brute_force_optimum,
+    chain_fitness,
+)
 from ace.errors import ConfigError
 
 
@@ -103,6 +109,48 @@ def test_solver_matches_enumeration():
         assert got_witness == want_witness
 
 
+def dense_optimum(spec):
+    """Reference DP over the dense a x a score table: every column of
+    every row is scored, and the witness takes the first column that
+    reaches the suffix value."""
+    a, length = spec.alphabet_size, spec.sequence_length
+    if length == 1:
+        return 0.0, [0]
+    score = [[-spec.noise_penalty] * a for _ in range(a)]
+    for (i, j), r in spec.rewards.items():
+        score[i][j] = r
+    suffix = [[0.0] * a for _ in range(length)]
+    for t in range(length - 2, -1, -1):
+        nxt = suffix[t + 1]
+        suffix[t] = [max(s + x for s, x in zip(row, nxt)) for row in score]
+    best = max(suffix[0])
+    seq = [suffix[0].index(best)]
+    for t in range(length - 1):
+        cur, nxt = seq[-1], suffix[t + 1]
+        seq.append(next(j for j in range(a) if score[cur][j] + nxt[j] == suffix[t][cur]))
+    return best, seq
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 6, 64])
+def test_solver_matches_the_dense_reference(alphabet):
+    rng = random.Random(alphabet)
+    off_diagonal = [(i, j) for i in range(alphabet) for j in range(alphabet) if i != j]
+    for length in (1, 2, 5, 48):
+        for noise in (0.0, 0.2, 1.3):
+            for planted in (1, alphabet - 1, min(24, len(off_diagonal)), len(off_diagonal)):
+                pairs = rng.sample(off_diagonal, planted)
+                spec = ChainSpec(
+                    alphabet_size=alphabet,
+                    sequence_length=length,
+                    rewards={pair: rng.uniform(0.05, 2.5) for pair in pairs},
+                    noise_penalty=noise,
+                )
+                got_value, got_witness = brute_force_optimum(spec)
+                want_value, want_witness = dense_optimum(spec)
+                assert got_value.hex() == want_value.hex(), (length, noise, planted)
+                assert got_witness == want_witness, (length, noise, planted)
+
+
 def test_solver_witness_is_lexicographically_smallest():
     # symmetric rewards: many optima; the witness must be the smallest
     spec = ChainSpec(
@@ -120,6 +168,15 @@ def test_solver_size_guard():
     spec = ChainSpec(alphabet_size=5000, sequence_length=5000, rewards={(0, 1): 1.0})
     with pytest.raises(ConfigError, match="too large"):
         brute_force_optimum(spec)
+
+
+def test_spec_validation_caps_the_dp_size():
+    # Checked from the two sizes alone, before anything is built.
+    side = 10_000
+    ChainSpec(alphabet_size=side, sequence_length=MAX_DP_STATES // side**2,
+              rewards={(0, 1): 1.0}).validate()
+    with pytest.raises(ConfigError, match=f"too large.*over {MAX_DP_STATES}"):
+        ChainSpec(alphabet_size=side + 1, sequence_length=1, rewards={(0, 1): 1.0}).validate()
 
 
 def test_spec_validation():

@@ -669,6 +669,18 @@ def test_suite_over_the_task_cap_exits_1_before_any_run(tmp_path, capsys):
         SuiteSpec.from_dict(doc)
 
 
+def test_oversized_chain_exits_1_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    # 20000^2 * 2 DP transitions; the cap is read off the two sizes, so
+    # parsing builds no alphabet-sized list.
+    doc["domain"].update(alphabet_size=20000, sequence_length=2)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "too large for exact solving" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+    assert not (out / "error_manifest.json").exists()
+
+
 def test_arm_over_the_run_budget_exits_1_before_any_run(tmp_path, capsys):
     out = tmp_path / "out"
     doc = tiny_chain_suite(out)  # population_size 10

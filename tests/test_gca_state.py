@@ -100,15 +100,16 @@ class GcaModelMachine(RuleBasedStateMachine):
 
     @invariant()
     def weight_table_consistent(self):
-        # The slot dict numbers the pairs 0..n-1 in first-write order, the
-        # value and count lists have one entry per slot, and the mapping
-        # view reads the values.
+        # Slot k holds the pair _keys[k], and the row index leads back to
+        # it; the rows hold one entry per slot, the value and count lists
+        # one per slot, and the mapping view reads the values.
         w = self.model.weights
         assert isinstance(w, PairTable)
-        assert list(w._slots.values()) == list(range(len(w._values)))
-        assert len(w) == len(w._slots) == len(w._values) == len(w._counts)
+        assert all(w._rows[i][j] == slot for slot, (i, j) in enumerate(w._keys))
+        assert sum(map(len, w._rows.values())) == len(w._keys)
+        assert len(w) == len(w._keys) == len(w._values) == len(w._counts)
         assert [w[key] for key in w] == w._values
-        assert dict(w.items()) == dict(zip(w._slots, w._values))
+        assert dict(w.items()) == dict(zip(w._keys, w._values))
 
     @invariant()
     def support_only_on_valid_pairs(self):

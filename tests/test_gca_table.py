@@ -209,7 +209,8 @@ def test_table_is_a_live_mapping():
     assert table != {(0, 1): 0.5}
     assert len(table) == 3 and (2, 0) in table and (3, 3) not in table
     assert table.get((3, 3), 0.0) == 0.0 and table.get((2, 0)) == 0.0
-    assert table.lookup([(1, 1), (3, 3), (0, 1)]) == [0.25, 0.0, 0.5]
+    assert table.row_weights(1, [1, 3, 0]) == [0.25, 0.0, 0.0]
+    assert table.column_weights(1, [1, 3, 0]) == [0.25, 0.0, 0.5]
     # An appended pair has no count; support lists only pairs with one.
     assert table.support() == {(0, 1): 3} and table._counts == [3, 0, 0]
     with pytest.raises(TypeError):
@@ -219,6 +220,16 @@ def test_table_is_a_live_mapping():
     assert table.support() == {(0, 1): 3}
     with pytest.raises(KeyError):
         PairTable({}, {(0, 0): 1})  # a count needs a weight
+
+
+def test_missing_pair_raises_key_error_naming_it():
+    table = PairTable({(0, 1): 0.5, (2, 0): 0.0})
+    for pair in [(1, 0), (0, 2)]:  # no row 1; row 0 without column 2
+        with pytest.raises(KeyError) as caught:
+            table[pair]
+        assert caught.value.args == (pair,)
+        assert pair not in table and table.get(pair) is None
+    assert 5 not in table and (0, 1, 2) not in table
 
 
 def test_table_equality_compares_counts():
