@@ -33,7 +33,7 @@ from .errors import AceError, ConfigError, ParseError
 from .gca import GcaParams, GcaThresholds
 from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_shape, generate_maze, maze_to_text
-from .pso import PsoExplorer, PsoParams
+from .pso import MAX_PATH_LEN, PsoExplorer, PsoParams
 
 log = logging.getLogger("ace")
 
@@ -44,6 +44,9 @@ MAX_TASKS = 1_000_000
 # capped likewise so that a mistyped size fails at parse time instead of
 # running without end.  The shipped suites ask for at most 5,000.
 MAX_RUN_EVALUATIONS = 10_000_000
+# Worker processes of one suite, capped so that a mistyped degree fails
+# before any pool exists; a suite never starts more workers than runs.
+MAX_PARALLELISM = 64
 
 # records.csv: the task columns, then the scalar fields of RunRecord.
 CSV_COLUMNS = [
@@ -142,11 +145,14 @@ def _read(doc, schema: dict[str, tuple[str, str]], where: str, required=()) -> d
 
 def _fits(value, hint: str) -> bool:
     """Whether a value has the type an annotation names (True for a type
-    without a check); a bool is no number, an int passes for a float."""
+    without a check); a bool is no number, an int passes for a float
+    unless it overflows one."""
     base, _, rest = hint.partition(" | ")
     kind = _TYPES.get(base.partition("[")[0])
     if kind is None or (value is None and rest == "None"):
         return True
+    if base == "float" and type(value) is int and abs(value) > sys.float_info.max:
+        return False  # it would overflow when widened
     return isinstance(value, kind) and isinstance(value, bool) == (base == "bool")
 
 
@@ -169,7 +175,7 @@ def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
             values["rewards"] = {
                 (int(i), int(j)): float(r) for i, j, r in values["rewards"]
             }
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{where}.target_bigrams must list [from, to, reward]: {e}") from e
     spec = ChainSpec(**values)
     spec.validate()
@@ -191,8 +197,11 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
         raise ConfigError(f"unknown domain kind {kind!r}")
     values = _read(doc, MAZE, "domain")
     width, height = values.get("width", 15), values.get("height", 15)
+    slack = values.get("path_slack")
+    if slack is not None and not 0 <= slack <= MAX_PATH_LEN:
+        raise ConfigError(f"domain.path_slack must lie in [0, {MAX_PATH_LEN}], got {slack}")
     common = {
-        "kind": kind, "width": width, "height": height, "path_slack": values.get("path_slack"),
+        "kind": kind, "width": width, "height": height, "path_slack": slack,
         "fitness": _read(values.get("fitness", {}), FITNESS, "domain.fitness"),
     }
     if "instances" in values:
@@ -200,11 +209,16 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
     else:
         levels = values.get("connectivity_levels", [0.0, 0.3, 0.6, 1.0])
         seed_base = values.get("maze_seed_base", 1000)
+        per_level = values.get("mazes_per_level", 2)
+        if len(levels) * per_level > MAX_TASKS:
+            raise ConfigError(
+                f"domain has {len(levels) * per_level} instances "
+                f"(connectivity_levels x mazes_per_level), over {MAX_TASKS}")
         listed = [
             (f"domain.connectivity_levels[{li}]",
              {"connectivity": conn, "maze_seed": seed_base + 100 * li + k})
             for li, conn in enumerate(levels)
-            for k in range(values.get("mazes_per_level", 2))
+            for k in range(per_level)
         ]
     instances = []
     for where, inst in listed:
@@ -292,9 +306,9 @@ class SuiteSpec:
         spec = cls(**top)
         if len({a.name for a in spec.arms}) != len(spec.arms):
             raise ConfigError("arm names must be unique")
-        for key in ("runs_per_arm", "parallelism"):
-            if getattr(spec, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        if spec.runs_per_arm < 1:
+            raise ConfigError("runs_per_arm must be >= 1")
+        _check_parallelism(spec.parallelism)
         tasks = len(spec.arms) * len(instances) * spec.runs_per_arm
         if tasks > MAX_TASKS:
             raise ConfigError(
@@ -308,6 +322,14 @@ class SuiteSpec:
 
 SUITE = _schema(SuiteSpec)
 SUITE_KEYS = {*SUITE, "notes", "run", "gca"}
+
+
+def _check_parallelism(workers: int) -> None:
+    """Raise ConfigError unless 1 <= workers <= MAX_PARALLELISM."""
+    if workers < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {workers}")
+    if workers > MAX_PARALLELISM:
+        raise ConfigError(f"parallelism must be <= {MAX_PARALLELISM}, got {workers}")
 
 
 def _load_json(path, what: str):
@@ -392,9 +414,9 @@ def orchestrate(
     records to records.jsonl.  On failure the partial records file stays
     in place and an error manifest is written before re-raising."""
     workers = parallelism if parallelism is not None else suite.parallelism
-    if workers < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {workers}")
+    _check_parallelism(workers)
     tasks = build_tasks(suite, arm_filter)
+    workers = min(workers, len(tasks))
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl_path = out_dir / "records.jsonl"
     records = []

@@ -11,6 +11,11 @@ from .errors import ConfigError, DomainError
 from .gca import GcaModel
 from .loop import ExperimentConfig, GenerationResult, PairEvent, Trajectory
 
+# Explicit genome length bounds are capped so that a mistyped bound fails
+# when checked instead of building genomes without end.  It admits the
+# default bound 4 x cells of every maze that maze.MAX_MAZE_CELLS admits.
+MAX_GENOME_LEN = 1_000_000
+
 
 @dataclass
 class EaParams:
@@ -32,6 +37,8 @@ class EaParams:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
+            if v is not None and v > MAX_GENOME_LEN:
+                raise ConfigError(f"{name} must be <= {MAX_GENOME_LEN}, got {v}")
         if self.min_len is not None and self.max_len is not None:
             if self.min_len > self.max_len:
                 raise ConfigError(

@@ -158,10 +158,10 @@ def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
 
 
 def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random) -> int:
-    """One draw from softmax_floor(logits, epsilon) in a single pass: the
-    index draw(list(accumulate(softmax_floor(logits, epsilon))), rng)
-    returns, from the same float operations in the same order.  The
-    caller checks epsilon; logits must not be empty."""
+    """One inverse-CDF draw from softmax_floor(logits, epsilon) in a single
+    pass: the first index whose running sum (accumulate's, same floats in
+    the same order) exceeds one rng.random() variate, else the last index.
+    The caller checks epsilon; logits must not be empty."""
     m = max(logits)
     exps = [math.exp(x - m) for x in logits]
     z = sum(exps)
@@ -174,15 +174,6 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
         if total > u:
             return i
     return len(exps) - 1
-
-
-def draw(cum: list[float], rng: random.Random) -> int:
-    """Inverse-CDF draw: the index of the first cumulative probability
-    above a uniform variate (the last index if rounding leaves none)."""
-    last = len(cum) - 1
-    if last < 0:
-        raise DomainError("no valid successors")
-    return min(bisect_right(cum, rng.random()), last)
 
 
 class PairTable(Mapping):
@@ -370,8 +361,7 @@ class GcaModel:
         self._flat.append(self._flat[macro.left] + self._flat[macro.right])
 
     def _touch(self) -> None:
-        if self._row_cache:
-            self._row_cache.clear()
+        self._row_cache.clear()
 
     def _vocabulary_changed(self) -> None:
         self._successors.clear()
@@ -453,7 +443,7 @@ class GcaModel:
             probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
             row = self._row_cache[from_op] = (ops, list(accumulate(probs)))
         ops, cum = row
-        return ops[min(bisect_right(cum, rng.random()), len(ops) - 1)]  # draw(cum, rng)
+        return ops[min(bisect_right(cum, rng.random()), len(ops) - 1)]  # inverse CDF
 
     # -- learning --------------------------------------------------------
 
@@ -718,9 +708,6 @@ class _Promotion:
         self.col_means: dict[int, float | None] = {}
         self.row_means: dict[int, float | None] = {}
 
-    def valid(self, i: int, j: int) -> bool:
-        return not (self.no_self and i == j) and i not in self.pruned and j not in self.pruned
-
     def _mean(self, op: int, into: bool) -> float | None:
         """Mean weight over the valid pairs (k, op) if into, else (op, k),
         absent entries counted as zero; None when none is valid.  Summed
@@ -763,7 +750,7 @@ class _Promotion:
             if (
                 w > weight_min
                 and count >= support_min
-                and self.valid(i, j)
+                and self.model.valid_pair(i, j)
                 and (i, j) not in self.promoted
                 and self.lift(i, j) >= lift_min
             ):
@@ -823,17 +810,18 @@ def _triples(rows) -> str:
     return f"[\n{items}\n  ]" if items else "[]"
 
 
-def _finite_number(text: str) -> float:
+def _finite_number(text: str) -> float | int:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
-    return value
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def finite_json(text: str):
     """Parse JSON text whose numbers are all finite: NaN, Infinity,
-    -Infinity and float literals that overflow raise ValueError."""
-    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    -Infinity and number literals that overflow a float raise ValueError."""
+    number = _finite_number  # integer literals stay ints
+    return json.loads(text, parse_float=number, parse_int=number, parse_constant=number)
 
 
 # The keys a model document may hold, at the top level and under

@@ -68,11 +68,18 @@ class Maze:
         return edges
 
 
+# Cells in one maze, capped so that a mistyped side fails when checked
+# instead of building its tables; the shipped mazes have 225.
+MAX_MAZE_CELLS = 250_000
+
+
 def check_maze_shape(width: int, height: int, connectivity: float) -> None:
-    """Raise ConfigError unless both sides are >= 2 and connectivity lies
-    in [0, 1]."""
+    """Raise ConfigError unless both sides are >= 2, the maze has at most
+    MAX_MAZE_CELLS cells and connectivity lies in [0, 1]."""
     if width < 2 or height < 2:
         raise ConfigError(f"maze dimensions must be >= 2, got {width}x{height}")
+    if width * height > MAX_MAZE_CELLS:
+        raise ConfigError(f"maze {width}x{height} has over {MAX_MAZE_CELLS} cells")
     if not 0.0 <= connectivity <= 1.0:
         raise ConfigError(f"connectivity must lie in [0, 1], got {connectivity}")
 
@@ -182,6 +189,13 @@ def maze_from_text(text: str) -> Maze:
         seed = int(head[7])
     except ValueError as e:
         raise ParseError(f"malformed header: {e}") from e
+    try:
+        check_maze_shape(width, height, connectivity)
+    except ConfigError as e:
+        raise ParseError(f"malformed header: {e}") from e
+    for name, (x, y) in (("start", (sx, sy)), ("goal", (gx, gy))):
+        if not (0 <= x < width and 0 <= y < height):
+            raise ParseError(f"{name} ({x}, {y}) outside the {width}x{height} grid")
     expected = 1 + 2 * height + 1
     if len(lines) < expected:
         raise ParseError(f"expected {expected} lines for a {width}x{height} maze")
@@ -201,6 +215,8 @@ def maze_from_text(text: str) -> Maze:
                     raise ParseError(f"row {y}: border edge must be closed")
                 open_edges.add(_edge((x - 1, y), (x, y)))
     bottom = lines[1 + 2 * height]
+    if len(bottom) < 3 * width + 1:
+        raise ParseError("bottom border: line too short")
     for x in range(width):
         if bottom[3 * x + 1] != "-":
             raise ParseError("bottom border must be closed")

@@ -20,6 +20,11 @@ from .errors import ConfigError
 from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
+# Steps in one constructed path, capped for an explicit max_path_len (and a
+# suite's maze path_slack) so that a mistyped budget fails when checked
+# instead of walking without end.  The default, 2 x cells, stays below it.
+MAX_PATH_LEN = 1_000_000
+
 
 @dataclass
 class PsoParams:
@@ -39,6 +44,8 @@ class PsoParams:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.max_path_len is not None and self.max_path_len < 1:
             raise ConfigError(f"max_path_len must be >= 1, got {self.max_path_len}")
+        if self.max_path_len is not None and self.max_path_len > MAX_PATH_LEN:
+            raise ConfigError(f"max_path_len must be <= {MAX_PATH_LEN}, got {self.max_path_len}")
         if self.dead_end_mode not in ("backtrack", "terminate"):
             raise ConfigError(f"unknown dead_end_mode {self.dead_end_mode!r}")
 

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
+from ace.errors import DomainError
 from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
 from ace.loop import Trajectory
+
+
+def draw(cum: list[float], rng: random.Random) -> int:
+    """Reference inverse-CDF draw: the index of the first cumulative
+    probability above a uniform variate (the last index if rounding leaves
+    none).  The sampling paths of ace.gca must pick what this picks."""
+    last = len(cum) - 1
+    if last < 0:
+        raise DomainError("no valid successors")
+    return min(bisect_right(cum, rng.random()), last)
 
 
 def make_model(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -10,7 +11,10 @@ import pytest
 import ace.cli as cli
 from ace.chain import ChainSpec, brute_force_optimum
 from ace.cli import SuiteSpec, build_tasks, derive_seed, orchestrate
+from ace.ea import MAX_GENOME_LEN
 from ace.errors import ConfigError
+from ace.maze import MAX_MAZE_CELLS
+from ace.pso import MAX_PATH_LEN
 
 
 def tiny_chain_suite(out, runs=2, gens=6):
@@ -357,6 +361,11 @@ def test_maze_command_explicit_zero_side_exits_1(capsys, side):
     assert "maze dimensions must be >= 2" in capsys.readouterr().err
 
 
+def test_maze_command_over_the_cell_cap_exits_1(capsys):
+    assert cli.main(["maze", "--size", "100000"]) == 1
+    assert f"over {MAX_MAZE_CELLS} cells" in capsys.readouterr().err
+
+
 def test_maze_command_writes_file(tmp_path, capsys):
     target = tmp_path / "maze.txt"
     rc = cli.main([
@@ -654,6 +663,111 @@ def test_parallelism_below_1_exits_1_before_any_run(tmp_path, capsys, where, val
     assert not (out / "records.jsonl").exists()
 
 
+def recording_pool(monkeypatch) -> list:
+    """Replace ProcessPoolExecutor with a stand-in that runs each task in
+    this process, so that no worker process ever starts; the returned list
+    collects the max_workers of every pool made."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "parallelism, arm, pools",
+    [(2, None, [2]), (64, None, [4]), (64, "ace-ea", [2]), (8, "ace-ea", [])],
+)
+def test_pool_never_has_more_workers_than_runs(tmp_path, monkeypatch, parallelism, arm, pools):
+    sizes = recording_pool(monkeypatch)
+    runs = 1 if pools == [] else 2  # the last case selects a single run: no pool
+    suite = SuiteSpec.from_dict(tiny_chain_suite(tmp_path / "out", runs=runs))
+    records = orchestrate(suite, tmp_path / "out", arm_filter=arm, parallelism=parallelism,
+                          save_models=False)
+    assert sizes == pools
+    assert len(records) == (1 if arm else 2) * runs
+
+
+@pytest.mark.parametrize("where", ["suite", "flag"])
+@pytest.mark.parametrize("value", [cli.MAX_PARALLELISM + 1, 100_000])
+def test_parallelism_over_the_cap_exits_1_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                          where, value):
+    sizes = recording_pool(monkeypatch)
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    argv = ["run", "--config", str(tmp_path / "suite.json")]
+    if where == "suite":
+        doc["parallelism"] = value
+    else:
+        argv += ["--parallelism", str(value)]
+    write_suite(tmp_path, doc)
+    assert cli.main(argv) == 1
+    assert f"parallelism must be <= {cli.MAX_PARALLELISM}, got {value}" in capsys.readouterr().err
+    assert sizes == []
+    assert not out.exists()
+
+
+def _ea_arm(**ea):
+    return {"name": "std-ea", "explorer": "ea", "guided": False, "ea": ea}
+
+
+@pytest.mark.parametrize(
+    "domain, arm, message",
+    [
+        ({"width": 100_000, "height": 100_000}, None, f"over {MAX_MAZE_CELLS} cells"),
+        ({"width": 2, "height": MAX_MAZE_CELLS // 2 + 1}, None, f"over {MAX_MAZE_CELLS} cells"),
+        ({"path_slack": MAX_PATH_LEN + 1}, None, "path_slack must lie in"),
+        ({"path_slack": -1}, None, "path_slack must lie in"),
+        ({"instances": None, "mazes_per_level": 10**12}, None, f"over {cli.MAX_TASKS}"),
+        ({}, {"name": "p", "explorer": "pso", "guided": False, "pso": {"max_path_len": 10**12}},
+         f"max_path_len must be <= {MAX_PATH_LEN}"),
+        ({}, _ea_arm(min_len=10**9, max_len=10**9), f"min_len must be <= {MAX_GENOME_LEN}"),
+        ({}, _ea_arm(max_len=MAX_GENOME_LEN + 1), f"max_len must be <= {MAX_GENOME_LEN}"),
+    ],
+)
+def test_oversized_input_exits_1_at_parse_time(tmp_path, capsys, monkeypatch, domain, arm,
+                                               message):
+    out = tmp_path / "out"
+    doc = _maze_suite(out)
+    doc["domain"].update(domain)
+    if doc["domain"]["instances"] is None:
+        del doc["domain"]["instances"]
+    if arm is not None:
+        doc["arms"].append(arm)
+    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_size_caps_admit_their_limits_without_building_anything(tmp_path, monkeypatch):
+    # Parsing and task building read the sizes only: no maze is generated.
+    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
+    doc = _maze_suite(tmp_path / "out")
+    doc["parallelism"] = cli.MAX_PARALLELISM
+    doc["domain"].update(width=2, height=MAX_MAZE_CELLS // 2, path_slack=MAX_PATH_LEN)
+    doc["arms"][0]["pso"] = {"max_path_len": MAX_PATH_LEN}
+    doc["arms"].append(_ea_arm(min_len=MAX_GENOME_LEN, max_len=MAX_GENOME_LEN))
+    assert len(build_tasks(SuiteSpec.from_dict(doc))) == 2
+    # The domain defaults of the largest maze (genomes up to 4 x cells,
+    # paths of 2 x cells) are inside the caps on explicit values.
+    assert 4 * MAX_MAZE_CELLS <= MAX_GENOME_LEN and 2 * MAX_MAZE_CELLS <= MAX_PATH_LEN
+
+
 def test_suite_over_the_task_cap_exits_1_before_any_run(tmp_path, capsys):
     out = tmp_path / "out"
     doc = tiny_chain_suite(out)  # two arms, one chain instance
@@ -728,6 +842,8 @@ def _plant(doc, path, value):
         (("arms", 1, "gca"), {"tau": math.inf}),
         (("domain", "noise_penalty"), math.nan),
         (("domain", "noise_penalty"), -math.inf),
+        (("gca", "lambda"), 10**400),  # an integer literal past the float range
+        (("runs_per_arm",), -(10**400)),
     ],
 )
 def test_non_finite_suite_number_exits_1_before_any_run(tmp_path, capsys, path, value):
@@ -741,6 +857,13 @@ def test_non_finite_suite_number_exits_1_before_any_run(tmp_path, capsys, path, 
     assert not (out / "records.jsonl").exists()
 
 
+def test_integer_past_the_float_range_is_a_config_error_where_a_float_goes(tmp_path):
+    doc = tiny_chain_suite(tmp_path / "out")
+    doc["gca"]["tau"] = 10**400  # a library caller's dict skips the JSON reader
+    with pytest.raises(ConfigError, match="gca.tau must be float"):
+        SuiteSpec.from_dict(doc)
+
+
 def test_non_finite_chain_spec_exits_1(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"alphabet_size": 4, "sequence_length": 5, "noise_penalty": NaN}')
@@ -751,7 +874,8 @@ def test_non_finite_chain_spec_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "old, new",
-    [('"lambda": 0.15', '"lambda": Infinity'), ("0.75", "NaN"), ("0.75", "1e999")],
+    [('"lambda": 0.15', '"lambda": Infinity'), ("0.75", "NaN"), ("0.75", "1e999"),
+     ("0.75", "1" + "0" * 400)],
 )
 def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
     from ace.gca import GcaModel, serialize_model

@@ -21,14 +21,14 @@ from ace.gca import (
     PairTable,
     apply_exploration_floor,
     deserialize_model,
-    draw,
+    finite_json,
     fresh_model,
     serialize_model,
     softmax_floor,
     softmax_floor_choice,
 )
 
-from helpers import make_model, random_model
+from helpers import draw, make_model, random_model
 
 
 # -- transition distribution -------------------------------------------------
@@ -64,6 +64,8 @@ def test_empty_successors_rejected():
 def test_empty_row_rejected_by_floor_and_draw():
     with pytest.raises(DomainError, match="no valid successors"):
         apply_exploration_floor([], 0.1)
+    with pytest.raises(DomainError, match="no valid successors"):
+        softmax_floor([], 0.1)
     with pytest.raises(DomainError, match="no valid successors"):
         draw([], random.Random(0))
     with pytest.raises(DomainError, match="no valid successors"):
@@ -1056,3 +1058,11 @@ def test_threshold_range_ends_are_legal():
                    {"effectiveness_min": 1.0}):
         GcaParams(thresholds=GcaThresholds(**values)).validate()
 
+
+def test_finite_json_keeps_integers_and_rejects_overflowing_literals():
+    doc = finite_json("[0, -0, 7, -12, 2.5, 1e3]")
+    assert doc == [0, 0, 7, -12, 2.5, 1000.0]
+    assert [type(x) for x in doc] == [int, int, int, int, float, float]
+    for text in ("NaN", "-Infinity", "1e999", "1" + "0" * 400, "-" + "9" * 400):
+        with pytest.raises(ValueError, match="non-finite number"):
+            finite_json(f"[{text}]")

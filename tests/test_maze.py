@@ -6,9 +6,11 @@ import pytest
 from ace.errors import ConfigError, ParseError
 from ace.loop import path_efficiency
 from ace.maze import (
+    MAX_MAZE_CELLS,
     Maze,
     MazeDomain,
     bfs_shortest_path,
+    check_maze_shape,
     generate_maze,
     manhattan,
     maze_from_text,
@@ -87,6 +89,11 @@ def test_generator_validates_arguments():
         generate_maze(1, 5, 0.0, 0)
     with pytest.raises(ConfigError):
         generate_maze(5, 5, 1.5, 0)
+    with pytest.raises(ConfigError, match=f"over {MAX_MAZE_CELLS} cells"):
+        generate_maze(100_000, 100_000, 0.0, 0)  # rejected before any table is built
+    check_maze_shape(2, MAX_MAZE_CELLS // 2, 0.5)  # the cap itself is admitted
+    with pytest.raises(ConfigError, match=f"over {MAX_MAZE_CELLS} cells"):
+        check_maze_shape(2, MAX_MAZE_CELLS // 2 + 1, 0.5)
 
 
 # -- neighbors ----------------------------------------------------------------
@@ -295,9 +302,27 @@ def test_text_parse_errors():
     with pytest.raises(ParseError):
         maze_from_text("3 3 0 0 2 2 0.0\n")  # missing field
     m = generate_maze(3, 3, 0.0, 1)
-    truncated = "\n".join(maze_to_text(m).splitlines()[:3])
+    lines = maze_to_text(m).splitlines()
+    truncated = "\n".join(lines[:3])
     with pytest.raises(ParseError):
         maze_from_text(truncated)
+    # Shapes and endpoints generate_maze never makes; the header is
+    # checked before any row is read, so the huge one allocates nothing.
+    body = "\n".join(lines[1:])
+    for header, match in (
+        ("-1 -1 0 0 0 0 0.0 1", "dimensions"),
+        ("3 3 0 0 2 2 5.0 1", "connectivity"),
+        ("3 3 0 0 7 7 0.0 1", r"goal \(7, 7\) outside"),
+        ("3 3 0 -1 2 2 0.0 1", r"start \(0, -1\) outside"),
+        ("100000 100000 0 0 1 1 0.0 1", f"over {MAX_MAZE_CELLS} cells"),
+    ):
+        with pytest.raises(ParseError, match=match):
+            maze_from_text(header + "\n" + body)
+    with pytest.raises(ParseError, match="dimensions"):
+        maze_from_text("1 1 0 0 0 0 0.0 1\n+--+\n|S |\n+--+\n")
+    short_bottom = "\n".join(lines[:-1] + ["+--"])
+    with pytest.raises(ParseError, match="bottom border"):
+        maze_from_text(short_bottom)
 
 
 def test_text_rejects_open_border():
