@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .loop import Trajectory
 
 # Position-by-token states capped to keep the solver interactive.
@@ -30,10 +30,8 @@ class ChainSpec:
     noise_penalty: float = 0.2
 
     def validate(self) -> None:
-        if self.alphabet_size < 2:
-            raise ConfigError(f"alphabet_size must be >= 2, got {self.alphabet_size}")
-        if self.sequence_length < 1:
-            raise ConfigError(f"sequence_length must be >= 1, got {self.sequence_length}")
+        check_range("alphabet_size", self.alphabet_size, 2)
+        check_range("sequence_length", self.sequence_length, 1)
         for (i, j), r in self.rewards.items():
             if not (0 <= i < self.alphabet_size and 0 <= j < self.alphabet_size):
                 raise ConfigError(f"reward pair ({i}, {j}) outside alphabet")
@@ -42,10 +40,8 @@ class ChainSpec:
                     f"reward pair ({i}, {j}): self-succession is outside the "
                     "chain transition relation"
                 )
-            if r <= 0:
-                raise ConfigError(f"reward for ({i}, {j}) must be > 0, got {r}")
-        if self.noise_penalty < 0:
-            raise ConfigError(f"noise_penalty must be >= 0, got {self.noise_penalty}")
+            check_range(f"reward for ({i}, {j})", r, 0, open_low=True)
+        check_range("noise_penalty", self.noise_penalty, 0)
         a, length = self.alphabet_size, self.sequence_length
         if a * a * length > MAX_DP_STATES:
             raise ConfigError(
@@ -110,6 +106,14 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     return best, seq
 
 
+def check_chain_options(*, success_fraction: float | None = None) -> None:
+    """Raise ConfigError unless the given ChainDomain keywords lie in range:
+    success_fraction, unless None, in [0, 1].  The constructor and the
+    suite parser both call it."""
+    if success_fraction is not None:
+        check_range("success_fraction", success_fraction, 0, 1)
+
+
 class ChainDomain:
     """Loop-facing adapter.  Sequences longer than the spec budget are
     truncated before scoring so the solver's optimum stays an upper
@@ -121,6 +125,7 @@ class ChainDomain:
     transition_mask_mode = "no_self"
 
     def __init__(self, spec: ChainSpec | None = None, *, success_fraction: float = 0.95):
+        check_chain_options(success_fraction=success_fraction)
         self.spec = spec or ChainSpec()
         self.spec.validate()
         self.success_fraction = success_fraction

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gca, stats
-from .chain import ChainDomain, ChainSpec, brute_force_optimum
+from .chain import ChainDomain, ChainSpec, brute_force_optimum, check_chain_options
 from .ea import EaExplorer, EaParams
-from .errors import AceError, ConfigError, ParseError
+from .errors import AceError, ConfigError, ParseError, check_range
 from .gca import GcaParams, GcaThresholds
 from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
-from .maze import MazeDomain, bfs_shortest_path, check_maze_shape, generate_maze, maze_to_text
-from .pso import MAX_PATH_LEN, PsoExplorer, PsoParams
+from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_shape
+from .maze import generate_maze, maze_to_text
+from .pso import PsoExplorer, PsoParams
 
 log = logging.getLogger("ace")
 
@@ -170,6 +171,7 @@ def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
     values = _read(doc, CHAIN, where)
     values.pop("kind", None)
     options = {k: values.pop(k) for k in CHAIN_OPTIONS if k in values}
+    check_chain_options(**options)
     if "rewards" in values:
         try:
             values["rewards"] = {
@@ -198,11 +200,10 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
     values = _read(doc, MAZE, "domain")
     width, height = values.get("width", 15), values.get("height", 15)
     slack = values.get("path_slack")
-    if slack is not None and not 0 <= slack <= MAX_PATH_LEN:
-        raise ConfigError(f"domain.path_slack must lie in [0, {MAX_PATH_LEN}], got {slack}")
+    fitness = _read(values.get("fitness", {}), FITNESS, "domain.fitness")
+    check_maze_options(path_slack=slack, **fitness)
     common = {
-        "kind": kind, "width": width, "height": height, "path_slack": slack,
-        "fitness": _read(values.get("fitness", {}), FITNESS, "domain.fitness"),
+        "kind": kind, "width": width, "height": height, "path_slack": slack, "fitness": fitness,
     }
     if "instances" in values:
         listed = [(f"domain.instances[{i}]", inst) for i, inst in enumerate(values["instances"])]
@@ -306,8 +307,7 @@ class SuiteSpec:
         spec = cls(**top)
         if len({a.name for a in spec.arms}) != len(spec.arms):
             raise ConfigError("arm names must be unique")
-        if spec.runs_per_arm < 1:
-            raise ConfigError("runs_per_arm must be >= 1")
+        check_range("runs_per_arm", spec.runs_per_arm, 1)
         _check_parallelism(spec.parallelism)
         tasks = len(spec.arms) * len(instances) * spec.runs_per_arm
         if tasks > MAX_TASKS:
@@ -326,10 +326,8 @@ SUITE_KEYS = {*SUITE, "notes", "run", "gca"}
 
 def _check_parallelism(workers: int) -> None:
     """Raise ConfigError unless 1 <= workers <= MAX_PARALLELISM."""
-    if workers < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {workers}")
-    if workers > MAX_PARALLELISM:
-        raise ConfigError(f"parallelism must be <= {MAX_PARALLELISM}, got {workers}")
+    check_range("parallelism", workers, 1)
+    check_range("parallelism", workers, high=MAX_PARALLELISM)
 
 
 def _load_json(path, what: str):

@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_range
 from .gca import GcaModel
 from .loop import ExperimentConfig, GenerationResult, PairEvent, Trajectory
 
@@ -15,6 +15,9 @@ from .loop import ExperimentConfig, GenerationResult, PairEvent, Trajectory
 # when checked instead of building genomes without end.  It admits the
 # default bound 4 x cells of every maze that maze.MAX_MAZE_CELLS admits.
 MAX_GENOME_LEN = 1_000_000
+# Entrants per tournament, capped likewise: each selection draws that
+# many.  The shipped suites use 2 and 3.
+MAX_TOURNAMENT_SIZE = 10_000
 
 
 @dataclass
@@ -28,17 +31,13 @@ class EaParams:
 
     def validate(self) -> None:
         for name in ("crossover_rate", "mutation_rate", "elitism_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.tournament_size < 2:
-            raise ConfigError(f"tournament_size must be >= 2, got {self.tournament_size}")
+            check_range(name, getattr(self, name), 0, 1)
+        check_range("tournament_size", self.tournament_size, 2, MAX_TOURNAMENT_SIZE)
         for name in ("min_len", "max_len"):
             v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
-            if v is not None and v > MAX_GENOME_LEN:
-                raise ConfigError(f"{name} must be <= {MAX_GENOME_LEN}, got {v}")
+            if v is not None:
+                check_range(name, v, 1)
+                check_range(name, v, high=MAX_GENOME_LEN)
         if self.min_len is not None and self.max_len is not None:
             if self.min_len > self.max_len:
                 raise ConfigError(

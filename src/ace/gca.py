@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import ConfigError, DomainError, InternalError, ParseError
+from .errors import ConfigError, DomainError, InternalError, ParseError, check_range
 
 FORMAT_VERSION = 1
 
@@ -60,22 +60,16 @@ class GcaParams:
     def validate(self) -> None:
         if not 0 < self.temperature < math.inf:
             raise ConfigError(f"temperature must be > 0 and finite, got {self.temperature}")
-        if not 0.0 < self.exploration_floor < 1.0:
-            raise ConfigError(
-                f"exploration_floor must lie in (0, 1), got {self.exploration_floor}"
-            )
+        check_range("exploration_floor", self.exploration_floor, 0, 1, open_low=True, open_high=True)
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be >= 0 and finite, got {self.learning_rate}"
             )
-        if not 0.0 <= self.decay <= 1.0:
-            raise ConfigError(f"decay must lie in [0, 1], got {self.decay}")
+        check_range("decay", self.decay, 0, 1)
         t = self.thresholds
         for name in ("weight_min", "support_min", "lift_min"):
-            if not getattr(t, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(t, name)}")
-        if not 0.0 <= t.effectiveness_min <= 1.0:
-            raise ConfigError(f"effectiveness_min must lie in [0, 1], got {t.effectiveness_min}")
+            check_range(name, getattr(t, name), 0)
+        check_range("effectiveness_min", t.effectiveness_min, 0, 1)
 
 
 # Every hyperparameter once: (suite-config key, model-file key, field,
@@ -132,8 +126,7 @@ def apply_exploration_floor(
     probs: list[tuple[int, float]], epsilon: float
 ) -> list[tuple[int, float]]:
     """Mix a distribution with the uniform one: p' = (1-eps)*p + eps/k."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
+    check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     if not probs:
         raise DomainError("no valid successors")
     floor = epsilon / len(probs)
@@ -145,8 +138,7 @@ def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
     """Softmax of the logits mixed with the uniform distribution:
     (1-eps) * e/z + eps/k over the k entries, as apply_exploration_floor
     would mix the softmax."""
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
+    check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     if not logits:
         raise DomainError("no valid successors")
     m = max(logits)

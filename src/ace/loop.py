@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import gca
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .gca import GcaModel, GcaParams
 
 
@@ -54,8 +54,7 @@ class ExperimentConfig:
             ("population_size", 2), ("max_generations", 1), ("abstraction_period", 1),
             ("max_new_macros_per_scan", 0), ("prune_min_uses", 0),
         ):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), least)
         self.gca.validate()
 
 

@@ -9,8 +9,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, InternalError, ParseError
+from .errors import ConfigError, InternalError, ParseError, check_range
 from .loop import Trajectory
+from .pso import MAX_PATH_LEN
 
 MOVE_NAMES = ("N", "E", "S", "W")
 # (dx, dy) per move; y grows downward so N decreases y.
@@ -76,12 +77,21 @@ MAX_MAZE_CELLS = 250_000
 def check_maze_shape(width: int, height: int, connectivity: float) -> None:
     """Raise ConfigError unless both sides are >= 2, the maze has at most
     MAX_MAZE_CELLS cells and connectivity lies in [0, 1]."""
-    if width < 2 or height < 2:
+    if not (width >= 2 and height >= 2):
         raise ConfigError(f"maze dimensions must be >= 2, got {width}x{height}")
     if width * height > MAX_MAZE_CELLS:
         raise ConfigError(f"maze {width}x{height} has over {MAX_MAZE_CELLS} cells")
-    if not 0.0 <= connectivity <= 1.0:
-        raise ConfigError(f"connectivity must lie in [0, 1], got {connectivity}")
+    check_range("connectivity", connectivity, 0, 1)
+
+
+def check_maze_options(*, path_slack: int | None = None, **fitness: float) -> None:
+    """Raise ConfigError unless the given MazeDomain keywords lie in range:
+    each fitness term >= 0 and path_slack, unless None, in
+    0..MAX_PATH_LEN.  The constructor and the suite parser both call it."""
+    for name, value in fitness.items():
+        check_range(name, value, 0)
+    if path_slack is not None:
+        check_range("path_slack", path_slack, 0, MAX_PATH_LEN)
 
 
 def generate_maze(width: int, height: int, connectivity: float, seed: int) -> Maze:
@@ -249,6 +259,8 @@ class MazeDomain:
         failure_scale: float = 5000.0,
         path_slack: int | None = None,
     ):
+        check_maze_options(path_slack=path_slack, success_base=success_base,
+                           step_cost=step_cost, wall_cost=wall_cost, failure_scale=failure_scale)
         self.maze = maze
         self.success_base = success_base
         self.step_cost = step_cost

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
@@ -40,12 +40,10 @@ class PsoParams:
 
     def validate(self) -> None:
         for name in ("inertia", "cognitive", "social", "heuristic_weight", "guidance_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.max_path_len is not None and self.max_path_len < 1:
-            raise ConfigError(f"max_path_len must be >= 1, got {self.max_path_len}")
-        if self.max_path_len is not None and self.max_path_len > MAX_PATH_LEN:
-            raise ConfigError(f"max_path_len must be <= {MAX_PATH_LEN}, got {self.max_path_len}")
+            check_range(name, getattr(self, name), 0)
+        if self.max_path_len is not None:
+            check_range("max_path_len", self.max_path_len, 1)
+            check_range("max_path_len", self.max_path_len, high=MAX_PATH_LEN)
         if self.dead_end_mode not in ("backtrack", "terminate"):
             raise ConfigError(f"unknown dead_end_mode {self.dead_end_mode!r}")
 
@@ -119,8 +117,7 @@ def construct_path(
     are while the memo lives: share one only between calls on one domain
     (None: a fresh memo for this call).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"exploration floor must lie in (0, 1), got {epsilon}")
+    check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index

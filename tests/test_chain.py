@@ -193,6 +193,14 @@ def test_spec_validation():
 # -- domain adapter ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fraction", [-3.0, 1.5])
+def test_domain_rejects_a_success_fraction_outside_0_1(fraction):
+    # -3.0 would put the success threshold below every sequence's fitness
+    message = rf"success_fraction must lie in \[0, 1\], got {fraction}"
+    with pytest.raises(ConfigError, match=message):
+        ChainDomain(success_fraction=fraction)
+
+
 def test_default_domain_optimum():
     dom = ChainDomain()
     assert dom.optimum == pytest.approx(29.0)

@@ -11,7 +11,7 @@ import pytest
 import ace.cli as cli
 from ace.chain import ChainSpec, brute_force_optimum
 from ace.cli import SuiteSpec, build_tasks, derive_seed, orchestrate
-from ace.ea import MAX_GENOME_LEN
+from ace.ea import MAX_GENOME_LEN, MAX_TOURNAMENT_SIZE
 from ace.errors import ConfigError
 from ace.maze import MAX_MAZE_CELLS
 from ace.pso import MAX_PATH_LEN
@@ -737,6 +737,9 @@ def _ea_arm(**ea):
          f"max_path_len must be <= {MAX_PATH_LEN}"),
         ({}, _ea_arm(min_len=10**9, max_len=10**9), f"min_len must be <= {MAX_GENOME_LEN}"),
         ({}, _ea_arm(max_len=MAX_GENOME_LEN + 1), f"max_len must be <= {MAX_GENOME_LEN}"),
+        # each selection would draw 10**12 entrants
+        ({}, _ea_arm(tournament_size=10**12),
+         f"tournament_size must lie in [2, {MAX_TOURNAMENT_SIZE}], got {10**12}"),
     ],
 )
 def test_oversized_input_exits_1_at_parse_time(tmp_path, capsys, monkeypatch, domain, arm,
@@ -754,6 +757,29 @@ def test_oversized_input_exits_1_at_parse_time(tmp_path, capsys, monkeypatch, do
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, keywords, message",
+    [
+        ("maze", {"fitness": {"success_base": -5}}, "success_base must be >= 0, got -5.0"),
+        ("maze", {"fitness": {"step_cost": -10}}, "step_cost must be >= 0, got -10.0"),
+        ("maze", {"fitness": {"wall_cost": -2}}, "wall_cost must be >= 0, got -2.0"),
+        ("maze", {"fitness": {"failure_scale": -1}}, "failure_scale must be >= 0, got -1.0"),
+        ("chain", {"success_fraction": -3.0}, "success_fraction must lie in [0, 1], got -3.0"),
+        ("chain", {"success_fraction": 1.5}, "success_fraction must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_out_of_range_domain_keyword_exits_1_before_any_run(tmp_path, capsys, monkeypatch,
+                                                            kind, keywords, message):
+    out = tmp_path / "out"
+    doc = _maze_suite(out) if kind == "maze" else tiny_chain_suite(out)
+    doc["domain"].update(keywords)
+    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
+    monkeypatch.setattr(cli, "ChainDomain", lambda *a, **k: pytest.fail("domain built"))
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_size_caps_admit_their_limits_without_building_anything(tmp_path, monkeypatch):
     # Parsing and task building read the sizes only: no maze is generated.
     monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
@@ -761,7 +787,8 @@ def test_size_caps_admit_their_limits_without_building_anything(tmp_path, monkey
     doc["parallelism"] = cli.MAX_PARALLELISM
     doc["domain"].update(width=2, height=MAX_MAZE_CELLS // 2, path_slack=MAX_PATH_LEN)
     doc["arms"][0]["pso"] = {"max_path_len": MAX_PATH_LEN}
-    doc["arms"].append(_ea_arm(min_len=MAX_GENOME_LEN, max_len=MAX_GENOME_LEN))
+    doc["arms"].append(_ea_arm(min_len=MAX_GENOME_LEN, max_len=MAX_GENOME_LEN,
+                               tournament_size=MAX_TOURNAMENT_SIZE))
     assert len(build_tasks(SuiteSpec.from_dict(doc))) == 2
     # The domain defaults of the largest maze (genomes up to 4 x cells,
     # paths of 2 x cells) are inside the caps on explicit values.

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from ace.chain import ChainDomain
-from ace.ea import EaExplorer, EaParams, crossover, mutate, select
+from ace.ea import MAX_TOURNAMENT_SIZE, EaExplorer, EaParams, crossover, mutate, select
 from ace.errors import ConfigError, DomainError
 from ace.loop import ExperimentConfig, Trajectory
 
@@ -161,6 +161,10 @@ def test_params_validation():
         EaParams(crossover_rate=1.5).validate()
     with pytest.raises(ConfigError):
         EaParams(tournament_size=1).validate()
+    EaParams(tournament_size=MAX_TOURNAMENT_SIZE).validate()
+    message = rf"tournament_size must lie in \[2, {MAX_TOURNAMENT_SIZE}\], got {10**12}"
+    with pytest.raises(ConfigError, match=message):
+        EaParams(tournament_size=10**12).validate()
     with pytest.raises(ConfigError):
         EaParams(min_len=5, max_len=2).validate()
 

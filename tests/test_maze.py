@@ -16,6 +16,7 @@ from ace.maze import (
     maze_from_text,
     maze_to_text,
 )
+from ace.pso import MAX_PATH_LEN
 
 N, E, S, W = 0, 1, 2, 3
 
@@ -94,6 +95,18 @@ def test_generator_validates_arguments():
     check_maze_shape(2, MAX_MAZE_CELLS // 2, 0.5)  # the cap itself is admitted
     with pytest.raises(ConfigError, match=f"over {MAX_MAZE_CELLS} cells"):
         check_maze_shape(2, MAX_MAZE_CELLS // 2 + 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "keywords",
+    [{"success_base": -5.0}, {"step_cost": -10.0}, {"wall_cost": -2.0}, {"failure_scale": -1.0},
+     {"path_slack": -5}, {"path_slack": MAX_PATH_LEN + 1}],
+)
+def test_domain_rejects_out_of_range_keywords(keywords):
+    # path_slack -5 would give a 5x5 maze a step budget below its shortest path
+    [(name, _)] = keywords.items()
+    with pytest.raises(ConfigError, match=f"{name} must"):
+        MazeDomain(generate_maze(5, 5, 0.3, 1), **keywords)
 
 
 # -- neighbors ----------------------------------------------------------------

@@ -45,5 +45,5 @@ def test_every_flag_is_documented():
 
 def test_every_size_cap_is_documented():
     for name in ("MAX_TASKS", "MAX_RUN_EVALUATIONS", "MAX_PARALLELISM", "MAX_MAZE_CELLS",
-                 "MAX_GENOME_LEN", "MAX_PATH_LEN", "MAX_DP_STATES"):
+                 "MAX_GENOME_LEN", "MAX_TOURNAMENT_SIZE", "MAX_PATH_LEN", "MAX_DP_STATES"):
         assert f"`{name}`" in README or f".{name}`" in README, name
