@@ -5,6 +5,13 @@ for every other adjacency, so the best achievable sequence (and its
 value) follows from dynamic programming over (position, last token).
 That makes this domain the ground-truth testbed: planted pairs are the
 patterns the guidance model is supposed to learn and promote to macros.
+
+chain_fitness is the reference scorer.  ChainDomain scores by walking a
+table of reward rows, built once: one row of -noise_penalty shared by
+every token that starts no planted pair, and one dense row per token
+that starts one.  The table is built only when it has no more rows than
+the solver's suffix table, one per position (planted first tokens + 1 <=
+sequence_length), so it never outgrows what the domain already holds.
 """
 
 from __future__ import annotations
@@ -60,6 +67,35 @@ def chain_fitness(spec: ChainSpec, tokens: list[int]) -> float:
     return total
 
 
+def planted_rows(spec: ChainSpec) -> dict[int, dict[int, float]]:
+    """planted[i]: column -> reward of the planted pairs (i, j).  Every
+    other adjacency scores -noise_penalty."""
+    planted: dict[int, dict[int, float]] = {}
+    for (i, j), r in spec.rewards.items():
+        planted.setdefault(i, {})[j] = r
+    return planted
+
+
+def reward_rows(spec: ChainSpec) -> dict[int, list[float]] | None:
+    """The scorer table: rows[i][j] is what chain_fitness adds for the
+    adjacency (i, j), for every pair of tokens.  Tokens that start no
+    planted pair share one row of -noise_penalty; each token that starts
+    one has its own row, its rewards at the planted columns.  Keyed by
+    token in a dict, so a negative token misses instead of indexing from
+    the end.  None when the rows would outnumber the positions: the
+    solver's suffix table has one row per position."""
+    planted = planted_rows(spec)
+    if len(planted) + 1 > spec.sequence_length:
+        return None
+    penalty = [-spec.noise_penalty] * spec.alphabet_size
+    rows = dict.fromkeys(range(spec.alphabet_size), penalty)
+    for i, cols in planted.items():
+        row = rows[i] = list(penalty)
+        for j, r in cols.items():
+            row[j] = r
+    return rows
+
+
 def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     """Exact maximum of chain_fitness over full-length sequences.
 
@@ -73,11 +109,7 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     if length == 1:
         return 0.0, [0]
 
-    # planted[i]: column -> reward of the planted pairs (i, j).  Every
-    # other adjacency scores -penalty.
-    planted: dict[int, dict[int, float]] = {}
-    for (i, j), r in spec.rewards.items():
-        planted.setdefault(i, {})[j] = r
+    planted = planted_rows(spec)
     penalty = -spec.noise_penalty
     # suffix[t][i]: best total over positions t..end given token i at t.
     # Float addition is monotone, so no unplanted column of a row scores
@@ -118,7 +150,13 @@ class ChainDomain:
     """Loop-facing adapter.  Sequences longer than the spec budget are
     truncated before scoring so the solver's optimum stays an upper
     bound; success means coming within (1 - success_fraction) *
-    |optimum| of that optimum."""
+    |optimum| of that optimum.
+
+    Scoring walks the reward-row table of reward_rows (at most
+    sequence_length rows of alphabet_size floats, as the solver's
+    table), adding the floats chain_fitness adds in the same order.
+    Without a table, or for a token that is no key of it, chain_fitness
+    scores the sequence."""
 
     # The planted structure never references repeats (self-rewards are
     # rejected), so the valid transition relation drops self-succession.
@@ -134,6 +172,7 @@ class ChainDomain:
         length = self.spec.sequence_length
         self.default_genome_bounds = (min(2, length), length)
         self.optimum, self.optimal_sequence = brute_force_optimum(self.spec)
+        self.reward_rows = reward_rows(self.spec)
         # Within (1 - success_fraction) * |optimum| of the optimum; for a
         # positive optimum that is the plain fraction of it.
         if self.optimum > 0:
@@ -143,7 +182,18 @@ class ChainDomain:
 
     def evaluate_sequence(self, ops: list[int], atomic_tokens: list[int]) -> Trajectory:
         scored = atomic_tokens[: self.spec.sequence_length]
-        f = chain_fitness(self.spec, scored)
+        rows = self.reward_rows
+        try:
+            tokens = iter(scored)
+            row = rows[next(tokens)]
+            f = 0.0
+            for y in tokens:
+                f += row[y]
+                row = rows[y]
+        except (LookupError, TypeError, StopIteration):
+            # no table (rows is None), no token, or a token the table
+            # cannot index
+            f = chain_fitness(self.spec, scored)
         return Trajectory(
             ops=ops,
             atomic_ops=atomic_tokens,

@@ -57,10 +57,24 @@ def crossover(
     The child is a's prefix followed by b's suffix.  The second cut is
     restricted so the child never falls below min_len (truncation alone
     can only enforce the upper bound); anything past max_len is dropped.
+    Each cut is drawn as rng.randint(0, hi) would draw it, by
+    randrange(hi + 1)'s rule as in mutate.
     """
-    cut_a = rng.randint(0, len(ops_a))
+    getrandbits = rng.getrandbits
+    n = len(ops_a) + 1
+    k = n.bit_length()
+    cut_a = getrandbits(k)
+    while cut_a >= n:
+        cut_a = getrandbits(k)
     hi = min(len(ops_b), cut_a + len(ops_b) - min_len)
-    cut_b = rng.randint(0, hi) if hi > 0 else 0
+    if hi > 0:
+        n = hi + 1
+        k = n.bit_length()
+        cut_b = getrandbits(k)
+        while cut_b >= n:
+            cut_b = getrandbits(k)
+    else:
+        cut_b = 0
     child = ops_a[:cut_a] + ops_b[cut_b:]
     if max_len is not None and len(child) > max_len:
         child = child[:max_len]
@@ -153,7 +167,16 @@ def select(
     """Elites carried over verbatim, remainder filled by tournaments with
     replacement.  target_size defaults to the input size."""
     n = target_size if target_size is not None else len(population)
-    order = sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
+    neg = [-tr.fitness for tr in population]
+    total = sum(neg)  # NaN if any fitness is NaN
+    if total == total:
+        # The sort is stable, so equal fitness keeps index order, the
+        # order of the key (-fitness, index).
+        order = sorted(range(len(population)), key=neg.__getitem__)
+    else:
+        # NaN compares false both ways, so the comparisons the sort makes
+        # place it; from Python 3.13 on they differ without the index.
+        order = sorted(range(len(population)), key=lambda i: (neg[i], i))
     elite_count = min(n, math.ceil(params.elitism_fraction * n))
     survivors = [population[i] for i in order[:elite_count]]
     while len(survivors) < n:
@@ -197,12 +220,17 @@ class EaExplorer:
         lo, hi = self._bounds(domain)
         n = _atomic_count(domain)
         k = n.bit_length()
+        span = hi - lo + 1
+        k_span = span.bit_length()
         getrandbits = rng.getrandbits
         population = []
         for _ in range(config.population_size):
+            length = getrandbits(k_span)  # as rng.randint(lo, hi), see mutate
+            while length >= span:
+                length = getrandbits(k_span)
             ops = []
-            for _ in range(rng.randint(lo, hi)):
-                r = getrandbits(k)  # as rng.randrange(n), see mutate
+            for _ in range(lo + length):
+                r = getrandbits(k)  # as rng.randrange(n)
                 while r >= n:
                     r = getrandbits(k)
                 ops.append(r)

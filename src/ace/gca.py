@@ -776,18 +776,27 @@ def serialize_model(model: GcaModel) -> str:
     tail = {"macros": [dataclasses.asdict(m) for m in model.macros]}
     # The weight and support tables are most of the text, so they are
     # written here, laid out as json.dumps(doc, indent=2) lays out a list
-    # of triples one level down; the rest goes through json.dumps, and
-    # the two documents are joined at their outer braces.
+    # of triples one level down, row by row in ascending (i, j) with one
+    # text prefix per row; the rest goes through json.dumps, and the two
+    # documents are joined at their outer braces.
     table = model.weights
     values, counts = table._values, table._counts
-    entries = []  # (i, j, slot) in ascending (i, j)
+    weights, support = [], []
     for i, row in sorted(table._rows.items()):
-        entries.extend((i, j, row[j]) for j in sorted(row))
-    weights = _triples((i, j, _float_text(float(values[k]))) for i, j, k in entries)
-    support = _triples((i, j, counts[k]) for i, j, k in entries if counts[k])
+        prefix = f"    [\n      {i},\n      "
+        cols = sorted(row)
+        floats = [float(values[row[j]]) for j in cols]
+        text = repr if all(map(math.isfinite, floats)) else _float_text
+        weights.extend(f"{prefix}{j},\n      {v}\n    ]" for j, v in zip(cols, map(text, floats)))
+        support.extend(
+            f"{prefix}{j},\n      {c}\n    ]" for j in cols if (c := counts[row[j]])
+        )
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
-    return f'{head},\n  "weights": {weights},\n  "support": {support},{rest}'
+    return (
+        f'{head},\n  "weights": {_json_list(weights)},\n'
+        f'  "support": {_json_list(support)},{rest}'
+    )
 
 
 def _float_text(x: float) -> str:
@@ -795,11 +804,10 @@ def _float_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _triples(rows) -> str:
-    """Integer [i, j, value] rows (a float value already as text), as
-    json.dumps(indent=2) writes a list of them under a top-level key."""
-    items = ",\n".join(f"    [\n      {i},\n      {j},\n      {v}\n    ]" for i, j, v in rows)
-    return f"[\n{items}\n  ]" if items else "[]"
+def _json_list(items: list[str]) -> str:
+    """Items already laid out as json.dumps(indent=2) writes the entries of
+    a list under a top-level key, as that list."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _finite_number(text: str) -> float | int:

@@ -217,9 +217,12 @@ def _run_loop(
         macros_created = len(model.macros)
         macros_surviving = sum(1 for m in model.macros if not m.pruned)
         used = [m for m in model.macros if m.uses > 0]
-        effectiveness = (
-            sum(m.successful_uses / m.uses for m in used) / len(used) if used else 0.0
-        )
+        # Added left to right: float sum() rounds otherwise from Python
+        # 3.12 on, and the records must not depend on the version.
+        total = 0.0
+        for m in used:
+            total += m.successful_uses / m.uses
+        effectiveness = total / len(used) if used else 0.0
     else:
         macros_created = macros_surviving = 0
         effectiveness = 0.0

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ace.chain import (
     MAX_DP_STATES,
@@ -11,6 +13,7 @@ from ace.chain import (
     ChainSpec,
     brute_force_optimum,
     chain_fitness,
+    reward_rows,
 )
 from ace.errors import ConfigError
 
@@ -215,6 +218,63 @@ def test_domain_scores_only_the_budgeted_prefix():
     assert traj.steps_used == 12
     assert traj.fitness == pytest.approx(29.0)  # scoring stops at the budget
     assert traj.success
+
+
+@st.composite
+def specs_and_tokens(draw):
+    """A valid spec, with planted rows on either side of the scorer-table
+    rule, and a token list that may run past the budget or hold tokens
+    the row walk cannot index: negative, past the alphabet, bool, float."""
+    a = draw(st.integers(2, 8))
+    length = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(a) for j in range(a) if i != j]
+    planted = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    reward = st.one_of(
+        st.floats(1e-9, 1e9, allow_nan=False), st.integers(1, 9), st.just(5e-324)
+    )
+    rewards = {pair: draw(reward) for pair in planted}
+    penalty = draw(st.one_of(st.floats(0, 5, allow_nan=False), st.just(0)))
+    spec = ChainSpec(alphabet_size=a, sequence_length=length, rewards=rewards,
+                     noise_penalty=penalty)
+    token = st.one_of(
+        st.integers(0, a - 1), st.integers(-a - 2, a + 2), st.booleans(),
+        st.sampled_from([0.0, 1.0, 1.5]),
+    )
+    tokens = draw(st.lists(token, max_size=length + 4))
+    return spec, tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs_and_tokens())
+@example((ChainSpec(), []))
+@example((ChainSpec(), [4]))
+@example((ChainSpec(), [0, 1, -1, 0]))
+@example((ChainSpec(), [True, 2, 3, False, 1]))
+@example((ChainSpec(), [0, 1, 7, 1]))
+@example((ChainSpec(sequence_length=2), [0, 1, 0]))  # no table: 2 planted rows + 1 > 2
+def test_domain_fitness_is_chain_fitness_of_the_budget(case):
+    spec, tokens = case
+    dom = ChainDomain(spec)
+    traj = dom.evaluate_sequence(list(tokens), tokens)
+    assert traj.fitness == chain_fitness(spec, tokens[: spec.sequence_length])
+    assert traj.steps_used == min(len(tokens), spec.sequence_length)
+
+
+def test_scorer_table_holds_one_penalty_row_and_one_row_per_planted_first_token():
+    rewards = {(0, 1): 5.0, (0, 3): 1.0, (2, 3): 3.0, (5, 0): 2.0}
+    spec = ChainSpec(alphabet_size=6, sequence_length=4, rewards=rewards, noise_penalty=0.25)
+    rows = ChainDomain(spec).reward_rows
+    assert sorted(rows) == list(range(6))
+    distinct = {id(row): row for row in rows.values()}
+    assert len(distinct) == 3 + 1  # first tokens 0, 2 and 5, plus the penalty row
+    assert rows[1] is rows[3] is rows[4] == [-0.25] * 6
+    assert rows[0] == [-0.25, 5.0, -0.25, 1.0, -0.25, -0.25]
+    assert rows[2] == [-0.25, -0.25, -0.25, 3.0, -0.25, -0.25]
+    assert rows[5] == [2.0, -0.25, -0.25, -0.25, -0.25, -0.25]
+    # never more rows than the solver's suffix table, one per position
+    assert reward_rows(ChainSpec(alphabet_size=6, sequence_length=3, rewards=rewards)) is None
+    assert reward_rows(ChainSpec(sequence_length=1, rewards={})) is not None
+    assert reward_rows(ChainSpec(sequence_length=1)) is None
 
 
 def test_domain_success_threshold():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ace.chain import ChainDomain
 from ace.ea import MAX_TOURNAMENT_SIZE, EaExplorer, EaParams, crossover, mutate, select
@@ -14,15 +17,18 @@ from helpers import make_model
 
 
 class ScriptedRng:
-    """Returns pre-scripted values for randint; everything else delegates."""
+    """Returns pre-scripted values for getrandbits until the script runs
+    out; everything else, and later draws, delegate."""
 
-    def __init__(self, randints):
-        self._randints = list(randints)
+    def __init__(self, bits):
+        self._bits = list(bits)
         self._rng = random.Random(0)
 
-    def randint(self, lo, hi):
-        value = self._randints.pop(0)
-        assert lo <= value <= hi, f"scripted {value} outside [{lo}, {hi}]"
+    def getrandbits(self, k):
+        if not self._bits:
+            return self._rng.getrandbits(k)
+        value = self._bits.pop(0)
+        assert 0 <= value < 2**k, f"scripted {value} outside {k} bits"
         return value
 
     def __getattr__(self, name):
@@ -44,13 +50,34 @@ class AtomsDomain:
 
 
 def test_crossover_hand_case():
-    child = crossover([10, 11, 12], [20, 21, 22], ScriptedRng([1, 1]))
+    # cuts 1 and 1, each in range(4); the 4 and 7 fall outside it and are redrawn
+    rng = ScriptedRng([4, 1, 7, 1])
+    child = crossover([10, 11, 12], [20, 21, 22], rng)
     assert child == [10, 21, 22]
+    assert rng._bits == []
 
 
 def test_crossover_boundary_gives_parent_b():
-    child = crossover([10, 11, 12], [20, 21, 22], ScriptedRng([0, 0]))
+    rng = ScriptedRng([0, 0])
+    child = crossover([10, 11, 12], [20, 21, 22], rng)
     assert child == [20, 21, 22]
+    assert rng._bits == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 77])
+def test_crossover_cuts_are_randints(seed):
+    # each cut is the integer randint gives, from the same state, and
+    # leaves the generator where randint leaves it
+    rng, ref = random.Random(seed), random.Random(seed)
+    for la in (0, 1, 2, 3, 7, 8, 64):
+        for lb in (0, 1, 2, 3, 7, 8, 64):
+            for min_len in (1, 2, 5, 70):
+                child = crossover(list(range(la)), list(range(100, 100 + lb)), rng, min_len)
+                cut_a = ref.randint(0, la)
+                hi = min(lb, cut_a + lb - min_len)
+                cut_b = ref.randint(0, hi) if hi > 0 else 0
+                assert child == list(range(cut_a)) + list(range(100 + cut_b, 100 + lb))
+                assert rng.getstate() == ref.getstate()
 
 
 def test_crossover_identical_parents_subset_of_union():
@@ -147,6 +174,18 @@ def test_select_hand_trace():
     fits = sorted(s.fitness for s in out[:2])
     assert fits == [2.0, 3.0]
     assert len(out) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf]),
+                min_size=1, max_size=40))
+def test_elites_follow_fitness_then_index(fitness):
+    # descending fitness, ties to the lower index, NaN wherever the
+    # comparisons of the key (-fitness, index) leave it
+    pop = [t(f) for f in fitness]
+    elites = select(pop, EaParams(elitism_fraction=1.0), ScriptedRng([]))
+    order = sorted(range(len(pop)), key=lambda i: (-pop[i].fitness, i))
+    assert [id(tr) for tr in elites] == [id(pop[i]) for i in order]
 
 
 def test_select_target_size():

@@ -15,8 +15,10 @@ calls over generated mazes, both dead-end modes, a tight cap, standard
 and guided mode with and without macros, and with and without reference
 paths.  Another pins the EA's draws alone: seeding, tournaments,
 selection and both mutation modes over a maze and two chain alphabets
-(4, 6 and 64 atomic operations) at three population sizes.  A
-behaviour-neutral change keeps them; a change that moves results must
+(4, 6 and 64 atomic operations) at three population sizes.  The last
+pins crossover and seeding lengths alone: crossover over edge parent
+lengths and genome bounds, and seeded genome lengths under edge
+bounds.  A behaviour-neutral change keeps them; a change that moves results must
 update them and say why.
 """
 
@@ -28,7 +30,7 @@ import random
 
 from ace.chain import ChainDomain, ChainSpec
 from ace.cli import SuiteSpec, orchestrate
-from ace.ea import EaExplorer, EaParams, _tournament, mutate, select
+from ace.ea import EaExplorer, EaParams, _tournament, crossover, mutate, select
 from ace.gca import PairTable
 from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
@@ -44,6 +46,7 @@ FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d9340
 NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
 PATH_FINGERPRINT = "e05b2214dd6cd201b89353435356ab405cca3b33b4ba1d496cb6f7d2115035d5"
 EA_DRAWS_FINGERPRINT = "67b04108f4b575d88848f5b9367bee177564f7a0301c23091937c5d9cfe8445a"
+CROSSOVER_DRAWS_FINGERPRINT = "42217802f3344cf654ca53ad2bb70274d8b18eb4f5693dcc09d0f34828a5b3cc"
 
 GCA = {
     "tau": 0.25, "epsilon": 0.1, "lambda": 1e-05, "gamma": 0.2,
@@ -313,3 +316,27 @@ def test_ea_draws_fingerprint():
     digest.update(repr(rng.random()).encode())
     assert calls == 3 * (15 + 30 + 50) * 3 * 2
     assert digest.hexdigest() == EA_DRAWS_FINGERPRINT
+
+
+def test_crossover_draws_fingerprint():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    lengths = (0, 1, 2, 3, 7, 8, 9, 63, 64, 65)
+    bounds = ((1, None), (1, 1), (2, 8), (5, 5), (3, 64), (70, None))
+    calls = 0
+    for la in lengths:
+        for lb in lengths:
+            a, b = list(range(la)), list(range(100, 100 + lb))
+            for min_len, max_len in bounds:
+                for _ in range(3):
+                    digest.update(repr(crossover(a, b, rng, min_len, max_len)).encode())
+                    calls += 1
+    for dom in ea_domains():
+        for min_len, max_len in ((None, None), (1, 1), (1, 2), (7, 8), (3, 64), (20, 450)):
+            explorer = EaExplorer(EaParams(min_len=min_len, max_len=max_len))
+            for size in (2, 9):
+                state = explorer.initialize(dom, ExperimentConfig(population_size=size), rng)
+                digest.update(repr([tr.ops for tr in state.population]).encode())
+    digest.update(repr(rng.random()).encode())
+    assert calls == len(lengths) ** 2 * len(bounds) * 3
+    assert digest.hexdigest() == CROSSOVER_DRAWS_FINGERPRINT
