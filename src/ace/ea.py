@@ -196,9 +196,12 @@ class EaExplorer:
         self.params.validate()
 
     def check_domain(self, domain) -> None:
-        if not hasattr(domain, "evaluate_sequence") or not hasattr(domain, "atomic_count"):
+        needed = ("evaluate_sequence", "atomic_count", "default_genome_bounds")
+        missing = [a for a in needed if not hasattr(domain, a)]
+        if missing:
             raise ConfigError(
-                f"domain {type(domain).__name__} does not evaluate operation sequences"
+                f"domain {type(domain).__name__} does not evaluate operation "
+                f"sequences: no {', '.join(missing)}"
             )
         _atomic_count(domain)
 

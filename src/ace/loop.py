@@ -137,6 +137,10 @@ def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
 def _init_model(config: ExperimentConfig, domain) -> GcaModel:
     """A fresh model, or on a warm start the donor's weights, support and
     macros under the run's own hyperparameters (config.gca)."""
+    if not hasattr(domain, "atomic_op_names"):
+        raise ConfigError(
+            f"domain {type(domain).__name__} names no atomic operations for a guided run"
+        )
     if config.warm_start_model:
         model = gca.load_model(config.warm_start_model)
         if model.atomic_ops != list(domain.atomic_op_names):

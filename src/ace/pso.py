@@ -64,6 +64,24 @@ def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
 # goal, and wall is the index of the move into the wall (-1 if none).
 StrideMemo = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]
 
+# A move table: (moves, ends, dead_end) for each (cell, entry cell) a step
+# has met, keyed by entry cell * cells + cell (entry cell -1 at the start).
+# moves are the step's atomic candidates in N, E, S, W order and ends the
+# cells they reach; dead_end tells that the only way out, if any, leads
+# back to the entry cell, and moves then hold that way back.
+MoveTable = dict[int, tuple[tuple[int, ...], tuple[int, ...], bool]]
+
+
+def _step_moves(step: list[int], cell: int, entry: int):
+    """A move-table entry: the atomic candidates of a step at cell
+    entered from entry."""
+    ways = step[4 * cell:4 * cell + 4]
+    moves = tuple(m for m in (0, 1, 2, 3) if ways[m] != entry and ways[m] >= 0)
+    dead_end = not moves
+    if dead_end:
+        moves = tuple(m for m in (0, 1, 2, 3) if ways[m] >= 0)
+    return moves, tuple(ways[m] for m in moves), dead_end
+
 
 def _walk_stride(step: list[int], cell: int, flat: tuple[int, ...], goal: int):
     """A stride's (cells, wall) from cell, with no path-length cap."""
@@ -88,6 +106,7 @@ def construct_path(
     epsilon: float,
     *,
     stride_memo: StrideMemo | None = None,
+    move_table: MoveTable | None = None,
 ) -> Trajectory:
     """Build one path from the start, step by step.
 
@@ -113,15 +132,23 @@ def construct_path(
 
     stride_memo keeps each macro stride walked from a cell, uncapped, so
     that it is walked once per memo; each step cuts it to the remaining
-    budget.  It assumes the domain's step table and goal stay as they
-    are while the memo lives: share one only between calls on one domain
-    (None: a fresh memo for this call).
+    budget.  move_table keeps the atomic candidates of a step, keyed by
+    the cell and the cell it was entered from (see MoveTable), so that
+    each such pair is read from the step table once per table; while
+    only atomic moves compete, every candidate ends at the next depth,
+    and each reference path is read there once per step.  Both assume
+    the domain's step table and goal stay as they are while they live:
+    share one only between calls on one domain (None: a fresh one for
+    this call).
     """
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index
     max_len = params.max_path_len or domain.default_max_path_len
+    n_cells = len(step) >> 2
+    if move_table is None:
+        move_table = {}
 
     macro_info = []
     if model is not None:
@@ -160,25 +187,17 @@ def construct_path(
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
         # order; each ends on a cell, at an index of the path being built.
-        base = 4 * cur
-        cand: list[int] = []
-        ends: list[int] = []
-        for m in (0, 1, 2, 3):
-            c = step[base + m]
-            if c != prev_cell and c >= 0:
-                cand.append(m)
-                ends.append(c)
-        if not cand:
-            # A dead end: the only open move, if any, leads back.
-            cand = [m for m in (0, 1, 2, 3) if step[base + m] >= 0]
-            if terminate_at_dead_ends or not cand:
-                break
-            ends = [step[base + m] for m in cand]
+        key = prev_cell * n_cells + cur
+        try:
+            cand, ends, dead_end = move_table[key]
+        except KeyError:
+            cand, ends, dead_end = move_table[key] = _step_moves(step, cur, prev_cell)
+        if dead_end and (terminate_at_dead_ends or not cand):
+            break
         n_moves = len(cand)
-        end_at = [steps + 1] * n_moves
-        strides: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (cells, flat) per macro
+        strides = None  # (cells, flat) per macro, once one joins
         if macro_info:
-            allowed = tuple(cand)
+            allowed = cand
             room = max_len - steps
             for macro_id, first_move, flat, walks in macro_info:
                 if first_move not in allowed:
@@ -191,12 +210,15 @@ def construct_path(
                     continue  # a wall within the budget: not a candidate this step
                 if len(cells) > room:
                     cells = cells[:room]
+                if strides is None:
+                    cand, ends = list(cand), list(ends)
+                    end_at, strides = [steps + 1] * n_moves, []
                 cand.append(macro_id)
                 ends.append(cells[-1])
                 end_at.append(steps + len(cells))
                 strides.append((cells, flat))
 
-        if len(cand) == 1:
+        if n_moves == 1 and strides is None:
             # A lone candidate is an atomic move (a macro competes only
             # beside its first move), and any score selects it: only the
             # two alignment variates and the selection variate remain.
@@ -216,15 +238,33 @@ def construct_path(
             # A bool counts as 1 or 0: the alignment terms are
             # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float would.
             scores = []
-            for end, at, (_, p) in zip(ends, end_at, learned):
-                s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
-                r1 = rand()
-                r2 = rand()
-                s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
-                s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
-                if guided:
-                    s += lam * p
-                scores.append(s)
+            if strides is None:
+                # Atomic moves all end at the next depth: each reference
+                # path is read once, its cell there or -1 (no cell) past
+                # its end.
+                at = steps + 1
+                on_prev = prev_states[at] if at < n_prev else -1
+                on_pbest = pbest_states[at] if at < n_pbest else -1
+                on_gbest = gbest_states[at] if at < n_gbest else -1
+                for end, (_, p) in zip(ends, learned):
+                    s = alpha * heuristic[end] + w * (on_prev == end)
+                    r1 = rand()
+                    r2 = rand()
+                    s += c1 * r1 * (on_pbest == end)
+                    s += c2 * r2 * (on_gbest == end)
+                    if guided:
+                        s += lam * p
+                    scores.append(s)
+            else:
+                for end, at, (_, p) in zip(ends, end_at, learned):
+                    s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
+                    r1 = rand()
+                    r2 = rand()
+                    s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
+                    s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
+                    if guided:
+                        s += lam * p
+                    scores.append(s)
 
             pick = softmax_floor_choice(scores, epsilon, rng)
         op = cand[pick]
@@ -232,7 +272,9 @@ def construct_path(
             moves.append(op)
             ops.append(op)
             prev_op = op
-            states.append(ends[pick])
+            prev_cell = cur
+            cur = ends[pick]
+            states.append(cur)
             steps += 1
         else:
             cells, flat = strides[pick - n_moves]
@@ -247,8 +289,8 @@ def construct_path(
                 ops.append(op)
                 prev_op = op
             steps += taken
-        prev_cell = states[-2]
-        cur = states[-1]
+            prev_cell = states[-2]
+            cur = states[-1]
 
     return domain.evaluate_path(states, ops, moves, success=cur == goal)
 
@@ -263,18 +305,23 @@ def pso_generation(
     epsilon: float,
     *,
     stride_memo: StrideMemo | None = None,
+    move_table: MoveTable | None = None,
 ) -> tuple[Trajectory | None, list[Trajectory], list[TrajectoryEvent]]:
     """One sweep: every particle rebuilds its path against the entering
     swarm best; personal-best improvements emit reinforcement events; the
     swarm best is recomputed afterwards (ties keep the lowest index).
-    The particles share stride_memo (None: a fresh one for this sweep)."""
+    The particles share stride_memo and move_table (None: a fresh one
+    for this sweep)."""
     if stride_memo is None:
         stride_memo = {}
+    if move_table is None:
+        move_table = {}
     new_paths: list[Trajectory] = []
     events: list[TrajectoryEvent] = []
     for particle in swarm:
         traj = construct_path(
-            particle, gbest, params, model, domain, rng, epsilon, stride_memo=stride_memo
+            particle, gbest, params, model, domain, rng, epsilon,
+            stride_memo=stride_memo, move_table=move_table,
         )
         new_paths.append(traj)
         particle.current = traj
@@ -295,10 +342,18 @@ def pso_generation(
 
 @dataclass
 class PsoState:
+    """One swarm run: its particles, its swarm best, and what its steps
+    have read of its one domain so far.  stride_memo holds the macro
+    strides walked from each cell.  move_table holds the atomic
+    candidates of a step for each (cell, entry cell) met, under the key
+    entry cell * cells + cell (see MoveTable), each read from the step
+    table the first time a step enters the cell from that entry cell.  Both
+    live exactly as long as the state: nothing outlives the run."""
+
     swarm: list[Particle]
     gbest: Trajectory | None = None
-    # Macro strides walked so far in this run, on its one domain.
     stride_memo: StrideMemo = field(default_factory=dict)
+    move_table: MoveTable = field(default_factory=dict)
 
 
 class PsoExplorer:
@@ -307,10 +362,14 @@ class PsoExplorer:
         self.params.validate()
 
     def check_domain(self, domain) -> None:
-        needed = ("step_table", "heuristic", "start_index", "goal_index")
-        if not all(hasattr(domain, a) for a in needed):
+        needed = ["step_table", "heuristic", "start_index", "goal_index", "evaluate_path"]
+        if self.params.max_path_len is None:
+            needed.append("default_max_path_len")
+        missing = [a for a in needed if not hasattr(domain, a)]
+        if missing:
             raise ConfigError(
-                f"domain {type(domain).__name__} does not expose a stepwise path interface"
+                f"domain {type(domain).__name__} does not expose a stepwise path "
+                f"interface: no {', '.join(missing)}"
             )
 
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> PsoState:
@@ -334,6 +393,7 @@ class PsoExplorer:
             rng,
             config.gca.exploration_floor,
             stride_memo=state.stride_memo,
+            move_table=state.move_table,
         )
         state.gbest = gbest
         return GenerationResult(new_paths, events)

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from itertools import repeat
 
-from ace.errors import DomainError
-from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
+from ace.errors import DomainError, check_range
+from ace.gca import (
+    GcaModel,
+    GcaParams,
+    GcaThresholds,
+    MacroOperation,
+    PairTable,
+    softmax_floor_choice,
+)
 from ace.loop import Trajectory
 
 
@@ -127,3 +135,184 @@ class GridStub:
             states=states,
             steps_used=len(atomic_moves),
         )
+
+
+class Lacking:
+    """A domain with one attribute taken away: every other attribute is
+    read from the wrapped domain."""
+
+    def __init__(self, domain, missing):
+        self._domain = domain
+        self._missing = missing
+
+    def __getattr__(self, name):
+        if name == self._missing:
+            raise AttributeError(name)
+        return getattr(self._domain, name)
+
+
+def _states(traj):
+    return traj.states or () if traj is not None else ()
+
+
+def _walk_stride(step: list[int], cell: int, flat: tuple[int, ...], goal: int):
+    """A stride's (cells, wall) from cell, with no path-length cap."""
+    cells: list[int] = []
+    for i, mv in enumerate(flat):
+        cell = step[4 * cell + mv]
+        if cell < 0:
+            return tuple(cells), i
+        cells.append(cell)
+        if cell == goal:
+            break
+    return tuple(cells), -1
+
+
+def reference_construct_path(
+    particle,
+    gbest,
+    params,
+    model,
+    domain,
+    rng: random.Random,
+    epsilon: float,
+    *,
+    stride_memo=None,
+):
+    """Reference step loop: construct_path as it was before the move
+    table, one step at a time from the step table.  construct_path must
+    build the same trajectory and leave rng in the same state."""
+    check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
+    step = domain.step_table
+    heuristic = domain.heuristic
+    goal = domain.goal_index
+    max_len = params.max_path_len or domain.default_max_path_len
+
+    macro_info = []
+    if model is not None:
+        if stride_memo is None:
+            stride_memo = {}
+        for macro in model.macros:
+            if not macro.pruned:
+                flat = tuple(model.flatten_macro(macro.id))
+                macro_info.append((macro.id, flat[0], flat, stride_memo.setdefault(flat, {})))
+
+    # A candidate aligns with a reference path when that path sits on the
+    # candidate's end cell at the same depth.
+    prev_states = _states(particle.current)
+    pbest_states = _states(particle.pbest)
+    gbest_states = _states(gbest)
+    n_prev, n_pbest, n_gbest = len(prev_states), len(pbest_states), len(gbest_states)
+
+    w = params.inertia
+    c1 = params.cognitive
+    c2 = params.social
+    alpha = params.heuristic_weight
+    lam = params.guidance_weight
+    guided = model is not None
+    rand = rng.random
+
+    cur = domain.start_index
+    prev_cell = -1
+    prev_op: int | None = None
+    states = [cur]
+    ops: list[int] = []
+    moves: list[int] = []
+    steps = 0
+
+    terminate_at_dead_ends = params.dead_end_mode == "terminate"
+    no_term = repeat((None, 0.0))  # standard mode: never added
+    while cur != goal and steps < max_len:
+        # Candidates: atomic moves in N,E,S,W order, then macros in id
+        # order; each ends on a cell, at an index of the path being built.
+        base = 4 * cur
+        cand: list[int] = []
+        ends: list[int] = []
+        for m in (0, 1, 2, 3):
+            c = step[base + m]
+            if c != prev_cell and c >= 0:
+                cand.append(m)
+                ends.append(c)
+        if not cand:
+            # A dead end: the only open move, if any, leads back.
+            cand = [m for m in (0, 1, 2, 3) if step[base + m] >= 0]
+            if terminate_at_dead_ends or not cand:
+                break
+            ends = [step[base + m] for m in cand]
+        n_moves = len(cand)
+        end_at = [steps + 1] * n_moves
+        strides: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (cells, flat) per macro
+        if macro_info:
+            allowed = tuple(cand)
+            room = max_len - steps
+            for macro_id, first_move, flat, walks in macro_info:
+                if first_move not in allowed:
+                    continue
+                walk = walks.get(cur)
+                if walk is None:
+                    walk = walks[cur] = _walk_stride(step, cur, flat, goal)
+                cells, wall = walk
+                if 0 <= wall < room:
+                    continue  # a wall within the budget: not a candidate this step
+                if len(cells) > room:
+                    cells = cells[:room]
+                cand.append(macro_id)
+                ends.append(cells[-1])
+                end_at.append(steps + len(cells))
+                strides.append((cells, flat))
+
+        if len(cand) == 1:
+            # A lone candidate is an atomic move (a macro competes only
+            # beside its first move), and any score selects it: only the
+            # two alignment variates and the selection variate remain.
+            rand()
+            rand()
+            rand()
+            pick = 0
+        else:
+            # The learned term, as (op, probability) per candidate.
+            if not guided:
+                learned = no_term
+            elif prev_op is None:
+                learned = repeat((None, 1.0 / len(cand)))
+            else:
+                learned = model.floored_distribution(prev_op, cand)
+
+            # A bool counts as 1 or 0: the alignment terms are
+            # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float would.
+            scores = []
+            for end, at, (_, p) in zip(ends, end_at, learned):
+                s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
+                r1 = rand()
+                r2 = rand()
+                s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
+                s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
+                if guided:
+                    s += lam * p
+                scores.append(s)
+
+            pick = softmax_floor_choice(scores, epsilon, rng)
+        op = cand[pick]
+        if pick < n_moves:
+            moves.append(op)
+            ops.append(op)
+            prev_op = op
+            states.append(ends[pick])
+            steps += 1
+        else:
+            cells, flat = strides[pick - n_moves]
+            taken = len(cells)
+            states.extend(cells)
+            moves.extend(flat[:taken])
+            if taken < len(flat):
+                # Stride cut short by the goal or the cap: record what ran.
+                ops.extend(flat[:taken])
+                prev_op = flat[taken - 1]
+            else:
+                ops.append(op)
+                prev_op = op
+            steps += taken
+        prev_cell = states[-2]
+        cur = states[-1]
+
+    return domain.evaluate_path(states, ops, moves, success=cur == goal)

@@ -2,7 +2,10 @@
 of the package by name, and its quality references (bench/run.py) read
 the instance specs of ace.cli.  Running both here makes a refactor that
 removes or reshapes what they use fail the test suite rather than the
-benchmark.  Nothing under bench/ is changed."""
+benchmark.  One round of the maze-pso workload is also run here and its
+record fingerprint pinned, so that a change meant to keep the
+benchmark's results bit-identical is checked on the benchmark's own
+workload.  Nothing under bench/ is changed."""
 
 from __future__ import annotations
 
@@ -13,6 +16,10 @@ import ace
 from ace.cli import SuiteSpec, build_tasks, orchestrate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# `bench/run.py --workload maze-pso --seed 1` round 0: the fingerprint its
+# records print (std-pso and ace-pso on the eight curated mazes).
+MAZE_PSO_ROUND0_FINGERPRINT = "f7983a38e4ab14fe5c49fb0e782b8bf688d6e2a96c1cb2933687db3b877057ca"
 
 
 def load_bench(name, alias):
@@ -70,3 +77,17 @@ def test_references_cover_every_instance(tmp_path, monkeypatch):
         refs = run.references(ace, suite)
         assert set(refs) == {t["instance_id"] for t in build_tasks(suite)}
         assert all(ref > 0 for ref in refs.values())
+
+
+def test_maze_pso_round_zero_fingerprint(tmp_path, monkeypatch):
+    # One orchestrate call per arm, as the benchmark's timed pass makes them.
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports spans
+    run = load_bench("run", "bench_run")
+    suite = SuiteSpec.from_dict(run.round_docs("maze-pso", 1, 1)[0])
+    records = []
+    for arm in suite.arms:
+        records += orchestrate(
+            suite, tmp_path, arm_filter=arm.name, parallelism=1, save_models=True
+        )
+    assert len(records) == 16
+    assert run.fingerprint(records) == MAZE_PSO_ROUND0_FINGERPRINT

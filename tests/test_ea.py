@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from ace.chain import ChainDomain
 from ace.ea import MAX_TOURNAMENT_SIZE, EaExplorer, EaParams, crossover, mutate, select
 from ace.errors import ConfigError, DomainError
-from ace.loop import ExperimentConfig, Trajectory
+from ace.loop import ExperimentConfig, Trajectory, run_ace, run_standard
 
-from helpers import make_model
+from helpers import Lacking, make_model
 
 
 class ScriptedRng:
@@ -350,6 +350,15 @@ def test_check_domain_rejects_a_domain_without_atomic_ops():
     explorer.check_domain(AtomsDomain(1))
     with pytest.raises(ConfigError, match=r"no atomic operations \(atomic_count 0\)"):
         explorer.check_domain(AtomsDomain(0))
+
+
+@pytest.mark.parametrize("run", [run_standard, run_ace])
+def test_run_without_genome_bounds_fails_before_any_variate(run):
+    rng = random.Random(1)
+    before = rng.getstate()
+    with pytest.raises(ConfigError, match="no default_genome_bounds"):
+        run(ExperimentConfig(), EaExplorer(), Lacking(ChainDomain(), "default_genome_bounds"), rng)
+    assert rng.getstate() == before
 
 
 def test_initialize_without_atomic_ops_raises_before_any_variate():

@@ -12,7 +12,7 @@ from ace.loop import ExperimentConfig, run_ace, run_standard
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import PsoExplorer, PsoParams
 
-from helpers import GridStub
+from helpers import GridStub, Lacking
 
 
 def chain_setup(**kw):
@@ -210,3 +210,19 @@ def test_pso_loop_on_stub_domain():
     assert record.generations_run == 8
     assert model.atomic_ops == ["N", "E", "S", "W"]
     assert len(record.best_fitness_by_generation) == 8
+
+
+@pytest.mark.parametrize(
+    "explorer, domain",
+    [(EaExplorer, ChainDomain), (PsoExplorer, lambda: GridStub(3, 3))],
+    ids=["ea", "pso"],
+)
+def test_guided_run_without_op_names_fails_before_any_variate(explorer, domain):
+    rng = random.Random(1)
+    before = rng.getstate()
+    with pytest.raises(ConfigError, match="names no atomic operations"):
+        run_ace(ExperimentConfig(), explorer(), Lacking(domain(), "atomic_op_names"), rng)
+    assert rng.getstate() == before
+    # a standard run reads no op names
+    dom = Lacking(domain(), "atomic_op_names")
+    run_standard(ExperimentConfig(max_generations=1), explorer(), dom, rng)

@@ -10,7 +10,7 @@ import pytest
 import ace.pso as pso
 from ace.errors import ConfigError
 from ace.gca import GcaParams, PairTable, softmax_floor_choice
-from ace.loop import ExperimentConfig, Trajectory
+from ace.loop import ExperimentConfig, Trajectory, run_standard
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import (
     Particle,
@@ -20,7 +20,7 @@ from ace.pso import (
     pso_generation,
 )
 
-from helpers import GridStub, make_model
+from helpers import GridStub, Lacking, make_model
 
 EPS = GcaParams().exploration_floor
 
@@ -512,6 +512,22 @@ def test_explorer_requires_path_domain():
 
     with pytest.raises(ConfigError):
         PsoExplorer().check_domain(ChainDomain())
+
+
+@pytest.mark.parametrize("missing", ["default_max_path_len", "evaluate_path"])
+def test_run_without_a_path_attribute_fails_before_any_variate(missing):
+    rng = random.Random(1)
+    before = rng.getstate()
+    with pytest.raises(ConfigError, match=f"no {missing}"):
+        run_standard(ExperimentConfig(), PsoExplorer(), Lacking(GridStub(3, 3), missing), rng)
+    assert rng.getstate() == before
+
+
+def test_an_explicit_cap_needs_no_default_cap():
+    dom = Lacking(GridStub(3, 3), "default_max_path_len")
+    config = ExperimentConfig(population_size=2, max_generations=2)
+    _, record = run_standard(config, PsoExplorer(PsoParams(max_path_len=8)), dom, random.Random(1))
+    assert record.generations_run == 2
 
 
 def test_params_validation():
