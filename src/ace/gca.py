@@ -19,7 +19,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import ConfigError, DomainError, InternalError, ParseError, check_range
 
@@ -58,13 +58,9 @@ class GcaParams:
     thresholds: GcaThresholds = field(default_factory=GcaThresholds)
 
     def validate(self) -> None:
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be > 0 and finite, got {self.temperature}")
+        check_range("temperature", self.temperature, 0, math.inf, open_low=True, open_high=True)
         check_range("exploration_floor", self.exploration_floor, 0, 1, open_low=True, open_high=True)
-        if not 0 <= self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be >= 0 and finite, got {self.learning_rate}"
-            )
+        check_range("learning_rate", self.learning_rate, 0, math.inf, open_high=True)
         check_range("decay", self.decay, 0, 1)
         t = self.thresholds
         for name in ("weight_min", "support_min", "lift_min"):
@@ -174,13 +170,15 @@ class PairTable(Mapping):
     co-occurrence was recorded) sit at that index in two parallel lists.
     The row index _rows[i][j] gives the slot through int-keyed dicts, so
     a reader of one row hashes no pair; _keys[slot] is the slot's pair.
+    _top is an upper bound on every stored weight, so that an update can
+    most often rule out an overflow without reading a pair.
 
     It reads as a mapping from pair to weight, in first-write order.  An
     entry is never removed; one decayed to 0.0 stays stored.  Equality
     with another table compares the counts too.
     """
 
-    __slots__ = ("_rows", "_keys", "_values", "_counts")
+    __slots__ = ("_rows", "_keys", "_values", "_counts", "_top")
 
     def __init__(self, weights=(), support=()):
         weights = dict(weights)
@@ -188,6 +186,7 @@ class PairTable(Mapping):
         self._keys: list[tuple[int, int]] = []
         self._values: list[float] = []
         self._counts: list[int] = []
+        self._top = 0.0
         self.append(list(weights), list(weights.values()))
         for key, count in dict(support).items():
             self._counts[self._slot(key)] = count
@@ -201,13 +200,6 @@ class PairTable(Mapping):
         if row is None or j not in row:
             raise KeyError(key)
         return row[j]
-
-    def _row(self, i: int) -> dict[int, int]:
-        """Row i of the index, column -> slot, made empty if absent."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = {}
-        return row
 
     def __getitem__(self, key):
         return self._values[self._slot(key)]
@@ -227,14 +219,14 @@ class PairTable(Mapping):
         """Pair -> support count for every pair with a count of 1 or more."""
         return {key: c for key, c in zip(self._keys, self._counts) if c}
 
-    def row_weights(self, i: int, columns) -> list[float]:
+    def row_weights(self, i: int, columns, divisor: float = 1.0) -> list[float]:
         """The weights of the pairs (i, j) for the given columns j, in
-        order; 0.0 for an absent one."""
+        order, each over divisor; 0.0 for an absent one."""
         row = self._rows.get(i)
         if row is None:
             return [0.0] * len(columns)
         values = self._values
-        return [0.0 if k is None else values[k] for k in map(row.get, columns)]
+        return [0.0 if k is None else values[k] / divisor for k in map(row.get, columns)]
 
     def column_weights(self, j: int, rows) -> list[float]:
         """The weights of the pairs (i, j) for the given rows i, in order;
@@ -246,17 +238,71 @@ class PairTable(Mapping):
             out.append(0.0 if k is None else values[k])
         return out
 
+    def entries(self):
+        """(pair, weight, support count) for every stored pair, in slot order."""
+        return zip(self._keys, self._values, self._counts)
+
+    def sorted_rows(self):
+        """(i, columns, weights, counts) for every stored row i, with the
+        rows and each row's columns in ascending order."""
+        values, counts = self._values, self._counts
+        for i, row in sorted(self._rows.items()):
+            columns = sorted(row)
+            slots = list(map(row.__getitem__, columns))
+            yield i, columns, list(map(values.__getitem__, slots)), list(map(counts.__getitem__, slots))
+
     def append(self, pairs: list, values: list[float]) -> None:
         """Store the weights of pairs not yet stored, in order, count 0."""
         for slot, (i, j) in enumerate(pairs, len(self._keys)):
-            self._row(i)[j] = slot
+            self._rows.setdefault(i, {})[j] = slot
             self._keys.append((i, j))
         self._values.extend(values)
         self._counts.extend([0] * len(pairs))
+        self._top = max([self._top, *values])
 
     def scale(self, factor: float) -> None:
-        """Multiply every stored weight by factor."""
+        """Multiply every stored weight by factor, which is >= 0."""
         self._values = [v * factor for v in self._values]
+        self._top *= factor
+
+    def reinforce(self, rows, scale: float, factor: float) -> None:
+        """Multiply every stored weight by factor, then add scale * term to
+        the weight of each pair (i, j) of each (i, columns, terms) row
+        given, in order, and count one co-occurrence for each; every term
+        is > 0.  A weight that would not be finite raises DomainError
+        before anything changes, at a cost of O(pairs given)."""
+        total = sum(chain.from_iterable([terms for _, _, terms in rows]), 0.0)
+        top = self._top * factor + scale * total
+        # No weight can exceed top but by rounding, which cannot double it:
+        # below half the float range none overflows.  Else add up each pair.
+        if not top < 2.0**1023:
+            index, values = self._rows, self._values
+            reached = {}  # slot, or a pair not yet stored -> its weight so far
+            for i, columns, terms in rows:
+                row = index.get(i) or {}
+                for j, term in zip(columns, terms):
+                    slot = row.get(j)
+                    key = (i, j) if slot is None else slot
+                    start = 0.0 if slot is None else values[slot] * factor
+                    reached[key] = reached.get(key, start) + scale * term
+            if not all(map(math.isfinite, reached.values())):
+                raise DomainError("weight increment must be finite and keep every weight finite")
+        if factor != 1.0:
+            self.scale(factor)
+        self._top = top
+        keys, values, counts = self._keys, self._values, self._counts
+        for i, columns, terms in rows:
+            row = self._rows.setdefault(i, {}) if columns else {}  # no empty row is stored
+            for j, term in zip(columns, terms):
+                slot = row.get(j)
+                if slot is None:
+                    row[j] = len(values)
+                    keys.append((i, j))
+                    values.append(0.0 + scale * term)  # an absent weight reads as 0.0
+                    counts.append(1)
+                else:
+                    values[slot] += scale * term
+                    counts[slot] += 1
 
 
 @dataclass(eq=True)
@@ -373,12 +419,7 @@ class GcaModel:
     def _logits(self, from_op: int, successors) -> list[float]:
         """The weights from from_op to the successors over the model
         temperature, in successor order; ids are not checked."""
-        row = self.weights._rows.get(from_op)
-        if row is None:
-            return [0.0] * len(successors)
-        values = self.weights._values
-        t = self.params.temperature
-        return [0.0 if k is None else values[k] / t for k in map(row.get, successors)]
+        return self.weights.row_weights(from_op, successors, self.params.temperature)
 
     def transition_distribution(
         self, from_op: int, successors: list[int]
@@ -439,30 +480,6 @@ class GcaModel:
 
     # -- learning --------------------------------------------------------
 
-    def _decay_weights(self) -> None:
-        d = self.params.decay
-        if d != 0.0:
-            self.weights.scale(1.0 - d)
-
-    def _reinforce(self, rows, scale: float) -> None:
-        """Add scale * term to the weight of each pair (i, j) of each
-        (i, columns, terms) row given, in order, and count one
-        co-occurrence for each."""
-        table = self.weights
-        keys, values, counts = table._keys, table._values, table._counts
-        for i, columns, terms in rows:
-            row = table._row(i)
-            for j, term in zip(columns, terms):
-                slot = row.get(j)
-                if slot is None:
-                    row[j] = len(values)
-                    keys.append((i, j))
-                    values.append(0.0 + scale * term)  # an absent weight reads as 0.0
-                    counts.append(1)
-                else:
-                    values[slot] += scale * term
-                    counts[slot] += 1
-
     def hebbian_pair_update(
         self,
         counts_a: list[int],
@@ -479,9 +496,9 @@ class GcaModel:
         (counts_a[i]*counts_b[j] + counts_b[i]*counts_a[j]), restricted to
         the valid transition relation, and its support count increments.
         Returns the gain.  Count vectors of the wrong length, a gain that
-        is not finite, or a positive gain whose increment (learning_rate *
-        gain, or that times the largest pair term) is not finite raise
-        DomainError before anything changes.
+        is not finite, or a positive gain whose increment learning_rate *
+        gain, or a resulting weight, is not finite raise DomainError before
+        anything changes.
         """
         n = self.vocab_size
         if len(counts_a) != n or len(counts_b) != n:
@@ -490,17 +507,9 @@ class GcaModel:
             )
         gain = fit_child - 0.5 * (fit_a + fit_b)
         scale = self._increment_scale(gain)
-        # The terms read only the count vectors, so they are built before
-        # the decay, and an overflowing increment is caught before it.
         rows = self._pair_rows(counts_a, counts_b) if scale else []
-        if rows:
-            top = scale * max(max(terms) for _, _, terms in rows)
-            if not math.isfinite(top):
-                raise DomainError(f"weight increment must be finite, got {top}")
-        self._decay_weights()
+        self.weights.reinforce(rows, scale, 1.0 - self.params.decay)
         self._touch()
-        if rows:
-            self._reinforce(rows, scale)
         return gain
 
     def _increment_scale(self, gain: float) -> float:
@@ -557,37 +566,24 @@ class GcaModel:
         over the trajectory owner's previous best.  Decay applies per call
         regardless; pairs are only strengthened on positive gain.  An id
         outside the vocabulary, a gain that is not finite, or a positive
-        gain whose increment learning_rate * gain is not finite raises
-        DomainError before anything changes.
+        gain whose increment learning_rate * gain, or a resulting weight,
+        is not finite raises DomainError before anything changes.
         """
         n = self.vocab_size
         for op in ops:
             if not 0 <= op < n:
                 self._check_id(op)  # raises DomainError
         scale = self._increment_scale(gain)
-        self._decay_weights()
+        rows = []
+        if scale:
+            pruned = self._pruned_ids()
+            no_self = self.mask_mode == "no_self"
+            rows = [
+                (i, (j,), (1,)) for i, j in zip(ops, ops[1:])
+                if not (i in pruned or j in pruned or (no_self and i == j))
+            ]
+        self.weights.reinforce(rows, scale, 1.0 - self.params.decay)
         self._touch()
-        if scale == 0.0 or len(ops) < 2:
-            return
-        pruned = self._pruned_ids()
-        no_self = self.mask_mode == "no_self"
-        # _reinforce with a term of 1 per adjacent pair, one pair at a
-        # time: a trajectory seldom repeats a row back to back.
-        table = self.weights
-        keys, values, counts = table._keys, table._values, table._counts
-        for i, j in zip(ops, ops[1:]):
-            if i in pruned or j in pruned or (no_self and i == j):
-                continue
-            row = table._row(i)
-            slot = row.get(j)
-            if slot is None:
-                row[j] = len(values)
-                keys.append((i, j))
-                values.append(scale)  # 0.0 + scale * 1, scale > 0
-                counts.append(1)
-            else:
-                values[slot] += scale
-                counts[slot] += 1
 
     # -- abstraction -----------------------------------------------------
 
@@ -612,9 +608,7 @@ class GcaModel:
         """
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
-        table = self.weights
-        entries = zip(table._keys, table._values, table._counts)
-        qualifying = _Promotion(self).qualifying(entries)
+        qualifying = _Promotion(self).qualifying(self.weights.entries())
         cands = sorted((-w, i, j) for (i, j), w in qualifying)
         return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
 
@@ -779,17 +773,14 @@ def serialize_model(model: GcaModel) -> str:
     # of triples one level down, row by row in ascending (i, j) with one
     # text prefix per row; the rest goes through json.dumps, and the two
     # documents are joined at their outer braces.
-    table = model.weights
-    values, counts = table._values, table._counts
     weights, support = [], []
-    for i, row in sorted(table._rows.items()):
+    for i, cols, row_weights, row_counts in model.weights.sorted_rows():
         prefix = f"    [\n      {i},\n      "
-        cols = sorted(row)
-        floats = [float(values[row[j]]) for j in cols]
+        floats = list(map(float, row_weights))
         text = repr if all(map(math.isfinite, floats)) else _float_text
         weights.extend(f"{prefix}{j},\n      {v}\n    ]" for j, v in zip(cols, map(text, floats)))
         support.extend(
-            f"{prefix}{j},\n      {c}\n    ]" for j in cols if (c := counts[row[j]])
+            f"{prefix}{j},\n      {c}\n    ]" for j, c in zip(cols, row_counts) if c
         )
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
@@ -932,20 +923,20 @@ def deserialize_model(text: str) -> GcaModel:
         macros.append(m)
     if vocab_size != len(atomic_ops) + len(macros):
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
-    table = PairTable()
+    weights, support = {}, {}
     for ec, pair, w in _triples_in(doc, "weights", "weight", float, vocab_size):
-        if pair in table:
+        if pair in weights:
             raise ParseError(f"{ec}: duplicate entry {pair}")
-        table.append([pair], [w])
+        weights[pair] = w
     for ec, pair, count in _triples_in(doc, "support", "count", int, vocab_size):
-        slot = table._rows.get(pair[0], {}).get(pair[1])
-        if slot is None:
+        if pair not in weights:
             raise ParseError(f"{ec}: support for {pair}, which has no weight entry")
         if count == 0:
             raise ParseError(f"{ec}: support count must be >= 1, got 0")
-        if table._counts[slot]:
+        if pair in support:
             raise ParseError(f"{ec}: duplicate entry {pair}")
-        table._counts[slot] = count
+        support[pair] = count
+    table = PairTable(weights, support)
     return GcaModel(atomic_ops=list(atomic_ops), params=params, weights=table, macros=macros)
 
 

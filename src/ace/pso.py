@@ -310,12 +310,8 @@ def pso_generation(
     """One sweep: every particle rebuilds its path against the entering
     swarm best; personal-best improvements emit reinforcement events; the
     swarm best is recomputed afterwards (ties keep the lowest index).
-    The particles share stride_memo and move_table (None: a fresh one
-    for this sweep)."""
-    if stride_memo is None:
-        stride_memo = {}
-    if move_table is None:
-        move_table = {}
+    The particles share stride_memo and move_table (None: construct_path
+    makes a fresh one for each path)."""
     new_paths: list[Trajectory] = []
     events: list[TrajectoryEvent] = []
     for particle in swarm:

@@ -454,20 +454,44 @@ def test_updates_reject_non_finite_gain_before_any_change(gain):
     "update, gain, counts",
     [("trajectory", 1e308, None),  # learning_rate * gain overflows
      ("pair", 1e308, [1, 1]),
-     ("pair", 5e307, [2, 1])],     # finite, but not times the largest pair term, 8
+     ("pair", 5e307, [2, 1]),      # finite, but not times the largest pair term, 8
+     # Every increment is finite (1e308; the pair terms are 2), but the
+     # second call's sum with the first call's weight is not.
+     ("trajectory twice", 1e308, None),
+     ("pair twice", 5e307, [1, 1, 0])],
 )
 def test_updates_reject_overflowing_increment_before_any_change(update, gain, counts):
-    m = make_model(n_atomic=2, weights={(0, 1): 1.0}, support={(0, 1): 2}, decay=0.5,
-                   learning_rate=2.0)
-    with pytest.raises(DomainError, match="increment must be finite"):
-        if update == "trajectory":
+    twice = update.endswith(" twice")
+    if twice:
+        m = make_model(n_atomic=3, learning_rate=1.0, decay=0.0)
+    else:
+        m = make_model(n_atomic=2, weights={(0, 1): 1.0}, support={(0, 1): 2}, decay=0.5,
+                       learning_rate=2.0)
+
+    def call():
+        if update.startswith("trajectory"):
             m.hebbian_trajectory_update([0, 1], gain)
         else:
             m.hebbian_pair_update(counts, counts, 0.0, 0.0, gain)
+
+    if twice:
+        call()
+    weights, support = dict(m.weights.items()), m.weights.support()
+    with pytest.raises(DomainError, match="increment must be finite"):
+        call()
     # Nothing changed, decay included, and the model still round-trips.
-    assert m.weights == {(0, 1): 1.0}
-    assert m.weights.support() == {(0, 1): 2}
+    assert m.weights == weights and m.weights.support() == support
     assert deserialize_model(serialize_model(m)) == m
+
+
+def test_trajectory_repeating_a_pair_checks_the_sum_of_its_increments():
+    m = make_model(n_atomic=2, learning_rate=1.0, decay=0.0)
+    m.hebbian_trajectory_update([0, 1, 1, 0, 1], 5e307)  # (0, 1) twice
+    assert m.weights == {(0, 1): 1e308, (1, 1): 5e307, (1, 0): 5e307}
+    with pytest.raises(DomainError, match="increment must be finite"):
+        m.hebbian_trajectory_update([1, 0, 1, 0, 1], 5e307)  # (0, 1) twice more
+    assert m.weights == {(0, 1): 1e308, (1, 1): 5e307, (1, 0): 5e307}
+    assert m.weights.support() == {(0, 1): 2, (1, 1): 1, (1, 0): 1}
 
 
 def test_updates_with_non_positive_gain_ignore_the_increment():
@@ -1037,7 +1061,7 @@ def test_params_validated():
 def test_params_reject_non_finite(name, value):
     # a NaN learning rate would store NaN weights that the model's own
     # loader rejects
-    with pytest.raises(ConfigError, match=f"{name} must be"):
+    with pytest.raises(ConfigError, match=rf"{name} must lie in [(\[]0, inf\)"):
         GcaParams(**{name: value}).validate()
 
 

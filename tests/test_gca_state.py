@@ -102,7 +102,8 @@ class GcaModelMachine(RuleBasedStateMachine):
     def weight_table_consistent(self):
         # Slot k holds the pair _keys[k], and the row index leads back to
         # it; the rows hold one entry per slot, the value and count lists
-        # one per slot, and the mapping view reads the values.
+        # one per slot, and the mapping view reads the values.  No row is
+        # empty, and _top bounds every weight.
         w = self.model.weights
         assert isinstance(w, PairTable)
         assert all(w._rows[i][j] == slot for slot, (i, j) in enumerate(w._keys))
@@ -110,6 +111,7 @@ class GcaModelMachine(RuleBasedStateMachine):
         assert len(w) == len(w._keys) == len(w._values) == len(w._counts)
         assert [w[key] for key in w] == w._values
         assert dict(w.items()) == dict(zip(w._keys, w._values))
+        assert all(w._rows.values()) and all(v <= w._top for v in w._values)
 
     @invariant()
     def support_only_on_valid_pairs(self):

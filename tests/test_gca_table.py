@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from ace.errors import DomainError
 from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
 
 
@@ -196,6 +197,55 @@ def run_sequence(seed: int) -> None:
 def test_table_matches_dict_reference(block):
     for seed in range(50 * block, 50 * block + 50):
         run_sequence(seed)
+
+
+def random_table(rng: random.Random) -> PairTable:
+    """A table built from random dicts, then, half the time, reinforced by
+    random rows (a pair may recur) under a random decay factor."""
+    n = rng.randint(1, 6)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+    weights = {pair: rng.choice([0.0, 0.5, rng.uniform(0, 9)]) for pair in pairs}
+    support = {pair: rng.randint(0, 3) for pair in weights if rng.random() < 0.5}
+    table = PairTable(weights, support)
+    if rng.random() < 0.5:
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            columns = [rng.randrange(n + 1) for _ in range(rng.randint(0, 4))]
+            rows.append((rng.randrange(n + 1), columns, [rng.randint(1, 3) for _ in columns]))
+        table.reinforce(rows, rng.uniform(0.01, 2.0), rng.choice([1.0, 0.5, rng.random()]))
+    return table
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_entries_and_sorted_rows_read_the_mapping(seed):
+    table = random_table(random.Random(seed))
+    support = table.support()
+    expected = [(pair, w, support.get(pair, 0)) for pair, w in table.items()]
+    assert list(table.entries()) == expected  # slot order
+    flat = []
+    for i, columns, weights, counts in table.sorted_rows():
+        assert columns == sorted(columns) and len(columns) == len(weights) == len(counts) > 0
+        flat.extend(((i, j), w, c) for j, w, c in zip(columns, weights, counts))
+    assert flat == sorted(expected)
+    assert [i for i, *_ in table.sorted_rows()] == sorted({i for i, _ in table})
+    assert all(w <= table._top for w in table.values())
+
+
+def test_reinforce_adds_in_order_and_counts_each_occurrence():
+    table = PairTable({(0, 1): 1.0}, {(0, 1): 2})
+    table.reinforce([(0, [1, 2], [1, 2]), (2, [0], [3]), (0, [2], [1])], 0.5, 0.5)
+    assert list(table.items()) == [((0, 1), 1.0), ((0, 2), 1.5), ((2, 0), 1.5)]
+    assert table.support() == {(0, 1): 3, (0, 2): 2, (2, 0): 1}
+    with pytest.raises(DomainError, match="keep every weight finite"):
+        table.reinforce([(2, [0, 0], [1, 1])], 1e308, 1.0)
+    assert list(table.items()) == [((0, 1), 1.0), ((0, 2), 1.5), ((2, 0), 1.5)]
+    assert table.support() == {(0, 1): 3, (0, 2): 2, (2, 0): 1}
+    # A weight near the top of the float range blocks only its own pair.
+    table = PairTable({(0, 0): 1.5e308, (1, 1): 1.0})
+    table.reinforce([(1, [1, 0], [1, 1])], 1e307, 1.0)
+    assert table == {(0, 0): 1.5e308, (1, 1): 1.0 + 1e307, (1, 0): 1e307}
+    with pytest.raises(DomainError):
+        table.reinforce([(0, [0], [1])], 1e308, 1.0)
 
 
 def test_table_is_a_live_mapping():

@@ -83,3 +83,17 @@ NAN_SETTINGS = {
 def test_nan_setting_raises_config_error(setting):
     with pytest.raises(ConfigError, match=r"got (5x)?nan"):
         NAN_SETTINGS[setting]()
+
+
+# The two unbounded GcaParams ranges: NaN and both infinities fall outside.
+GCA_RATE_RANGES = {"temperature": "(0, inf)", "learning_rate": "[0, inf)"}
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(GCA_RATE_RANGES))
+def test_gca_rates_must_be_finite(name, value):
+    message = f"{name} must lie in {GCA_RATE_RANGES[name]}, got {value}"
+    with pytest.raises(ConfigError) as e:
+        GcaParams(**{name: value}).validate()
+    assert str(e.value) == message
+    GcaParams(**{name: 1e308}).validate()
