@@ -180,16 +180,16 @@ class PairTable(Mapping):
 
     __slots__ = ("_rows", "_keys", "_values", "_counts", "_top")
 
-    def __init__(self, weights=(), support=()):
-        weights = dict(weights)
+    def __init__(self, weights: Mapping = {}, support: Mapping = {}):
         self._rows: dict[int, dict[int, int]] = {}
         self._keys: list[tuple[int, int]] = []
         self._values: list[float] = []
         self._counts: list[int] = []
         self._top = 0.0
-        self.append(list(weights), list(weights.values()))
-        for key, count in dict(support).items():
-            self._counts[self._slot(key)] = count
+        for key, value in weights.items():
+            self.add(key, value)
+        for key, count in support.items():
+            self.set_count(key, count)
 
     def _slot(self, key) -> int:
         try:
@@ -251,14 +251,29 @@ class PairTable(Mapping):
             slots = list(map(row.__getitem__, columns))
             yield i, columns, list(map(values.__getitem__, slots)), list(map(counts.__getitem__, slots))
 
-    def append(self, pairs: list, values: list[float]) -> None:
-        """Store the weights of pairs not yet stored, in order, count 0."""
-        for slot, (i, j) in enumerate(pairs, len(self._keys)):
-            self._rows.setdefault(i, {})[j] = slot
-            self._keys.append((i, j))
-        self._values.extend(values)
-        self._counts.extend([0] * len(pairs))
-        self._top = max([self._top, *values])
+    def add(self, key: tuple[int, int], value: float) -> bool:
+        """Store the weight of a pair not yet stored under the next slot,
+        count 0, and return True; a pair stored already is left as it is
+        and gives False."""
+        i, j = key
+        row = self._rows.setdefault(i, {})
+        if j in row:
+            return False
+        row[j] = len(self._keys)
+        self._keys.append(key)
+        self._values.append(value)
+        self._counts.append(0)
+        if value > self._top:  # as max() keeps the first largest
+            self._top = value
+        return True
+
+    def set_count(self, key, count: int) -> int:
+        """Set the support count of a stored pair and return the count it
+        had; KeyError for a pair not stored."""
+        slot = self._slot(key)
+        earlier = self._counts[slot]
+        self._counts[slot] = count
+        return earlier
 
     def scale(self, factor: float) -> None:
         """Multiply every stored weight by factor, which is >= 0."""
@@ -333,6 +348,8 @@ class GcaModel:
     # pruned flag or the mask, so add_macro, prune_macros and a new
     # mask_mode clear them.
     _successors: dict = field(default_factory=dict, compare=False, repr=False)
+    # sampling_vocabulary's tuple, cleared with the successor lists.
+    _vocabulary: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # Sampling rows, cleared by _touch on every weight change, on a new
     # weights or params, and with the successor lists as well:
     # sample_successor's (ops, cumulative probabilities) keyed on from_op,
@@ -372,10 +389,14 @@ class GcaModel:
         k = op - len(self.atomic_ops)
         return 0 <= k < len(self.macros) and self.macros[k].pruned
 
-    def sampling_vocabulary(self) -> list[int]:
-        """All operation ids currently eligible for sampling, ascending."""
-        ids = list(range(self.atomic_count))
-        ids.extend(m.id for m in self.macros if not m.pruned)
+    def sampling_vocabulary(self) -> tuple[int, ...]:
+        """All operation ids currently eligible for sampling, ascending;
+        kept until the next vocabulary change."""
+        ids = self._vocabulary
+        if ids is None:
+            ids = self._vocabulary = (
+                *range(self.atomic_count), *(m.id for m in self.macros if not m.pruned)
+            )
         return ids
 
     def valid_pair(self, i: int, j: int) -> bool:
@@ -402,6 +423,7 @@ class GcaModel:
         self._row_cache.clear()
 
     def _vocabulary_changed(self) -> None:
+        self._vocabulary = None
         self._successors.clear()
         self._touch()
 
@@ -469,7 +491,7 @@ class GcaModel:
                 # The sampling vocabulary holds no pruned op, so the mask
                 # drops at most from_op itself.  A pruned or fully masked
                 # from_op may go on to any eligible op.
-                ops = tuple(self.sampling_vocabulary())
+                ops = self.sampling_vocabulary()
                 if self.mask_mode == "no_self" and not self.is_pruned(from_op):
                     ops = tuple(j for j in ops if j != from_op) or ops
                 self._successors[from_op] = ops
@@ -624,19 +646,15 @@ class GcaModel:
         ops = range(m)
         left_out, right_out = w.row_weights(left, ops), w.row_weights(right, ops)
         left_in, right_in = w.column_weights(left, ops), w.column_weights(right, ops)
-        # Row and column m are new: every entry is appended, (m, k) before
+        # Row and column m are new: every entry is added, (m, k) before
         # (k, m) in ascending k.
-        pairs, values = [], []
         for k in ops:
             out = 0.5 * (left_out[k] + right_out[k])
             if out != 0.0:
-                pairs.append((m, k))
-                values.append(out)
+                w.add((m, k), out)
             into = 0.5 * (left_in[k] + right_in[k])
             if into != 0.0:
-                pairs.append((k, m))
-                values.append(into)
-        w.append(pairs, values)
+                w.add((k, m), into)
         macro = MacroOperation(id=m, left=left, right=right, created_at_generation=generation)
         self._extend_table(macro)
         self.macros.append(macro)
@@ -772,22 +790,25 @@ def serialize_model(model: GcaModel) -> str:
     # written here, laid out as json.dumps(doc, indent=2) lays out a list
     # of triples one level down, row by row in ascending (i, j) with one
     # text prefix per row; the rest goes through json.dumps, and the two
-    # documents are joined at their outer braces.
+    # documents are joined at their outer braces.  Each row becomes one
+    # string, and the rows are joined once, into the result.
     weights, support = [], []
     for i, cols, row_weights, row_counts in model.weights.sorted_rows():
         prefix = f"    [\n      {i},\n      "
         floats = list(map(float, row_weights))
         text = repr if all(map(math.isfinite, floats)) else _float_text
-        weights.extend(f"{prefix}{j},\n      {v}\n    ]" for j, v in zip(cols, map(text, floats)))
-        support.extend(
-            f"{prefix}{j},\n      {c}\n    ]" for j, c in zip(cols, row_counts) if c
-        )
+        weights.append(",\n".join(
+            f"{prefix}{j},\n      {v}\n    ]" for j, v in zip(cols, map(text, floats))
+        ))
+        counted = ",\n".join(f"{prefix}{j},\n      {c}\n    ]" for j, c in zip(cols, row_counts) if c)
+        if counted:
+            support.append(counted)
     head = json.dumps(doc, indent=2)[: -len("\n}")]
     rest = json.dumps(tail, indent=2)[len("{"):]
-    return (
-        f'{head},\n  "weights": {_json_list(weights)},\n'
-        f'  "support": {_json_list(support)},{rest}'
-    )
+    return "".join([
+        head, ',\n  "weights": ', *_json_list(weights),
+        ',\n  "support": ', *_json_list(support), ",", rest,
+    ])
 
 
 def _float_text(x: float) -> str:
@@ -795,10 +816,15 @@ def _float_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _json_list(items: list[str]) -> str:
-    """Items already laid out as json.dumps(indent=2) writes the entries of
-    a list under a top-level key, as that list."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_list(rows: list[str]) -> list[str]:
+    """The pieces of a list under a top-level key as json.dumps(indent=2)
+    writes it, given its entries already laid out and joined row by row;
+    joining the pieces copies each row once."""
+    if not rows:
+        return ["[]"]
+    pieces = ["[\n"] + [",\n"] * (2 * len(rows) - 1) + ["\n  ]"]
+    pieces[1::2] = rows
+    return pieces
 
 
 def _finite_number(text: str) -> float | int:
@@ -850,8 +876,10 @@ def _triples_in(doc: dict, key: str, noun: str, kind, vocab_size: int):
     """(context, pair, value) for each [from, to, value] triple of the
     weights or support table: integer ids inside the vocabulary and a
     non-negative value of the given kind (an integer weight widens to
-    float)."""
-    for idx, entry in enumerate(_parse_field(doc, key, list, "model")):
+    float).  Each triple is dropped from doc once read."""
+    entries = _parse_field(doc, key, list, "model")
+    for idx, entry in enumerate(entries):
+        entries[idx] = None
         ec = f"{key}[{idx}]"
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{ec}: expected [from, to, {noun}]")
@@ -923,20 +951,20 @@ def deserialize_model(text: str) -> GcaModel:
         macros.append(m)
     if vocab_size != len(atomic_ops) + len(macros):
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
-    weights, support = {}, {}
+    # Each checked triple goes straight into the table, in file order.
+    table = PairTable()
     for ec, pair, w in _triples_in(doc, "weights", "weight", float, vocab_size):
-        if pair in weights:
+        if not table.add(pair, w):
             raise ParseError(f"{ec}: duplicate entry {pair}")
-        weights[pair] = w
     for ec, pair, count in _triples_in(doc, "support", "count", int, vocab_size):
-        if pair not in weights:
-            raise ParseError(f"{ec}: support for {pair}, which has no weight entry")
+        try:
+            earlier = table.set_count(pair, count)
+        except KeyError:
+            raise ParseError(f"{ec}: support for {pair}, which has no weight entry") from None
         if count == 0:
             raise ParseError(f"{ec}: support count must be >= 1, got 0")
-        if pair in support:
+        if earlier:
             raise ParseError(f"{ec}: duplicate entry {pair}")
-        support[pair] = count
-    table = PairTable(weights, support)
     return GcaModel(atomic_ops=list(atomic_ops), params=params, weights=table, macros=macros)
 
 
@@ -952,6 +980,8 @@ def load_model(path) -> GcaModel:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read model file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"model file {path} is not valid JSON: {e}") from e
     try:
         return deserialize_model(text)
     except ParseError as e:

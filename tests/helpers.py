@@ -1,16 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import repeat
 
 from ace.errors import DomainError, check_range
 from ace.gca import (
+    _THRESHOLD_FIELDS,
+    FORMAT_VERSION,
+    HYPERPARAMETERS,
     GcaModel,
     GcaParams,
     GcaThresholds,
     MacroOperation,
     PairTable,
+    _float_text,
+    deserialize_model,
+    hyperparameter_values,
+    serialize_model,
     softmax_floor_choice,
 )
 from ace.loop import Trajectory
@@ -316,3 +327,73 @@ def reference_construct_path(
         cur = states[-1]
 
     return domain.evaluate_path(states, ops, moves, success=cur == goal)
+
+
+def reference_serialize_model(model: GcaModel) -> str:
+    """Reference writer: serialize_model as it was before it joined the
+    text row by row, holding one string per stored entry.  serialize_model
+    must write the same text."""
+    top, thresholds = {}, {}
+    values = hyperparameter_values(model.params)
+    for _, key, name, kind in HYPERPARAMETERS:
+        value = float(values[name]) if kind is float else values[name]
+        (thresholds if name in _THRESHOLD_FIELDS else top)[key] = value
+    doc = {
+        "version": FORMAT_VERSION,
+        "atomic_ops": list(model.atomic_ops),
+        "vocab_size": model.vocab_size,
+        **top,
+        "thresholds": thresholds,
+    }
+    tail = {"macros": [dataclasses.asdict(m) for m in model.macros]}
+    weights, support = [], []
+    for i, cols, row_weights, row_counts in model.weights.sorted_rows():
+        prefix = f"    [\n      {i},\n      "
+        floats = list(map(float, row_weights))
+        text = repr if all(map(math.isfinite, floats)) else _float_text
+        weights.extend(f"{prefix}{j},\n      {v}\n    ]" for j, v in zip(cols, map(text, floats)))
+        support.extend(
+            f"{prefix}{j},\n      {c}\n    ]" for j, c in zip(cols, row_counts) if c
+        )
+    head = json.dumps(doc, indent=2)[: -len("\n}")]
+    rest = json.dumps(tail, indent=2)[len("{"):]
+    return (
+        f'{head},\n  "weights": {_json_list(weights)},\n'
+        f'  "support": {_json_list(support)},{rest}'
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def synthetic_model(entries=12_000, vocab=120, supported=4_000, seed=0) -> GcaModel:
+    """A model over vocab atomic ops with the given number of stored
+    pairs, in random slot order, of which the first `supported` carry a
+    support count; the weights span 1e-8 to 1e2."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(i, j) for i in range(vocab) for j in range(vocab)], entries)
+    weights = {pair: rng.random() * 10 ** rng.randint(-8, 2) for pair in pairs}
+    support = {pair: rng.randint(1, 500) for pair in pairs[:supported]}
+    return GcaModel(
+        atomic_ops=[f"t{i}" for i in range(vocab)], weights=PairTable(weights, support)
+    )
+
+
+def model_io_peaks(model: GcaModel) -> tuple[float, float]:
+    """(loading, writing): the tracemalloc peak of deserialize_model and
+    of serialize_model over the model's text, each as a multiple of the
+    text's length and counted above what was allocated before the call."""
+    text = serialize_model(model)
+    ratios = []
+    for call, arg in ((deserialize_model, text), (serialize_model, model)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        ratios.append((peak - base) / len(text))
+    return ratios[0], ratios[1]

@@ -922,6 +922,29 @@ def test_non_finite_model_file_exits_1(tmp_path, capsys, old, new):
     assert not (out / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, what", [
+    (["run", "--config"], "suite config"),
+    (["stats", "--records"], "records file"),
+    (["oracle", "--spec"], "chain spec"),
+    (["model", "--path"], "model file"),
+    (["run", "--config"], "warm-start model file"),
+], ids=["suite", "records", "chain-spec", "model", "warm-start"])
+def test_file_that_is_not_utf8_exits_1(tmp_path, capsys, command, what):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    path = bad
+    out = tmp_path / "out"
+    if what.startswith("warm-start"):
+        what = "model file"
+        doc = tiny_chain_suite(out)
+        doc["arms"][1]["warm_start_model"] = str(bad)
+        path = write_suite(tmp_path, doc)
+    assert cli.main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {what} {bad} is not valid JSON: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("support, message", [
     ([[1, 0, 2]], "support[0]: support for (1, 0), which has no weight entry"),
     ([[0, 1, 0]], "support[0]: support count must be >= 1, got 0"),

@@ -130,6 +130,10 @@ class GcaModelMachine(RuleBasedStateMachine):
             assert macro.id == m.atomic_count + k
             assert 0 <= macro.left < macro.id and 0 <= macro.right < macro.id
             assert 0 <= macro.successful_uses <= macro.uses
+        # The kept sampling vocabulary: a rule that prunes or adds a macro
+        # without clearing it fails here.
+        fresh = (*range(m.atomic_count), *(x.id for x in m.macros if not x.pruned))
+        assert m.sampling_vocabulary() == fresh
 
     @invariant()
     def flattening_matches_recursive_expansion(self):

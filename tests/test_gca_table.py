@@ -251,7 +251,7 @@ def test_reinforce_adds_in_order_and_counts_each_occurrence():
 def test_table_is_a_live_mapping():
     table = PairTable({(0, 1): 0.5, (2, 0): 0.0}, {(0, 1): 3})
     items = table.items()
-    table.append([(1, 1)], [0.25])
+    assert table.add((1, 1), 0.25)
     assert list(table) == [(0, 1), (2, 0), (1, 1)]
     assert list(items) == [((0, 1), 0.5), ((2, 0), 0.0), ((1, 1), 0.25)]
     assert table == {(2, 0): 0.0, (1, 1): 0.25, (0, 1): 0.5}
@@ -261,7 +261,7 @@ def test_table_is_a_live_mapping():
     assert table.get((3, 3), 0.0) == 0.0 and table.get((2, 0)) == 0.0
     assert table.row_weights(1, [1, 3, 0]) == [0.25, 0.0, 0.0]
     assert table.column_weights(1, [1, 3, 0]) == [0.25, 0.0, 0.5]
-    # An appended pair has no count; support lists only pairs with one.
+    # An added pair has no count; support lists only pairs with one.
     assert table.support() == {(0, 1): 3} and table._counts == [3, 0, 0]
     with pytest.raises(TypeError):
         table[(0, 1)] = 1.0  # read-only: weights change through the model
@@ -270,6 +270,19 @@ def test_table_is_a_live_mapping():
     assert table.support() == {(0, 1): 3}
     with pytest.raises(KeyError):
         PairTable({}, {(0, 0): 1})  # a count needs a weight
+
+
+def test_add_and_set_count_fill_a_table_in_order():
+    table = PairTable()
+    assert table.add((2, 1), 0.5) and table.add((0, 3), 0.25) and table.add((2, 0), 0.0)
+    assert not table.add((2, 1), 9.0)  # stored already: left as it is
+    assert list(table.entries()) == [((2, 1), 0.5, 0), ((0, 3), 0.25, 0), ((2, 0), 0.0, 0)]
+    assert table._top == 0.5
+    assert table.set_count((0, 3), 4) == 0 and table.set_count((0, 3), 5) == 4
+    assert table.support() == {(0, 3): 5}
+    with pytest.raises(KeyError):
+        table.set_count((3, 0), 1)  # a count needs a weight
+    assert table == PairTable({(2, 1): 0.5, (0, 3): 0.25, (2, 0): 0.0}, {(0, 3): 5})
 
 
 def test_missing_pair_raises_key_error_naming_it():
