@@ -149,7 +149,33 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
     """One inverse-CDF draw from softmax_floor(logits, epsilon) in a single
     pass: the first index whose running sum (accumulate's, same floats in
     the same order) exceeds one rng.random() variate, else the last index.
-    The caller checks epsilon; logits must not be empty."""
+    The caller checks epsilon; logits must not be empty.
+
+    Two or three logits, every scored step of a swarm without macros on a
+    four-neighbour grid, take the same floats in the same order without
+    the lists: m is max()'s (the first largest), sum() of two floats is
+    their sum (three still go through sum(), whose rounding since 3.12
+    is not that of two additions), and the running sums stop where the
+    loop would."""
+    k = len(logits)
+    if k == 2:
+        a, b = logits
+        m = b if b > a else a
+        ea, eb = math.exp(a - m), math.exp(b - m)
+        return 0 if (1.0 - epsilon) * (ea / (ea + eb)) + epsilon / 2 > rng.random() else 1
+    if k == 3:
+        a, b, c = logits
+        m = b if b > a else a
+        m = c if c > m else m
+        ea, eb, ec = math.exp(a - m), math.exp(b - m), math.exp(c - m)
+        z = sum((ea, eb, ec))
+        keep = 1.0 - epsilon
+        floor = epsilon / 3
+        u = rng.random()
+        total = keep * (ea / z) + floor
+        if total > u:
+            return 0
+        return 1 if total + (keep * (eb / z) + floor) > u else 2
     m = max(logits)
     exps = [math.exp(x - m) for x in logits]
     z = sum(exps)
@@ -305,9 +331,13 @@ class PairTable(Mapping):
         if factor != 1.0:
             self.scale(factor)
         self._top = top
-        keys, values, counts = self._keys, self._values, self._counts
+        index, keys, values, counts = self._rows, self._keys, self._values, self._counts
         for i, columns, terms in rows:
-            row = self._rows.setdefault(i, {}) if columns else {}  # no empty row is stored
+            row = index.get(i)
+            if row is None:
+                if not columns:
+                    continue  # no empty row is stored
+                row = index[i] = {}
             for j, term in zip(columns, terms):
                 slot = row.get(j)
                 if slot is None:
@@ -600,10 +630,19 @@ class GcaModel:
         if scale:
             pruned = self._pruned_ids()
             no_self = self.mask_mode == "no_self"
-            rows = [
-                (i, (j,), (1,)) for i, j in zip(ops, ops[1:])
-                if not (i in pruned or j in pruned or (no_self and i == j))
-            ]
+            # Adjacent pairs in order, a term of 1 each; a pair that shares
+            # its row with the pair before it joins that row (a run of one
+            # op), so the writes keep their order with fewer rows.
+            last = None
+            for i, j in zip(ops, ops[1:]):
+                if i in pruned or j in pruned or (no_self and i == j):
+                    continue
+                if i == last:
+                    columns.append(j)
+                    terms.append(1)
+                else:
+                    columns, terms, last = [j], [1], i
+                    rows.append((i, columns, terms))
         self.weights.reinforce(rows, scale, 1.0 - self.params.decay)
         self._touch()
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .errors import ConfigError, check_range
+from .errors import ConfigError, DomainError, check_range
 from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
@@ -64,23 +64,57 @@ def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
 # goal, and wall is the index of the move into the wall (-1 if none).
 StrideMemo = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]
 
-# A move table: (moves, ends, dead_end) for each (cell, entry cell) a step
-# has met, keyed by entry cell * cells + cell (entry cell -1 at the start).
-# moves are the step's atomic candidates in N, E, S, W order and ends the
-# cells they reach; dead_end tells that the only way out, if any, leads
-# back to the entry cell, and moves then hold that way back.
-MoveTable = dict[int, tuple[tuple[int, ...], tuple[int, ...], bool]]
+# A corridor: the moves of a run of forced steps and the cells they reach.
+Corridor = tuple[tuple[int, ...], tuple[int, ...]]
+
+# A move table: (moves, ends, dead_end, corridor) for each (cell, entry
+# cell) a step has met, keyed by entry cell * cells + cell (entry cell -1
+# at the start).  moves are the step's atomic candidates in N, E, S, W
+# order and ends the cells they reach; dead_end tells that the only way
+# out, if any, leads back to the entry cell, and moves then hold that way
+# back.  corridor is None until a step with one candidate is taken with
+# no macro live; it then holds the corridor that step begins (see
+# _corridor).
+MoveTable = dict[int, tuple[tuple[int, ...], tuple[int, ...], bool, Corridor | None]]
 
 
 def _step_moves(step: list[int], cell: int, entry: int):
     """A move-table entry: the atomic candidates of a step at cell
-    entered from entry."""
+    entered from entry, its corridor not yet known."""
     ways = step[4 * cell:4 * cell + 4]
     moves = tuple(m for m in (0, 1, 2, 3) if ways[m] != entry and ways[m] >= 0)
     dead_end = not moves
     if dead_end:
         moves = tuple(m for m in (0, 1, 2, 3) if ways[m] >= 0)
-    return moves, tuple(ways[m] for m in moves), dead_end
+    return moves, tuple(ways[m] for m in moves), dead_end, None
+
+
+def _corridor(step: list[int], move_table: MoveTable, cell: int, entry: int, goal: int) -> Corridor:
+    """The corridor from cell entered from entry, whose step (stored in
+    move_table) has one candidate: the moves and the cells reached of that
+    step and of each forced step after it, up to the goal.  It ends before
+    a step with another number of candidates, a dead end or a (cell, entry
+    cell) already in it, so that a dead end's turn, which depends on the
+    dead-end mode, always begins a corridor of its own.  Steps past the
+    first are read without being stored, as a walk cut short would not
+    have met them."""
+    n_cells = len(step) >> 2
+    key = entry * n_cells + cell
+    (move,), (nxt,), _, _ = move_table[key]
+    moves, cells, seen = [move], [nxt], {key}
+    while nxt != goal:
+        entry, cell = cell, nxt
+        key = entry * n_cells + cell
+        if key in seen:
+            break
+        seen.add(key)
+        cand, ends, dead_end, _ = move_table.get(key) or _step_moves(step, cell, entry)
+        if dead_end or len(cand) != 1:
+            break
+        moves.append(cand[0])
+        nxt = ends[0]
+        cells.append(nxt)
+    return tuple(moves), tuple(cells)
 
 
 def _walk_stride(step: list[int], cell: int, flat: tuple[int, ...], goal: int):
@@ -125,10 +159,19 @@ def construct_path(
     start); it is zero without a model.  epsilon is the run's
     exploration floor for the candidate selection; it must lie in (0, 1),
     which is checked before any variate is drawn.  A step with a single
-    candidate draws the three variates a scored candidate would (two for
-    alignment, one for the selection) and takes it unscored: a one-entry
-    distribution selects it whatever its score.  Construction stops at
-    the goal or at the path-length cap.
+    candidate takes it unscored, since a one-entry distribution selects
+    it whatever its score, and advances the generator as the three
+    random() calls of a scored candidate would (two for alignment, one
+    for the selection).  While no macro is live, such a step begins a
+    corridor: the forced steps after it are taken with it in one go (see
+    _corridor), cut to the path-length cap, and the generator advances by
+    getrandbits(192 * steps), which consumes the 6 * steps 32-bit outputs
+    that 3 * steps random() calls would.  Likewise, a standard step where
+    neither the personal nor the swarm best sits on a candidate's end
+    cell passes its 2 * candidates alignment variates over with
+    getrandbits(128 * candidates): each of their terms is then c * r * 0,
+    the same float whatever r.  Construction stops at the goal or at the
+    path-length cap.
 
     stride_memo keeps each macro stride walked from a cell, uncapped, so
     that it is walked once per memo; each step cuts it to the remaining
@@ -136,10 +179,11 @@ def construct_path(
     the cell and the cell it was entered from (see MoveTable), so that
     each such pair is read from the step table once per table; while
     only atomic moves compete, every candidate ends at the next depth,
-    and each reference path is read there once per step.  Both assume
-    the domain's step table and goal stay as they are while they live:
-    share one only between calls on one domain (None: a fresh one for
-    this call).
+    and each reference path is read there once per step.  Its entry
+    also keeps, uncapped, the corridor a step begins, once one is taken.
+    Both assume the domain's step table and goal stay as they are while
+    they live: share one only between calls on one domain (None: a fresh
+    one for this call).
     """
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
@@ -172,7 +216,11 @@ def construct_path(
     alpha = params.heuristic_weight
     lam = params.guidance_weight
     guided = model is not None
-    rand = rng.random
+    rand, getrandbits = rng.random, rng.getrandbits
+    # An alignment term that is not met, c * r * 0 for a variate r in
+    # [0, 1): 0.0, -0.0 for c = -0.0, NaN for c = inf, the same for any r.
+    c1_unmet = c1 * 0.5 * False
+    c2_unmet = c2 * 0.5 * False
 
     cur = domain.start_index
     prev_cell = -1
@@ -183,18 +231,37 @@ def construct_path(
     steps = 0
 
     terminate_at_dead_ends = params.dead_end_mode == "terminate"
-    no_term = repeat((None, 0.0))  # standard mode: never added
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
         # order; each ends on a cell, at an index of the path being built.
         key = prev_cell * n_cells + cur
         try:
-            cand, ends, dead_end = move_table[key]
+            cand, ends, dead_end, corridor = move_table[key]
         except KeyError:
-            cand, ends, dead_end = move_table[key] = _step_moves(step, cur, prev_cell)
+            cand, ends, dead_end, corridor = move_table[key] = _step_moves(step, cur, prev_cell)
         if dead_end and (terminate_at_dead_ends or not cand):
             break
         n_moves = len(cand)
+        if n_moves == 1 and not macro_info:
+            # A corridor: its forced steps at once, up to the cap.
+            if corridor is None:
+                corridor = _corridor(step, move_table, cur, prev_cell, goal)
+                move_table[key] = (cand, ends, dead_end, corridor)
+            run, cells = corridor
+            taken = len(run)
+            if taken > max_len - steps:
+                taken = max_len - steps
+                run, cells = run[:taken], cells[:taken]
+            getrandbits(192 * taken)
+            moves += run
+            ops += run
+            states += cells
+            steps += taken
+            prev_op = run[-1]
+            prev_cell = states[-2]
+            cur = cells[-1]
+            continue
+
         strides = None  # (cells, flat) per macro, once one joins
         if macro_info:
             allowed = cand
@@ -227,18 +294,32 @@ def construct_path(
             rand()
             pick = 0
         else:
-            # The learned term, as (op, probability) per candidate.
+            # The learned term, as (op, probability) per candidate; none
+            # in standard mode.
             if not guided:
-                learned = no_term
+                learned = None
             elif prev_op is None:
                 learned = repeat((None, 1.0 / len(cand)))
             else:
                 learned = model.floored_distribution(prev_op, cand)
 
             # A bool counts as 1 or 0: the alignment terms are
-            # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float would.
-            scores = []
-            if strides is None:
+            # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float
+            # would.  Each score is (((heuristic + inertia) + cognitive)
+            # + social), plus the learned term in guided mode, its two
+            # variates drawn in that order.  Each kind of step has its own
+            # loop: a macro's depth, or the learned term, costs nothing
+            # where it cannot occur.
+            if strides is not None:
+                scores = [
+                    alpha * heuristic[end]
+                    + w * (at < n_prev and prev_states[at] == end)
+                    + c1 * rand() * (at < n_pbest and pbest_states[at] == end)
+                    + c2 * rand() * (at < n_gbest and gbest_states[at] == end)
+                    + lam * p
+                    for end, at, (_, p) in zip(ends, end_at, learned)
+                ]
+            else:
                 # Atomic moves all end at the next depth: each reference
                 # path is read once, its cell there or -1 (no cell) past
                 # its end.
@@ -246,25 +327,32 @@ def construct_path(
                 on_prev = prev_states[at] if at < n_prev else -1
                 on_pbest = pbest_states[at] if at < n_pbest else -1
                 on_gbest = gbest_states[at] if at < n_gbest else -1
-                for end, (_, p) in zip(ends, learned):
-                    s = alpha * heuristic[end] + w * (on_prev == end)
-                    r1 = rand()
-                    r2 = rand()
-                    s += c1 * r1 * (on_pbest == end)
-                    s += c2 * r2 * (on_gbest == end)
-                    if guided:
-                        s += lam * p
-                    scores.append(s)
-            else:
-                for end, at, (_, p) in zip(ends, end_at, learned):
-                    s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
-                    r1 = rand()
-                    r2 = rand()
-                    s += c1 * r1 * (at < n_pbest and pbest_states[at] == end)
-                    s += c2 * r2 * (at < n_gbest and gbest_states[at] == end)
-                    if guided:
-                        s += lam * p
-                    scores.append(s)
+                if learned is not None:
+                    scores = [
+                        alpha * heuristic[end]
+                        + w * (on_prev == end)
+                        + c1 * rand() * (on_pbest == end)
+                        + c2 * rand() * (on_gbest == end)
+                        + lam * p
+                        for end, (_, p) in zip(ends, learned)
+                    ]
+                elif on_pbest in ends or on_gbest in ends:
+                    scores = [
+                        alpha * heuristic[end]
+                        + w * (on_prev == end)
+                        + c1 * rand() * (on_pbest == end)
+                        + c2 * rand() * (on_gbest == end)
+                        for end in ends
+                    ]
+                else:
+                    # Neither best meets a candidate: their terms read
+                    # c1 * r1 * 0 and c2 * r2 * 0, whatever the variates,
+                    # so these are passed over in one call.
+                    getrandbits(128 * n_moves)
+                    scores = [
+                        alpha * heuristic[end] + w * (on_prev == end) + c1_unmet + c2_unmet
+                        for end in ends
+                    ]
 
             pick = softmax_floor_choice(scores, epsilon, rng)
         op = cand[pick]
@@ -311,7 +399,10 @@ def pso_generation(
     swarm best; personal-best improvements emit reinforcement events; the
     swarm best is recomputed afterwards (ties keep the lowest index).
     The particles share stride_memo and move_table (None: construct_path
-    makes a fresh one for each path)."""
+    makes a fresh one for each path).  An empty swarm
+    raises DomainError before any variate is drawn."""
+    if not swarm:
+        raise DomainError("swarm generation over an empty swarm")
     new_paths: list[Trajectory] = []
     events: list[TrajectoryEvent] = []
     for particle in swarm:
@@ -343,8 +434,10 @@ class PsoState:
     strides walked from each cell.  move_table holds the atomic
     candidates of a step for each (cell, entry cell) met, under the key
     entry cell * cells + cell (see MoveTable), each read from the step
-    table the first time a step enters the cell from that entry cell.  Both
-    live exactly as long as the state: nothing outlives the run."""
+    table the first time a step enters the cell from that entry cell,
+    and the corridor of forced steps each one begins, built the first
+    time a step with one candidate is taken there with no macro live.
+    Both live exactly as long as the state: nothing outlives the run."""
 
     swarm: list[Particle]
     gbest: Trajectory | None = None

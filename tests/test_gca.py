@@ -292,14 +292,35 @@ def random_scores(rng, k):
 
 EPSILONS = (1e-12, 1e-6, 0.1, 0.5, 1 - 1e-6, 1 - 1e-12)
 
+# Two and three scores, the choice's own paths: ties, signed zeros, a gap
+# whose smaller exponential is subnormal or zero, nearly equal scores.
+SHORT_ROWS = [
+    [0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1.5, 1.5], [-2.0, -2.0],
+    [0.0, 700.0], [700.0, 0.0], [-350.0, 350.0], [0.0, 740.0], [0.0, 745.5], [1e300, -1e300],
+    [0.25, 0.25 + 2**-54], [0.1, 0.2], [-3.0, 2.5],
+    [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [2.0, 2.0, 1.0], [1.0, 2.0, 2.0],
+    [0.0, 700.0, 0.0], [700.0, 0.0, 740.0], [0.0, 745.5, 1.0], [0.5, 0.5 + 2**-53, 0.5],
+    [-3.0, 2.5, 0.1],
+    # Not finite, as an infinite coefficient makes a score: the last index.
+    [math.inf, 0.0], [0.0, math.nan], [math.nan, 0.0, 1.0], [1.0, math.inf, math.inf],
+]
 
-def test_softmax_floor_choice_matches_draw_over_the_accumulated_row():
-    rng = random.Random(14)
+
+def softmax_choice_cases(rng):
+    """4000 random rows, then every short row at every epsilon, each with
+    a seed."""
     for _ in range(4000):
         k = rng.randint(2, 8)
         scores = random_scores(rng, k)
         eps = rng.choice(EPSILONS)
-        seed = rng.randrange(2**32)
+        yield scores, eps, rng.randrange(2**32)
+    for scores in SHORT_ROWS:
+        for eps in EPSILONS:
+            yield scores, eps, rng.randrange(2**32)
+
+
+def test_softmax_floor_choice_matches_draw_over_the_accumulated_row():
+    for scores, eps, seed in softmax_choice_cases(random.Random(14)):
         reference, mine = random.Random(seed), random.Random(seed)
         cum = list(accumulate(softmax_floor(scores, eps)))
         assert softmax_floor_choice(scores, eps, mine) == draw(cum, reference), (scores, eps)

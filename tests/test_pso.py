@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import ace.pso as pso
-from ace.errors import ConfigError
+from ace.errors import ConfigError, DomainError
 from ace.gca import GcaParams, PairTable, softmax_floor_choice
 from ace.loop import ExperimentConfig, Trajectory, run_standard
 from ace.maze import MazeDomain, generate_maze
@@ -20,7 +20,7 @@ from ace.pso import (
     pso_generation,
 )
 
-from helpers import GridStub, Lacking, make_model
+from helpers import GridStub, Lacking, make_model, reference_construct_path
 
 EPS = GcaParams().exploration_floor
 
@@ -426,10 +426,90 @@ def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
             model.add_macro(1, 1)  # EE: never a candidate (E closed, or a wall after it)
             monkeypatch.setattr(model, "floored_distribution", unscored)
         params = PsoParams(heuristic_weight=1.0, dead_end_mode="backtrack")
-        rng = CountingRandom(4)
+        rng, twin = random.Random(4), random.Random(4)
         traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
         assert (traj.states, traj.ops) == (states, ops)
-        assert rng.calls == 3 * len(ops)
+        # A corridor advances the generator in one call: compare states,
+        # not calls.
+        for _ in range(3 * len(ops)):
+            twin.random()
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+def test_getrandbits_advances_as_random_calls_do(n):
+    # Corridors (n = 3 per step) and standard steps no best meets (n = 2
+    # per candidate) rely on it: random() takes two 32-bit outputs and
+    # getrandbits(64 * n) takes 2 * n, wherever the generator stands in
+    # its 624-output block.
+    for seed in (0, 1, 12345, 2**32 - 1, "corridor"):
+        for warm in (0, 1, 311, 312, 623):
+            bits, calls = random.Random(seed), random.Random(seed)
+            for rng in (bits, calls):
+                for _ in range(warm):
+                    rng.random()
+            bits.getrandbits(64 * n)
+            for _ in range(n):
+                calls.random()
+            assert bits.getstate() == calls.getstate(), (seed, warm)
+
+
+def line(width, start, goal, max_path_len=20):
+    """A width x 1 GridStub: every step inside it has one candidate."""
+    dom = GridStub(width, 1, max_path_len=max_path_len)
+    dom.start_index, dom.goal_index = start, goal
+    return dom
+
+
+def ring(goal=-1, max_path_len=30):
+    """A 3x3 GridStub with its center closed: eight cells in a ring with
+    no junction, the start (cell 0) its only step with two candidates."""
+    dom = GridStub(3, 3, max_path_len=max_path_len)
+    for slot, cell in enumerate(dom.step_table):
+        if cell == 4 or slot // 4 == 4:
+            dom.step_table[slot] = -1
+    dom.goal_index = goal
+    return dom
+
+
+CORRIDORS = {
+    "goal inside a corridor": [line(6, 0, 3), line(6, 5, 2)],
+    "budget cuts a corridor": [line(6, 0, 5, cap) for cap in (1, 2, 3, 4)],
+    "backtrack dead end": [line(4, 1, -1), line(2, 0, -1, max_path_len=7)],
+    "start inside a corridor": [line(6, 2, 5), line(6, 3, 0, max_path_len=9)],
+    "ring with no junction": [ring(), ring(goal=7), ring(max_path_len=13)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRIDORS))
+def test_corridor_matches_the_reference_step_loop(case):
+    # Both dead-end modes and both modes without a live macro share one
+    # move table, and so its corridors, per domain.
+    draws = random.Random(case)
+    for dom in CORRIDORS[case]:
+        cells = len(dom.step_table) // 4
+        move_table = {}
+
+        def reference_path():
+            return path([draws.randrange(cells) for _ in range(draws.randrange(12))])
+
+        for model in (None, make_model()):
+            for mode in ("backtrack", "terminate"):
+                for seed in range(4):
+                    params = PsoParams(heuristic_weight=draws.random(), dead_end_mode=mode)
+                    particle = Particle(current=reference_path(), pbest=reference_path())
+                    gbest = reference_path()
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    got = construct_path(
+                        particle, gbest, params, model, dom, rng, EPS,
+                        move_table=move_table,
+                    )
+                    want = reference_construct_path(
+                        particle, gbest, params, model, dom, ref_rng, EPS
+                    )
+                    assert got == want, (case, model, mode, seed)
+                    assert rng.getstate() == ref_rng.getstate()
+        assert any(corridor for *_, corridor in move_table.values())
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])
@@ -461,6 +541,14 @@ def test_generation_updates_pbest_and_emits_events():
     improved = sum(1 for a, b in zip(prev, [p.pbest_fitness for p in swarm]) if b > a)
     assert len(events2) == improved
     assert gbest2.fitness >= gbest.fitness
+
+
+def test_empty_swarm_raises_before_any_variate():
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(DomainError, match="empty swarm"):
+        pso_generation([], None, PsoParams(), None, GridStub(3, 3), rng, EPS)
+    assert rng.getstate() == state
 
 
 def test_gbest_tie_prefers_lower_index():

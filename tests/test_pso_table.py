@@ -4,8 +4,11 @@ replaced, and what the table holds and keeps after a run."""
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +94,33 @@ def test_construct_path_matches_the_reference_step_loop(data):
         assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("c", [0.0, -0.0, 1e308, math.inf])
+def test_coefficients_at_their_edges_match_the_reference_step_loop(c):
+    # A standard step where neither best meets a candidate scores without
+    # its alignment variates: c * r * 0 must come out as the step loop's
+    # for every c (-0.0 keeps its sign, inf gives NaN).  Each path is the
+    # next one's previous path, so that the bests meet candidates too.
+    for dom in (MazeDomain(generate_maze(7, 7, 0.5, 3)), GridStub(5, 5)):
+        for model in (None, make_model()):
+            for w, c1, c2 in ((c, c, c), (0.4, c, 1.0), (0.4, 1.0, c)):
+                params = PsoParams(inertia=w, cognitive=c1, social=c2, heuristic_weight=1.0)
+                paths = [None, None]
+                table = {}
+                for seed in range(6):
+                    particle = Particle(current=paths[-1], pbest=paths[-2])
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    got = construct_path(
+                        particle, paths[1], params, model, dom, rng, 0.1,
+                        move_table=table,
+                    )
+                    want = reference_construct_path(
+                        particle, paths[1], params, model, dom, ref_rng, 0.1
+                    )
+                    assert got == want, (w, c1, c2, seed)
+                    assert rng.getstate() == ref_rng.getstate()
+                    paths.append(got)
+
+
 def test_a_call_without_a_table_builds_what_a_shared_table_gives():
     dom = MazeDomain(generate_maze(6, 6, 0.3, 4))
     table = {}
@@ -124,25 +154,53 @@ def swarm_run(dom, generations=6, guided=False):
 
 
 def test_table_holds_one_entry_per_cell_and_entry_cell_met():
+    # Each corridor an entry holds starts with the entry's one candidate,
+    # follows every forced step after it and stops where the next step is
+    # not forced, is a dead end or repeats; together the corridors of a
+    # run cover each (cell, entry cell) at most twice (a start cell inside
+    # a corridor is the one way a second corridor overlaps the first).
     for connectivity in (0.0, 0.5, 1.0):
         for guided in (False, True):
             dom = MazeDomain(generate_maze(7, 7, connectivity, 5))
             state, visited = swarm_run(dom, guided=guided)
             step = dom.step_table
             cells = len(step) // 4
-            per_cell = {}
-            for key, (moves, ends, dead_end) in state.move_table.items():
-                entry, cell = divmod(key, cells)
+
+            def onward(cell, entry):
+                ways = step[4 * cell:4 * cell + 4]
+                return [m for m in range(4) if ways[m] >= 0 and ways[m] != entry]
+
+            per_cell, covered = {}, {}
+            for key, (moves, ends, dead_end, corridor) in state.move_table.items():
+                entry, cell = divmod(key, cells)  # entry -1: the start
                 per_cell[cell] = per_cell.get(cell, 0) + 1
                 ways = step[4 * cell:4 * cell + 4]
-                onward = [m for m in range(4) if ways[m] >= 0 and ways[m] != entry]
-                assert dead_end == (not onward)
-                assert list(moves) == (onward or [m for m in range(4) if ways[m] >= 0])
+                assert dead_end == (not onward(cell, entry))
+                assert list(moves) == (onward(cell, entry) or [m for m in range(4) if ways[m] >= 0])
                 assert list(ends) == [ways[m] for m in moves]
+                if corridor is None:
+                    continue
+                run, path = corridor
+                assert (run[0], path[0]) == (moves[0], ends[0]) and len(moves) == 1
+                seen = [key]
+                entry, cell = cell, ends[0]
+                for move, reached in zip(run[1:], path[1:]):
+                    seen.append(entry * cells + cell)
+                    assert onward(cell, entry) == [move]
+                    entry, cell = cell, step[4 * cell + move]
+                    assert reached == cell
+                assert len(set(seen)) == len(seen)
+                stop = entry * cells + cell
+                assert cell == dom.goal_index or stop in seen or len(onward(cell, entry)) != 1
+                for k in seen:
+                    covered[k] = covered.get(k, 0) + 1
             assert set(per_cell) <= visited
             for cell, n in per_cell.items():
                 open_moves = sum(1 for m in range(4) if step[4 * cell + m] >= 0)
                 assert n <= open_moves + 1, (cell, n)
+            assert all(n <= 2 for n in covered.values())
+            # A live macro may join any step: then no corridor is taken.
+            assert bool(covered) == (not guided)
 
 
 def test_a_run_leaves_nothing_behind():
@@ -159,3 +217,4 @@ def test_a_run_leaves_nothing_behind():
         gc.collect()
         assert ref() is None, run.__name__
     assert module_dicts() == before
+
