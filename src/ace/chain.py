@@ -23,6 +23,8 @@ from .loop import Trajectory
 
 # Position-by-token states capped to keep the solver interactive.
 MAX_DP_STATES = 100_000_000
+# A run succeeds within (1 - SUCCESS_FRACTION) * |optimum| of the optimum.
+SUCCESS_FRACTION = 0.95
 
 
 def default_rewards() -> dict[tuple[int, int], float]:
@@ -138,18 +140,10 @@ def brute_force_optimum(spec: ChainSpec) -> tuple[float, list[int]]:
     return best, seq
 
 
-def check_chain_options(*, success_fraction: float | None = None) -> None:
-    """Raise ConfigError unless the given ChainDomain keywords lie in range:
-    success_fraction, unless None, in [0, 1].  The constructor and the
-    suite parser both call it."""
-    if success_fraction is not None:
-        check_range("success_fraction", success_fraction, 0, 1)
-
-
 class ChainDomain:
     """Loop-facing adapter.  Sequences longer than the spec budget are
     truncated before scoring so the solver's optimum stays an upper
-    bound; success means coming within (1 - success_fraction) *
+    bound; success means coming within (1 - SUCCESS_FRACTION) *
     |optimum| of that optimum.
 
     Scoring walks the reward-row table of reward_rows (at most
@@ -162,23 +156,21 @@ class ChainDomain:
     # rejected), so the valid transition relation drops self-succession.
     transition_mask_mode = "no_self"
 
-    def __init__(self, spec: ChainSpec | None = None, *, success_fraction: float = 0.95):
-        check_chain_options(success_fraction=success_fraction)
+    def __init__(self, spec: ChainSpec | None = None):
         self.spec = spec or ChainSpec()
         self.spec.validate()
-        self.success_fraction = success_fraction
         self.atomic_op_names = [f"t{i}" for i in range(self.spec.alphabet_size)]
         self.atomic_count = self.spec.alphabet_size
         length = self.spec.sequence_length
         self.default_genome_bounds = (min(2, length), length)
         self.optimum, self.optimal_sequence = brute_force_optimum(self.spec)
         self.reward_rows = reward_rows(self.spec)
-        # Within (1 - success_fraction) * |optimum| of the optimum; for a
+        # Within (1 - SUCCESS_FRACTION) * |optimum| of the optimum; for a
         # positive optimum that is the plain fraction of it.
         if self.optimum > 0:
-            self.success_threshold = success_fraction * self.optimum
+            self.success_threshold = SUCCESS_FRACTION * self.optimum
         else:
-            self.success_threshold = self.optimum - (1 - success_fraction) * abs(self.optimum)
+            self.success_threshold = self.optimum - (1 - SUCCESS_FRACTION) * abs(self.optimum)
 
     def evaluate_sequence(self, ops: list[int], atomic_tokens: list[int]) -> Trajectory:
         scored = atomic_tokens[: self.spec.sequence_length]

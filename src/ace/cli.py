@@ -15,7 +15,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
-import inspect
 import json
 import logging
 import os
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gca, stats
-from .chain import ChainDomain, ChainSpec, brute_force_optimum, check_chain_options
+from .chain import ChainDomain, ChainSpec, brute_force_optimum
 from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError, check_range
 from .gca import GcaParams, GcaThresholds
@@ -73,17 +72,12 @@ _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": d
 
 def _schema(*sources, skip=()) -> dict[str, tuple[str, str]]:
     """Config key -> (field name, annotation) over the fields of
-    dataclasses and the keyword-only parameters of classes."""
+    dataclasses."""
     schema = {}
     for src in sources:
-        if dataclasses.is_dataclass(src):
-            items = [(f.name, f.type) for f in dataclasses.fields(src)]
-        else:
-            params = inspect.signature(src).parameters.values()
-            items = [(p.name, p.annotation) for p in params if p.kind is p.KEYWORD_ONLY]
-        for name, hint in items:
-            if name not in skip:
-                schema[_KEY_OF.get(name, name)] = (name, hint)
+        for f in dataclasses.fields(src):
+            if f.name not in skip:
+                schema[_KEY_OF.get(f.name, f.name)] = (f.name, f.type)
     return schema
 
 
@@ -94,18 +88,14 @@ def _plain(hints: dict[str, str]) -> dict[str, tuple[str, str]]:
 EXPLORERS = {"ea": (EaParams, EaExplorer), "pso": (PsoParams, PsoExplorer)}
 RUN = _schema(ExperimentConfig, skip=("gca", "warm_start_model"))
 GCA = _schema(GcaParams, GcaThresholds, skip=("thresholds",))
-CHAIN_OPTIONS = _schema(ChainDomain)
 CHAIN = {
     **_schema(ChainSpec),
-    **CHAIN_OPTIONS,
     "target_bigrams": ("rewards", "list"),  # [from, to, reward] triples
     "kind": ("kind", "str"),
 }
-FITNESS = _schema(MazeDomain, skip=("path_slack",))
 MAZE = _plain({
     "kind": "str", "width": "int", "height": "int", "path_slack": "int | None",
-    "fitness": "dict", "instances": "list", "connectivity_levels": "list",
-    "mazes_per_level": "int", "maze_seed_base": "int",
+    "instances": "list",
 })
 MAZE_INSTANCE = _plain({"connectivity": "float", "maze_seed": "int"})
 ARM = _plain({
@@ -164,14 +154,12 @@ def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
     return params
 
 
-def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
-    """A validated chain spec plus the ChainDomain keywords of a chain
-    document.  An absent key takes the default; a given value is used as
-    given (an empty `target_bigrams` plants no pairs)."""
+def parse_chain(doc: dict, where: str = "domain") -> ChainSpec:
+    """The validated chain spec of a chain document.  An absent key takes
+    the default; a given value is used as given (an empty
+    `target_bigrams` plants no pairs)."""
     values = _read(doc, CHAIN, where)
     values.pop("kind", None)
-    options = {k: values.pop(k) for k in CHAIN_OPTIONS if k in values}
-    check_chain_options(**options)
     if "rewards" in values:
         try:
             values["rewards"] = {
@@ -181,48 +169,28 @@ def parse_chain(doc: dict, where: str = "domain") -> tuple[ChainSpec, dict]:
             raise ConfigError(f"{where}.target_bigrams must list [from, to, reward]: {e}") from e
     spec = ChainSpec(**values)
     spec.validate()
-    return spec, options
+    return spec
 
 
 def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
     """The checked (instance_id, spec) pairs of a domain section, its one
-    reader.  A chain spec holds a ChainSpec and the ChainDomain keywords.
-    A maze section lists curated `instances` or gives a connectivity-levels
-    x mazes-per-level grid; each maze spec holds the shape, seed and
-    MazeDomain keywords of one instance, its shape checked here (the maze
-    itself is generated inside the run)."""
+    reader.  A chain spec holds a ChainSpec.  A maze section lists its
+    curated `instances`; each maze spec holds the shape, seed and
+    path_slack of one instance, its shape checked here (the maze itself
+    is generated inside the run)."""
     kind = doc.get("kind")
     if kind == "chain":
-        spec, options = parse_chain(doc)
-        return [("chain", {"kind": kind, "chain": spec, "options": options})]
+        return [("chain", {"kind": kind, "chain": parse_chain(doc)})]
     if kind != "maze":
         raise ConfigError(f"unknown domain kind {kind!r}")
-    values = _read(doc, MAZE, "domain")
+    values = _read(doc, MAZE, "domain", required=("instances",))
     width, height = values.get("width", 15), values.get("height", 15)
     slack = values.get("path_slack")
-    fitness = _read(values.get("fitness", {}), FITNESS, "domain.fitness")
-    check_maze_options(path_slack=slack, **fitness)
-    common = {
-        "kind": kind, "width": width, "height": height, "path_slack": slack, "fitness": fitness,
-    }
-    if "instances" in values:
-        listed = [(f"domain.instances[{i}]", inst) for i, inst in enumerate(values["instances"])]
-    else:
-        levels = values.get("connectivity_levels", [0.0, 0.3, 0.6, 1.0])
-        seed_base = values.get("maze_seed_base", 1000)
-        per_level = values.get("mazes_per_level", 2)
-        if len(levels) * per_level > MAX_TASKS:
-            raise ConfigError(
-                f"domain has {len(levels) * per_level} instances "
-                f"(connectivity_levels x mazes_per_level), over {MAX_TASKS}")
-        listed = [
-            (f"domain.connectivity_levels[{li}]",
-             {"connectivity": conn, "maze_seed": seed_base + 100 * li + k})
-            for li, conn in enumerate(levels)
-            for k in range(per_level)
-        ]
+    check_maze_options(path_slack=slack)
+    common = {"kind": kind, "width": width, "height": height, "path_slack": slack}
     instances = []
-    for where, inst in listed:
+    for i, inst in enumerate(values["instances"]):
+        where = f"domain.instances[{i}]"
         inst = _read(inst, MAZE_INSTANCE, where, required=MAZE_INSTANCE)
         check_maze_shape(width, height, inst["connectivity"])
         maze_id = f"m{width}x{height}_c{inst['connectivity']}_s{inst['maze_seed']}"
@@ -233,9 +201,9 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
 def build_domain(spec: dict):
     """The domain of one instance spec from _domain_instances."""
     if spec["kind"] == "chain":
-        return ChainDomain(spec["chain"], **spec["options"])
+        return ChainDomain(spec["chain"])
     maze = generate_maze(spec["width"], spec["height"], spec["connectivity"], spec["maze_seed"])
-    return MazeDomain(maze, path_slack=spec["path_slack"], **spec["fitness"])
+    return MazeDomain(maze, path_slack=spec["path_slack"])
 
 
 @dataclass
@@ -575,7 +543,7 @@ def cmd_oracle(args) -> int:
     if args.spec == "default":
         spec = ChainSpec()
     else:
-        spec, _ = parse_chain(_load_json(args.spec, "chain spec"), "chain spec")
+        spec = parse_chain(_load_json(args.spec, "chain spec"), "chain spec")
     value, witness = brute_force_optimum(spec)
     print(f"alphabet={spec.alphabet_size} length={spec.sequence_length}")
     print(f"optimum={value!r}")

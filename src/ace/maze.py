@@ -84,12 +84,9 @@ def check_maze_shape(width: int, height: int, connectivity: float) -> None:
     check_range("connectivity", connectivity, 0, 1)
 
 
-def check_maze_options(*, path_slack: int | None = None, **fitness: float) -> None:
-    """Raise ConfigError unless the given MazeDomain keywords lie in range:
-    each fitness term >= 0 and path_slack, unless None, in
+def check_maze_options(*, path_slack: int | None = None) -> None:
+    """Raise ConfigError unless path_slack, unless None, lies in
     0..MAX_PATH_LEN.  The constructor and the suite parser both call it."""
-    for name, value in fitness.items():
-        check_range(name, value, 0)
     if path_slack is not None:
         check_range("path_slack", path_slack, 0, MAX_PATH_LEN)
 
@@ -235,6 +232,14 @@ def maze_from_text(text: str) -> Maze:
 
 # -- loop-facing adapter ----------------------------------------------------
 
+# The scoring rule's terms: a success earns SUCCESS_BASE less STEP_COST
+# per step, a failure FAILURE_SCALE times its progress toward the goal,
+# and both lose WALL_COST per wall hit.
+SUCCESS_BASE = 10000.0
+STEP_COST = 10.0
+WALL_COST = 2.0
+FAILURE_SCALE = 5000.0
+
 
 class MazeDomain:
     """Binds a maze to the explorer interfaces: a four-move atomic
@@ -249,23 +254,9 @@ class MazeDomain:
     # corridors), so self-transitions stay in the valid relation.
     transition_mask_mode = "all"
 
-    def __init__(
-        self,
-        maze: Maze,
-        *,
-        success_base: float = 10000.0,
-        step_cost: float = 10.0,
-        wall_cost: float = 2.0,
-        failure_scale: float = 5000.0,
-        path_slack: int | None = None,
-    ):
-        check_maze_options(path_slack=path_slack, success_base=success_base,
-                           step_cost=step_cost, wall_cost=wall_cost, failure_scale=failure_scale)
+    def __init__(self, maze: Maze, *, path_slack: int | None = None):
+        check_maze_options(path_slack=path_slack)
         self.maze = maze
-        self.success_base = success_base
-        self.step_cost = step_cost
-        self.wall_cost = wall_cost
-        self.failure_scale = failure_scale
         w, h = maze.width, maze.height
         self.start_index = maze.index(maze.start)
         self.goal_index = maze.index(maze.goal)
@@ -305,9 +296,9 @@ class MazeDomain:
         earn credit for distance covered toward the goal.  Never negative."""
         steps = len(states) - 1
         if success:
-            f = self.success_base - self.step_cost * steps - self.wall_cost * wall_hits
+            f = SUCCESS_BASE - STEP_COST * steps - WALL_COST * wall_hits
         else:
-            f = self.failure_scale * self.heuristic[states[-1]] - self.wall_cost * wall_hits
+            f = FAILURE_SCALE * self.heuristic[states[-1]] - WALL_COST * wall_hits
         return Trajectory(
             ops=ops,
             atomic_ops=atomic_moves,

@@ -20,9 +20,9 @@ from .errors import ConfigError, DomainError, check_range
 from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
-# Steps in one constructed path, capped for an explicit max_path_len (and a
-# suite's maze path_slack) so that a mistyped budget fails when checked
-# instead of walking without end.  The default, 2 x cells, stays below it.
+# Steps in one constructed path, capped for a suite's maze path_slack so
+# that a mistyped budget fails when checked instead of walking without
+# end.  The default, 2 x cells, stays below it.
 MAX_PATH_LEN = 1_000_000
 
 
@@ -33,17 +33,13 @@ class PsoParams:
     social: float = 1.0             # swarm-best alignment
     heuristic_weight: float = 0.5   # goal-distance bias, active in both modes
     guidance_weight: float = 1.0    # learned transition term, guided mode only
-    max_path_len: int | None = None  # None: take the domain default
     # What happens when the only way out is the cell just departed:
     # "backtrack" turns around, "terminate" ends the walk there.
     dead_end_mode: str = "backtrack"
 
     def validate(self) -> None:
         for name in ("inertia", "cognitive", "social", "heuristic_weight", "guidance_weight"):
-            check_range(name, getattr(self, name), 0)
-        if self.max_path_len is not None:
-            check_range("max_path_len", self.max_path_len, 1)
-            check_range("max_path_len", self.max_path_len, high=MAX_PATH_LEN)
+            check_range(name, getattr(self, name), 0, math.inf, open_high=True)
         if self.dead_end_mode not in ("backtrack", "terminate"):
             raise ConfigError(f"unknown dead_end_mode {self.dead_end_mode!r}")
 
@@ -171,7 +167,7 @@ def construct_path(
     cell passes its 2 * candidates alignment variates over with
     getrandbits(128 * candidates): each of their terms is then c * r * 0,
     the same float whatever r.  Construction stops at the goal or at the
-    path-length cap.
+    path-length cap, the domain's default_max_path_len.
 
     stride_memo keeps each macro stride walked from a cell, uncapped, so
     that it is walked once per memo; each step cuts it to the remaining
@@ -189,7 +185,7 @@ def construct_path(
     step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index
-    max_len = params.max_path_len or domain.default_max_path_len
+    max_len = domain.default_max_path_len
     n_cells = len(step) >> 2
     if move_table is None:
         move_table = {}
@@ -451,9 +447,8 @@ class PsoExplorer:
         self.params.validate()
 
     def check_domain(self, domain) -> None:
-        needed = ["step_table", "heuristic", "start_index", "goal_index", "evaluate_path"]
-        if self.params.max_path_len is None:
-            needed.append("default_max_path_len")
+        needed = ["step_table", "heuristic", "start_index", "goal_index", "evaluate_path",
+                  "default_max_path_len"]
         missing = [a for a in needed if not hasattr(domain, a)]
         if missing:
             raise ConfigError(

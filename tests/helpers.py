@@ -197,7 +197,7 @@ def reference_construct_path(
     step = domain.step_table
     heuristic = domain.heuristic
     goal = domain.goal_index
-    max_len = params.max_path_len or domain.default_max_path_len
+    max_len = domain.default_max_path_len
 
     macro_info = []
     if model is not None:

@@ -2,7 +2,10 @@
 of the package by name, and its quality references (bench/run.py) read
 the instance specs of ace.cli.  Running both here makes a refactor that
 removes or reshapes what they use fail the test suite rather than the
-benchmark.  One round of the maze-pso workload is also run here and its
+benchmark.  The suite document of each workload is parsed here too
+(tests/test_cli.py parses each shipped config), so that removing a key
+one of them still sets fails the test suite rather than a benchmark
+run.  One round of the maze-pso workload is also run here and its
 record fingerprint pinned, so that a change meant to keep the
 benchmark's results bit-identical is checked on the benchmark's own
 workload.  Nothing under bench/ is changed."""
@@ -13,7 +16,8 @@ import importlib.util
 from pathlib import Path
 
 import ace
-from ace.cli import SuiteSpec, build_tasks, orchestrate
+from ace.cli import SuiteSpec, _domain_instances, build_domain, build_tasks, orchestrate
+from ace.maze import bfs_shortest_path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -42,7 +46,7 @@ def tiny_maze_suite(out):
         "domain": {"kind": "maze", "width": 5, "height": 5,
                    "instances": [{"connectivity": 0.3, "maze_seed": 1}]},
         "arms": [
-            {"name": "ace-pso", "explorer": "pso", "guided": True, "pso": {"max_path_len": 30}},
+            {"name": "ace-pso", "explorer": "pso", "guided": True},
             {"name": "ace-ea", "explorer": "ea", "guided": True},
             {"name": "std-pso", "explorer": "pso", "guided": False},
         ],
@@ -69,15 +73,21 @@ def test_traced_pass_installs_and_restores_every_span(tmp_path):
 def test_references_cover_every_instance(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports spans
     run = load_bench("run", "bench_run")
-    suites = [
-        SuiteSpec.from_dict(tiny_maze_suite(tmp_path)),
-        SuiteSpec.from_dict(run.round_docs("chain-wide", 1, 1)[0]),
-    ]
-    for suite in suites:
+    # The suite document of every workload parses and builds its tasks.
+    docs = [run.round_docs(w, 1, 1)[0] for w in ("maze-pso", "maze-ea", "chain-wide")]
+    for suite in map(SuiteSpec.from_dict, [tiny_maze_suite(tmp_path), *docs]):
         refs = run.references(ace, suite)
         assert set(refs) == {t["instance_id"] for t in build_tasks(suite)}
         assert all(ref > 0 for ref in refs.values())
-
+        # Each reference is the program's own best score: the fitness of
+        # a shortest path on a maze, the exact optimum on a chain.
+        for instance_id, spec in _domain_instances(suite.domain):
+            domain = build_domain(spec)
+            if spec["kind"] == "chain":
+                assert refs[instance_id] == domain.optimum
+            else:
+                _, moves = bfs_shortest_path(domain.maze)
+                assert refs[instance_id] == domain.evaluate_sequence(moves, moves).fitness
 
 def test_maze_pso_round_zero_fingerprint(tmp_path, monkeypatch):
     # One orchestrate call per arm, as the benchmark's timed pass makes them.

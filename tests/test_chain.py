@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ace.chain import (
     MAX_DP_STATES,
+    SUCCESS_FRACTION,
     ChainDomain,
     ChainSpec,
     brute_force_optimum,
@@ -196,14 +197,6 @@ def test_spec_validation():
 # -- domain adapter ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fraction", [-3.0, 1.5])
-def test_domain_rejects_a_success_fraction_outside_0_1(fraction):
-    # -3.0 would put the success threshold below every sequence's fitness
-    message = rf"success_fraction must lie in \[0, 1\], got {fraction}"
-    with pytest.raises(ConfigError, match=message):
-        ChainDomain(success_fraction=fraction)
-
-
 def test_default_domain_optimum():
     dom = ChainDomain()
     assert dom.optimum == pytest.approx(29.0)
@@ -305,7 +298,7 @@ def test_domain_success_threshold_non_positive_optimum():
     single = ChainDomain(ChainSpec(alphabet_size=2, sequence_length=1, rewards={}))
     assert single.success_threshold == 0.0
     # a positive optimum keeps the plain fraction
-    assert ChainDomain(success_fraction=0.9).success_threshold == 0.9 * ChainDomain().optimum
+    assert ChainDomain().success_threshold == SUCCESS_FRACTION * ChainDomain().optimum
 
 
 def test_one_token_chain_runs_under_both_ea_arms():

@@ -72,27 +72,6 @@ def test_task_expansion_counts(tmp_path):
     assert len({t["seed"] for t in tasks}) == len(tasks)
 
 
-def test_maze_grid_expansion():
-    suite = SuiteSpec.from_dict(
-        {
-            "suite_seed": 1,
-            "runs_per_arm": 5,
-            "domain": {
-                "kind": "maze",
-                "connectivity_levels": [0.0, 0.3, 0.6, 1.0],
-                "mazes_per_level": 2,
-            },
-            "arms": [
-                {"name": "a", "explorer": "pso", "guided": True},
-                {"name": "b", "explorer": "pso", "guided": False},
-                {"name": "c", "explorer": "ea", "guided": True},
-                {"name": "d", "explorer": "ea", "guided": False},
-            ],
-        }
-    )
-    assert len(build_tasks(suite)) == 4 * 8 * 5
-
-
 def test_arm_filter(tmp_path):
     suite = SuiteSpec.from_dict(tiny_chain_suite(tmp_path))
     tasks = build_tasks(suite, arm_filter="ace-ea")
@@ -493,7 +472,6 @@ def _typo(doc, section, key):
         "run": lambda: doc["run"],
         "gca": lambda: doc.setdefault("gca", {}),
         "domain": lambda: doc["domain"],
-        "fitness": lambda: doc["domain"].setdefault("fitness", {}),
         "arm": lambda: arm,
         "arm-run": lambda: arm.setdefault("run", {}),
         "ea": lambda: arm["ea"],
@@ -513,16 +491,21 @@ def _typo(doc, section, key):
         (tiny_chain_suite, "domain", "noise_penlty"),
         (tiny_chain_suite, "arm", "warm_start"),
         (tiny_chain_suite, "suite", "arm"),
-        (_maze_suite, "fitness", "step_cots"),
         (_maze_suite, "domain", "path_slak"),
         (_maze_suite, "pso", "inertai"),
+        # options that are constants now, one from each section they lived in
+        (_maze_suite, "domain", "fitness"),
+        (_maze_suite, "domain", "connectivity_levels"),
+        (tiny_chain_suite, "domain", "success_fraction"),
+        (_maze_suite, "pso", "max_path_len"),
     ],
 )
 def test_unknown_config_key_exits_1_before_any_run(tmp_path, capsys, make, section, key):
     out = tmp_path / "out"
     suite_path = write_suite(tmp_path, _typo(make(out), section, key))
     assert cli.main(["run", "--config", str(suite_path)]) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown key(s) in" in err and key in err
     assert not (out / "records.jsonl").exists()
     assert not (out / "error_manifest.json").exists()
 
@@ -571,22 +554,30 @@ def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, 
         ({"height": 1}, "dimensions"),
         ({"instances": [{"connectivity": 0.3, "maze_seed": 1},
                         {"connectivity": 1.5, "maze_seed": 2}]}, "connectivity"),
-        ({"instances": None, "connectivity_levels": [0.0, -0.5]}, "connectivity"),
-        ({"instances": None, "connectivity_levels": ["x"]}, "connectivity_levels"),
+        ({"instances": [{"connectivity": -0.5, "maze_seed": 1}]}, "connectivity"),
+        ({"instances": [{"connectivity": "x", "maze_seed": 1}]},
+         "domain.instances[0].connectivity must be float"),
     ],
 )
 def test_bad_maze_shape_exits_1_before_any_run(tmp_path, capsys, monkeypatch, domain, message):
     out = tmp_path / "out"
     doc = _maze_suite(out)
     doc["domain"].update(domain)
-    if doc["domain"]["instances"] is None:
-        del doc["domain"]["instances"]
     # the check reads the instance specs; no maze is generated while parsing
     monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "records.jsonl").exists()
     assert not (out / "error_manifest.json").exists()
+
+
+def test_maze_domain_without_instances_exits_1_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = _maze_suite(out)
+    del doc["domain"]["instances"]
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "domain missing required field 'instances'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["max_new_macros_per_scan", "prune_min_uses"])
@@ -732,9 +723,6 @@ def _ea_arm(**ea):
         ({"width": 2, "height": MAX_MAZE_CELLS // 2 + 1}, None, f"over {MAX_MAZE_CELLS} cells"),
         ({"path_slack": MAX_PATH_LEN + 1}, None, "path_slack must lie in"),
         ({"path_slack": -1}, None, "path_slack must lie in"),
-        ({"instances": None, "mazes_per_level": 10**12}, None, f"over {cli.MAX_TASKS}"),
-        ({}, {"name": "p", "explorer": "pso", "guided": False, "pso": {"max_path_len": 10**12}},
-         f"max_path_len must be <= {MAX_PATH_LEN}"),
         ({}, _ea_arm(min_len=10**9, max_len=10**9), f"min_len must be <= {MAX_GENOME_LEN}"),
         ({}, _ea_arm(max_len=MAX_GENOME_LEN + 1), f"max_len must be <= {MAX_GENOME_LEN}"),
         # each selection would draw 10**12 entrants
@@ -747,34 +735,9 @@ def test_oversized_input_exits_1_at_parse_time(tmp_path, capsys, monkeypatch, do
     out = tmp_path / "out"
     doc = _maze_suite(out)
     doc["domain"].update(domain)
-    if doc["domain"]["instances"] is None:
-        del doc["domain"]["instances"]
     if arm is not None:
         doc["arms"].append(arm)
     monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
-    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "kind, keywords, message",
-    [
-        ("maze", {"fitness": {"success_base": -5}}, "success_base must be >= 0, got -5.0"),
-        ("maze", {"fitness": {"step_cost": -10}}, "step_cost must be >= 0, got -10.0"),
-        ("maze", {"fitness": {"wall_cost": -2}}, "wall_cost must be >= 0, got -2.0"),
-        ("maze", {"fitness": {"failure_scale": -1}}, "failure_scale must be >= 0, got -1.0"),
-        ("chain", {"success_fraction": -3.0}, "success_fraction must lie in [0, 1], got -3.0"),
-        ("chain", {"success_fraction": 1.5}, "success_fraction must lie in [0, 1], got 1.5"),
-    ],
-)
-def test_out_of_range_domain_keyword_exits_1_before_any_run(tmp_path, capsys, monkeypatch,
-                                                            kind, keywords, message):
-    out = tmp_path / "out"
-    doc = _maze_suite(out) if kind == "maze" else tiny_chain_suite(out)
-    doc["domain"].update(keywords)
-    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
-    monkeypatch.setattr(cli, "ChainDomain", lambda *a, **k: pytest.fail("domain built"))
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -786,12 +749,11 @@ def test_size_caps_admit_their_limits_without_building_anything(tmp_path, monkey
     doc = _maze_suite(tmp_path / "out")
     doc["parallelism"] = cli.MAX_PARALLELISM
     doc["domain"].update(width=2, height=MAX_MAZE_CELLS // 2, path_slack=MAX_PATH_LEN)
-    doc["arms"][0]["pso"] = {"max_path_len": MAX_PATH_LEN}
     doc["arms"].append(_ea_arm(min_len=MAX_GENOME_LEN, max_len=MAX_GENOME_LEN,
                                tournament_size=MAX_TOURNAMENT_SIZE))
     assert len(build_tasks(SuiteSpec.from_dict(doc))) == 2
     # The domain defaults of the largest maze (genomes up to 4 x cells,
-    # paths of 2 x cells) are inside the caps on explicit values.
+    # paths of 2 x cells) are inside the caps.
     assert 4 * MAX_MAZE_CELLS <= MAX_GENOME_LEN and 2 * MAX_MAZE_CELLS <= MAX_PATH_LEN
 
 

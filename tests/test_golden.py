@@ -3,13 +3,14 @@
 Six tiny suites run through the same orchestration as `ace-bench run`:
 a maze suite with all four arm kinds on one curated instance, a chain
 suite with a standard and a guided EA arm, a maze suite whose PSO
-arms turn around at dead ends and stop at a 40-step cap (the branches
-of path construction the benchmark suites leave out: turnarounds, and
-macro strides cut short by the cap), a chain suite whose guided runs
-prune macros and save their models, and that suite again at the two
-decay edges, gamma 1.0 and 0.0.  The SHA-256 of their records, leaving
-out the wall-clock field (and, for the last three suites, of the saved
-model files too), must match the constants below.  One more constant
+arms turn around at dead ends and stop at a step budget of the shortest
+path plus 4 (the branches of path construction the benchmark suites
+leave out: turnarounds, and macro strides cut short by the budget), a
+chain suite whose guided runs prune macros and save their models, and
+that suite again at the two decay edges, gamma 1.0 and 0.0.  The
+SHA-256 of their records, leaving out the wall-clock field (and, for
+the last three suites, of the saved model files too), must match the
+constants below.  One more constant
 pins swarm path construction alone: about two hundred `construct_path`
 calls over generated mazes, both dead-end modes, a tight cap, standard
 and guided mode with and without macros, and with and without reference
@@ -24,6 +25,7 @@ update them and say why.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import random
@@ -40,7 +42,7 @@ from helpers import make_model
 
 MAZE_FINGERPRINT = "9cf905963f1e3e732d6427e5ea332004fbecb5f5a84fe1eb7efeb8189814f4db"
 CHAIN_FINGERPRINT = "059970c1f0ffd26a76b07f7c3a5061e2b5d411c332ae0e204b7b3322e9149e13"
-BACKTRACK_FINGERPRINT = "c900359c44ac08f1282a338bce3dc589b7f67c160b5e0cf90916622a7e07974b"
+BACKTRACK_FINGERPRINT = "8645672d36e3aa68d9fa8157d480fe626f486918e25830b0b0f0c154e1868beb"
 PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38f66873c"
 FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d934070c76c7307"
 NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
@@ -82,7 +84,7 @@ MAZE_SUITE = {
     ],
 }
 
-CAPPED_PSO = dict(PSO, dead_end_mode="backtrack", max_path_len=40)
+BACKTRACK_PSO = dict(PSO, dead_end_mode="backtrack")
 
 BACKTRACK_SUITE = {
     "suite_seed": 13,
@@ -100,8 +102,8 @@ BACKTRACK_SUITE = {
         ],
     },
     "arms": [
-        {"name": "std-pso", "explorer": "pso", "guided": False, "pso": CAPPED_PSO},
-        {"name": "ace-pso", "explorer": "pso", "guided": True, "pso": CAPPED_PSO},
+        {"name": "std-pso", "explorer": "pso", "guided": False, "pso": BACKTRACK_PSO},
+        {"name": "ace-pso", "explorer": "pso", "guided": True, "pso": BACKTRACK_PSO},
     ],
 }
 
@@ -223,26 +225,29 @@ def path_models():
 
 def construct_path_digest(memo_per_maze):
     """216 construct_path calls over three mazes, both dead-end modes, caps
-    None and 5 and the three path models: the call count, the SHA-256 of
-    every path and the rng's next variate, and the stride memos.  With
-    memo_per_maze, every call on one maze shares one stride memo."""
+    of the domain's budget and of 5 (set on a copy of the domain) and the
+    three path models: the call count, the SHA-256 of every path and the
+    rng's next variate, and the stride memos.  With memo_per_maze, every
+    call on one maze shares one stride memo."""
     rng = random.Random(2024)
     digest = hashlib.sha256()
     calls = 0
     memos = []
     for connectivity in (0.0, 0.3, 1.0):
         dom = MazeDomain(generate_maze(8, 8, connectivity, 7), path_slack=10)
+        capped = copy.copy(dom)
+        capped.default_max_path_len = 5
         memo = {} if memo_per_maze else None
         memos.append(memo)
         for mode in ("backtrack", "terminate"):
-            for cap in (None, 5):
-                params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode, max_path_len=cap)
+            params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode)
+            for domain in (dom, capped):
                 for model in path_models():
                     for with_references in (False, True):
                         particle, gbest = Particle(), None
                         for _ in range(3):
                             traj = construct_path(
-                                particle, gbest, params, model, dom, rng, 0.1, stride_memo=memo
+                                particle, gbest, params, model, domain, rng, 0.1, stride_memo=memo
                             )
                             digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
                             calls += 1

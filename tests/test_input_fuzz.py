@@ -28,21 +28,15 @@ JUNK = ("x", "", 1.5, -1, 0, True, False, None, [], {}, [[]], {"junk": 1}, [1, "
 
 MAZE_DOMAIN = {
     "kind": "maze", "width": 5, "height": 4, "path_slack": 6,
-    "fitness": {"success_base": 10000.0, "step_cost": 10.0, "wall_cost": 2.0,
-                "failure_scale": 5000.0},
     "instances": [{"connectivity": 0.3, "maze_seed": 1}, {"connectivity": 1.0, "maze_seed": 2}],
-}
-GRID_DOMAIN = {
-    "kind": "maze", "width": 6, "height": 6,
-    "connectivity_levels": [0.0, 0.5], "mazes_per_level": 2, "maze_seed_base": 10,
 }
 CHAIN_SPEC = {
     "kind": "chain", "alphabet_size": 6, "sequence_length": 8,
-    "target_bigrams": [[0, 1, 5.0], [2, 3, 3.0]], "noise_penalty": 0.2, "success_fraction": 0.9,
+    "target_bigrams": [[0, 1, 5.0], [2, 3, 3.0]], "noise_penalty": 0.2,
 }
 ARMS = [
     {"name": "std-pso", "explorer": "pso", "guided": False,
-     "pso": {"inertia": 0.4, "max_path_len": 40, "dead_end_mode": "terminate"}},
+     "pso": {"inertia": 0.4, "dead_end_mode": "terminate"}},
     {"name": "ace-ea", "explorer": "ea", "guided": True,
      "ea": {"min_len": 2, "max_len": 30, "tournament_size": 3, "mutation_rate": 0.2},
      "run": {"population_size": 6}, "gca": {"lambda": 0.01}, "warm_start_model": "donor"},
@@ -58,7 +52,7 @@ SUITES = [
         "domain": domain,
         "arms": ARMS,
     }
-    for domain in (MAZE_DOMAIN, GRID_DOMAIN, CHAIN_SPEC)
+    for domain in (MAZE_DOMAIN, CHAIN_SPEC)
 ]
 RECORD = {
     "arm": "ace-pso", "connectivity": 0.3, "success": True, "best_fitness": 9800.0,

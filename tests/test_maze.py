@@ -99,8 +99,7 @@ def test_generator_validates_arguments():
 
 @pytest.mark.parametrize(
     "keywords",
-    [{"success_base": -5.0}, {"step_cost": -10.0}, {"wall_cost": -2.0}, {"failure_scale": -1.0},
-     {"path_slack": -5}, {"path_slack": MAX_PATH_LEN + 1}],
+    [{"path_slack": -5}, {"path_slack": MAX_PATH_LEN + 1}],
 )
 def test_domain_rejects_out_of_range_keywords(keywords):
     # path_slack -5 would give a 5x5 maze a step budget below its shortest path

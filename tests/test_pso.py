@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 import random
 from collections import Counter
@@ -114,7 +114,8 @@ def test_score_invalid_neighbor_rejected():
     model = make_model()
     for left, right in ((1, 1), (2, 2), (1, 2)):
         model.add_macro(left, right)
-    params = PsoParams(heuristic_weight=1.0, max_path_len=40)
+    dom.default_max_path_len = 40
+    params = PsoParams(heuristic_weight=1.0)
     rng = random.Random(3)
     strides = 0
     for _ in range(50):
@@ -183,9 +184,8 @@ def test_uniform_walk_first_move_frequencies():
 
 
 def test_max_path_len_one():
-    dom = GridStub(3, 3)
-    params = PsoParams(max_path_len=1)
-    traj = construct_path(Particle(), None, params, None, dom, random.Random(1), EPS)
+    dom = GridStub(3, 3, max_path_len=1)
+    traj = construct_path(Particle(), None, PsoParams(), None, dom, random.Random(1), EPS)
     assert len(traj.atomic_ops) == 1
     assert len(traj.states) == 2
 
@@ -224,9 +224,10 @@ def test_dead_end_termination_mode():
     edges = {((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 0), (1, 1))}
     maze = Maze(3, 2, (0, 0), (2, 0), 0.0, 0, edges)
     dom = MazeDomain(maze)
+    dom.default_max_path_len = 10
     params = PsoParams(
         inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0,
-        dead_end_mode="terminate", max_path_len=10,
+        dead_end_mode="terminate",
     )
     rng = random.Random(7)
     saw_termination = False
@@ -240,7 +241,7 @@ def test_dead_end_termination_mode():
 
     params_bt = PsoParams(
         inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0,
-        dead_end_mode="backtrack", max_path_len=10,
+        dead_end_mode="backtrack",
     )
     # with turnaround allowed the stub is escapable; some walks still run out
     # of budget, but never end inside the stub one step deep
@@ -331,17 +332,18 @@ def test_stride_memo_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
     # Walked uncapped from the start: E to 1, E to 2, then the wall.
     assert memo[(1, 1, 1)][0] == ((1, 2), 2)
     for cap, first_scores in ((1, [0.0, 0.0, 0.0]), (2, [0.0, 0.0, 100.0]), (3, [0.0, 0.0])):
-        capped = dataclasses.replace(params, max_path_len=cap)
+        capped = copy.copy(dom)  # the same maze, the step budget cut to cap
+        capped.default_max_path_len = cap
         for seed in range(5):
-            seen = step_scores(monkeypatch, dom, capped, model=model, seed=seed, stride_memo=memo)
+            seen = step_scores(monkeypatch, capped, params, model=model, seed=seed, stride_memo=memo)
             # cap 1 and 2 cut EEE before its wall (ending on cell 1 or 2),
             # cap 3 reaches the wall and drops it
             assert seen[0] == first_scores
-            assert seen == step_scores(monkeypatch, dom, capped, model=model, seed=seed)
+            assert seen == step_scores(monkeypatch, capped, params, model=model, seed=seed)
             shared = construct_path(
-                Particle(), None, capped, model, dom, random.Random(seed), EPS, stride_memo=memo
+                Particle(), None, params, model, capped, random.Random(seed), EPS, stride_memo=memo
             )
-            alone = construct_path(Particle(), None, capped, model, dom, random.Random(seed), EPS)
+            alone = construct_path(Particle(), None, params, model, capped, random.Random(seed), EPS)
             assert (shared.states, shared.ops) == (alone.states, alone.ops)
     assert memo[(1, 1, 1)][0] == ((1, 2), 2)
 
@@ -611,17 +613,8 @@ def test_run_without_a_path_attribute_fails_before_any_variate(missing):
     assert rng.getstate() == before
 
 
-def test_an_explicit_cap_needs_no_default_cap():
-    dom = Lacking(GridStub(3, 3), "default_max_path_len")
-    config = ExperimentConfig(population_size=2, max_generations=2)
-    _, record = run_standard(config, PsoExplorer(PsoParams(max_path_len=8)), dom, random.Random(1))
-    assert record.generations_run == 2
-
-
 def test_params_validation():
     with pytest.raises(ConfigError):
         PsoParams(inertia=-0.1).validate()
-    with pytest.raises(ConfigError):
-        PsoParams(max_path_len=0).validate()
     with pytest.raises(ConfigError):
         PsoParams(dead_end_mode="bounce").validate()

@@ -3,6 +3,7 @@ replaced, and what the table holds and keeps after a run."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
 import random
@@ -72,8 +73,11 @@ def test_construct_path_matches_the_reference_step_loop(data):
             heuristic_weight=data.draw(st.floats(0.0, 3.0)),
             guidance_weight=data.draw(st.floats(0.0, 3.0)),
             dead_end_mode=data.draw(st.sampled_from(["backtrack", "terminate"])),
-            max_path_len=data.draw(st.integers(1, 2 * cells)),
         )
+        # The same domain with its own step budget: the table and the
+        # memos stay valid, as they hold nothing cut to a budget.
+        capped = copy.copy(dom)
+        capped.default_max_path_len = data.draw(st.integers(1, 2 * cells))
         particle = Particle(
             current=data.draw(trajectories(cells)), pbest=data.draw(trajectories(cells))
         )
@@ -85,10 +89,11 @@ def test_construct_path_matches_the_reference_step_loop(data):
 
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = construct_path(
-            particle, gbest, params, model, dom, rng, epsilon, stride_memo=memo, move_table=table
+            particle, gbest, params, model, capped, rng, epsilon, stride_memo=memo,
+            move_table=table,
         )
         want = reference_construct_path(
-            particle, gbest, params, model, dom, ref_rng, epsilon, stride_memo=ref_memo
+            particle, gbest, params, model, capped, ref_rng, epsilon, stride_memo=ref_memo
         )
         assert got == want
         assert rng.getstate() == ref_rng.getstate()

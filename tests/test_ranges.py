@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from ace.chain import ChainDomain, ChainSpec
+from ace.chain import ChainSpec
 from ace.ea import EaParams
 from ace.errors import ConfigError, check_range
 from ace.gca import GcaParams, GcaThresholds, apply_exploration_floor, softmax_floor
@@ -66,7 +66,6 @@ NAN_SETTINGS = {
     **{f"{cls.__name__}.{n}": lambda cls=cls, n=n: cls(**{n: NAN}).validate()
        for cls in (EaParams, PsoParams, ExperimentConfig, ChainSpec) for n in numeric_fields(cls)},
     "ChainSpec.rewards": lambda: ChainSpec(rewards={(0, 1): NAN}).validate(),
-    "ChainDomain.success_fraction": lambda: ChainDomain(success_fraction=NAN),
     **{f"MazeDomain.{n}": lambda n=n: _maze_domain(**{n: NAN})
        for n in inspect.signature(MazeDomain).parameters if n != "maze"},
     "maze width": lambda: check_maze_shape(NAN, 5, 0.3),
@@ -97,3 +96,17 @@ def test_gca_rates_must_be_finite(name, value):
         GcaParams(**{name: value}).validate()
     assert str(e.value) == message
     GcaParams(**{name: 1e308}).validate()
+
+
+# The swarm's score coefficients: an infinite one makes every unmet
+# alignment term inf * r * 0 = NaN, so every score would be NaN.
+PSO_COEFFICIENTS = ("inertia", "cognitive", "social", "heuristic_weight", "guidance_weight")
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf])
+@pytest.mark.parametrize("name", PSO_COEFFICIENTS)
+def test_pso_coefficients_must_be_finite(name, value):
+    with pytest.raises(ConfigError) as e:
+        PsoParams(**{name: value}).validate()
+    assert str(e.value) == f"{name} must lie in [0, inf), got {value}"
+    PsoParams(**{name: 1e308}).validate()
