@@ -555,6 +555,8 @@ def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, 
         ({"instances": [{"connectivity": 0.3, "maze_seed": 1},
                         {"connectivity": 1.5, "maze_seed": 2}]}, "connectivity"),
         ({"instances": [{"connectivity": -0.5, "maze_seed": 1}]}, "connectivity"),
+        # the grid form is gone: a suite that still sets it names the key
+        ({"connectivity_levels": ["x"]}, "connectivity_levels"),
         ({"instances": [{"connectivity": "x", "maze_seed": 1}]},
          "domain.instances[0].connectivity must be float"),
     ],
@@ -723,6 +725,12 @@ def _ea_arm(**ea):
         ({"width": 2, "height": MAX_MAZE_CELLS // 2 + 1}, None, f"over {MAX_MAZE_CELLS} cells"),
         ({"path_slack": MAX_PATH_LEN + 1}, None, "path_slack must lie in"),
         ({"path_slack": -1}, None, "path_slack must lie in"),
+        ({}, {"name": "p", "explorer": "pso", "guided": False,
+              "run": {"population_size": 10**6, "max_generations": 10**6}},
+         f"over {cli.MAX_RUN_EVALUATIONS}"),
+        # a swarm step budget of 10**12 asked for through the domain
+        ({"path_slack": 10**12}, {"name": "p", "explorer": "pso", "guided": False},
+         "path_slack must lie in"),
         ({}, _ea_arm(min_len=10**9, max_len=10**9), f"min_len must be <= {MAX_GENOME_LEN}"),
         ({}, _ea_arm(max_len=MAX_GENOME_LEN + 1), f"max_len must be <= {MAX_GENOME_LEN}"),
         # each selection would draw 10**12 entrants

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 
+import math
+
 import pytest
 
 from ace.errors import ConfigError, ParseError
@@ -99,7 +101,8 @@ def test_generator_validates_arguments():
 
 @pytest.mark.parametrize(
     "keywords",
-    [{"path_slack": -5}, {"path_slack": MAX_PATH_LEN + 1}],
+    [{"path_slack": -1}, {"path_slack": math.nan}, {"path_slack": math.inf},
+     {"path_slack": -math.inf}, {"path_slack": -5}, {"path_slack": MAX_PATH_LEN + 1}],
 )
 def test_domain_rejects_out_of_range_keywords(keywords):
     # path_slack -5 would give a 5x5 maze a step budget below its shortest path
