@@ -20,7 +20,6 @@ from .gca import (
     MacroOperation,
     apply_exploration_floor,
     deserialize_model,
-    fresh_model,
     load_model,
     save_model,
     serialize_model,
@@ -36,8 +35,8 @@ from .loop import (
     run_ace,
     run_standard,
 )
-from .maze import Maze, MazeDomain, bfs_shortest_path, generate_maze, maze_from_text, maze_to_text
-from .pso import Particle, PsoExplorer, PsoParams, construct_path, pso_generation
+from .maze import Maze, MazeDomain, bfs_shortest_path, generate_maze, maze_to_text
+from .pso import Particle, PsoExplorer, PsoParams, construct_path
 from .stats import (
     PairedSample,
     cohens_d,

@@ -57,6 +57,15 @@ class ChainSpec:
                 f"chain spec too large for exact solving: {a}^2 * {length} transitions"
                 f" over {MAX_DP_STATES}"
             )
+        # A score or a DP value adds at most length - 1 terms, none larger
+        # than the largest reward or penalty: below half the float range,
+        # as PairTable bounds its weights, no sum overflows.
+        largest = max([self.noise_penalty, *self.rewards.values()])
+        if not (length - 1) * largest < 2.0**1023:
+            raise ConfigError(
+                f"chain scores may overflow: (sequence_length - 1) * {largest}"
+                " is not below 2**1023"
+            )
 
 
 def chain_fitness(spec: ChainSpec, tokens: list[int]) -> float:

@@ -247,7 +247,6 @@ class EaExplorer:
     def run_generation(
         self,
         state: EaState,
-        t: int,
         model: GcaModel | None,
         domain,
         config: ExperimentConfig,

@@ -14,7 +14,7 @@ class DomainError(AceError):
 
 
 class ParseError(AceError):
-    """Malformed serialized artifact (model file, maze text, records)."""
+    """Malformed serialized artifact (model file, records)."""
 
 
 class InternalError(AceError):

@@ -130,6 +130,17 @@ def apply_exploration_floor(
     return [(op, keep * p + floor) for op, p in probs]
 
 
+def add_up(values) -> float:
+    """The floats added one at a time from 0.0, left to right.  Every sum
+    that reaches a record goes through it, so records round the same way
+    on every Python version (sum() of floats rounds otherwise from 3.12
+    on)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
     """Softmax of the logits mixed with the uniform distribution:
     (1-eps) * e/z + eps/k over the k entries, as apply_exploration_floor
@@ -139,7 +150,7 @@ def softmax_floor(logits: list[float], epsilon: float) -> list[float]:
         raise DomainError("no valid successors")
     m = max(logits)
     exps = [math.exp(x - m) for x in logits]
-    z = sum(exps)
+    z = add_up(exps)
     keep = 1.0 - epsilon
     floor = epsilon / len(exps)
     return [keep * (e / z) + floor for e in exps]
@@ -153,10 +164,9 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
 
     Two or three logits, every scored step of a swarm without macros on a
     four-neighbour grid, take the same floats in the same order without
-    the lists: m is max()'s (the first largest), sum() of two floats is
-    their sum (three still go through sum(), whose rounding since 3.12
-    is not that of two additions), and the running sums stop where the
-    loop would."""
+    the lists: m is max()'s (the first largest), add_up() of two or three
+    floats is their left-to-right sum, and the running sums stop where
+    the loop would."""
     k = len(logits)
     if k == 2:
         a, b = logits
@@ -168,7 +178,7 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
         m = b if b > a else a
         m = c if c > m else m
         ea, eb, ec = math.exp(a - m), math.exp(b - m), math.exp(c - m)
-        z = sum((ea, eb, ec))
+        z = ea + eb + ec
         keep = 1.0 - epsilon
         floor = epsilon / 3
         u = rng.random()
@@ -178,7 +188,7 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
         return 1 if total + (keep * (eb / z) + floor) > u else 2
     m = max(logits)
     exps = [math.exp(x - m) for x in logits]
-    z = sum(exps)
+    z = add_up(exps)
     keep = 1.0 - epsilon
     floor = epsilon / len(exps)
     u = rng.random()
@@ -484,7 +494,7 @@ class GcaModel:
         logits = self._logits(from_op, successors)
         m = max(logits)
         exps = [math.exp(x - m) for x in logits]
-        z = sum(exps)
+        z = add_up(exps)
         return [(s, e / z) for s, e in zip(successors, exps)]
 
     def floored_distribution(
@@ -754,8 +764,7 @@ class _Promotion:
     def _mean(self, op: int, into: bool) -> float | None:
         """Mean weight over the valid pairs (k, op) if into, else (op, k),
         absent entries counted as zero; None when none is valid.  Summed
-        in ascending k, so the result does not depend on the Python
-        version."""
+        by add_up in ascending k."""
         means = self.col_means if into else self.row_means
         if op in means:
             return means[op]
@@ -768,9 +777,7 @@ class _Promotion:
         else:
             ks = self.unpruned
         weights = self.model.weights
-        total = 0.0
-        for x in weights.column_weights(op, ks) if into else weights.row_weights(op, ks):
-            total += x
+        total = add_up(weights.column_weights(op, ks) if into else weights.row_weights(op, ks))
         means[op] = mean = total / len(ks) if ks else None
         return mean
 
@@ -798,11 +805,6 @@ class _Promotion:
                 and self.lift(i, j) >= lift_min
             ):
                 yield (i, j), w
-
-
-def fresh_model(atomic_ops: list[str], params: GcaParams | None = None) -> GcaModel:
-    """A zero-weight model over the given atomic vocabulary."""
-    return GcaModel(atomic_ops=list(atomic_ops), params=params or GcaParams())
 
 
 # -- serialization --------------------------------------------------------

@@ -150,7 +150,7 @@ def _init_model(config: ExperimentConfig, domain) -> GcaModel:
             )
         model.params = config.gca
     else:
-        model = gca.fresh_model(list(domain.atomic_op_names), config.gca)
+        model = GcaModel(list(domain.atomic_op_names), config.gca)
     # The transition mask is domain context, not learned state.
     model.mask_mode = getattr(domain, "transition_mask_mode", "all")
     return model
@@ -177,7 +177,7 @@ def _run_loop(
 
     for t in range(1, config.max_generations + 1):
         generations_run = t
-        result = explorer.run_generation(state, t, model, domain, config, rng)
+        result = explorer.run_generation(state, model, domain, config, rng)
 
         for traj in result.evaluated:
             if best is None or traj.fitness > best.fitness:
@@ -221,11 +221,7 @@ def _run_loop(
         macros_created = len(model.macros)
         macros_surviving = sum(1 for m in model.macros if not m.pruned)
         used = [m for m in model.macros if m.uses > 0]
-        # Added left to right: float sum() rounds otherwise from Python
-        # 3.12 on, and the records must not depend on the version.
-        total = 0.0
-        for m in used:
-            total += m.successful_uses / m.uses
+        total = gca.add_up(m.successful_uses / m.uses for m in used)
         effectiveness = total / len(used) if used else 0.0
     else:
         macros_created = macros_surviving = 0

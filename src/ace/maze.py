@@ -9,9 +9,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, InternalError, ParseError, check_range
+from .errors import ConfigError, InternalError, check_range
 from .loop import Trajectory
-from .pso import MAX_PATH_LEN
 
 MOVE_NAMES = ("N", "E", "S", "W")
 # (dx, dy) per move; y grows downward so N decreases y.
@@ -72,6 +71,10 @@ class Maze:
 # Cells in one maze, capped so that a mistyped side fails when checked
 # instead of building its tables; the shipped mazes have 225.
 MAX_MAZE_CELLS = 250_000
+# Steps in one constructed path, capped for a suite's maze path_slack so
+# that a mistyped budget fails when checked instead of walking without
+# end.  The default, 2 x cells, stays below it.
+MAX_PATH_LEN = 1_000_000
 
 
 def check_maze_shape(width: int, height: int, connectivity: float) -> None:
@@ -157,7 +160,7 @@ def bfs_shortest_path(maze: Maze) -> tuple[int, list[int]]:
     return len(moves), moves
 
 
-# -- text format -----------------------------------------------------------
+# -- text rendering --------------------------------------------------------
 
 
 def maze_to_text(maze: Maze) -> str:
@@ -181,53 +184,6 @@ def maze_to_text(maze: Maze) -> str:
         lines.append("".join(mid) + "|")
     lines.append("+--" * maze.width + "+")
     return "\n".join(lines) + "\n"
-
-
-def maze_from_text(text: str) -> Maze:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty maze document")
-    head = lines[0].split()
-    if len(head) != 8:
-        raise ParseError(f"header must have 8 fields, got {len(head)}")
-    try:
-        width, height, sx, sy, gx, gy = (int(v) for v in head[:6])
-        connectivity = float(head[6])
-        seed = int(head[7])
-    except ValueError as e:
-        raise ParseError(f"malformed header: {e}") from e
-    try:
-        check_maze_shape(width, height, connectivity)
-    except ConfigError as e:
-        raise ParseError(f"malformed header: {e}") from e
-    for name, (x, y) in (("start", (sx, sy)), ("goal", (gx, gy))):
-        if not (0 <= x < width and 0 <= y < height):
-            raise ParseError(f"{name} ({x}, {y}) outside the {width}x{height} grid")
-    expected = 1 + 2 * height + 1
-    if len(lines) < expected:
-        raise ParseError(f"expected {expected} lines for a {width}x{height} maze")
-    open_edges: set[tuple[Cell, Cell]] = set()
-    for y in range(height):
-        top = lines[1 + 2 * y]
-        mid = lines[2 + 2 * y]
-        if len(top) < 3 * width + 1 or len(mid) < 3 * width + 1:
-            raise ParseError(f"row {y}: line too short")
-        for x in range(width):
-            if top[3 * x + 1] != "-":
-                if y == 0:
-                    raise ParseError(f"row {y}: border edge must be closed")
-                open_edges.add(_edge((x, y), (x, y - 1)))
-            if mid[3 * x] != "|":
-                if x == 0:
-                    raise ParseError(f"row {y}: border edge must be closed")
-                open_edges.add(_edge((x - 1, y), (x, y)))
-    bottom = lines[1 + 2 * height]
-    if len(bottom) < 3 * width + 1:
-        raise ParseError("bottom border: line too short")
-    for x in range(width):
-        if bottom[3 * x + 1] != "-":
-            raise ParseError("bottom border must be closed")
-    return Maze(width, height, (sx, sy), (gx, gy), connectivity, seed, open_edges)
 
 
 # -- loop-facing adapter ----------------------------------------------------

@@ -20,12 +20,6 @@ from .errors import ConfigError, DomainError, check_range
 from .gca import GcaModel, softmax_floor_choice
 from .loop import ExperimentConfig, GenerationResult, Trajectory, TrajectoryEvent
 
-# Steps in one constructed path, capped for a suite's maze path_slack so
-# that a mistyped budget fails when checked instead of walking without
-# end.  The default, 2 x cells, stays below it.
-MAX_PATH_LEN = 1_000_000
-
-
 @dataclass
 class PsoParams:
     inertia: float = 0.4            # previous-path alignment
@@ -379,50 +373,6 @@ def construct_path(
     return domain.evaluate_path(states, ops, moves, success=cur == goal)
 
 
-def pso_generation(
-    swarm: list[Particle],
-    gbest: Trajectory | None,
-    params: PsoParams,
-    model: GcaModel | None,
-    domain,
-    rng: random.Random,
-    epsilon: float,
-    *,
-    stride_memo: StrideMemo | None = None,
-    move_table: MoveTable | None = None,
-) -> tuple[Trajectory | None, list[Trajectory], list[TrajectoryEvent]]:
-    """One sweep: every particle rebuilds its path against the entering
-    swarm best; personal-best improvements emit reinforcement events; the
-    swarm best is recomputed afterwards (ties keep the lowest index).
-    The particles share stride_memo and move_table (None: construct_path
-    makes a fresh one for each path).  An empty swarm
-    raises DomainError before any variate is drawn."""
-    if not swarm:
-        raise DomainError("swarm generation over an empty swarm")
-    new_paths: list[Trajectory] = []
-    events: list[TrajectoryEvent] = []
-    for particle in swarm:
-        traj = construct_path(
-            particle, gbest, params, model, domain, rng, epsilon,
-            stride_memo=stride_memo, move_table=move_table,
-        )
-        new_paths.append(traj)
-        particle.current = traj
-        if particle.pbest is None:
-            particle.pbest = traj
-            particle.pbest_fitness = traj.fitness
-        elif traj.fitness > particle.pbest_fitness:
-            events.append(TrajectoryEvent(traj.ops, traj.fitness - particle.pbest_fitness))
-            particle.pbest = traj
-            particle.pbest_fitness = traj.fitness
-
-    best = swarm[0]
-    for particle in swarm[1:]:
-        if particle.pbest_fitness > best.pbest_fitness:
-            best = particle
-    return best.pbest, new_paths, events
-
-
 @dataclass
 class PsoState:
     """One swarm run: its particles, its swarm best, and what its steps
@@ -462,22 +412,40 @@ class PsoExplorer:
     def run_generation(
         self,
         state: PsoState,
-        t: int,
         model: GcaModel | None,
         domain,
         config: ExperimentConfig,
         rng: random.Random,
     ) -> GenerationResult:
-        gbest, new_paths, events = pso_generation(
-            state.swarm,
-            state.gbest,
-            self.params,
-            model,
-            domain,
-            rng,
-            config.gca.exploration_floor,
-            stride_memo=state.stride_memo,
-            move_table=state.move_table,
-        )
-        state.gbest = gbest
+        """One sweep: every particle rebuilds its path against the entering
+        swarm best; personal-best improvements emit reinforcement events; the
+        swarm best is recomputed afterwards (ties keep the lowest index).
+        The particles share the state's stride_memo and move_table.  An
+        empty swarm raises DomainError before any variate is drawn."""
+        swarm = state.swarm
+        if not swarm:
+            raise DomainError("swarm generation over an empty swarm")
+        new_paths: list[Trajectory] = []
+        events: list[TrajectoryEvent] = []
+        for particle in swarm:
+            traj = construct_path(
+                particle, state.gbest, self.params, model, domain, rng,
+                config.gca.exploration_floor,
+                stride_memo=state.stride_memo, move_table=state.move_table,
+            )
+            new_paths.append(traj)
+            particle.current = traj
+            if particle.pbest is None:
+                particle.pbest = traj
+                particle.pbest_fitness = traj.fitness
+            elif traj.fitness > particle.pbest_fitness:
+                events.append(TrajectoryEvent(traj.ops, traj.fitness - particle.pbest_fitness))
+                particle.pbest = traj
+                particle.pbest_fitness = traj.fitness
+
+        best = swarm[0]
+        for particle in swarm[1:]:
+            if particle.pbest_fitness > best.pbest_fitness:
+                best = particle
+        state.gbest = best.pbest
         return GenerationResult(new_paths, events)

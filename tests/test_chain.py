@@ -194,6 +194,28 @@ def test_spec_validation():
         ChainSpec(rewards={(0, 1): -1.0}).validate()
 
 
+@pytest.mark.parametrize(
+    "rewards, noise_penalty",
+    [({(0, 1): 1e308, (1, 0): 1e308}, 0.2), ({(0, 1): 5.0}, 1e308)],
+)
+def test_spec_validation_rejects_scores_that_overflow(rewards, noise_penalty):
+    # Each term is finite, but five of them add past the float range.
+    spec = ChainSpec(alphabet_size=4, sequence_length=6, rewards=rewards,
+                     noise_penalty=noise_penalty)
+    with pytest.raises(ConfigError, match="chain scores may overflow"):
+        spec.validate()
+
+
+def test_spec_validation_admits_scores_below_half_the_float_range():
+    # 5 * 1e307 < 2**1023: every score and the optimum stay finite.
+    spec = ChainSpec(alphabet_size=4, sequence_length=6,
+                     rewards={(0, 1): 1e307, (1, 0): 1e307}, noise_penalty=1e307)
+    dom = ChainDomain(spec)
+    assert dom.optimum == 5e307
+    assert dom.evaluate_sequence([], [0, 1, 0, 1, 0, 1]).fitness == 5e307
+    assert chain_fitness(spec, [2, 3, 2, 3, 2, 3]) == -5e307
+
+
 # -- domain adapter ----------------------------------------------------------------
 
 

@@ -13,8 +13,7 @@ from ace.chain import ChainSpec, brute_force_optimum
 from ace.cli import SuiteSpec, build_tasks, derive_seed, orchestrate
 from ace.ea import MAX_GENOME_LEN, MAX_TOURNAMENT_SIZE
 from ace.errors import ConfigError
-from ace.maze import MAX_MAZE_CELLS
-from ace.pso import MAX_PATH_LEN
+from ace.maze import MAX_MAZE_CELLS, MAX_PATH_LEN
 
 
 def tiny_chain_suite(out, runs=2, gens=6):
@@ -352,10 +351,9 @@ def test_maze_command_writes_file(tmp_path, capsys):
         "--seed", "9", "--out", str(target),
     ])
     assert rc == 0
-    from ace.maze import maze_from_text
+    from ace.maze import generate_maze, maze_to_text
 
-    parsed = maze_from_text(target.read_text())
-    assert (parsed.width, parsed.height) == (5, 4)
+    assert target.read_text() == maze_to_text(generate_maze(5, 4, 0.5, 9))
 
 
 def test_model_command_inspects(tmp_path, capsys):
@@ -385,9 +383,9 @@ def test_gca_config_keys_are_the_hyperparameter_table():
 
 
 def test_model_with_unknown_macro_key_exits_1(tmp_path, capsys):
-    from ace.gca import fresh_model, serialize_model
+    from ace.gca import GcaModel, serialize_model
 
-    model = fresh_model(["t0", "t1", "t2", "t3"])
+    model = GcaModel(["t0", "t1", "t2", "t3"])
     model.add_macro(0, 1)
     doc = json.loads(serialize_model(model))
     doc["macros"][0]["prunned"] = True  # a misspelled optional flag
@@ -792,6 +790,15 @@ def test_oversized_chain_exits_1_before_any_run(tmp_path, capsys):
     assert not (out / "error_manifest.json").exists()
 
 
+def test_chain_scores_past_the_float_range_exit_1_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["domain"]["target_bigrams"] = [[0, 1, 1e308], [1, 0, 1e308]]
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "chain scores may overflow" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
 def test_arm_over_the_run_budget_exits_1_before_any_run(tmp_path, capsys):
     out = tmp_path / "out"
     doc = tiny_chain_suite(out)  # population_size 10
@@ -959,9 +966,9 @@ def test_bad_threshold_in_suite_exits_1_before_any_run(
 
 @pytest.mark.parametrize("_key, model_key, value, message", BAD_THRESHOLDS)
 def test_bad_threshold_in_model_file_exits_1(tmp_path, capsys, _key, model_key, value, message):
-    from ace.gca import fresh_model, serialize_model
+    from ace.gca import GcaModel, serialize_model
 
-    doc = json.loads(serialize_model(fresh_model(["t0", "t1", "t2", "t3"])))
+    doc = json.loads(serialize_model(GcaModel(["t0", "t1", "t2", "t3"])))
     doc["thresholds"][model_key] = value
     donor = tmp_path / "donor.json"
     donor.write_text(json.dumps(doc))

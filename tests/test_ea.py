@@ -235,8 +235,8 @@ def test_generation_produces_bounded_offspring():
     config = ExperimentConfig(population_size=12, max_generations=3)
     rng = random.Random(7)
     state = explorer.initialize(dom, config, rng)
-    for gen in (1, 2, 3):
-        result = explorer.run_generation(state, gen, None, dom, config, rng)
+    for _ in range(3):
+        result = explorer.run_generation(state, None, dom, config, rng)
         for traj in result.evaluated:
             assert 2 <= len(traj.ops) <= 6
         assert len(state.population) == 12
@@ -251,8 +251,8 @@ def test_elitism_never_regresses():
     rng = random.Random(11)
     state = explorer.initialize(dom, config, rng)
     best = None
-    for gen in range(1, 12):
-        explorer.run_generation(state, gen, None, dom, config, rng)
+    for _ in range(11):
+        explorer.run_generation(state, None, dom, config, rng)
         gen_best = max(tr.fitness for tr in state.population)
         assert best is None or gen_best >= best
         best = gen_best

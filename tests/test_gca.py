@@ -19,10 +19,10 @@ from ace.gca import (
     GcaThresholds,
     MacroOperation,
     PairTable,
+    add_up,
     apply_exploration_floor,
     deserialize_model,
     finite_json,
-    fresh_model,
     serialize_model,
     softmax_floor,
     softmax_floor_choice,
@@ -317,6 +317,14 @@ def softmax_choice_cases(rng):
     for scores in SHORT_ROWS:
         for eps in EPSILONS:
             yield scores, eps, rng.randrange(2**32)
+
+
+def test_add_up_adds_left_to_right_on_every_version():
+    # (1e16 + 1.0) rounds back to 1e16; sum() compensates from 3.12 on
+    # and would give 1.0.
+    assert add_up([1e16, 1.0, -1e16]) == 0.0
+    assert add_up(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+    assert add_up([]) == 0.0
 
 
 def test_softmax_floor_choice_matches_draw_over_the_accumulated_row():
@@ -868,7 +876,7 @@ def test_flatten_ids_strictly_increase_after_scans():
 
 
 def test_round_trip_empty_model():
-    m = fresh_model(["N", "E", "S", "W"])
+    m = GcaModel(["N", "E", "S", "W"])
     assert deserialize_model(serialize_model(m)) == m
 
 
@@ -956,7 +964,7 @@ def test_serialize_matches_json_dumps_byte_for_byte():
             }],
         }
         assert serialize_model(m) == json.dumps(doc, indent=2)
-    assert serialize_model(fresh_model(["a"])) == json.dumps({
+    assert serialize_model(GcaModel(["a"])) == json.dumps({
         "version": 1, "atomic_ops": ["a"], "vocab_size": 1, "tau": 1.0, "epsilon": 0.1,
         "lambda": 0.15, "gamma": 0.2, "thresholds": {"w": 0.3, "s": 3, "l": 1.4, "eff": 0.1},
         "weights": [], "support": [], "macros": [],

@@ -136,9 +136,9 @@ def test_config_validation():
 
 def test_warm_start_vocabulary_mismatch(tmp_path):
     maze_model_path = tmp_path / "maze_model.json"
-    from ace.gca import fresh_model
+    from ace.gca import GcaModel
 
-    save_model(fresh_model(["N", "E", "S", "W"]), maze_model_path)
+    save_model(GcaModel(["N", "E", "S", "W"]), maze_model_path)
     config, explorer, dom = chain_setup(warm_start_model=str(maze_model_path))
     with pytest.raises(ConfigError, match="vocabulary"):
         run_ace(config, explorer, dom, random.Random(1))

@@ -5,20 +5,19 @@ import math
 
 import pytest
 
-from ace.errors import ConfigError, ParseError
+from ace.errors import ConfigError
 from ace.loop import path_efficiency
 from ace.maze import (
     MAX_MAZE_CELLS,
+    MAX_PATH_LEN,
     Maze,
     MazeDomain,
     bfs_shortest_path,
     check_maze_shape,
     generate_maze,
     manhattan,
-    maze_from_text,
     maze_to_text,
 )
-from ace.pso import MAX_PATH_LEN
 
 N, E, S, W = 0, 1, 2, 3
 
@@ -123,19 +122,6 @@ def test_neighbors_full_grid_order():
         m.index((1, 2)),
     ]
     assert exits(m, 0) == [-1, 1, 5, -1]
-
-
-def test_neighbors_match_rendered_walls():
-    m = generate_maze(5, 5, 0.0, 7)
-    text = maze_to_text(m)
-    lines = text.splitlines()
-    for move, cell in enumerate(exits(m, 0)):
-        if cell < 0:
-            continue
-        if move == E:
-            assert lines[2][3] == " "  # no wall between (0,0) and (1,0)
-        if move == S:
-            assert lines[3][1] == " "
 
 
 def test_neighbors_out_of_bounds():
@@ -298,54 +284,30 @@ def test_bfs_full_grid_is_manhattan():
     assert bfs_shortest_path(m)[0] == 28
 
 
-# -- text format ------------------------------------------------------------------
+# -- text rendering ---------------------------------------------------------------
 
 
-def test_text_round_trip():
+def test_neighbors_match_rendered_walls():
+    # Every wall drawn, the outer border included, is a move the step
+    # table blocks, and every gap one it takes; S and G mark the ends.
     for conn, seed in ((0.0, 1), (0.3, 2), (1.0, 3)):
         m = generate_maze(7, 5, conn, seed)
-        again = maze_from_text(maze_to_text(m))
-        assert again.open_edges == m.open_edges
-        assert (again.width, again.height) == (7, 5)
-        assert again.start == m.start and again.goal == m.goal
-        assert again.connectivity == conn and again.seed == seed
-
-
-def test_text_parse_errors():
-    with pytest.raises(ParseError):
-        maze_from_text("")
-    with pytest.raises(ParseError):
-        maze_from_text("3 3 0 0 2 2 0.0\n")  # missing field
-    m = generate_maze(3, 3, 0.0, 1)
-    lines = maze_to_text(m).splitlines()
-    truncated = "\n".join(lines[:3])
-    with pytest.raises(ParseError):
-        maze_from_text(truncated)
-    # Shapes and endpoints generate_maze never makes; the header is
-    # checked before any row is read, so the huge one allocates nothing.
-    body = "\n".join(lines[1:])
-    for header, match in (
-        ("-1 -1 0 0 0 0 0.0 1", "dimensions"),
-        ("3 3 0 0 2 2 5.0 1", "connectivity"),
-        ("3 3 0 0 7 7 0.0 1", r"goal \(7, 7\) outside"),
-        ("3 3 0 -1 2 2 0.0 1", r"start \(0, -1\) outside"),
-        ("100000 100000 0 0 1 1 0.0 1", f"over {MAX_MAZE_CELLS} cells"),
-    ):
-        with pytest.raises(ParseError, match=match):
-            maze_from_text(header + "\n" + body)
-    with pytest.raises(ParseError, match="dimensions"):
-        maze_from_text("1 1 0 0 0 0 0.0 1\n+--+\n|S |\n+--+\n")
-    short_bottom = "\n".join(lines[:-1] + ["+--"])
-    with pytest.raises(ParseError, match="bottom border"):
-        maze_from_text(short_bottom)
-
-
-def test_text_rejects_open_border():
-    m = generate_maze(3, 3, 1.0, 1)
-    lines = maze_to_text(m).splitlines()
-    lines[1] = "+  " + lines[1][3:]
-    with pytest.raises(ParseError, match="border"):
-        maze_from_text("\n".join(lines))
+        w, h = m.width, m.height
+        lines = maze_to_text(m).splitlines()
+        assert lines[0].split() == ["7", "5", "0", "0", "6", "4", repr(conn), str(seed)]
+        assert len(lines) == 2 * h + 2
+        for y in range(h):
+            top, mid, below = lines[1 + 2 * y], lines[2 + 2 * y], lines[3 + 2 * y]
+            assert len(top) == len(mid) == len(below) == 3 * w + 1
+            for x in range(w):
+                blocked = [nxt < 0 for nxt in exits(m, y * w + x)]
+                assert top[3 * x] == top[3 * x + 3] == below[3 * x] == below[3 * x + 3] == "+"
+                assert top[3 * x + 1:3 * x + 3] == ("--" if blocked[N] else "  ")
+                assert below[3 * x + 1:3 * x + 3] == ("--" if blocked[S] else "  ")
+                assert mid[3 * x] == ("|" if blocked[W] else " ")
+                assert mid[3 * x + 3] == ("|" if blocked[E] else " ")
+                mark = "S " if (x, y) == m.start else "G " if (x, y) == m.goal else "  "
+                assert mid[3 * x + 1:3 * x + 3] == mark
 
 
 # -- domain adapter -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from ace.errors import ParseError
-from ace.gca import deserialize_model, fresh_model, serialize_model
+from ace.gca import GcaModel, deserialize_model, serialize_model
 from helpers import (
     make_model,
     model_io_peaks,
@@ -27,7 +27,7 @@ from helpers import (
 
 
 def _models():
-    yield "empty", fresh_model(["a", "b", "c"])
+    yield "empty", GcaModel(["a", "b", "c"])
     yield "no support", make_model(weights={(2, 0): 0.5, (0, 1): 0.25, (0, 0): 1e-9})
     # Row 1 has no supported pair, so the support list skips it.
     yield "a row without support", make_model(

@@ -12,13 +12,7 @@ from ace.errors import ConfigError, DomainError
 from ace.gca import GcaParams, PairTable, softmax_floor_choice
 from ace.loop import ExperimentConfig, Trajectory, run_standard
 from ace.maze import MazeDomain, generate_maze
-from ace.pso import (
-    Particle,
-    PsoExplorer,
-    PsoParams,
-    construct_path,
-    pso_generation,
-)
+from ace.pso import Particle, PsoExplorer, PsoParams, PsoState, construct_path
 
 from helpers import GridStub, Lacking, make_model, reference_construct_path
 
@@ -528,41 +522,43 @@ def test_epsilon_checked_before_any_variate(epsilon):
 
 def test_generation_updates_pbest_and_emits_events():
     dom = GridStub(3, 3)
-    params = PsoParams(heuristic_weight=2.0)
-    swarm = [Particle() for _ in range(6)]
+    explorer = PsoExplorer(PsoParams(heuristic_weight=2.0))
+    config = ExperimentConfig(population_size=6)
+    state = PsoState([Particle() for _ in range(6)])
     rng = random.Random(4)
-    gbest, paths, events = pso_generation(swarm, None, params, None, dom, rng, EPS)
-    assert events == []  # first paths seed pbest silently
-    assert all(p.pbest is not None for p in swarm)
-    assert gbest.fitness == max(p.pbest_fitness for p in swarm)
+    result = explorer.run_generation(state, None, dom, config, rng)
+    assert result.events == []  # first paths seed pbest silently
+    assert all(p.pbest is not None for p in state.swarm)
+    gbest = state.gbest
+    assert gbest.fitness == max(p.pbest_fitness for p in state.swarm)
 
-    prev = [p.pbest_fitness for p in swarm]
-    gbest2, _, events2 = pso_generation(swarm, gbest, params, None, dom, rng, EPS)
+    prev = [p.pbest_fitness for p in state.swarm]
+    events2 = explorer.run_generation(state, None, dom, config, rng).events
     for ev in events2:
         assert ev.gain > 0
-    improved = sum(1 for a, b in zip(prev, [p.pbest_fitness for p in swarm]) if b > a)
+    improved = sum(1 for a, b in zip(prev, [p.pbest_fitness for p in state.swarm]) if b > a)
     assert len(events2) == improved
-    assert gbest2.fitness >= gbest.fitness
+    assert state.gbest.fitness >= gbest.fitness
 
 
 def test_empty_swarm_raises_before_any_variate():
     rng = random.Random(3)
-    state = rng.getstate()
+    before = rng.getstate()
     with pytest.raises(DomainError, match="empty swarm"):
-        pso_generation([], None, PsoParams(), None, GridStub(3, 3), rng, EPS)
-    assert rng.getstate() == state
+        PsoExplorer().run_generation(PsoState([]), None, GridStub(3, 3), ExperimentConfig(), rng)
+    assert rng.getstate() == before
 
 
 def test_gbest_tie_prefers_lower_index():
     dom = GridStub(2, 1)
-    swarm = [Particle(), Particle()]
+    state = PsoState([Particle(), Particle()])
     t0 = dom.evaluate_path([0, 1], [1], [1], True)
     t1 = dom.evaluate_path([0, 1], [1], [1], True)
-    swarm[0].pbest, swarm[0].pbest_fitness = t0, t0.fitness
-    swarm[1].pbest, swarm[1].pbest_fitness = t1, t1.fitness
-    params = PsoParams(heuristic_weight=1.0)
-    gbest, _, _ = pso_generation(swarm, None, params, None, dom, random.Random(1), EPS)
-    assert gbest is swarm[0].pbest
+    state.swarm[0].pbest, state.swarm[0].pbest_fitness = t0, t0.fitness
+    state.swarm[1].pbest, state.swarm[1].pbest_fitness = t1, t1.fitness
+    explorer = PsoExplorer(PsoParams(heuristic_weight=1.0))
+    explorer.run_generation(state, None, dom, ExperimentConfig(), random.Random(1))
+    assert state.gbest is state.swarm[0].pbest
 
 
 def test_pbest_monotone():
@@ -572,8 +568,8 @@ def test_pbest_monotone():
     rng = random.Random(6)
     state = explorer.initialize(dom, config, rng)
     last = None
-    for gen in range(1, 9):
-        explorer.run_generation(state, gen, None, dom, config, rng)
+    for _ in range(8):
+        explorer.run_generation(state, None, dom, config, rng)
         fits = [p.pbest_fitness for p in state.swarm]
         if last is not None:
             assert all(b >= a for a, b in zip(last, fits))
@@ -582,12 +578,12 @@ def test_pbest_monotone():
 
 
 def test_standard_mode_touches_no_model(monkeypatch):
-    import ace.gca as gca_module
+    import ace.loop as loop_module
 
     def boom(*a, **k):
         raise AssertionError("standard mode must not build a model")
 
-    monkeypatch.setattr(gca_module, "fresh_model", boom)
+    monkeypatch.setattr(loop_module, "GcaModel", boom)
     from ace.loop import run_standard
 
     dom = GridStub(3, 3)

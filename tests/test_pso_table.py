@@ -151,8 +151,8 @@ def swarm_run(dom, generations=6, guided=False):
     rng = random.Random(3)
     state = explorer.initialize(dom, config, rng)
     visited = set()
-    for t in range(1, generations + 1):
-        result = explorer.run_generation(state, t, model, dom, config, rng)
+    for _ in range(generations):
+        result = explorer.run_generation(state, model, dom, config, rng)
         for traj in result.evaluated:
             visited.update(traj.states)
     return state, visited
