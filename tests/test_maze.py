@@ -287,6 +287,35 @@ def test_bfs_full_grid_is_manhattan():
 # -- text rendering ---------------------------------------------------------------
 
 
+def read_text(text):
+    """Rebuild a Maze from maze_to_text's header and wall gaps."""
+    header, *rows = text.splitlines()
+    w, h, sx, sy, gx, gy, conn, seed = header.split()
+    w, h = int(w), int(h)
+    edges = set()
+    for y in range(h):
+        mid, below = rows[2 * y + 1], rows[2 * y + 2]
+        for x in range(w):
+            if x + 1 < w and mid[3 * x + 3] == " ":
+                edges.add(((x, y), (x + 1, y)))
+            if y + 1 < h and below[3 * x + 1:3 * x + 3] == "  ":
+                edges.add(((x, y), (x, y + 1)))
+    return Maze(w, h, (int(sx), int(sy)), (int(gx), int(gy)), float(conn), int(seed), edges)
+
+
+def test_text_round_trip():
+    # The rendered text carries the whole maze: reading its header and
+    # wall gaps back gives the same shape, endpoints, parameters and edges.
+    for conn, seed in ((0.0, 1), (0.3, 2), (1.0, 3)):
+        m = generate_maze(7, 5, conn, seed)
+        again = read_text(maze_to_text(m))
+        assert again.open_edges == m.open_edges
+        assert (again.width, again.height) == (7, 5)
+        assert again.start == m.start and again.goal == m.goal
+        assert again.connectivity == conn and again.seed == seed
+        assert again.step_table == m.step_table
+
+
 def test_neighbors_match_rendered_walls():
     # Every wall drawn, the outer border included, is a move the step
     # table blocks, and every gap one it takes; S and G mark the ends.
