@@ -200,6 +200,17 @@ def softmax_floor_choice(logits: list[float], epsilon: float, rng: random.Random
     return len(exps) - 1
 
 
+def softmax_floor_sums(logits: list[float], epsilon: float) -> list[float]:
+    """The running sums of softmax_floor(logits, epsilon) but the last:
+    the floats softmax_floor_choice compares with its variate, in its
+    order.  bisect_right(sums, rng.random()) picks what
+    softmax_floor_choice(logits, epsilon, rng) picks from the same rng
+    state, the first index whose sum exceeds the variate, else the last:
+    the sums never decrease, as each adds a positive float, or are all
+    NaN (a NaN or infinite logit), and then both pick the last index."""
+    return list(accumulate(softmax_floor(logits, epsilon)))[:-1]
+
+
 class PairTable(Mapping):
     """The stored pairs: each ordered pair (i, j) has a slot, numbered in
     first-write order, and its weight and support count (0 when no

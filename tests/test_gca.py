@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
@@ -26,6 +27,7 @@ from ace.gca import (
     serialize_model,
     softmax_floor,
     softmax_floor_choice,
+    softmax_floor_sums,
 )
 
 from helpers import draw, make_model, random_model
@@ -348,6 +350,36 @@ def test_softmax_floor_choice_past_the_total_is_the_last_index():
     assert cum[-1] <= u  # the running sum never exceeds the variate
     assert softmax_floor_choice(scores, eps, FixedVariate(u)) == 1
     assert draw(cum, FixedVariate(u)) == 1
+
+
+# Logits as the swarm's scores make them and beyond: ties, signed zeros,
+# infinities and NaN (an infinite coefficient), and spreads wide enough to
+# leave an exponential subnormal or zero.
+EDGE_LOGITS = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.5, math.inf, -math.inf, math.nan, 700.0, -745.5, 1e308, -1e308]
+)
+LOGITS = st.lists(st.floats(-1e308, 1e308) | EDGE_LOGITS, min_size=1, max_size=9)
+OPEN_EPSILON = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def same_floats(a, b):
+    """Equal lists of floats, NaN equal to NaN and -0.0 apart from 0.0."""
+    return [repr(x) for x in a] == [repr(x) for x in b]
+
+
+@settings(max_examples=400, deadline=None)
+@given(logits=LOGITS, eps=OPEN_EPSILON, seed=st.integers(0, 2**32 - 1))
+def test_softmax_floor_sums_scan_picks_what_the_choice_picks(logits, eps, seed):
+    sums = softmax_floor_sums(logits, eps)
+    assert same_floats(sums, list(accumulate(softmax_floor(logits, eps)))[:-1])
+    scan, choice = random.Random(seed), random.Random(seed)
+    assert bisect_right(sums, scan.random()) == softmax_floor_choice(logits, eps, choice)
+    assert scan.getstate() == choice.getstate()
+    # A variate on a running sum, or just either side of it.
+    for c in sums:
+        for u in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0)):
+            if 0.0 <= u < 1.0:
+                assert bisect_right(sums, u) == softmax_floor_choice(logits, eps, FixedVariate(u))
 
 
 # -- pair update ----------------------------------------------------------------

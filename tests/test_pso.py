@@ -4,12 +4,15 @@ import copy
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 import ace.pso as pso
 from ace.errors import ConfigError, DomainError
-from ace.gca import GcaParams, PairTable, softmax_floor_choice
+from ace.gca import (
+    GcaParams, PairTable, softmax_floor, softmax_floor_choice, softmax_floor_sums,
+)
 from ace.loop import ExperimentConfig, Trajectory, run_standard
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import Particle, PsoExplorer, PsoParams, PsoState, construct_path
@@ -26,15 +29,23 @@ def path(states):
 def step_scores(
     monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1, stride_memo=None
 ):
-    """Candidate scores of every step of one construct_path call, as
-    handed to the floored choice."""
+    """Candidate scores of the scored steps of one construct_path call, as
+    handed to the floored choice or, where no reference path meets a
+    candidate of a standard step, to the law that step builds.  The call
+    has a move table of its own, so a law is seen the first time its
+    (cell, entry cell) is met."""
     seen = []
 
     def spy(scores, eps, rng):
         seen.append(list(scores))
         return softmax_floor_choice(scores, eps, rng)
 
+    def law_spy(scores, eps):
+        seen.append(list(scores))
+        return softmax_floor_sums(scores, eps)
+
     monkeypatch.setattr(pso, "softmax_floor_choice", spy)
+    monkeypatch.setattr(pso, "softmax_floor_sums", law_spy)
     construct_path(
         particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS,
         stride_memo=stride_memo,
@@ -415,6 +426,7 @@ def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
         raise AssertionError("a single-candidate step must not be scored")
 
     monkeypatch.setattr(pso, "softmax_floor_choice", unscored)
+    monkeypatch.setattr(pso, "softmax_floor_sums", unscored)
     for dom, states, ops in single_candidate_walks():
         model = None
         if guided:
@@ -505,7 +517,13 @@ def test_corridor_matches_the_reference_step_loop(case):
                     )
                     assert got == want, (case, model, mode, seed)
                     assert rng.getstate() == ref_rng.getstate()
-        assert any(corridor for *_, corridor in move_table.values())
+        assert any(corridor for _, _, _, corridor, _ in move_table.values())
+        # A law holds the running sums of the scores its terms give.
+        for _, ends, _, _, law in move_table.values():
+            if law is not None:
+                (alpha, w, c1, c2, eps), sums = law
+                scores = [alpha * dom.heuristic[end] + w + c1 + c2 for end in ends]
+                assert sums == list(accumulate(softmax_floor(scores, eps)))[:-1]
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0])

@@ -8,6 +8,7 @@ import gc
 import math
 import random
 import weakref
+from itertools import accumulate
 
 import pytest
 
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ace.pso as pso
+from ace.gca import GcaParams, softmax_floor
 from ace.loop import ExperimentConfig, Trajectory, run_ace, run_standard
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import Particle, PsoExplorer, PsoParams, construct_path
 
 from helpers import GridStub, make_model, reference_construct_path
+
+EPS = GcaParams().exploration_floor
 
 
 @st.composite
@@ -138,6 +142,54 @@ def test_a_call_without_a_table_builds_what_a_shared_table_gives():
     assert table
 
 
+def test_shared_tables_serve_calls_with_other_coefficients_and_macros():
+    # One move table, macro table and stride memo across calls whose
+    # coefficients, epsilon, budget and live macros differ.  A cached law
+    # serves only the terms it was built from, and the two guided models
+    # give macro 4 the same id but other strides (E E and S S), so their
+    # candidates must not be taken for each other's.
+    maze = MazeDomain(generate_maze(7, 7, 0.6, 8))
+    first, second = make_model(weights={(1, 2): 1.5}), make_model(weights={(2, 1): 0.5})
+    first.add_macro(1, 1)
+    second.add_macro(2, 2)
+    calls = [
+        (PsoParams(heuristic_weight=1.0), 0.1),
+        (PsoParams(heuristic_weight=2.5), 0.1),
+        (PsoParams(heuristic_weight=2.5, inertia=0.0), 0.1),
+        (PsoParams(heuristic_weight=2.5, inertia=math.inf), 0.1),
+        (PsoParams(heuristic_weight=2.5, cognitive=0.0, social=3.0), 0.1),
+        (PsoParams(heuristic_weight=2.5, cognitive=-0.0, social=math.inf), 0.1),
+        (PsoParams(heuristic_weight=2.5), 0.4),
+        (PsoParams(heuristic_weight=1.0), 0.1),
+    ]
+    move_table, macro_table, memo = {}, {}, {}
+    for model in (None, first, second, first, None):
+        for params, epsilon in calls:
+            for cap in (60, 9):
+                dom = copy.copy(maze)
+                dom.default_max_path_len = cap
+                previous = None
+                for seed in range(3):
+                    # No reference path at first, then the last path as
+                    # the previous one, so that steps meet and miss it.
+                    particle = Particle(current=previous)
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    got = construct_path(
+                        particle, None, params, model, dom, rng, epsilon,
+                        stride_memo=memo, move_table=move_table, macro_table=macro_table,
+                    )
+                    want = reference_construct_path(
+                        particle, None, params, model, dom, ref_rng, epsilon
+                    )
+                    assert got == want, (model, params, epsilon, cap, seed)
+                    assert rng.getstate() == ref_rng.getstate()
+                    previous = got
+        if model is not None:
+            flat = tuple(model.flatten_macro(4))
+            assert list(macro_table) == [((4, flat),)]
+    assert any(law is not None for *_, law in move_table.values())
+
+
 # -- what the table holds after a run ------------------------------------------
 
 
@@ -175,9 +227,16 @@ def test_table_holds_one_entry_per_cell_and_entry_cell_met():
                 ways = step[4 * cell:4 * cell + 4]
                 return [m for m in range(4) if ways[m] >= 0 and ways[m] != entry]
 
-            per_cell, covered = {}, {}
-            for key, (moves, ends, dead_end, corridor) in state.move_table.items():
+            per_cell, covered, laws = {}, {}, 0
+            for key, (moves, ends, dead_end, corridor, law) in state.move_table.items():
                 entry, cell = divmod(key, cells)  # entry -1: the start
+                if law is not None:
+                    # Only a standard step caches a law, from its own terms.
+                    terms, sums = law
+                    assert not guided and terms == (1.0, 0.0, 0.0, 0.0, EPS)
+                    scores = [1.0 * dom.heuristic[end] + 0.0 + 0.0 + 0.0 for end in ends]
+                    assert sums == list(accumulate(softmax_floor(scores, EPS)))[:-1]
+                    laws += 1
                 per_cell[cell] = per_cell.get(cell, 0) + 1
                 ways = step[4 * cell:4 * cell + 4]
                 assert dead_end == (not onward(cell, entry))
@@ -206,6 +265,47 @@ def test_table_holds_one_entry_per_cell_and_entry_cell_met():
             assert all(n <= 2 for n in covered.values())
             # A live macro may join any step: then no corridor is taken.
             assert bool(covered) == (not guided)
+            assert bool(laws) == (not guided)
+            if guided:
+                check_macro_table(state, dom, live=((4, (1, 1)),))
+            else:
+                assert state.macro_table == {}
+
+
+def check_macro_table(state, dom, live):
+    """The macro table holds the live set alone, and each of its entries
+    the candidates that set gives, recomputed from the step table."""
+    step = dom.step_table
+    (held, joined), = state.macro_table.items()
+    assert held == live and joined
+    for key, got in joined.items():
+        moves, ends, *_ = state.move_table[key]
+        cell = key % (len(step) // 4)
+        cand, reached, depths, strides, reach = list(moves), list(ends), [1] * len(moves), [], 1
+        for macro_id, flat in live:
+            if flat[0] not in moves:
+                continue
+            walked, at = [], cell
+            for move in flat:
+                at = step[4 * at + move]
+                if at < 0:
+                    break
+                walked.append(at)
+                if at == dom.goal_index:
+                    break
+            if at < 0:  # a wall: no candidate, but the budget must hold it
+                reach = max(reach, len(walked) + 1)
+                continue
+            reach = max(reach, len(walked))
+            cand.append(macro_id)
+            reached.append(walked[-1])
+            depths.append(len(walked))
+            strides.append((tuple(walked), flat))
+        if strides:
+            want = (tuple(cand), tuple(reached), tuple(depths), tuple(strides), reach)
+        else:
+            want = (moves, ends, None, None, reach)
+        assert got == want, key
 
 
 def test_a_run_leaves_nothing_behind():
