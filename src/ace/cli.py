@@ -188,11 +188,15 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
     slack = values.get("path_slack")
     check_maze_options(path_slack=slack)
     common = {"kind": kind, "width": width, "height": height, "path_slack": slack}
-    instances = []
+    instances, seen = [], set()
     for i, inst in enumerate(values["instances"]):
         where = f"domain.instances[{i}]"
         inst = _read(inst, MAZE_INSTANCE, where, required=MAZE_INSTANCE)
         check_maze_shape(width, height, inst["connectivity"])
+        maze = (inst["connectivity"], inst["maze_seed"])
+        if maze in seen:
+            raise ConfigError(f"{where}: maze (connectivity, maze_seed) {maze} listed twice")
+        seen.add(maze)
         maze_id = f"m{width}x{height}_c{inst['connectivity']}_s{inst['maze_seed']}"
         instances.append((maze_id, {**common, **inst}))
     return instances

@@ -403,7 +403,7 @@ class GcaModel:
     _vocabulary: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # Sampling rows, cleared by _touch on every weight change, on a new
     # weights or params, and with the successor lists as well:
-    # sample_successor's (ops, cumulative probabilities) keyed on from_op,
+    # sample_successor's (ops, softmax_floor_sums) keyed on from_op,
     # and floored_distribution's rows keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # The op table: _flat[op] is the tuple of atomic ids op expands to.
@@ -508,10 +508,9 @@ class GcaModel:
         z = add_up(exps)
         return [(s, e / z) for s, e in zip(successors, exps)]
 
-    def floored_distribution(
-        self, from_op: int, successors: list[int]
-    ) -> tuple[tuple[int, float], ...]:
-        """The transition distribution mixed with the exploration floor.
+    def floored_distribution(self, from_op: int, successors: list[int]) -> tuple[float, ...]:
+        """The probabilities of the transition distribution mixed with the
+        exploration floor, in successor order.
 
         Rows are remembered per (from_op, successors) until the next
         weight or vocabulary change, and returned as tuples so that no
@@ -523,9 +522,7 @@ class GcaModel:
             ops = key[1]
             self._check_row(from_op, ops)
             probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
-            # Through a list: tuple() of a bare zip grows and then shrinks
-            # each row, which left maze-pso's peak RSS 0.5 MB higher.
-            row = self._row_cache[key] = tuple(list(zip(ops, probs)))
+            row = self._row_cache[key] = tuple(probs)
         return row
 
     def sample_successor(self, from_op: int, rng: random.Random) -> int:
@@ -546,10 +543,10 @@ class GcaModel:
                 if self.mask_mode == "no_self" and not self.is_pruned(from_op):
                     ops = tuple(j for j in ops if j != from_op) or ops
                 self._successors[from_op] = ops
-            probs = softmax_floor(self._logits(from_op, ops), self.params.exploration_floor)
-            row = self._row_cache[from_op] = (ops, list(accumulate(probs)))
-        ops, cum = row
-        return ops[min(bisect_right(cum, rng.random()), len(ops) - 1)]  # inverse CDF
+            sums = softmax_floor_sums(self._logits(from_op, ops), self.params.exploration_floor)
+            row = self._row_cache[from_op] = (ops, sums)
+        ops, sums = row
+        return ops[bisect_right(sums, rng.random())]  # inverse CDF
 
     # -- learning --------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Grid-maze world: procedural generation, an integer move table,
+"""Grid-maze world: procedural generation, an integer step table,
 trajectory execution and scoring, plus a breadth-first shortest-path
 oracle."""
 
@@ -44,7 +44,7 @@ class Maze:
 
     @cached_property
     def step_table(self) -> list[int]:
-        """The move table every walker reads: step_table[4 * cell + move]
+        """The step table every walker reads: step_table[4 * cell + move]
         is the cell index (y * width + x) that move reaches from cell, or
         -1 where a wall or the border blocks it."""
         w, h = self.width, self.height
@@ -199,7 +199,7 @@ FAILURE_SCALE = 5000.0
 
 class MazeDomain:
     """Binds a maze to the explorer interfaces: a four-move atomic
-    vocabulary for sequence genomes, and the maze's indexed move table
+    vocabulary for sequence genomes, and the maze's indexed step table
     with a goal-distance heuristic for stepwise path construction.
     Sequences are walked on that table, paths arrive already walked on
     it, and both are scored by one rule."""
@@ -288,5 +288,5 @@ class MazeDomain:
     def evaluate_path(
         self, states: list[int], ops: list[int], atomic_moves: list[int], success: bool
     ) -> Trajectory:
-        """Score a wall-free path already walked on the move table."""
+        """Score a wall-free path already walked on the step table."""
         return self._score(ops, atomic_moves, states, success, 0)

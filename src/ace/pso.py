@@ -50,52 +50,26 @@ def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
     return traj.states or () if traj is not None else ()
 
 
-# A stride memo: a macro's atomic moves -> {cell: (cells, wall)}, where
-# cells are the cells its stride walks from that cell until a wall or the
-# goal, and wall is the index of the move into the wall (-1 if none).
-StrideMemo = dict[tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]
-
 # A corridor: the moves of a run of forced steps and the cells they reach.
 Corridor = tuple[tuple[int, ...], tuple[int, ...]]
 
-# A cached selection law: ((heuristic_weight, inertia term, cognitive
-# term, social term, epsilon), sums), where the terms are those of an
-# alignment no reference path meets (c * 0, or c * r * 0) and sums are
-# softmax_floor_sums of the scores they give the step's candidates.
+# A cached selection law: (terms, sums) (see PsoState).
 Law = tuple[tuple[float, float, float, float, float], list[float]]
 
-# A move table: (moves, ends, dead_end, corridor, law) for each (cell,
-# entry cell) a step has met, keyed by entry cell * cells + cell (entry
-# cell -1 at the start).  moves are the step's atomic candidates in N, E,
-# S, W order and ends the cells they reach; dead_end tells that the only
-# way out, if any, leads back to the entry cell, and moves then hold that
-# way back.  corridor is None until a step with one candidate is taken
-# with no macro live; it then holds the corridor that step begins (see
-# _corridor).  law is None until a standard step there is scored with no
-# reference path on any end cell; it then holds that step's law, which a
-# later such step reuses while its coefficients and epsilon are the ones
-# the law was built from, and replaces otherwise.
+# (cell, entry cell) key -> (moves, ends, dead_end, corridor, law) (see PsoState).
 MoveTable = dict[
     int, tuple[tuple[int, ...], tuple[int, ...], bool, Corridor | None, Law | None]
 ]
 
 # A step's candidates with the live macros joined: (cand, ends, depths,
-# strides, reach).  cand holds the atomic moves, then the macros that
-# join, in id order; ends the cells they reach, depths the steps each
-# takes (1 for a move), and strides the (cells, flat) of each macro
-# (depths and strides None if none joins).  A macro-table entry is built
-# with no budget: no stride is cut and every wall drops its macro.  It
-# holds the candidates of each step there whose remaining budget is at
-# least reach, which every stride fits in and every such wall lies
-# within.
+# strides, reach, walks) (see PsoState).
 MacroMoves = tuple[
-    tuple[int, ...], tuple[int, ...], tuple[int, ...],
+    tuple[int, ...], tuple[int, ...], tuple[int, ...] | None,
     tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None, int,
+    tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...],
 ]
 
-# A macro table: the live macros as ((id, flat), ...) in id order -> the
-# MacroMoves of each (cell, entry cell) met, under the move table's key.
-# It holds one live-macro set at a time: a call with another set drops it.
+# Live macros ((id, flat), ...) -> (cell, entry cell) key -> MacroMoves.
 MacroTable = dict[tuple[tuple[int, tuple[int, ...]], ...], dict[int, MacroMoves]]
 
 
@@ -151,23 +125,15 @@ def _walk_stride(step: list[int], cell: int, flat: tuple[int, ...], goal: int):
     return tuple(cells), -1
 
 
-def _macro_moves(
-    step: list[int], cell: int, cand, ends, macro_info, goal: int, room: float
-) -> MacroMoves:
-    """The MacroMoves of a step at cell with atomic candidates cand
-    ending at ends and room steps left: each live macro whose first move
-    is among them joins, its stride cut to room, unless it meets a wall
-    within room; reach is the smallest budget that holds each joined
-    stride and each such wall (the move into it included)."""
+def _macro_moves(cand, ends, walks, room: float) -> MacroMoves:
+    """The MacroMoves of a step with atomic candidates cand ending at ends,
+    the walks of its live macros and room steps left: each walked macro
+    joins, its stride cut to room, unless it meets a wall within room;
+    reach is the smallest budget that holds each joined stride and each
+    such wall (the move into it included)."""
     allowed, atomic_ends = cand, ends
     cand, ends, depths, strides, reach = list(cand), list(ends), [1] * len(cand), [], 1
-    for macro_id, first_move, flat, walks in macro_info:
-        if first_move not in allowed:
-            continue
-        walk = walks.get(cell)
-        if walk is None:
-            walk = walks[cell] = _walk_stride(step, cell, flat, goal)
-        cells, wall = walk
+    for macro_id, flat, cells, wall in walks:
         if 0 <= wall < room:
             reach = max(reach, wall + 1)
             continue
@@ -179,24 +145,22 @@ def _macro_moves(
         depths.append(len(cells))
         strides.append((cells, flat))
     if not strides:
-        return allowed, atomic_ends, None, None, reach
-    return tuple(cand), tuple(ends), tuple(depths), tuple(strides), reach
+        return allowed, atomic_ends, None, None, reach, walks
+    return tuple(cand), tuple(ends), tuple(depths), tuple(strides), reach, walks
 
 
 def construct_path(
     particle: Particle,
-    gbest: Trajectory | None,
+    state: PsoState,
     params: PsoParams,
     model: GcaModel | None,
     domain,
     rng: random.Random,
     epsilon: float,
-    *,
-    stride_memo: StrideMemo | None = None,
-    move_table: MoveTable | None = None,
-    macro_table: MacroTable | None = None,
 ) -> Trajectory:
-    """Build one path from the start, step by step.
+    """Build one path from the start, step by step, against the swarm
+    best and through the two tables of state (see PsoState), which it
+    fills as it goes; what they already hold changes no path.
 
     At each node every valid move is scored (immediate backtracking is
     excluded unless it is the only way out); in guided mode, unpruned
@@ -220,40 +184,17 @@ def construct_path(
     corridor: the forced steps after it are taken with it in one go (see
     _corridor), cut to the path-length cap, and the generator advances by
     getrandbits(192 * steps), which consumes the 6 * steps 32-bit outputs
-    that 3 * steps random() calls would.  Likewise, a standard step where
-    neither the personal nor the swarm best sits on a candidate's end
-    cell passes its 2 * candidates alignment variates over with
-    getrandbits(128 * candidates): each of their terms is then c * r * 0,
-    the same float whatever r.  If the previous path is not on one either,
-    the step's scores depend on its (cell, entry cell) alone, and it
-    selects with bisect_right over the running sums of its law (see
+    that 3 * steps random() calls would.  Likewise, in a standard step
+    where no reference path (the previous path, the personal or the
+    swarm best) sits on a candidate's end cell, each alignment term is
+    c * r * 0, the same float whatever r: its 2 * candidates alignment
+    variates are passed over with getrandbits(128 * candidates), its
+    scores depend on its (cell, entry cell) alone, and it selects with
+    bisect_right over the running sums of its law (see
     softmax_floor_sums), the same floats softmax_floor_choice would
     compare with the same one random() variate.  Construction stops at
     the goal or at the path-length cap, the domain's
     default_max_path_len.
-
-    Three caches, each keyed on what a step reads, none cut to a budget:
-    - stride_memo keeps each macro stride walked from a cell, uncapped,
-      so that it is walked once per memo; each step cuts it to the
-      remaining budget.
-    - move_table keeps the atomic candidates of a step, keyed by the cell
-      and the cell it was entered from (see MoveTable), so that each such
-      pair is read from the step table once per table; while only atomic
-      moves compete, every candidate ends at the next depth, and each
-      reference path is read there once per step.  Its entry also keeps,
-      uncapped, the corridor a step begins, once one is taken, and the
-      law of a standard step no reference path meets, checked against
-      this call's heuristic weight, unmet alignment terms and epsilon
-      before each use and rebuilt when they differ.
-    - macro_table keeps, for the live-macro set keyed on each macro's id
-      and flattened form, a step's candidates with the macros joined, per
-      (cell, entry cell) (see MacroTable); a step uses them while its
-      remaining budget reaches the entry's reach, and nearer the cap
-      tests each live macro against the budget.  A call with another
-      live-macro set drops what the table holds.
-    All three assume the domain's step table, heuristic and goal stay as
-    they are while they live: share one only between calls on one domain
-    (None: a fresh one for this call).
     """
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
@@ -261,31 +202,25 @@ def construct_path(
     goal = domain.goal_index
     max_len = domain.default_max_path_len
     n_cells = len(step) >> 2
-    if move_table is None:
-        move_table = {}
+    move_table = state.move_table
 
-    macro_info = []
+    live = ()
     if model is not None:
-        if stride_memo is None:
-            stride_memo = {}
-        for macro in model.macros:
-            if not macro.pruned:
-                flat = tuple(model.flatten_macro(macro.id))
-                macro_info.append((macro.id, flat[0], flat, stride_memo.setdefault(flat, {})))
-    if macro_info:
-        if macro_table is None:
-            macro_table = {}
-        live = tuple((macro_id, flat) for macro_id, _, flat, _ in macro_info)
-        joined = macro_table.get(live)
+        live = tuple(
+            (macro.id, tuple(model.flatten_macro(macro.id)))
+            for macro in model.macros if not macro.pruned
+        )
+    if live:
+        joined = state.macro_table.get(live)
         if joined is None:
-            macro_table.clear()
-            joined = macro_table[live] = {}
+            state.macro_table.clear()
+            joined = state.macro_table[live] = {}
 
     # A candidate aligns with a reference path when that path sits on the
     # candidate's end cell at the same depth.
     prev_states = _reference_states(particle.current)
     pbest_states = _reference_states(particle.pbest)
-    gbest_states = _reference_states(gbest)
+    gbest_states = _reference_states(state.gbest)
     n_prev, n_pbest, n_gbest = len(prev_states), len(pbest_states), len(gbest_states)
 
     w = params.inertia
@@ -323,7 +258,7 @@ def construct_path(
         if dead_end and (terminate_at_dead_ends or not cand):
             break
         n_moves = len(cand)
-        if n_moves == 1 and not macro_info:
+        if n_moves == 1 and not live:
             # A corridor: its forced steps at once, up to the cap.
             if corridor is None:
                 corridor = _corridor(step, move_table, cur, prev_cell, goal)
@@ -344,20 +279,22 @@ def construct_path(
             continue
 
         strides = None  # (cells, flat) per macro, once one joins
-        if macro_info:
+        if live:
             try:
                 joined_moves = joined[key]
             except KeyError:
-                joined_moves = joined[key] = _macro_moves(
-                    step, cur, cand, ends, macro_info, goal, math.inf
+                walks = tuple(
+                    (macro_id, flat, *_walk_stride(step, cur, flat, goal))
+                    for macro_id, flat in live if flat[0] in cand
                 )
+                joined_moves = joined[key] = _macro_moves(cand, ends, walks, math.inf)
             room = max_len - steps
             if room < joined_moves[4]:
                 # Near the cap a stride may be cut to the budget, and a
                 # wall beyond it no longer drops its macro.
-                joined_moves = _macro_moves(step, cur, cand, ends, macro_info, goal, room)
+                joined_moves = _macro_moves(cand, ends, joined_moves[5], room)
             if joined_moves[3] is not None:
-                cand, ends, depths, strides, _ = joined_moves
+                cand, ends, depths, strides, _, _ = joined_moves
 
         if n_moves == 1 and strides is None:
             # A lone candidate is an atomic move (a macro competes only
@@ -376,7 +313,7 @@ def construct_path(
             # order.  Each kind of step has its own loop: a macro's depth,
             # or the learned term, costs nothing where it cannot occur.
             if prev_op is None:
-                learned = repeat((None, 1.0 / len(cand)))
+                learned = repeat(1.0 / len(cand))
             else:
                 learned = model.floored_distribution(prev_op, cand)
             scores = [
@@ -385,7 +322,7 @@ def construct_path(
                 + c1 * rand() * (at < n_pbest and pbest_states[at] == end)
                 + c2 * rand() * (at < n_gbest and gbest_states[at] == end)
                 + lam * p
-                for end, at, (_, p) in zip(ends, map(steps.__add__, depths), learned)
+                for end, at, p in zip(ends, map(steps.__add__, depths), learned)
             ]
             pick = softmax_floor_choice(scores, epsilon, rng)
         else:
@@ -397,7 +334,7 @@ def construct_path(
             on_gbest = gbest_states[at] if at < n_gbest else -1
             if guided:
                 if prev_op is None:
-                    learned = repeat((None, 1.0 / n_moves))
+                    learned = repeat(1.0 / n_moves)
                 else:
                     learned = model.floored_distribution(prev_op, cand)
                 scores = [
@@ -406,10 +343,10 @@ def construct_path(
                     + c1 * rand() * (on_pbest == end)
                     + c2 * rand() * (on_gbest == end)
                     + lam * p
-                    for end, (_, p) in zip(ends, learned)
+                    for end, p in zip(ends, learned)
                 ]
                 pick = softmax_floor_choice(scores, epsilon, rng)
-            elif on_pbest in ends or on_gbest in ends:
+            elif on_prev in ends or on_pbest in ends or on_gbest in ends:
                 scores = [
                     alpha * heuristic[end]
                     + w * (on_prev == end)
@@ -419,27 +356,19 @@ def construct_path(
                 ]
                 pick = softmax_floor_choice(scores, epsilon, rng)
             else:
-                # Neither best meets a candidate: their terms read
-                # c1 * r1 * 0 and c2 * r2 * 0, whatever the variates, so
-                # these are passed over in one call.
+                # No reference path meets a candidate: every alignment term
+                # reads c * 0 or c * r * 0, whatever the variates, so these
+                # are passed over in one call, and the law is the (cell,
+                # entry cell)'s, built once for these terms.
                 getrandbits(128 * n_moves)
-                if on_prev in ends:
+                if law is None or law[0] != law_key:
                     scores = [
-                        alpha * heuristic[end] + w * (on_prev == end) + c1_unmet + c2_unmet
+                        alpha * heuristic[end] + w_unmet + c1_unmet + c2_unmet
                         for end in ends
                     ]
-                    pick = softmax_floor_choice(scores, epsilon, rng)
-                else:
-                    # No reference path meets a candidate: the law is the
-                    # (cell, entry cell)'s, built once for these terms.
-                    if law is None or law[0] != law_key:
-                        scores = [
-                            alpha * heuristic[end] + w_unmet + c1_unmet + c2_unmet
-                            for end in ends
-                        ]
-                        law = (law_key, softmax_floor_sums(scores, epsilon))
-                        move_table[key] = (cand, ends, dead_end, corridor, law)
-                    pick = bisect_right(law[1], rand())
+                    law = (law_key, softmax_floor_sums(scores, epsilon))
+                    move_table[key] = (cand, ends, dead_end, corridor, law)
+                pick = bisect_right(law[1], rand())
         op = cand[pick]
         if pick < n_moves:
             moves.append(op)
@@ -470,28 +399,53 @@ def construct_path(
 
 @dataclass
 class PsoState:
-    """One swarm run: its particles, its swarm best, and what its steps
-    have read of its one domain so far.
-    - stride_memo holds the macro strides walked from each cell, keyed on
-      the macro's flattened form.
-    - move_table holds the atomic candidates of a step for each (cell,
-      entry cell) met, under the key entry cell * cells + cell (see
-      MoveTable), each read from the step table the first time a step
-      enters the cell from that entry cell; the corridor of forced steps
-      each one begins, built the first time a step with one candidate is
-      taken there with no macro live; and the law of a standard step that
-      no reference path meets, built the first time one is scored there
-      and rebuilt only if a later one has other coefficients or epsilon.
-    - macro_table holds, for the run's current live-macro set, each such
-      step's candidates with the macros joined (see MacroTable), built
-      the first time a guided step is taken there; the first call after
-      an abstraction or a prune changes the set drops them all.
-    All three live exactly as long as the state: nothing outlives the
-    run."""
+    """One swarm run: its particles, its swarm best, and two tables of
+    what its steps have read of its one domain.  Each table is keyed on
+    what a step reads and holds nothing cut to a step budget, so that its
+    entries serve every particle and every budget; both assume that the
+    domain's step table, heuristic and goal stay as they are, and live
+    exactly as long as the state: nothing outlives the run.
+
+    move_table holds an entry (moves, ends, dead_end, corridor, law) for
+    each (cell, entry cell) a step has met, under the key entry cell *
+    cells + cell (entry cell -1 at the start), read from the step table
+    the first time a step enters the cell from that entry cell.
+    - moves are the step's atomic candidates in N, E, S, W order and ends
+      the cells they reach; dead_end tells that the only way out, if any,
+      leads back to the entry cell, and moves then hold that way back.
+    - corridor is None until a step with one candidate is taken there with
+      no macro live; it then holds the corridor that step begins (see
+      _corridor).
+    - law is None until a standard step there is scored with no reference
+      path on any end cell.  It then holds (terms, sums): terms are the
+      step's (heuristic_weight, inertia term, cognitive term, social term,
+      epsilon), where an alignment term no reference path meets reads
+      c * 0 or c * r * 0, and sums are softmax_floor_sums of the scores
+      they give the step's candidates.  A later such step reuses the law
+      while its own terms are these, and replaces it otherwise.
+
+    macro_table maps the live macros, as ((id, flat), ...) in id order
+    with flat the macro's atomic moves, to an entry (cand, ends, depths,
+    strides, reach, walks) for each (cell, entry cell) a guided step has
+    met, under the move table's key.
+    - walks hold (id, flat, cells, wall) for each live macro whose first
+      move is among the step's atomic moves, in id order: cells are those
+      its stride walks from the cell until a wall or the goal, and wall
+      is the index of the move into the wall (-1 if none).
+    - cand holds the atomic moves, then each walked macro that meets no
+      wall; ends the cells they reach, depths the steps each takes (1 for
+      a move), and strides the (cells, flat) of each macro (depths and
+      strides None if no macro joins).
+    - reach is the smallest budget that holds each joined stride and each
+      wall (the move into it included).  A step whose remaining budget is
+      at least reach takes these candidates; nearer the cap, a step joins
+      the walks anew, each stride cut to its budget and no wall beyond it
+      dropping its macro.
+    It holds one live-macro set at a time: the first call after an
+    abstraction or a prune changes the set drops what it holds."""
 
     swarm: list[Particle]
     gbest: Trajectory | None = None
-    stride_memo: StrideMemo = field(default_factory=dict)
     move_table: MoveTable = field(default_factory=dict)
     macro_table: MacroTable = field(default_factory=dict)
 
@@ -525,9 +479,8 @@ class PsoExplorer:
         """One sweep: every particle rebuilds its path against the entering
         swarm best; personal-best improvements emit reinforcement events; the
         swarm best is recomputed afterwards (ties keep the lowest index).
-        The particles share the state's stride_memo, move_table and
-        macro_table.  An empty swarm raises DomainError before any variate
-        is drawn."""
+        The particles share the state's tables.  An empty swarm raises
+        DomainError before any variate is drawn."""
         swarm = state.swarm
         if not swarm:
             raise DomainError("swarm generation over an empty swarm")
@@ -535,10 +488,7 @@ class PsoExplorer:
         events: list[TrajectoryEvent] = []
         for particle in swarm:
             traj = construct_path(
-                particle, state.gbest, self.params, model, domain, rng,
-                config.gca.exploration_floor,
-                stride_memo=state.stride_memo, move_table=state.move_table,
-                macro_table=state.macro_table,
+                particle, state, self.params, model, domain, rng, config.gca.exploration_floor
             )
             new_paths.append(traj)
             particle.current = traj

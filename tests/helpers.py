@@ -187,12 +187,12 @@ def reference_construct_path(
     domain,
     rng: random.Random,
     epsilon: float,
-    *,
-    stride_memo=None,
 ):
-    """Reference step loop: construct_path as it was before the move
-    table, one step at a time from the step table.  construct_path must
-    build the same trajectory and leave rng in the same state."""
+    """Reference step loop: construct_path as it was before the swarm's
+    tables, one step at a time from the step table, each macro stride
+    walked anew at every step.  construct_path, given a state whose swarm
+    best is gbest, must build the same trajectory and leave rng in the
+    same state."""
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
     heuristic = domain.heuristic
@@ -201,12 +201,10 @@ def reference_construct_path(
 
     macro_info = []
     if model is not None:
-        if stride_memo is None:
-            stride_memo = {}
         for macro in model.macros:
             if not macro.pruned:
                 flat = tuple(model.flatten_macro(macro.id))
-                macro_info.append((macro.id, flat[0], flat, stride_memo.setdefault(flat, {})))
+                macro_info.append((macro.id, flat[0], flat))
 
     # A candidate aligns with a reference path when that path sits on the
     # candidate's end cell at the same depth.
@@ -232,7 +230,7 @@ def reference_construct_path(
     steps = 0
 
     terminate_at_dead_ends = params.dead_end_mode == "terminate"
-    no_term = repeat((None, 0.0))  # standard mode: never added
+    no_term = repeat(0.0)  # standard mode: never added
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
         # order; each ends on a cell, at an index of the path being built.
@@ -256,13 +254,10 @@ def reference_construct_path(
         if macro_info:
             allowed = tuple(cand)
             room = max_len - steps
-            for macro_id, first_move, flat, walks in macro_info:
+            for macro_id, first_move, flat in macro_info:
                 if first_move not in allowed:
                     continue
-                walk = walks.get(cur)
-                if walk is None:
-                    walk = walks[cur] = _walk_stride(step, cur, flat, goal)
-                cells, wall = walk
+                cells, wall = _walk_stride(step, cur, flat, goal)
                 if 0 <= wall < room:
                     continue  # a wall within the budget: not a candidate this step
                 if len(cells) > room:
@@ -281,18 +276,18 @@ def reference_construct_path(
             rand()
             pick = 0
         else:
-            # The learned term, as (op, probability) per candidate.
+            # The learned term, as a probability per candidate.
             if not guided:
                 learned = no_term
             elif prev_op is None:
-                learned = repeat((None, 1.0 / len(cand)))
+                learned = repeat(1.0 / len(cand))
             else:
                 learned = model.floored_distribution(prev_op, cand)
 
             # A bool counts as 1 or 0: the alignment terms are
             # coefficient * 1.0 or coefficient * 0.0, as a 0/1 float would.
             scores = []
-            for end, at, (_, p) in zip(ends, end_at, learned):
+            for end, at, p in zip(ends, end_at, learned):
                 s = alpha * heuristic[end] + w * (at < n_prev and prev_states[at] == end)
                 r1 = rand()
                 r2 = rand()

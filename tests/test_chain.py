@@ -368,7 +368,7 @@ def test_guided_runs_learn_the_dominant_pair():
         )
         _, model, _ = run_ace(config, explorer, ChainDomain(spec), random_module.Random(seed))
         successors = [j for j in model.sampling_vocabulary() if model.valid_pair(0, j)]
-        p = dict(model.floored_distribution(0, successors)).get(1, 0.0)
+        p = dict(zip(successors, model.floored_distribution(0, successors))).get(1, 0.0)
         prob_ok += p >= 0.8
         macro_ok += any(m.left == 0 and m.right == 1 for m in model.macros)
     assert prob_ok >= 8

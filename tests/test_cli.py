@@ -580,6 +580,21 @@ def test_maze_domain_without_instances_exits_1_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_duplicate_maze_instance_exits_1_before_any_run(tmp_path, capsys):
+    # One (connectivity, maze_seed) listed twice would run twice under one
+    # instance id and one derived seed, with repeated records.
+    out = tmp_path / "out"
+    doc = _maze_suite(out)
+    doc["domain"]["instances"] = [
+        {"connectivity": 0.3, "maze_seed": 1},
+        {"connectivity": 0.5, "maze_seed": 1},
+        {"connectivity": 0.3, "maze_seed": 1},
+    ]
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "domain.instances[2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["max_new_macros_per_scan", "prune_min_uses"])
 def test_negative_promotion_cadence_exits_1_before_any_run(tmp_path, capsys, key):
     out = tmp_path / "out"

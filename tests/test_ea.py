@@ -119,7 +119,7 @@ def test_mutate_rate_one_single_op_deterministic():
 def test_mutate_guided_matches_floored_softmax():
     # planted dominant transition 0 -> 1
     m = make_model(n_atomic=4, weights={(0, 1): 5.0}, exploration_floor=0.1)
-    expected = dict(m.floored_distribution(0, [0, 1, 2, 3]))[1]
+    expected = m.floored_distribution(0, [0, 1, 2, 3])[1]
     dom = AtomsDomain(4)
     rng = random.Random(3)
     hits = 0

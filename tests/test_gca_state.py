@@ -162,7 +162,7 @@ class GcaModelMachine(RuleBasedStateMachine):
             fresh = apply_exploration_floor(
                 m.transition_distribution(op, vocab), m.params.exploration_floor
             )
-            assert list(m.floored_distribution(op, vocab)) == fresh
+            assert list(m.floored_distribution(op, vocab)) == [p for _, p in fresh]
 
     @invariant()
     def successor_rows_match_fresh(self):
@@ -175,8 +175,8 @@ class GcaModelMachine(RuleBasedStateMachine):
         for op in range(m.vocab_size):
             m.sample_successor(op, rng)
             ops = [j for j in vocab if m.valid_pair(op, j)] or vocab
-            cum = list(accumulate(p for _, p in m.floored_distribution(op, ops)))
-            assert m._row_cache[op] == (tuple(ops), cum)
+            sums = list(accumulate(m.floored_distribution(op, ops)))[:-1]
+            assert m._row_cache[op] == (tuple(ops), sums)
 
     @invariant()
     def round_trip_exact(self):

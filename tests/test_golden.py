@@ -36,7 +36,7 @@ from ace.ea import EaExplorer, EaParams, _tournament, crossover, mutate, select
 from ace.gca import PairTable
 from ace.loop import ExperimentConfig, Trajectory
 from ace.maze import MazeDomain, generate_maze
-from ace.pso import Particle, PsoParams, construct_path
+from ace.pso import Particle, PsoParams, PsoState, construct_path
 
 from helpers import make_model
 
@@ -223,22 +223,23 @@ def path_models():
     return (None, plain, macros)
 
 
-def construct_path_digest(memo_per_maze):
+def construct_path_digest(state_per_maze):
     """216 construct_path calls over three mazes, both dead-end modes, caps
     of the domain's budget and of 5 (set on a copy of the domain) and the
     three path models: the call count, the SHA-256 of every path and the
-    rng's next variate, and the stride memos.  With memo_per_maze, every
-    call on one maze shares one stride memo."""
+    rng's next variate, and the states shared per maze.  With
+    state_per_maze, every call on one maze shares one PsoState, and so its
+    tables; without, each call has a fresh one."""
     rng = random.Random(2024)
     digest = hashlib.sha256()
     calls = 0
-    memos = []
+    states = []
     for connectivity in (0.0, 0.3, 1.0):
         dom = MazeDomain(generate_maze(8, 8, connectivity, 7), path_slack=10)
         capped = copy.copy(dom)
         capped.default_max_path_len = 5
-        memo = {} if memo_per_maze else None
-        memos.append(memo)
+        state = PsoState([])
+        states.append(state)
         for mode in ("backtrack", "terminate"):
             params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode)
             for domain in (dom, capped):
@@ -246,9 +247,10 @@ def construct_path_digest(memo_per_maze):
                     for with_references in (False, True):
                         particle, gbest = Particle(), None
                         for _ in range(3):
-                            traj = construct_path(
-                                particle, gbest, params, model, domain, rng, 0.1, stride_memo=memo
-                            )
+                            if not state_per_maze:
+                                state = PsoState([])
+                            state.gbest = gbest
+                            traj = construct_path(particle, state, params, model, domain, rng, 0.1)
                             digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
                             calls += 1
                             if with_references:
@@ -257,22 +259,28 @@ def construct_path_digest(memo_per_maze):
                                     particle.pbest, particle.pbest_fitness = traj, traj.fitness
                                 gbest = particle.pbest
     digest.update(repr(rng.random()).encode())
-    return calls, digest.hexdigest(), memos
+    return calls, digest.hexdigest(), states
 
 
 def test_construct_path_fingerprint():
-    calls, digest, _ = construct_path_digest(memo_per_maze=False)
+    calls, digest, _ = construct_path_digest(state_per_maze=False)
     assert calls == 216
     assert digest == PATH_FINGERPRINT
 
 
-def test_construct_path_fingerprint_with_one_stride_memo_per_maze():
-    # Strides walked uncapped under one cap and read back under the other
-    # give the paths of a fresh memo per call.
-    calls, digest, memos = construct_path_digest(memo_per_maze=True)
+def test_construct_path_fingerprint_with_one_state_per_maze():
+    # Tables filled under one dead-end mode, cap and model and read back
+    # under the others give the paths of a fresh state per call.  Each
+    # maze's macro table ends on the three-macro model's live set, with
+    # every one of its macros walked from some cell.
+    calls, digest, states = construct_path_digest(state_per_maze=True)
     assert calls == 216
     assert digest == PATH_FINGERPRINT
-    assert all(len(memo) == 3 and all(memo.values()) for memo in memos)
+    for state in states:
+        assert state.move_table
+        (live, joined), = state.macro_table.items()
+        assert [macro_id for macro_id, _ in live] == [4, 5, 6]
+        assert {walk[0] for entry in joined.values() for walk in entry[5]} == {4, 5, 6}
 
 
 def ea_domains():

@@ -27,13 +27,13 @@ def path(states):
 
 
 def step_scores(
-    monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1, stride_memo=None
+    monkeypatch, dom, params, particle=None, gbest=None, model=None, seed=1, state=None
 ):
     """Candidate scores of the scored steps of one construct_path call, as
     handed to the floored choice or, where no reference path meets a
-    candidate of a standard step, to the law that step builds.  The call
-    has a move table of its own, so a law is seen the first time its
-    (cell, entry cell) is met."""
+    candidate of a standard step, to the law that step builds.  Unless
+    state is given, the call has a state of its own, so a law is seen the
+    first time its (cell, entry cell) is met."""
     seen = []
 
     def spy(scores, eps, rng):
@@ -46,10 +46,9 @@ def step_scores(
 
     monkeypatch.setattr(pso, "softmax_floor_choice", spy)
     monkeypatch.setattr(pso, "softmax_floor_sums", law_spy)
-    construct_path(
-        particle or Particle(), gbest, params, model, dom, random.Random(seed), EPS,
-        stride_memo=stride_memo,
-    )
+    state = state or PsoState([])
+    state.gbest = gbest
+    construct_path(particle or Particle(), state, params, model, dom, random.Random(seed), EPS)
     return seen
 
 
@@ -124,7 +123,7 @@ def test_score_invalid_neighbor_rejected():
     rng = random.Random(3)
     strides = 0
     for _ in range(50):
-        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         strides += sum(1 for op in traj.ops if op >= 4)
         for a, b in zip(traj.states, traj.states[1:]):
             assert b in dom.step_table[4 * a:4 * a + 4]
@@ -158,7 +157,7 @@ def test_guided_step_frequencies_over_real_candidates():
     dom = entering_center(max_path_len=2)
     model = make_model(weights={(2, 1): 3.0})
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=2.0)
-    p_theta = [p for _, p in model.floored_distribution(2, [1, 2, 3])]
+    p_theta = model.floored_distribution(2, [1, 2, 3])
     exps = [math.exp(2.0 * p) for p in p_theta]
     eps = model.params.exploration_floor
     expected = [(1 - eps) * e / sum(exps) + eps / 3 for e in exps]
@@ -166,7 +165,7 @@ def test_guided_step_frequencies_over_real_candidates():
     n = 10_000
     counts = Counter()
     for _ in range(n):
-        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         counts[traj.states[2]] += 1
     for cell, p in zip((5, 7, 3), expected):
         assert abs(counts[cell] / n - p) < 0.015
@@ -181,7 +180,7 @@ def test_uniform_walk_first_move_frequencies():
     rng = random.Random(5)
     counts = Counter()
     for _ in range(10_000):
-        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, None, dom, rng, EPS)
         counts[traj.states[1]] += 1
     # corner start: two valid first moves, E (cell 1) and S (cell 3)
     assert abs(counts[1] / 10_000 - 0.5) < 0.02
@@ -190,7 +189,7 @@ def test_uniform_walk_first_move_frequencies():
 
 def test_max_path_len_one():
     dom = GridStub(3, 3, max_path_len=1)
-    traj = construct_path(Particle(), None, PsoParams(), None, dom, random.Random(1), EPS)
+    traj = construct_path(Particle(), PsoState([]), PsoParams(), None, dom, random.Random(1), EPS)
     assert len(traj.atomic_ops) == 1
     assert len(traj.states) == 2
 
@@ -202,7 +201,7 @@ def test_heuristic_dominant_one_step_goal():
     wins = 0
     rng = random.Random(2)
     for _ in range(200):
-        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, None, dom, rng, EPS)
         wins += traj.success and len(traj.atomic_ops) == 1
     assert wins == 200
 
@@ -212,7 +211,7 @@ def test_no_immediate_backtracking():
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0)
     rng = random.Random(3)
     for _ in range(100):
-        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, None, dom, rng, EPS)
         # in a corridor with backtracking banned the walk is forced rightward
         assert traj.states == [0, 1, 2, 3, 4]
         assert traj.success
@@ -237,7 +236,7 @@ def test_dead_end_termination_mode():
     rng = random.Random(7)
     saw_termination = False
     for _ in range(200):
-        traj = construct_path(Particle(), None, params, None, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, None, dom, rng, EPS)
         if not traj.success:
             # walked into the stub and stopped there
             assert traj.states[-1] == 1 * 3 + 1
@@ -251,7 +250,7 @@ def test_dead_end_termination_mode():
     # with turnaround allowed the stub is escapable; some walks still run out
     # of budget, but never end inside the stub one step deep
     for _ in range(200):
-        traj = construct_path(Particle(), None, params_bt, None, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params_bt, None, dom, rng, EPS)
         assert traj.success or len(traj.atomic_ops) == 10
 
 
@@ -263,7 +262,7 @@ def test_macro_stride_and_rejection():
     rng = random.Random(1)
     used_macro = False
     for _ in range(100):
-        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         assert traj.success  # corridor forces eastward motion
         if 4 in traj.ops:
             used_macro = True
@@ -281,7 +280,7 @@ def test_macro_truncated_at_goal_records_prefix():
     params = PsoParams(inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=5.0)
     rng = random.Random(2)
     for _ in range(50):
-        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         assert traj.success
         assert traj.atomic_ops == [1]
         assert 4 not in traj.ops  # truncated stride is recorded as its moves
@@ -310,7 +309,8 @@ def test_macro_cut_by_cap_before_wall_is_candidate(monkeypatch):
         assert len(seen[0]) == 3  # E, S and the cut EEE
         assert seen[0][2] == 100.0
         took_macro = len(seen) == 1  # one step used the whole budget
-        traj = construct_path(Particle(), None, params, model, dom, random.Random(seed), EPS)
+        rng = random.Random(seed)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         if took_macro:
             strides += 1
             # the cut stride is recorded as the moves it made
@@ -326,31 +326,39 @@ def test_macro_wall_before_cap_rejects_it(monkeypatch, max_path_len):
     for seed in range(5):
         seen = step_scores(monkeypatch, dom, params, model=model, seed=seed)
         assert len(seen[0]) == 2  # E and S only
-        traj = construct_path(Particle(), None, params, model, dom, random.Random(seed), EPS)
+        rng = random.Random(seed)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         assert 5 not in traj.ops
 
 
-def test_stride_memo_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
+def test_macro_table_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
     dom, model, params = eastward_stride(max_path_len=50)
-    memo = {}
-    construct_path(Particle(), None, params, model, dom, random.Random(0), EPS, stride_memo=memo)
-    # Walked uncapped from the start: E to 1, E to 2, then the wall.
-    assert memo[(1, 1, 1)][0] == ((1, 2), 2)
+    state = PsoState([])
+    construct_path(Particle(), state, params, model, dom, random.Random(0), EPS)
+    # The start's entry (key -1 * 6 + 0) walks EEE uncapped: E to 1, E to
+    # 2, then the wall its third move meets, which drops it and sets the
+    # reach to 3.
+    walks = ((5, (1, 1, 1), (1, 2), 2),)
+    (joined,) = state.macro_table.values()
+    assert joined[-6] == ((1, 2), (1, 3), None, None, 3, walks)
     for cap, first_scores in ((1, [0.0, 0.0, 0.0]), (2, [0.0, 0.0, 100.0]), (3, [0.0, 0.0])):
         capped = copy.copy(dom)  # the same maze, the step budget cut to cap
         capped.default_max_path_len = cap
         for seed in range(5):
-            seen = step_scores(monkeypatch, capped, params, model=model, seed=seed, stride_memo=memo)
+            seen = step_scores(monkeypatch, capped, params, model=model, seed=seed, state=state)
             # cap 1 and 2 cut EEE before its wall (ending on cell 1 or 2),
             # cap 3 reaches the wall and drops it
             assert seen[0] == first_scores
             assert seen == step_scores(monkeypatch, capped, params, model=model, seed=seed)
             shared = construct_path(
-                Particle(), None, params, model, capped, random.Random(seed), EPS, stride_memo=memo
+                Particle(), state, params, model, capped, random.Random(seed), EPS
             )
-            alone = construct_path(Particle(), None, params, model, capped, random.Random(seed), EPS)
+            alone = construct_path(
+                Particle(), PsoState([]), params, model, capped, random.Random(seed), EPS
+            )
             assert (shared.states, shared.ops) == (alone.states, alone.ops)
-    assert memo[(1, 1, 1)][0] == ((1, 2), 2)
+    assert state.macro_table == {((5, (1, 1, 1)),): joined}
+    assert joined[-6] == ((1, 2), (1, 3), None, None, 3, walks)
 
 
 class CountingRandom(random.Random):
@@ -390,7 +398,8 @@ def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
         for _ in range(5):
             steps.clear()
             rng.calls = 0
-            traj = construct_path(particle, path([0, 4, 8]), params, model, dom, rng, EPS)
+            swarm = PsoState([], path([0, 4, 8]))
+            traj = construct_path(particle, swarm, params, model, dom, rng, EPS)
             # every macro here is two moves long, so even a stride cut
             # short records one op: the path took one step per op
             n_steps = len(traj.ops)
@@ -435,7 +444,7 @@ def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
             monkeypatch.setattr(model, "floored_distribution", unscored)
         params = PsoParams(heuristic_weight=1.0, dead_end_mode="backtrack")
         rng, twin = random.Random(4), random.Random(4)
-        traj = construct_path(Particle(), None, params, model, dom, rng, EPS)
+        traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         assert (traj.states, traj.ops) == (states, ops)
         # A corridor advances the generator in one call: compare states,
         # not calls.
@@ -492,11 +501,11 @@ CORRIDORS = {
 @pytest.mark.parametrize("case", sorted(CORRIDORS))
 def test_corridor_matches_the_reference_step_loop(case):
     # Both dead-end modes and both modes without a live macro share one
-    # move table, and so its corridors, per domain.
+    # state, and so its move table's corridors, per domain.
     draws = random.Random(case)
     for dom in CORRIDORS[case]:
         cells = len(dom.step_table) // 4
-        move_table = {}
+        state = PsoState([])
 
         def reference_path():
             return path([draws.randrange(cells) for _ in range(draws.randrange(12))])
@@ -506,20 +515,17 @@ def test_corridor_matches_the_reference_step_loop(case):
                 for seed in range(4):
                     params = PsoParams(heuristic_weight=draws.random(), dead_end_mode=mode)
                     particle = Particle(current=reference_path(), pbest=reference_path())
-                    gbest = reference_path()
+                    state.gbest = reference_path()
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    got = construct_path(
-                        particle, gbest, params, model, dom, rng, EPS,
-                        move_table=move_table,
-                    )
+                    got = construct_path(particle, state, params, model, dom, rng, EPS)
                     want = reference_construct_path(
-                        particle, gbest, params, model, dom, ref_rng, EPS
+                        particle, state.gbest, params, model, dom, ref_rng, EPS
                     )
                     assert got == want, (case, model, mode, seed)
                     assert rng.getstate() == ref_rng.getstate()
-        assert any(corridor for _, _, _, corridor, _ in move_table.values())
+        assert any(corridor for _, _, _, corridor, _ in state.move_table.values())
         # A law holds the running sums of the scores its terms give.
-        for _, ends, _, _, law in move_table.values():
+        for _, ends, _, _, law in state.move_table.values():
             if law is not None:
                 (alpha, w, c1, c2, eps), sums = law
                 scores = [alpha * dom.heuristic[end] + w + c1 + c2 for end in ends]
@@ -531,7 +537,7 @@ def test_epsilon_checked_before_any_variate(epsilon):
     dom = GridStub(5, 1)  # a corridor: no step has a second candidate
     rng = CountingRandom(1)
     with pytest.raises(ConfigError):
-        construct_path(Particle(), None, PsoParams(), None, dom, rng, epsilon)
+        construct_path(Particle(), PsoState([]), PsoParams(), None, dom, rng, epsilon)
     assert rng.calls == 0
 
 

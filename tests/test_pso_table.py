@@ -1,5 +1,5 @@
-"""The swarm's move table: construct_path against the step loop it
-replaced, and what the table holds and keeps after a run."""
+"""The swarm's tables: construct_path against the step loop they
+replaced, and what the tables hold and keep after a run."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import ace.pso as pso
 from ace.gca import GcaParams, softmax_floor
 from ace.loop import ExperimentConfig, Trajectory, run_ace, run_standard
 from ace.maze import MazeDomain, generate_maze
-from ace.pso import Particle, PsoExplorer, PsoParams, construct_path
+from ace.pso import Particle, PsoExplorer, PsoParams, PsoState, construct_path
 
 from helpers import GridStub, make_model, reference_construct_path
 
@@ -71,15 +71,15 @@ def test_construct_path_matches_the_reference_step_loop(data):
     cells = len(dom.step_table) // 4
     model = data.draw(path_models())
     shared = data.draw(st.booleans())
-    table, memo, ref_memo = {}, {}, {}
+    state = PsoState([])
     for _ in range(data.draw(st.integers(1, 3))):
         params = PsoParams(
             heuristic_weight=data.draw(st.floats(0.0, 3.0)),
             guidance_weight=data.draw(st.floats(0.0, 3.0)),
             dead_end_mode=data.draw(st.sampled_from(["backtrack", "terminate"])),
         )
-        # The same domain with its own step budget: the table and the
-        # memos stay valid, as they hold nothing cut to a budget.
+        # The same domain with its own step budget: the state's tables
+        # stay valid, as they hold nothing cut to a budget.
         capped = copy.copy(dom)
         capped.default_max_path_len = data.draw(st.integers(1, 2 * cells))
         particle = Particle(
@@ -89,15 +89,13 @@ def test_construct_path_matches_the_reference_step_loop(data):
         epsilon = data.draw(st.floats(0.01, 0.99))
         seed = data.draw(st.integers(0, 2**32 - 1))
         if not shared:
-            table, memo, ref_memo = {}, {}, {}
+            state = PsoState([])
+        state.gbest = gbest
 
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = construct_path(
-            particle, gbest, params, model, capped, rng, epsilon, stride_memo=memo,
-            move_table=table,
-        )
+        got = construct_path(particle, state, params, model, capped, rng, epsilon)
         want = reference_construct_path(
-            particle, gbest, params, model, capped, ref_rng, epsilon, stride_memo=ref_memo
+            particle, gbest, params, model, capped, ref_rng, epsilon
         )
         assert got == want
         assert rng.getstate() == ref_rng.getstate()
@@ -114,14 +112,11 @@ def test_coefficients_at_their_edges_match_the_reference_step_loop(c):
             for w, c1, c2 in ((c, c, c), (0.4, c, 1.0), (0.4, 1.0, c)):
                 params = PsoParams(inertia=w, cognitive=c1, social=c2, heuristic_weight=1.0)
                 paths = [None, None]
-                table = {}
+                state = PsoState([], paths[1])
                 for seed in range(6):
                     particle = Particle(current=paths[-1], pbest=paths[-2])
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    got = construct_path(
-                        particle, paths[1], params, model, dom, rng, 0.1,
-                        move_table=table,
-                    )
+                    got = construct_path(particle, state, params, model, dom, rng, 0.1)
                     want = reference_construct_path(
                         particle, paths[1], params, model, dom, ref_rng, 0.1
                     )
@@ -130,20 +125,20 @@ def test_coefficients_at_their_edges_match_the_reference_step_loop(c):
                     paths.append(got)
 
 
-def test_a_call_without_a_table_builds_what_a_shared_table_gives():
+def test_a_fresh_state_builds_what_a_shared_state_gives():
     dom = MazeDomain(generate_maze(6, 6, 0.3, 4))
-    table = {}
+    state = PsoState([])
     for seed in range(5):
-        alone = construct_path(Particle(), None, PsoParams(), None, dom, random.Random(seed), 0.1)
-        shared = construct_path(
-            Particle(), None, PsoParams(), None, dom, random.Random(seed), 0.1, move_table=table
+        alone = construct_path(
+            Particle(), PsoState([]), PsoParams(), None, dom, random.Random(seed), 0.1
         )
+        shared = construct_path(Particle(), state, PsoParams(), None, dom, random.Random(seed), 0.1)
         assert alone == shared
-    assert table
+    assert state.move_table
 
 
 def test_shared_tables_serve_calls_with_other_coefficients_and_macros():
-    # One move table, macro table and stride memo across calls whose
+    # One state's move table and macro table across calls whose
     # coefficients, epsilon, budget and live macros differ.  A cached law
     # serves only the terms it was built from, and the two guided models
     # give macro 4 the same id but other strides (E E and S S), so their
@@ -162,7 +157,7 @@ def test_shared_tables_serve_calls_with_other_coefficients_and_macros():
         (PsoParams(heuristic_weight=2.5), 0.4),
         (PsoParams(heuristic_weight=1.0), 0.1),
     ]
-    move_table, macro_table, memo = {}, {}, {}
+    state = PsoState([])
     for model in (None, first, second, first, None):
         for params, epsilon in calls:
             for cap in (60, 9):
@@ -174,10 +169,7 @@ def test_shared_tables_serve_calls_with_other_coefficients_and_macros():
                     # the previous one, so that steps meet and miss it.
                     particle = Particle(current=previous)
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    got = construct_path(
-                        particle, None, params, model, dom, rng, epsilon,
-                        stride_memo=memo, move_table=move_table, macro_table=macro_table,
-                    )
+                    got = construct_path(particle, state, params, model, dom, rng, epsilon)
                     want = reference_construct_path(
                         particle, None, params, model, dom, ref_rng, epsilon
                     )
@@ -186,8 +178,8 @@ def test_shared_tables_serve_calls_with_other_coefficients_and_macros():
                     previous = got
         if model is not None:
             flat = tuple(model.flatten_macro(4))
-            assert list(macro_table) == [((4, flat),)]
-    assert any(law is not None for *_, law in move_table.values())
+            assert list(state.macro_table) == [((4, flat),)]
+    assert any(law is not None for *_, law in state.move_table.values())
 
 
 # -- what the table holds after a run ------------------------------------------
@@ -274,7 +266,8 @@ def test_table_holds_one_entry_per_cell_and_entry_cell_met():
 
 def check_macro_table(state, dom, live):
     """The macro table holds the live set alone, and each of its entries
-    the candidates that set gives, recomputed from the step table."""
+    the walks and candidates that set gives, recomputed from the step
+    table."""
     step = dom.step_table
     (held, joined), = state.macro_table.items()
     assert held == live and joined
@@ -282,6 +275,7 @@ def check_macro_table(state, dom, live):
         moves, ends, *_ = state.move_table[key]
         cell = key % (len(step) // 4)
         cand, reached, depths, strides, reach = list(moves), list(ends), [1] * len(moves), [], 1
+        walks = []
         for macro_id, flat in live:
             if flat[0] not in moves:
                 continue
@@ -293,6 +287,7 @@ def check_macro_table(state, dom, live):
                 walked.append(at)
                 if at == dom.goal_index:
                     break
+            walks.append((macro_id, flat, tuple(walked), len(walked) if at < 0 else -1))
             if at < 0:  # a wall: no candidate, but the budget must hold it
                 reach = max(reach, len(walked) + 1)
                 continue
@@ -302,9 +297,9 @@ def check_macro_table(state, dom, live):
             depths.append(len(walked))
             strides.append((tuple(walked), flat))
         if strides:
-            want = (tuple(cand), tuple(reached), tuple(depths), tuple(strides), reach)
+            want = (tuple(cand), tuple(reached), tuple(depths), tuple(strides), reach, tuple(walks))
         else:
-            want = (moves, ends, None, None, reach)
+            want = (moves, ends, None, None, reach, tuple(walks))
         assert got == want, key
 
 

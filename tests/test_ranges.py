@@ -17,7 +17,7 @@ from ace.errors import ConfigError, check_range
 from ace.gca import GcaParams, GcaThresholds, apply_exploration_floor, softmax_floor
 from ace.loop import ExperimentConfig
 from ace.maze import MazeDomain, check_maze_shape, generate_maze
-from ace.pso import Particle, PsoParams, construct_path
+from ace.pso import Particle, PsoParams, PsoState, construct_path
 
 
 @pytest.mark.parametrize(
@@ -74,7 +74,7 @@ NAN_SETTINGS = {
     "apply_exploration_floor": lambda: apply_exploration_floor([(0, 1.0)], NAN),
     "softmax_floor": lambda: softmax_floor([0.0], NAN),
     "construct_path": lambda: construct_path(
-        Particle(), None, PsoParams(), None, _maze_domain(), random.Random(0), NAN),
+        Particle(), PsoState([]), PsoParams(), None, _maze_domain(), random.Random(0), NAN),
 }
 
 
