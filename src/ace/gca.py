@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import random
+from array import array
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -666,6 +667,22 @@ class GcaModel:
 
     # -- abstraction -----------------------------------------------------
 
+    def _mean(self, op: int, into: bool) -> float | None:
+        """Mean weight over the valid pairs (k, op) if into, else (op, k),
+        absent entries counted as zero; None when none is valid.  Summed
+        by add_up in ascending k."""
+        pruned = self._pruned_ids()
+        if op in pruned:
+            return None
+        # A pair is valid read either way round, so one list of partners
+        # serves the row and the column.
+        no_self = self.mask_mode == "no_self"
+        ks = [k for k in range(self.vocab_size) if k not in pruned and not (no_self and k == op)]
+        if not ks:
+            return None
+        w = self.weights
+        return add_up(w.column_weights(op, ks) if into else w.row_weights(op, ks)) / len(ks)
+
     def compute_lift(self, i: int, j: int) -> float:
         """Pair weight relative to the product of its marginal mean weights.
 
@@ -673,7 +690,13 @@ class GcaModel:
         entries counted as zero.  A zero (or empty) marginal yields +inf
         when the pair itself has weight, else 0.
         """
-        return _Promotion(self).lift(i, j)
+        self._check_id(i)
+        self._check_id(j)
+        w_ij = self.weights.get((i, j), 0.0)
+        denom = (self._mean(i, into=True) or 0.0) * (self._mean(j, into=False) or 0.0)
+        if denom == 0.0:
+            return math.inf if w_ij > 0 else 0.0
+        return w_ij / denom
 
     def scan_and_abstract(
         self, generation: int, k_max_new: int = DEFAULT_MAX_NEW_MACROS
@@ -687,9 +710,27 @@ class GcaModel:
         """
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
-        qualifying = _Promotion(self).qualifying(self.weights.entries())
-        cands = sorted((-w, i, j) for (i, j), w in qualifying)
-        return [self.add_macro(i, j, generation) for _, i, j in cands[:k_max_new]]
+        t = self.params.thresholds
+        weight_min, support_min = t.weight_min, t.support_min
+        # The pairs that clear the weight and support gates, in promotion
+        # order; the other gates are judged only until the cap is reached.
+        gated = sorted(
+            (-w, i, j)
+            for (i, j), w, count in self.weights.entries()
+            if w > weight_min and count >= support_min
+        )
+        promoted = {(m.left, m.right) for m in self.macros if not m.pruned}
+        chosen = []
+        for _, i, j in gated:
+            if len(chosen) >= k_max_new:
+                break
+            if (
+                self.valid_pair(i, j)
+                and (i, j) not in promoted
+                and self.compute_lift(i, j) >= t.lift_min
+            ):
+                chosen.append((i, j))
+        return [self.add_macro(i, j, generation) for i, j in chosen]
 
     def add_macro(self, left: int, right: int, generation: int = 0) -> MacroOperation:
         """Append a macro over two existing ops under the next id and grow
@@ -743,76 +784,19 @@ class GcaModel:
     def flatten_sequence(self, ops: list[int]) -> list[int]:
         """The atomic sequences of the given operations, concatenated."""
         flat = self._flat
-        n = len(flat)
-        out: list[int] = []
-        for op in ops:
-            if not 0 <= op < n:
-                self._check_id(op)  # raises DomainError
-            out.extend(flat[op])
-        return out
-
-
-class _Promotion:
-    """The promotion gates, judged against one unchanging model state.
-
-    The pruned ids and the promoted pairs are read once, and each op's
-    column and row mean weight is computed the first time a candidate
-    needs it, so a scan pays O(V) per op rather than per candidate.
-    """
-
-    def __init__(self, model: GcaModel):
-        self.model = model
-        self.pruned = model._pruned_ids()
-        self.no_self = model.mask_mode == "no_self"
-        self.promoted = {(m.left, m.right) for m in model.macros if not m.pruned}
-        self.unpruned = [k for k in range(model.vocab_size) if k not in self.pruned]
-        self.col_means: dict[int, float | None] = {}
-        self.row_means: dict[int, float | None] = {}
-
-    def _mean(self, op: int, into: bool) -> float | None:
-        """Mean weight over the valid pairs (k, op) if into, else (op, k),
-        absent entries counted as zero; None when none is valid.  Summed
-        by add_up in ascending k."""
-        means = self.col_means if into else self.row_means
-        if op in means:
-            return means[op]
-        # A pair is valid read either way round, so one list of partners
-        # serves the row and the column.
-        if op in self.pruned:
-            ks = []
-        elif self.no_self:
-            ks = [k for k in self.unpruned if k != op]
-        else:
-            ks = self.unpruned
-        weights = self.model.weights
-        total = add_up(weights.column_weights(op, ks) if into else weights.row_weights(op, ks))
-        means[op] = mean = total / len(ks) if ks else None
-        return mean
-
-    def lift(self, i: int, j: int) -> float:
-        model = self.model
-        model._check_id(i)
-        model._check_id(j)
-        w_ij = model.weights.get((i, j), 0.0)
-        denom = (self._mean(i, into=True) or 0.0) * (self._mean(j, into=False) or 0.0)
-        if denom == 0.0:
-            return math.inf if w_ij > 0 else 0.0
-        return w_ij / denom
-
-    def qualifying(self, entries):
-        """The ((i, j), weight) of each ((i, j), weight, support count)
-        entry given that clears every promotion gate, in the order given."""
-        t = self.model.params.thresholds
-        weight_min, support_min, lift_min = t.weight_min, t.support_min, t.lift_min
-        for (i, j), w, count in entries:
-            if (
-                w > weight_min
-                and count >= support_min
-                and self.model.valid_pair(i, j)
-                and (i, j) not in self.promoted
-                and self.lift(i, j) >= lift_min
-            ):
-                yield (i, j), w
+        try:
+            # An unsigned array takes only ints >= 0, so an id that is
+            # negative or not an int raises here, and one past the table
+            # in the walk: no per-op check.
+            array("Q", ops)
+            out: list[int] = []
+            for op in ops:
+                out.extend(flat[op])
+            return out
+        except (OverflowError, TypeError, IndexError):
+            pass
+        # Some id is not in the vocabulary: raise as flatten_macro does.
+        return [x for op in ops for x in self.flatten_macro(op)]
 
 
 # -- serialization --------------------------------------------------------

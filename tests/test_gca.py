@@ -747,25 +747,42 @@ def _reference_scan(m, k):
 @pytest.mark.parametrize("mask_mode", ["all", "no_self"])
 def test_scan_promotes_exactly_the_first_k_qualifying_pairs(mask_mode):
     rng = random.Random(17)
-    promoted = 0
-    for _ in range(200):
+    t = GcaThresholds()
+    promoted = judged_past_a_rejection = 0
+    for trial in range(300):
         m = make_model(n_atomic=rng.randint(2, 5), mask_mode=mask_mode)
         for _ in range(rng.randint(0, 4)):
             m.add_macro(rng.randrange(m.vocab_size), rng.randrange(m.vocab_size))
         for mac in m.macros:
             mac.pruned = rng.random() < 0.4
         n = m.vocab_size
+        weights = {}
+        if trial % 3 == 0:
+            # Flat heavy rows over all ops but the last: the heaviest
+            # gated pairs have a lift near 1 and fail that gate, while a
+            # lighter pair into the last op's empty column can pass.
+            weights = {(i, j): rng.uniform(1.0, 1.5) for i in range(n - 1) for j in range(n - 1)}
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 25))]
         # Pairs already promoted, so that gate is met too.
         pairs += [(mac.left, mac.right) for mac in m.macros if rng.random() < 0.5]
-        weights = {p: rng.choice([rng.uniform(0, 1.5), 0.9]) for p in pairs}
-        m.weights = PairTable(weights, {p: rng.randint(0, 6) for p in weights})
+        for p in pairs:
+            # Weights on and around the weight gate, 0.0 and inf among them.
+            weights[p] = rng.choice([rng.uniform(0, 1.5), 0.9, t.weight_min, 0.0, math.inf])
+        counts = {p: rng.choice([rng.randint(0, 6), t.support_min]) for p in weights}
+        m.weights = PairTable(weights, counts)
         k = rng.randint(1, 4)
         expected = _reference_scan(m, k)
+        heaviest = min(
+            ((-w, i, j) for (i, j), w in weights.items()
+             if w > t.weight_min and counts[i, j] >= t.support_min),
+            default=None,
+        )
+        if expected and heaviest[1:] != expected[0]:
+            judged_past_a_rejection += 1
         created = m.scan_and_abstract(3, k)
         assert [(mac.left, mac.right) for mac in created] == expected
         promoted += len(created)
-    assert promoted > 50
+    assert promoted > 50 and judged_past_a_rejection > 30
 
 
 # -- expansion -----------------------------------------------------------------
@@ -867,7 +884,10 @@ def test_flatten_nested_macro():
     assert m.flatten_sequence([5, 3]) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("op", [-1, -5, 5, 6])
+# Vocabulary size V = 5: ids from -2V-1 to 2V, the negative ones that a
+# list index would wrap round onto an op among them, one past any
+# unsigned 64-bit int, and a float.
+@pytest.mark.parametrize("op", [-11, -10, -6, -5, -1, 5, 6, 7, 8, 9, 10, 2**64, 7.5])
 def test_flatten_rejects_ids_outside_vocabulary(op):
     m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])  # vocab_size 5
     with pytest.raises(DomainError, match="outside vocabulary"):
@@ -876,6 +896,14 @@ def test_flatten_rejects_ids_outside_vocabulary(op):
         m.flatten_sequence([0, 4, op])
     with pytest.raises(DomainError, match="outside vocabulary"):
         m.flatten_macro(op)
+
+
+@pytest.mark.parametrize("op", [1.5, 2.0, -0.0, None, "1"])
+def test_flatten_rejects_ids_that_are_not_ints(op):
+    m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])
+    with pytest.raises(TypeError):
+        m.flatten_sequence([0, 4, op])
+    assert m.flatten_sequence([True, 4]) == [1, 0, 1]  # a bool indexes as an int
 
 
 @pytest.mark.parametrize(

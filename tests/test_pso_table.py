@@ -105,20 +105,26 @@ def test_construct_path_matches_the_reference_step_loop(data):
 def test_coefficients_at_their_edges_match_the_reference_step_loop(c):
     # A standard step where neither best meets a candidate scores without
     # its alignment variates: c * r * 0 must come out as the step loop's
-    # for every c (-0.0 keeps its sign, inf gives NaN).  Each path is the
-    # next one's previous path, so that the bests meet candidates too.
+    # for every c (-0.0 keeps its sign, inf gives NaN).  The last three
+    # paths built are the previous path, the particle best and the swarm
+    # best, so that each of the three meets candidates too; the last
+    # model's macros (E E and S S) are scored at their own depth.
+    striding = make_model()
+    striding.add_macro(1, 1)
+    striding.add_macro(2, 2)
     for dom in (MazeDomain(generate_maze(7, 7, 0.5, 3)), GridStub(5, 5)):
-        for model in (None, make_model()):
+        for model in (None, make_model(), striding):
             for w, c1, c2 in ((c, c, c), (0.4, c, 1.0), (0.4, 1.0, c)):
                 params = PsoParams(inertia=w, cognitive=c1, social=c2, heuristic_weight=1.0)
-                paths = [None, None]
-                state = PsoState([], paths[1])
+                paths = [None, None, None]
+                state = PsoState([])
                 for seed in range(6):
                     particle = Particle(current=paths[-1], pbest=paths[-2])
+                    state.gbest = paths[-3]
                     rng, ref_rng = random.Random(seed), random.Random(seed)
                     got = construct_path(particle, state, params, model, dom, rng, 0.1)
                     want = reference_construct_path(
-                        particle, paths[1], params, model, dom, ref_rng, 0.1
+                        particle, paths[-3], params, model, dom, ref_rng, 0.1
                     )
                     assert got == want, (w, c1, c2, seed)
                     assert rng.getstate() == ref_rng.getstate()
