@@ -566,16 +566,18 @@ class GcaModel:
         (i, j) additionally receives learning_rate * gain *
         (counts_a[i]*counts_b[j] + counts_b[i]*counts_a[j]), restricted to
         the valid transition relation, and its support count increments.
-        Returns the gain.  Count vectors of the wrong length, a gain that
-        is not finite, or a positive gain whose increment learning_rate *
-        gain, or a resulting weight, is not finite raise DomainError before
-        anything changes.
+        Returns the gain.  Count vectors of the wrong length or with a
+        negative count, a gain that is not finite, or a positive gain whose
+        increment learning_rate * gain, or a resulting weight, is not
+        finite raise DomainError before anything changes.
         """
         n = self.vocab_size
         if len(counts_a) != n or len(counts_b) != n:
             raise DomainError(
                 f"count vectors must have length {n}, got {len(counts_a)} and {len(counts_b)}"
             )
+        if min(counts_a, default=0) < 0 or min(counts_b, default=0) < 0:
+            raise DomainError("count vectors must not hold a negative count")
         gain = fit_child - 0.5 * (fit_a + fit_b)
         scale = self._increment_scale(gain)
         rows = self._pair_rows(counts_a, counts_b) if scale else []
@@ -599,7 +601,8 @@ class GcaModel:
     def _pair_rows(self, counts_a: list[int], counts_b: list[int]) -> list:
         """(i, columns, terms) for each row i of the pairs (i, j) with a
         positive term that the transition relation admits, as the pair
-        update reinforces them; no row is empty."""
+        update reinforces them; no row is empty.  The counts are not
+        negative, so every term of two nonzero counts is positive."""
         pruned = self._pruned_ids()
         nz_a = [i for i, c in enumerate(counts_a) if c and i not in pruned]
         nz_b = [i for i, c in enumerate(counts_b) if c and i not in pruned]
@@ -615,20 +618,15 @@ class GcaModel:
         rows = []
         for i in nz_a:
             columns = [j for j in nz_b if j != i] if no_self and i in in_b else nz_b
-            ai, bi = a[i], b[i]
-            rows.append((i, columns, [ai * b[j] + bi * a[j] for j in columns]))
+            if columns:
+                ai, bi = a[i], b[i]
+                rows.append((i, columns, [ai * b[j] + bi * a[j] for j in columns]))
         for i in nz_b:
             columns = only_a if i in in_a else nz_a
-            bi = b[i]
-            rows.append((i, columns, [bi * a[j] for j in columns]))
-        kept = []
-        for i, columns, terms in rows:
-            if terms and min(terms) <= 0:  # only with a negative count
-                columns = [j for j, term in zip(columns, terms) if term > 0]
-                terms = [term for term in terms if term > 0]
-            if terms:
-                kept.append((i, columns, terms))
-        return kept
+            if columns:
+                bi = b[i]
+                rows.append((i, columns, [bi * a[j] for j in columns]))
+        return rows
 
     def hebbian_trajectory_update(self, ops: list[int], gain: float) -> None:
         """Single-trajectory reinforcement: strengthen each adjacent pair.

@@ -64,8 +64,8 @@ MoveTable = dict[
 # A step's candidates with the live macros joined: (cand, ends, depths,
 # strides, reach, walks) (see PsoState).
 MacroMoves = tuple[
-    tuple[int, ...], tuple[int, ...], tuple[int, ...] | None,
-    tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None, int,
+    tuple[int, ...], tuple[int, ...], tuple[int, ...],
+    tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], int,
     tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...],
 ]
 
@@ -131,7 +131,6 @@ def _macro_moves(cand, ends, walks, room: float) -> MacroMoves:
     joins, its stride cut to room, unless it meets a wall within room;
     reach is the smallest budget that holds each joined stride and each
     such wall (the move into it included)."""
-    allowed, atomic_ends = cand, ends
     cand, ends, depths, strides, reach = list(cand), list(ends), [1] * len(cand), [], 1
     for macro_id, flat, cells, wall in walks:
         if 0 <= wall < room:
@@ -144,8 +143,6 @@ def _macro_moves(cand, ends, walks, room: float) -> MacroMoves:
         ends.append(cells[-1])
         depths.append(len(cells))
         strides.append((cells, flat))
-    if not strides:
-        return allowed, atomic_ends, None, None, reach, walks
     return tuple(cand), tuple(ends), tuple(depths), tuple(strides), reach, walks
 
 
@@ -162,39 +159,44 @@ def construct_path(
     best and through the two tables of state (see PsoState), which it
     fills as it goes; what they already hold changes no path.
 
-    At each node every valid move is scored (immediate backtracking is
-    excluded unless it is the only way out); in guided mode, unpruned
-    macros whose first move is currently allowed compete as candidates
-    too.  A macro's flattened stride is walked in simulation first: any
-    wall along it drops the macro from this step's candidate set (which
-    leaves the same selection distribution as sampling it, rejecting,
-    and redrawing without it, since scores are unaffected).  Surviving
-    macros are scored at the cell their stride reaches, with alignment
-    checked at the corresponding path depth, and carry their own learned
-    transition probability.  That learned term is the floored
-    probability of the candidate among this step's candidates,
-    conditioned on the op that entered the node (uniform at the path
-    start); it is zero without a model.  epsilon is the run's
+    At each node the candidates are the valid moves (immediate
+    backtracking is excluded unless it is the only way out) and, in guided
+    mode, the unpruned macros whose first move is among them.  A macro's
+    flattened stride is walked in simulation first: any wall along it
+    drops the macro from this step's candidate set (which leaves the same
+    selection distribution as sampling it, rejecting, and redrawing
+    without it, since scores are unaffected).  epsilon is the run's
     exploration floor for the candidate selection; it must lie in (0, 1),
-    which is checked before any variate is drawn.  A step with a single
-    candidate takes it unscored, since a one-entry distribution selects
-    it whatever its score, and advances the generator as the three
-    random() calls of a scored candidate would (two for alignment, one
-    for the selection).  While no macro is live, such a step begins a
-    corridor: the forced steps after it are taken with it in one go (see
-    _corridor), cut to the path-length cap, and the generator advances by
-    getrandbits(192 * steps), which consumes the 6 * steps 32-bit outputs
-    that 3 * steps random() calls would.  Likewise, in a standard step
-    where no reference path (the previous path, the personal or the
-    swarm best) sits on a candidate's end cell, each alignment term is
-    c * r * 0, the same float whatever r: its 2 * candidates alignment
-    variates are passed over with getrandbits(128 * candidates), its
-    scores depend on its (cell, entry cell) alone, and it selects with
-    bisect_right over the running sums of its law (see
-    softmax_floor_sums), the same floats softmax_floor_choice would
-    compare with the same one random() variate.  Construction stops at
-    the goal or at the path-length cap, the domain's
-    default_max_path_len.
+    which is checked before any variate is drawn.  Each step takes one of
+    four paths:
+    - Forced: one move and no macro joined.  A one-entry distribution
+      selects it whatever its score, so it is taken unscored.  While no
+      macro is live it begins a corridor: the forced steps after it are
+      taken with it in one go (see _corridor), cut to the path-length
+      cap.  Either way the generator advances by getrandbits(192 *
+      steps), which consumes the 6 * steps 32-bit outputs that the 3 *
+      steps random() calls of scoring would (two alignment variates and
+      one selection variate per step).
+    - Guided, scored: each candidate is scored at the cell it reaches,
+      with alignment checked at the path depth it ends on (a macro's
+      stride, a move one step), plus its learned transition
+      probability: the floored probability of the candidate among this
+      step's candidates, conditioned on the op that entered the node
+      (uniform at the path start).
+    - Standard, met: some reference path (the previous path, the
+      personal or the swarm best) sits on a candidate's end cell; each
+      candidate draws its two alignment variates and the step selects
+      through softmax_floor_choice.
+    - Standard, unmet: no reference path sits on a candidate's end cell,
+      so each alignment term is c * r * 0, the same float whatever r: its
+      2 * candidates alignment variates are passed over with
+      getrandbits(128 * candidates), its scores depend on its (cell,
+      entry cell) alone, and it selects with bisect_right over the
+      running sums of its law (see softmax_floor_sums), the same floats
+      softmax_floor_choice would compare with the same one random()
+      variate.
+    Construction stops at the goal or at the path-length cap, the
+    domain's default_max_path_len.
     """
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
@@ -246,6 +248,8 @@ def construct_path(
     moves: list[int] = []
     steps = 0
 
+    # Without a live macro every candidate is a move, one step deep.
+    depths, strides = repeat(1), ()
     terminate_at_dead_ends = params.dead_end_mode == "terminate"
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
@@ -258,27 +262,6 @@ def construct_path(
         if dead_end and (terminate_at_dead_ends or not cand):
             break
         n_moves = len(cand)
-        if n_moves == 1 and not live:
-            # A corridor: its forced steps at once, up to the cap.
-            if corridor is None:
-                corridor = _corridor(step, move_table, cur, prev_cell, goal)
-                move_table[key] = (cand, ends, dead_end, corridor, law)
-            run, cells = corridor
-            taken = len(run)
-            if taken > max_len - steps:
-                taken = max_len - steps
-                run, cells = run[:taken], cells[:taken]
-            getrandbits(192 * taken)
-            moves += run
-            ops += run
-            states += cells
-            steps += taken
-            prev_op = run[-1]
-            prev_cell = states[-2]
-            cur = cells[-1]
-            continue
-
-        strides = None  # (cells, flat) per macro, once one joins
         if live:
             try:
                 joined_moves = joined[key]
@@ -293,25 +276,39 @@ def construct_path(
                 # Near the cap a stride may be cut to the budget, and a
                 # wall beyond it no longer drops its macro.
                 joined_moves = _macro_moves(cand, ends, joined_moves[5], room)
-            if joined_moves[3] is not None:
-                cand, ends, depths, strides, _, _ = joined_moves
+            cand, ends, depths, strides, _, _ = joined_moves
 
-        if n_moves == 1 and strides is None:
-            # A lone candidate is an atomic move (a macro competes only
-            # beside its first move), and any score selects it: only the
-            # two alignment variates and the selection variate remain.
-            rand()
-            rand()
-            rand()
-            pick = 0
-        elif strides is not None:
-            # A macro's candidate ends at its own depth.  A bool counts as
-            # 1 or 0: the alignment terms are coefficient * 1.0 or
-            # coefficient * 0.0, as a 0/1 float would.  Each score is
-            # (((heuristic + inertia) + cognitive) + social), plus the
-            # learned term in guided mode, its two variates drawn in that
-            # order.  Each kind of step has its own loop: a macro's depth,
-            # or the learned term, costs nothing where it cannot occur.
+        if n_moves == 1 and not strides:
+            # A forced step: any score selects its one atomic move (a
+            # macro competes only beside its first move).  With no macro
+            # live it begins a corridor, taken at once up to the cap.
+            if live:
+                run, cells = cand, ends
+            else:
+                if corridor is None:
+                    corridor = _corridor(step, move_table, cur, prev_cell, goal)
+                    move_table[key] = (cand, ends, dead_end, corridor, law)
+                run, cells = corridor
+            taken = len(run)
+            if taken > max_len - steps:
+                taken = max_len - steps
+                run, cells = run[:taken], cells[:taken]
+            getrandbits(192 * taken)
+            moves += run
+            ops += run
+            states += cells
+            steps += taken
+            prev_op = run[-1]
+            prev_cell = states[-2]
+            cur = cells[-1]
+            continue
+
+        if guided:
+            # Each candidate ends at its own depth (1 for a move).  A bool
+            # counts as 1 or 0: the alignment terms are coefficient * 1.0
+            # or coefficient * 0.0, as a 0/1 float would.  Each score is
+            # (((heuristic + inertia) + cognitive) + social) + learned,
+            # its two variates drawn in that order.
             if prev_op is None:
                 learned = repeat(1.0 / len(cand))
             else:
@@ -332,21 +329,7 @@ def construct_path(
             on_prev = prev_states[at] if at < n_prev else -1
             on_pbest = pbest_states[at] if at < n_pbest else -1
             on_gbest = gbest_states[at] if at < n_gbest else -1
-            if guided:
-                if prev_op is None:
-                    learned = repeat(1.0 / n_moves)
-                else:
-                    learned = model.floored_distribution(prev_op, cand)
-                scores = [
-                    alpha * heuristic[end]
-                    + w * (on_prev == end)
-                    + c1 * rand() * (on_pbest == end)
-                    + c2 * rand() * (on_gbest == end)
-                    + lam * p
-                    for end, p in zip(ends, learned)
-                ]
-                pick = softmax_floor_choice(scores, epsilon, rng)
-            elif on_prev in ends or on_pbest in ends or on_gbest in ends:
+            if on_prev in ends or on_pbest in ends or on_gbest in ends:
                 scores = [
                     alpha * heuristic[end]
                     + w * (on_prev == end)
@@ -413,11 +396,10 @@ class PsoState:
     - moves are the step's atomic candidates in N, E, S, W order and ends
       the cells they reach; dead_end tells that the only way out, if any,
       leads back to the entry cell, and moves then hold that way back.
-    - corridor is None until a step with one candidate is taken there with
-      no macro live; it then holds the corridor that step begins (see
-      _corridor).
-    - law is None until a standard step there is scored with no reference
-      path on any end cell.  It then holds (terms, sums): terms are the
+    - corridor is None until a forced step is taken there with no macro
+      live; it then holds the corridor that step begins (see _corridor).
+    - law is None until a standard, unmet step is taken there (see
+      construct_path).  It then holds (terms, sums): terms are the
       step's (heuristic_weight, inertia term, cognitive term, social term,
       epsilon), where an alignment term no reference path meets reads
       c * 0 or c * r * 0, and sums are softmax_floor_sums of the scores
@@ -434,8 +416,8 @@ class PsoState:
       is the index of the move into the wall (-1 if none).
     - cand holds the atomic moves, then each walked macro that meets no
       wall; ends the cells they reach, depths the steps each takes (1 for
-      a move), and strides the (cells, flat) of each macro (depths and
-      strides None if no macro joins).
+      a move), and strides the (cells, flat) of each macro, () if none
+      joins.
     - reach is the smallest budget that holds each joined stride and each
       wall (the move into it included).  A step whose remaining budget is
       at least reach takes these candidates; nearer the cap, a step joins

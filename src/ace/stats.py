@@ -93,7 +93,6 @@ def wilcoxon_signed_rank(paired: PairedSample) -> tuple[float, float]:
         p = min(1.0, hits / 2**n)
         return stat, p
 
-    tie_sizes = []
     seen: dict[float, int] = {}
     for d in diffs:
         seen[abs(d)] = seen.get(abs(d), 0) + 1

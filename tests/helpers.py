@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import io
 import json
 import math
 import random
+import tokenize
 import tracemalloc
 from bisect import bisect_right
 from itertools import repeat
@@ -392,3 +395,26 @@ def model_io_peaks(model: GcaModel) -> tuple[float, float]:
         del result
         ratios.append((peak - base) / len(text))
     return ratios[0], ratios[1]
+
+
+def code_lines(path) -> int:
+    """The lines of the Python source at path that hold code: not blank,
+    not only a comment, and not part of a module, class or function
+    docstring.  A line that a multi-line expression or string spans
+    counts once."""
+    with open(path, encoding="utf-8") as f:
+        source = f.read()
+    lines = set()
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+               tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skipped:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, owners) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)

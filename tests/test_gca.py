@@ -425,6 +425,22 @@ def test_pair_update_length_mismatch():
         m.hebbian_pair_update([1, 0], [0, 1, 0, 0], 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("fit_child", [2.0, 0.0, -1.0])
+def test_pair_update_negative_count_raises_before_any_change(fit_child):
+    # Whatever the gain, a negative count is rejected with weights, support
+    # and sampling rows unchanged, rather than some pairs being reinforced
+    # and those whose terms it made non-positive dropped.
+    m = make_model(weights={(0, 1): 1.0, (2, 3): 0.5}, support={(0, 1): 2}, decay=0.5)
+    row = m.floored_distribution(0, [1, 2, 3])
+    rows = dict(m._row_cache)
+    for counts in (([-1, 1, 0, 0], [0, 1, 0, 2]), ([0, 1, 0, 2], [-1, 1, 0, 0])):
+        with pytest.raises(DomainError, match="negative count"):
+            m.hebbian_pair_update(*counts, 0.0, 0.0, fit_child)
+    assert m.weights == {(0, 1): 1.0, (2, 3): 0.5}
+    assert m.weights.support() == {(0, 1): 2}
+    assert m._row_cache == rows and m.floored_distribution(0, [1, 2, 3]) == row
+
+
 def test_pair_update_locality():
     rng = random.Random(5)
     for _ in range(100):

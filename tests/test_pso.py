@@ -340,7 +340,7 @@ def test_macro_table_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
     # reach to 3.
     walks = ((5, (1, 1, 1), (1, 2), 2),)
     (joined,) = state.macro_table.values()
-    assert joined[-6] == ((1, 2), (1, 3), None, None, 3, walks)
+    assert joined[-6] == ((1, 2), (1, 3), (1, 1), (), 3, walks)
     for cap, first_scores in ((1, [0.0, 0.0, 0.0]), (2, [0.0, 0.0, 100.0]), (3, [0.0, 0.0])):
         capped = copy.copy(dom)  # the same maze, the step budget cut to cap
         capped.default_max_path_len = cap
@@ -358,10 +358,13 @@ def test_macro_table_filled_far_from_the_cap_is_cut_to_each_step(monkeypatch):
             )
             assert (shared.states, shared.ops) == (alone.states, alone.ops)
     assert state.macro_table == {((5, (1, 1, 1)),): joined}
-    assert joined[-6] == ((1, 2), (1, 3), None, None, 3, walks)
+    assert joined[-6] == ((1, 2), (1, 3), (1, 1), (), 3, walks)
 
 
 class CountingRandom(random.Random):
+    """Counts the random() variates drawn, getrandbits(64 * n) as the n
+    random() calls whose outputs it consumes."""
+
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = 0
@@ -370,11 +373,16 @@ class CountingRandom(random.Random):
         self.calls += 1
         return super().random()
 
+    def getrandbits(self, k):
+        assert k % 64 == 0, k
+        self.calls += k // 64
+        return super().getrandbits(k)
+
 
 def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
     # draw order is part of the result: two variates per candidate (atomic
-    # moves, then macros), then one for the selection; a step with one
-    # candidate goes unscored but draws the same three (k = 1)
+    # moves, then macros), then one for the selection; a forced step goes
+    # unscored but advances the generator by the same three (k = 1)
     model = make_model(weights={(1, 2): 1.0, (2, 1): 0.5})
     for left, right in ((1, 1), (2, 2), (1, 2)):
         model.add_macro(left, right)

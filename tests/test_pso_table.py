@@ -302,10 +302,7 @@ def check_macro_table(state, dom, live):
             reached.append(walked[-1])
             depths.append(len(walked))
             strides.append((tuple(walked), flat))
-        if strides:
-            want = (tuple(cand), tuple(reached), tuple(depths), tuple(strides), reach, tuple(walks))
-        else:
-            want = (moves, ends, None, None, reach, tuple(walks))
+        want = (tuple(cand), tuple(reached), tuple(depths), tuple(strides), reach, tuple(walks))
         assert got == want, key
 
 
