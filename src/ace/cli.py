@@ -314,6 +314,16 @@ def _load_json(path, what: str):
         raise ParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
+def _open_out(path: Path, newline: str | None = None):
+    """path opened to write text, its directory made if need be;
+    ConfigError naming the path when either cannot be."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def derive_seed(suite_seed: int, arm_name: str, instance_id: str, run_index: int) -> int:
     """Stable 64-bit run seed; keyed by arm name so filtering arms does
     not reshuffle the seeds of the remaining ones."""
@@ -382,20 +392,22 @@ def orchestrate(
 ) -> list[dict]:
     """Run every (arm, instance, run) combination, streaming finished
     records to records.jsonl.  On failure the partial records file stays
-    in place and an error manifest is written before re-raising."""
+    in place and an error manifest is written before re-raising.  An
+    output directory or records file that cannot be made raises
+    ConfigError before any run."""
     workers = parallelism if parallelism is not None else suite.parallelism
     _check_parallelism(workers)
     tasks = build_tasks(suite, arm_filter)
     workers = min(workers, len(tasks))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jsonl_path = out_dir / "records.jsonl"
+    jsonl = _open_out(out_dir / "records.jsonl")
     records = []
     log.info("starting suite: %d runs, parallelism %d", len(tasks), workers)
 
     def _consume(row: dict, jsonl) -> None:
         if "_model_json" in row:
             name = f"gca_{row['arm']}_{row['maze_id']}_{row['run_index']}.json"
-            (out_dir / name).write_text(row["_model_json"], encoding="utf-8")
+            with _open_out(out_dir / name) as f:
+                f.write(row["_model_json"])
         row = {k: v for k, v in row.items() if not k.startswith("_")}
         records.append(row)
         jsonl.write(json.dumps(row) + "\n")
@@ -407,7 +419,7 @@ def orchestrate(
         )
 
     try:
-        with open(jsonl_path, "w", encoding="utf-8") as jsonl:
+        with jsonl:
             if workers <= 1:
                 for task in tasks:
                     _consume(_execute_run(task, save_models), jsonl)
@@ -443,20 +455,20 @@ def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = 
     configured generation count)."""
     if not records:
         raise ConfigError("no records to export")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ordered = _sorted_records(records)
 
-    with open(out_dir / "records.csv", "w", newline="", encoding="utf-8") as f:
+    with _open_out(out_dir / "records.csv", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in ordered:
             writer.writerow([r[c] for c in CSV_COLUMNS])
 
     doc = {"suite": suite_doc or {}, "records": ordered}
-    with open(out_dir / "records.json", "w", encoding="utf-8") as f:
+    with _open_out(out_dir / "records.json") as f:
         json.dump(doc, f, indent=1)
 
-    (out_dir / "summary.txt").write_text(render_summary(ordered), encoding="utf-8")
+    with _open_out(out_dir / "summary.txt") as f:
+        f.write(render_summary(ordered))
 
     arms = sorted({r["arm"] for r in ordered})
     for arm in arms:
@@ -466,7 +478,7 @@ def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = 
         for r in arm_records:
             h = r["best_fitness_by_generation"]
             curves.append(h + [h[-1]] * (horizon - len(h)) if h else [0.0] * horizon)
-        with open(out_dir / f"curves_{arm}.csv", "w", newline="", encoding="utf-8") as f:
+        with _open_out(out_dir / f"curves_{arm}.csv", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["generation", "mean_best_fitness", "sd_best_fitness"])
             for g in range(horizon):
@@ -535,11 +547,10 @@ def _summary_records(doc) -> list[dict]:
 def cmd_stats(args) -> int:
     records = _summary_records(_load_json(args.records, "records file"))
     text = render_summary(records)
-    print(text)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.txt").write_text(text, encoding="utf-8")
+        with _open_out(Path(args.out) / "summary.txt") as f:
+            f.write(text)
+    print(text)
     return 0
 
 
@@ -562,7 +573,8 @@ def cmd_maze(args) -> int:
     text = maze_to_text(maze)
     length, _ = bfs_shortest_path(maze)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _open_out(Path(args.out)) as f:
+            f.write(text)
         print(f"wrote maze to {args.out}")
     else:
         print(text, end="")

@@ -28,15 +28,15 @@ class PsoParams:
     social: float = 1.0             # swarm-best alignment
     heuristic_weight: float = 0.5   # goal-distance bias, active in both modes
     guidance_weight: float = 1.0    # learned transition term, guided mode only
-    # What happens when the only way out is the cell just departed:
-    # "backtrack" turns around, "terminate" ends the walk there.
-    dead_end_mode: str = "backtrack"
+    # What happens when the only way out is the cell just departed: the
+    # walk ends there ("terminate", the one rule).
+    dead_end_mode: str = "terminate"
 
     def validate(self) -> None:
         for name in ("inertia", "cognitive", "social", "heuristic_weight", "guidance_weight"):
             check_range(name, getattr(self, name), 0, math.inf, open_high=True)
-        if self.dead_end_mode not in ("backtrack", "terminate"):
-            raise ConfigError(f"unknown dead_end_mode {self.dead_end_mode!r}")
+        if self.dead_end_mode != "terminate":
+            raise ConfigError(f"dead_end_mode {self.dead_end_mode!r}: only 'terminate' is supported")
 
 
 @dataclass
@@ -56,10 +56,8 @@ Corridor = tuple[tuple[int, ...], tuple[int, ...]]
 # A cached selection law: (terms, sums) (see PsoState).
 Law = tuple[tuple[float, float, float, float, float], list[float]]
 
-# (cell, entry cell) key -> (moves, ends, dead_end, corridor, law) (see PsoState).
-MoveTable = dict[
-    int, tuple[tuple[int, ...], tuple[int, ...], bool, Corridor | None, Law | None]
-]
+# (cell, entry cell) key -> (moves, ends, corridor, law) (see PsoState).
+MoveTable = dict[int, tuple[tuple[int, ...], tuple[int, ...], Corridor | None, Law | None]]
 
 # A step's candidates with the live macros joined: (cand, ends, depths,
 # strides, reach, walks) (see PsoState).
@@ -75,24 +73,20 @@ MacroTable = dict[tuple[tuple[int, tuple[int, ...]], ...], dict[int, MacroMoves]
 
 def _step_moves(step: list[int], cell: int, entry: int):
     """A move-table entry: the atomic candidates of a step at cell
-    entered from entry, its corridor and law not yet known."""
+    entered from entry, none at a dead end, its corridor and law not yet
+    known."""
     ways = step[4 * cell:4 * cell + 4]
     moves = tuple(m for m in (0, 1, 2, 3) if ways[m] != entry and ways[m] >= 0)
-    dead_end = not moves
-    if dead_end:
-        moves = tuple(m for m in (0, 1, 2, 3) if ways[m] >= 0)
-    return moves, tuple(ways[m] for m in moves), dead_end, None, None
+    return moves, tuple(ways[m] for m in moves), None, None
 
 
 def _corridor(step: list[int], move_table: MoveTable, cell: int, entry: int, goal: int) -> Corridor:
     """The corridor from cell entered from entry, whose step (stored in
     move_table) has one candidate: the moves and the cells reached of that
     step and of each forced step after it, up to the goal.  It ends before
-    a step with another number of candidates, a dead end or a (cell, entry
-    cell) already in it, so that a dead end's turn, which depends on the
-    dead-end mode, always begins a corridor of its own.  Steps past the
-    first are read without being stored, as a walk cut short would not
-    have met them."""
+    a step without exactly one candidate (a dead end has none) or a (cell,
+    entry cell) already in it.  Steps past the first are read without
+    being stored, as a walk cut short would not have met them."""
     n_cells = len(step) >> 2
     key = entry * n_cells + cell
     (move,), (nxt,), *_ = move_table[key]
@@ -103,8 +97,8 @@ def _corridor(step: list[int], move_table: MoveTable, cell: int, entry: int, goa
         if key in seen:
             break
         seen.add(key)
-        cand, ends, dead_end, *_ = move_table.get(key) or _step_moves(step, cell, entry)
-        if dead_end or len(cand) != 1:
+        cand, ends, *_ = move_table.get(key) or _step_moves(step, cell, entry)
+        if len(cand) != 1:
             break
         moves.append(cand[0])
         nxt = ends[0]
@@ -159,16 +153,15 @@ def construct_path(
     best and through the two tables of state (see PsoState), which it
     fills as it goes; what they already hold changes no path.
 
-    At each node the candidates are the valid moves (immediate
-    backtracking is excluded unless it is the only way out) and, in guided
-    mode, the unpruned macros whose first move is among them.  A macro's
-    flattened stride is walked in simulation first: any wall along it
-    drops the macro from this step's candidate set (which leaves the same
-    selection distribution as sampling it, rejecting, and redrawing
-    without it, since scores are unaffected).  epsilon is the run's
-    exploration floor for the candidate selection; it must lie in (0, 1),
-    which is checked before any variate is drawn.  Each step takes one of
-    four paths:
+    At each node the candidates are the valid moves but the one back to
+    the cell just left and, in guided mode, the unpruned macros whose
+    first move is among them.  A macro's flattened stride is walked in
+    simulation first: any wall along it drops the macro from this step's
+    candidate set (which leaves the same selection distribution as
+    sampling it, rejecting, and redrawing without it, since scores are
+    unaffected).  epsilon is the run's exploration floor for the
+    candidate selection; it must lie in (0, 1), which is checked before
+    any variate is drawn.  Each step takes one of four paths:
     - Forced: one move and no macro joined.  A one-entry distribution
       selects it whatever its score, so it is taken unscored.  While no
       macro is live it begins a corridor: the forced steps after it are
@@ -195,8 +188,9 @@ def construct_path(
       running sums of its law (see softmax_floor_sums), the same floats
       softmax_floor_choice would compare with the same one random()
       variate.
-    Construction stops at the goal or at the path-length cap, the
-    domain's default_max_path_len.
+    Construction stops at the goal, at a dead end (a cell whose only way
+    out is back) or at the path-length cap, the domain's
+    default_max_path_len.
     """
     check_range("exploration floor", epsilon, 0, 1, open_low=True, open_high=True)
     step = domain.step_table
@@ -250,16 +244,15 @@ def construct_path(
 
     # Without a live macro every candidate is a move, one step deep.
     depths, strides = repeat(1), ()
-    terminate_at_dead_ends = params.dead_end_mode == "terminate"
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
         # order; each ends on a cell, at an index of the path being built.
         key = prev_cell * n_cells + cur
         try:
-            cand, ends, dead_end, corridor, law = move_table[key]
+            cand, ends, corridor, law = move_table[key]
         except KeyError:
-            cand, ends, dead_end, corridor, law = move_table[key] = _step_moves(step, cur, prev_cell)
-        if dead_end and (terminate_at_dead_ends or not cand):
+            cand, ends, corridor, law = move_table[key] = _step_moves(step, cur, prev_cell)
+        if not cand:
             break
         n_moves = len(cand)
         if live:
@@ -287,7 +280,7 @@ def construct_path(
             else:
                 if corridor is None:
                     corridor = _corridor(step, move_table, cur, prev_cell, goal)
-                    move_table[key] = (cand, ends, dead_end, corridor, law)
+                    move_table[key] = (cand, ends, corridor, law)
                 run, cells = corridor
             taken = len(run)
             if taken > max_len - steps:
@@ -350,16 +343,14 @@ def construct_path(
                         for end in ends
                     ]
                     law = (law_key, softmax_floor_sums(scores, epsilon))
-                    move_table[key] = (cand, ends, dead_end, corridor, law)
+                    move_table[key] = (cand, ends, corridor, law)
                 pick = bisect_right(law[1], rand())
         op = cand[pick]
         if pick < n_moves:
             moves.append(op)
             ops.append(op)
             prev_op = op
-            prev_cell = cur
-            cur = ends[pick]
-            states.append(cur)
+            states.append(ends[pick])
             steps += 1
         else:
             cells, flat = strides[pick - n_moves]
@@ -374,8 +365,8 @@ def construct_path(
                 ops.append(op)
                 prev_op = op
             steps += taken
-            prev_cell = states[-2]
-            cur = states[-1]
+        prev_cell = states[-2]
+        cur = states[-1]
 
     return domain.evaluate_path(states, ops, moves, success=cur == goal)
 
@@ -389,13 +380,13 @@ class PsoState:
     domain's step table, heuristic and goal stay as they are, and live
     exactly as long as the state: nothing outlives the run.
 
-    move_table holds an entry (moves, ends, dead_end, corridor, law) for
-    each (cell, entry cell) a step has met, under the key entry cell *
-    cells + cell (entry cell -1 at the start), read from the step table
-    the first time a step enters the cell from that entry cell.
-    - moves are the step's atomic candidates in N, E, S, W order and ends
-      the cells they reach; dead_end tells that the only way out, if any,
-      leads back to the entry cell, and moves then hold that way back.
+    move_table holds an entry (moves, ends, corridor, law) for each (cell,
+    entry cell) a step has met, under the key entry cell * cells + cell
+    (entry cell -1 at the start), read from the step table the first time
+    a step enters the cell from that entry cell.
+    - moves are the step's atomic candidates in N, E, S, W order, every
+      open move but the one back to the entry cell, and ends the cells
+      they reach; at a dead end both are empty, and the walk ends there.
     - corridor is None until a forced step is taken there with no macro
       live; it then holds the corridor that step begins (see _corridor).
     - law is None until a standard, unmet step is taken there (see

@@ -232,7 +232,6 @@ def reference_construct_path(
     moves: list[int] = []
     steps = 0
 
-    terminate_at_dead_ends = params.dead_end_mode == "terminate"
     no_term = repeat(0.0)  # standard mode: never added
     while cur != goal and steps < max_len:
         # Candidates: atomic moves in N,E,S,W order, then macros in id
@@ -246,11 +245,7 @@ def reference_construct_path(
                 cand.append(m)
                 ends.append(c)
         if not cand:
-            # A dead end: the only open move, if any, leads back.
-            cand = [m for m in (0, 1, 2, 3) if step[base + m] >= 0]
-            if terminate_at_dead_ends or not cand:
-                break
-            ends = [step[base + m] for m in cand]
+            break  # a dead end: the only open move, if any, leads back
         n_moves = len(cand)
         end_at = [steps + 1] * n_moves
         strides: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (cells, flat) per macro

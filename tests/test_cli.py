@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,6 +317,29 @@ def test_oracle_command_matches_solver(capsys):
     assert " ".join(f"t{t}" for t in witness) in out
 
 
+def console_scripts() -> dict[str, str]:
+    """The [project.scripts] table of pyproject.toml, name -> "module:attr",
+    read as text (tomllib is 3.11+)."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = {}
+    for line in table.splitlines():
+        if "=" in line and not line.lstrip().startswith("#"):
+            name, target = (part.strip().strip('"') for part in line.split("=", 1))
+            scripts[name] = target
+    return scripts
+
+
+def test_console_script_runs_the_oracle(monkeypatch, capsys):
+    # The installed ace-bench wrapper calls the target with no arguments
+    # and passes its return value to sys.exit.
+    module, attr = console_scripts()["ace-bench"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["ace-bench", "oracle", "--spec", "default"])
+    assert entry() == 0
+    assert f"optimum={brute_force_optimum(ChainSpec())[0]!r}" in capsys.readouterr().out
+
+
 def test_oracle_command_custom_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({
@@ -524,6 +549,17 @@ def test_suite_keeps_notes_and_rejects_bad_values_before_any_run(tmp_path):
         suite_path = write_suite(tmp_path, doc)
         assert cli.main(["run", "--config", str(suite_path)]) == 1
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+
+def test_backtrack_dead_end_mode_exits_1_before_any_run(tmp_path, capsys):
+    # A walk ends where its only way out is back: terminate is the one rule.
+    doc = _maze_suite(tmp_path / "out")
+    doc["arms"][0]["pso"] = {"dead_end_mode": "backtrack"}
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "dead_end_mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    doc["arms"][0]["pso"] = {"dead_end_mode": "terminate"}
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 0
 
 
 @pytest.mark.parametrize(
@@ -1043,3 +1079,57 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     err = capsys.readouterr().err
     assert "usage" in err or "error" in err
+
+
+# -- unwritable outputs -------------------------------------------------------------
+
+
+def _no_run(task, save_model):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file", "records file a directory"])
+def test_run_to_an_unwritable_output_exits_1_before_any_run(tmp_path, capsys, monkeypatch, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = {
+        "a file": taken, "under a file": taken / "sub", "records file a directory": tmp_path / "o",
+    }[where]
+    (tmp_path / "o" / "records.jsonl").mkdir(parents=True)
+    suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "unused"))
+    monkeypatch.setattr(cli, "_execute_run", _no_run)
+    assert cli.main(["run", "--config", str(suite_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "error_manifest.json").exists()
+
+
+def test_stats_to_an_unwritable_output_exits_1_before_printing(tmp_path, capsys):
+    suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(suite_path)]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    records = str(tmp_path / "out" / "records.json")
+    assert cli.main(["stats", "--records", records, "--out", str(taken)]) == 1
+    out, err = capsys.readouterr()
+    assert str(taken) in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_maze_to_a_directory_exits_1(tmp_path, capsys):
+    assert cli.main(["maze", "--size", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_os_error_inside_a_run_still_exits_2(tmp_path, capsys, monkeypatch):
+    # Only making the output directory or opening its files is an input
+    # error; an OSError a run raises is a runtime failure.
+    def broken(task, save_model):
+        raise OSError("simulated device error")
+
+    suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "out"))
+    monkeypatch.setattr(cli, "_execute_run", broken)
+    assert cli.main(["run", "--config", str(suite_path)]) == 2
+    assert "simulated device error" in capsys.readouterr().err

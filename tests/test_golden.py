@@ -1,19 +1,15 @@
 """Golden result fingerprints.
 
-Six tiny suites run through the same orchestration as `ace-bench run`:
+Five tiny suites run through the same orchestration as `ace-bench run`:
 a maze suite with all four arm kinds on one curated instance, a chain
-suite with a standard and a guided EA arm, a maze suite whose PSO
-arms turn around at dead ends and stop at a step budget of the shortest
-path plus 4 (the branches of path construction the benchmark suites
-leave out: turnarounds, and macro strides cut short by the budget), a
-chain suite whose guided runs prune macros and save their models, and
-that suite again at the two decay edges, gamma 1.0 and 0.0.  The
-SHA-256 of their records, leaving out the wall-clock field (and, for
-the last three suites, of the saved model files too), must match the
-constants below.  One more constant
-pins swarm path construction alone: about two hundred `construct_path`
-calls over generated mazes, both dead-end modes, a tight cap, standard
-and guided mode with and without macros, and with and without reference
+suite with a standard and a guided EA arm, a chain suite whose guided
+runs prune macros and save their models, and that suite again at the
+two decay edges, gamma 1.0 and 0.0.  The SHA-256 of their records,
+leaving out the wall-clock field (and, for the last three suites, of the
+saved model files too), must match the constants below.  One more
+constant pins swarm path construction alone: about a hundred
+`construct_path` calls over generated mazes, a tight cap, standard and
+guided mode with and without macros, and with and without reference
 paths.  Another pins the EA's draws alone: seeding, tournaments,
 selection and both mutation modes over a maze and two chain alphabets
 (4, 6 and 64 atomic operations) at three population sizes.  The last
@@ -42,11 +38,10 @@ from helpers import make_model
 
 MAZE_FINGERPRINT = "9cf905963f1e3e732d6427e5ea332004fbecb5f5a84fe1eb7efeb8189814f4db"
 CHAIN_FINGERPRINT = "059970c1f0ffd26a76b07f7c3a5061e2b5d411c332ae0e204b7b3322e9149e13"
-BACKTRACK_FINGERPRINT = "8645672d36e3aa68d9fa8157d480fe626f486918e25830b0b0f0c154e1868beb"
 PRUNING_FINGERPRINT = "c20a291bc4aa2c74d3be6a8478220f06badeffd109ef3257fd2ec3d38f66873c"
 FULL_DECAY_FINGERPRINT = "4384f91d7dc0281c1e0b40c5ec04dd00b05fe79d9c0f17270d934070c76c7307"
 NO_DECAY_FINGERPRINT = "e1634d61f9065adaf755c1fab9358b88bcb459c655a70dfcff38855a4e826af0"
-PATH_FINGERPRINT = "e05b2214dd6cd201b89353435356ab405cca3b33b4ba1d496cb6f7d2115035d5"
+PATH_FINGERPRINT = "1eab4be5aa31721a333eda9636c48e6cc77f2e0205d393818891069e00f1aacf"
 EA_DRAWS_FINGERPRINT = "67b04108f4b575d88848f5b9367bee177564f7a0301c23091937c5d9cfe8445a"
 CROSSOVER_DRAWS_FINGERPRINT = "42217802f3344cf654ca53ad2bb70274d8b18eb4f5693dcc09d0f34828a5b3cc"
 
@@ -81,29 +76,6 @@ MAZE_SUITE = {
         {"name": "std-ea", "explorer": "ea", "guided": False, "ea": EA},
         {"name": "ace-ea", "explorer": "ea", "guided": True, "ea": EA,
          "gca": {"lambda": 5e-08}},
-    ],
-}
-
-BACKTRACK_PSO = dict(PSO, dead_end_mode="backtrack")
-
-BACKTRACK_SUITE = {
-    "suite_seed": 13,
-    "runs_per_arm": 2,
-    "run": {
-        "population_size": 8, "max_generations": 12, "abstraction_period": 3,
-        "max_new_macros_per_scan": 2, "prune_min_uses": 5,
-    },
-    "gca": GCA,
-    "domain": {
-        "kind": "maze", "width": 10, "height": 10, "path_slack": 4,
-        "instances": [
-            {"connectivity": 0.0, "maze_seed": 1007},
-            {"connectivity": 0.2, "maze_seed": 1007},
-        ],
-    },
-    "arms": [
-        {"name": "std-pso", "explorer": "pso", "guided": False, "pso": BACKTRACK_PSO},
-        {"name": "ace-pso", "explorer": "pso", "guided": True, "pso": BACKTRACK_PSO},
     ],
 }
 
@@ -174,10 +146,6 @@ def test_chain_suite_fingerprint(tmp_path):
     assert suite_fingerprint(CHAIN_SUITE, tmp_path) == CHAIN_FINGERPRINT
 
 
-def test_backtrack_capped_pso_fingerprint(tmp_path):
-    assert suite_fingerprint(BACKTRACK_SUITE, tmp_path) == BACKTRACK_FINGERPRINT
-
-
 def models_fingerprint(doc: dict, out) -> tuple[str, list[dict]]:
     """The digest of a suite's records and of the model files its guided
     runs save, and the parsed model files."""
@@ -224,8 +192,7 @@ def path_models():
 
 
 def construct_path_digest(state_per_maze):
-    """216 construct_path calls over three mazes, both dead-end modes, caps
-    of the domain's budget and of 5 (set on a copy of the domain) and the
+    """108 construct_path calls over three mazes, caps of the domain's budget and of 5 (set on a copy of the domain) and the
     three path models: the call count, the SHA-256 of every path and the
     rng's next variate, and the states shared per maze.  With
     state_per_maze, every call on one maze shares one PsoState, and so its
@@ -240,41 +207,40 @@ def construct_path_digest(state_per_maze):
         capped.default_max_path_len = 5
         state = PsoState([])
         states.append(state)
-        for mode in ("backtrack", "terminate"):
-            params = PsoParams(heuristic_weight=2.0, dead_end_mode=mode)
-            for domain in (dom, capped):
-                for model in path_models():
-                    for with_references in (False, True):
-                        particle, gbest = Particle(), None
-                        for _ in range(3):
-                            if not state_per_maze:
-                                state = PsoState([])
-                            state.gbest = gbest
-                            traj = construct_path(particle, state, params, model, domain, rng, 0.1)
-                            digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
-                            calls += 1
-                            if with_references:
-                                particle.current = traj
-                                if traj.fitness > particle.pbest_fitness:
-                                    particle.pbest, particle.pbest_fitness = traj, traj.fitness
-                                gbest = particle.pbest
+        params = PsoParams(heuristic_weight=2.0, dead_end_mode="terminate")
+        for domain in (dom, capped):
+            for model in path_models():
+                for with_references in (False, True):
+                    particle, gbest = Particle(), None
+                    for _ in range(3):
+                        if not state_per_maze:
+                            state = PsoState([])
+                        state.gbest = gbest
+                        traj = construct_path(particle, state, params, model, domain, rng, 0.1)
+                        digest.update(repr((traj.states, traj.ops, traj.fitness)).encode())
+                        calls += 1
+                        if with_references:
+                            particle.current = traj
+                            if traj.fitness > particle.pbest_fitness:
+                                particle.pbest, particle.pbest_fitness = traj, traj.fitness
+                            gbest = particle.pbest
     digest.update(repr(rng.random()).encode())
     return calls, digest.hexdigest(), states
 
 
 def test_construct_path_fingerprint():
     calls, digest, _ = construct_path_digest(state_per_maze=False)
-    assert calls == 216
+    assert calls == 108
     assert digest == PATH_FINGERPRINT
 
 
 def test_construct_path_fingerprint_with_one_state_per_maze():
-    # Tables filled under one dead-end mode, cap and model and read back
+    # Tables filled under one cap and model and read back
     # under the others give the paths of a fresh state per call.  Each
     # maze's macro table ends on the three-macro model's live set, with
     # every one of its macros walked from some cell.
     calls, digest, states = construct_path_digest(state_per_maze=True)
-    assert calls == 216
+    assert calls == 108
     assert digest == PATH_FINGERPRINT
     for state in states:
         assert state.move_table

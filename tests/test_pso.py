@@ -218,10 +218,8 @@ def test_no_immediate_backtracking():
 
 
 def test_dead_end_termination_mode():
-    # 2x1 world with goal unreachable forward: start -> cell 1 is the goal,
-    # so use a 3x1 corridor with the goal at the far end and force a dead end
-    # by walking into the wall-free corridor; terminate mode only differs
-    # when the sole option is the departed cell, which needs a cul-de-sac.
+    # A walk ends where its only way out is the cell it came from: a
+    # corridor with the goal at its far end and a cul-de-sac off its middle.
     from ace.maze import Maze, MazeDomain
 
     # T-shape: corridor 0-1-2 with a stub hanging off cell 1
@@ -242,16 +240,6 @@ def test_dead_end_termination_mode():
             assert traj.states[-1] == 1 * 3 + 1
             saw_termination = True
     assert saw_termination
-
-    params_bt = PsoParams(
-        inertia=0, cognitive=0, social=0, heuristic_weight=0, guidance_weight=0,
-        dead_end_mode="backtrack",
-    )
-    # with turnaround allowed the stub is escapable; some walks still run out
-    # of budget, but never end inside the stub one step deep
-    for _ in range(200):
-        traj = construct_path(Particle(), PsoState([]), params_bt, None, dom, rng, EPS)
-        assert traj.success or len(traj.atomic_ops) == 10
 
 
 def test_macro_stride_and_rejection():
@@ -430,11 +418,11 @@ def test_draws_two_variates_per_candidate_and_one_per_step(monkeypatch):
 def single_candidate_walks():
     """Walks whose every step has one candidate: the forced S step into
     the center of entering_center, and a 2x1 corridor with no reachable
-    goal, walked E into its dead end and turned back W."""
+    goal, walked E into its dead end, where the walk ends."""
     center = entering_center(max_path_len=1)
     corridor = GridStub(2, 1, max_path_len=2)
     corridor.goal_index = -1
-    return [(center, [1, 4], [2]), (corridor, [0, 1, 0], [1, 3])]
+    return [(center, [1, 4], [2]), (corridor, [0, 1], [1])]
 
 
 @pytest.mark.parametrize("guided", [False, True])
@@ -450,7 +438,7 @@ def test_single_candidate_step_draws_three_variates(monkeypatch, guided):
             model = make_model(weights={(1, 3): 2.0})
             model.add_macro(1, 1)  # EE: never a candidate (E closed, or a wall after it)
             monkeypatch.setattr(model, "floored_distribution", unscored)
-        params = PsoParams(heuristic_weight=1.0, dead_end_mode="backtrack")
+        params = PsoParams(heuristic_weight=1.0)
         rng, twin = random.Random(4), random.Random(4)
         traj = construct_path(Particle(), PsoState([]), params, model, dom, rng, EPS)
         assert (traj.states, traj.ops) == (states, ops)
@@ -500,7 +488,7 @@ def ring(goal=-1, max_path_len=30):
 CORRIDORS = {
     "goal inside a corridor": [line(6, 0, 3), line(6, 5, 2)],
     "budget cuts a corridor": [line(6, 0, 5, cap) for cap in (1, 2, 3, 4)],
-    "backtrack dead end": [line(4, 1, -1), line(2, 0, -1, max_path_len=7)],
+    "dead end": [line(4, 1, -1), line(2, 0, -1, max_path_len=7)],
     "start inside a corridor": [line(6, 2, 5), line(6, 3, 0, max_path_len=9)],
     "ring with no junction": [ring(), ring(goal=7), ring(max_path_len=13)],
 }
@@ -508,8 +496,8 @@ CORRIDORS = {
 
 @pytest.mark.parametrize("case", sorted(CORRIDORS))
 def test_corridor_matches_the_reference_step_loop(case):
-    # Both dead-end modes and both modes without a live macro share one
-    # state, and so its move table's corridors, per domain.
+    # Both modes without a live macro share one state, and so its move
+    # table's corridors, per domain.
     draws = random.Random(case)
     for dom in CORRIDORS[case]:
         cells = len(dom.step_table) // 4
@@ -519,21 +507,20 @@ def test_corridor_matches_the_reference_step_loop(case):
             return path([draws.randrange(cells) for _ in range(draws.randrange(12))])
 
         for model in (None, make_model()):
-            for mode in ("backtrack", "terminate"):
-                for seed in range(4):
-                    params = PsoParams(heuristic_weight=draws.random(), dead_end_mode=mode)
-                    particle = Particle(current=reference_path(), pbest=reference_path())
-                    state.gbest = reference_path()
-                    rng, ref_rng = random.Random(seed), random.Random(seed)
-                    got = construct_path(particle, state, params, model, dom, rng, EPS)
-                    want = reference_construct_path(
-                        particle, state.gbest, params, model, dom, ref_rng, EPS
-                    )
-                    assert got == want, (case, model, mode, seed)
-                    assert rng.getstate() == ref_rng.getstate()
-        assert any(corridor for _, _, _, corridor, _ in state.move_table.values())
+            for seed in range(4):
+                params = PsoParams(heuristic_weight=draws.random())
+                particle = Particle(current=reference_path(), pbest=reference_path())
+                state.gbest = reference_path()
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = construct_path(particle, state, params, model, dom, rng, EPS)
+                want = reference_construct_path(
+                    particle, state.gbest, params, model, dom, ref_rng, EPS
+                )
+                assert got == want, (case, model, seed)
+                assert rng.getstate() == ref_rng.getstate()
+        assert any(corridor for _, _, corridor, _ in state.move_table.values())
         # A law holds the running sums of the scores its terms give.
-        for _, ends, _, _, law in state.move_table.values():
+        for _, ends, _, law in state.move_table.values():
             if law is not None:
                 (alpha, w, c1, c2, eps), sums = law
                 scores = [alpha * dom.heuristic[end] + w + c1 + c2 for end in ends]
@@ -644,5 +631,6 @@ def test_run_without_a_path_attribute_fails_before_any_variate(missing):
 def test_params_validation():
     with pytest.raises(ConfigError):
         PsoParams(inertia=-0.1).validate()
-    with pytest.raises(ConfigError):
-        PsoParams(dead_end_mode="bounce").validate()
+    for mode in ("bounce", "backtrack"):
+        with pytest.raises(ConfigError, match="dead_end_mode"):
+            PsoParams(dead_end_mode=mode).validate()

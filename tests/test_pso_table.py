@@ -76,7 +76,6 @@ def test_construct_path_matches_the_reference_step_loop(data):
         params = PsoParams(
             heuristic_weight=data.draw(st.floats(0.0, 3.0)),
             guidance_weight=data.draw(st.floats(0.0, 3.0)),
-            dead_end_mode=data.draw(st.sampled_from(["backtrack", "terminate"])),
         )
         # The same domain with its own step budget: the state's tables
         # stay valid, as they hold nothing cut to a budget.
@@ -211,9 +210,10 @@ def swarm_run(dom, generations=6, guided=False):
 def test_table_holds_one_entry_per_cell_and_entry_cell_met():
     # Each corridor an entry holds starts with the entry's one candidate,
     # follows every forced step after it and stops where the next step is
-    # not forced, is a dead end or repeats; together the corridors of a
-    # run cover each (cell, entry cell) at most twice (a start cell inside
-    # a corridor is the one way a second corridor overlaps the first).
+    # not forced (a dead end has no candidate) or repeats; together the
+    # corridors of a run cover each (cell, entry cell) at most twice (a
+    # start cell inside a corridor is the one way a second corridor
+    # overlaps the first).
     for connectivity in (0.0, 0.5, 1.0):
         for guided in (False, True):
             dom = MazeDomain(generate_maze(7, 7, connectivity, 5))
@@ -226,7 +226,7 @@ def test_table_holds_one_entry_per_cell_and_entry_cell_met():
                 return [m for m in range(4) if ways[m] >= 0 and ways[m] != entry]
 
             per_cell, covered, laws = {}, {}, 0
-            for key, (moves, ends, dead_end, corridor, law) in state.move_table.items():
+            for key, (moves, ends, corridor, law) in state.move_table.items():
                 entry, cell = divmod(key, cells)  # entry -1: the start
                 if law is not None:
                     # Only a standard step caches a law, from its own terms.
@@ -237,8 +237,7 @@ def test_table_holds_one_entry_per_cell_and_entry_cell_met():
                     laws += 1
                 per_cell[cell] = per_cell.get(cell, 0) + 1
                 ways = step[4 * cell:4 * cell + 4]
-                assert dead_end == (not onward(cell, entry))
-                assert list(moves) == (onward(cell, entry) or [m for m in range(4) if ways[m] >= 0])
+                assert list(moves) == onward(cell, entry)
                 assert list(ends) == [ways[m] for m in moves]
                 if corridor is None:
                     continue
