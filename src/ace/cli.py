@@ -10,18 +10,12 @@ complete so an aborted suite keeps everything it finished.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
-import csv
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 import random
-import statistics
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +29,9 @@ from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_
 from .maze import generate_maze, maze_to_text
 from .pso import PsoExplorer, PsoParams
 
-log = logging.getLogger("ace")
+# Standard-library modules that only cold paths use (the pool, logging,
+# the export's csv and statistics, argparse, traceback) are imported where
+# they are first used, so that a set-up does not pay for them.
 
 # Runs in one suite (arms x instances x runs_per_arm), capped so that a
 # mistyped count fails at parse time instead of building the task list.
@@ -395,6 +391,9 @@ def orchestrate(
     in place and an error manifest is written before re-raising.  An
     output directory or records file that cannot be made raises
     ConfigError before any run."""
+    import logging
+
+    log = logging.getLogger("ace")
     workers = parallelism if parallelism is not None else suite.parallelism
     _check_parallelism(workers)
     tasks = build_tasks(suite, arm_filter)
@@ -424,11 +423,15 @@ def orchestrate(
                 for task in tasks:
                     _consume(_execute_run(task, save_models), jsonl)
             else:
+                import concurrent.futures
+
                 with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {pool.submit(_execute_run, t, save_models): t for t in tasks}
                     for fut in concurrent.futures.as_completed(futures):
                         _consume(fut.result(), jsonl)
     except Exception as e:
+        import traceback
+
         manifest = {
             "error": str(e),
             "traceback": traceback.format_exc(),
@@ -453,6 +456,9 @@ def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = 
     """Write records.csv / records.json / summary.txt and one best-fitness
     curve file per arm (mean and SD across that arm's runs, padded to the
     configured generation count)."""
+    import csv
+    import statistics
+
     if not records:
         raise ConfigError("no records to export")
     ordered = _sorted_records(records)
@@ -610,12 +616,13 @@ def cmd_model(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ConfigError(f"{message}\n{self.format_usage()}")
+def build_parser():
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ConfigError(f"{message}\n{self.format_usage()}")
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ace-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -653,8 +660,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ACE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    name = os.environ.get("ACE_LOG")
+    if name is not None:
+        import logging
+
+        # A name that is no level (`not-a-level`, or `basic_format`, whose
+        # attribute is a format string) falls back to WARNING.
+        level = getattr(logging, name.upper(), None)
+        logging.basicConfig(level=level if type(level) is int else logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -666,6 +679,8 @@ def main(argv=None) -> int:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
+        import traceback
+
         print(f"runtime failure: {e}", file=sys.stderr)
         traceback.print_exc()
         return 2

@@ -9,7 +9,6 @@ the explorers fall back to uniform sampling with no learned state at all.
 from __future__ import annotations
 
 import random
-import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -122,7 +121,11 @@ def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
     as successful when its trajectory beats the generation median."""
     if not model.macros or not evaluated:
         return
-    median = statistics.median(t.fitness for t in evaluated)
+    # statistics.median's value: the middle fitness, or the mean of the
+    # two middle ones.
+    fits = sorted(t.fitness for t in evaluated)
+    half = len(fits) // 2
+    median = fits[half] if len(fits) % 2 else (fits[half - 1] + fits[half]) / 2
     atomic = model.atomic_count
     for traj in evaluated:
         won = traj.fitness > median

@@ -4,7 +4,6 @@ sizes, and grouped summary tables."""
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 from .errors import ConfigError, InsufficientDataError, UndefinedEffectError
@@ -105,6 +104,8 @@ def wilcoxon_signed_rank(paired: PairedSample) -> tuple[float, float]:
 
 def cohens_d(paired: PairedSample) -> float:
     """Standardized mean difference with the two-group pooled SD."""
+    import statistics
+
     b, t = paired.baseline, paired.treatment
     if len(b) < 2:
         raise UndefinedEffectError("need at least 2 pairs for an effect size")
@@ -150,6 +151,8 @@ RECORD_FIELDS = {
 def summarize(rows: list[dict], keys: list[str]) -> list[dict]:
     """Aggregate run records per group of equal key values: the keys,
     runs, success_rate and the mean of each column's field."""
+    import statistics
+
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(tuple(row[k] for k in keys), []).append(row)

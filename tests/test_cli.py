@@ -4,7 +4,10 @@ import concurrent.futures
 import csv
 import importlib
 import json
+import logging
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -302,10 +305,63 @@ def test_stats_skips_null_success_only_fields(tmp_path, capsys):
 
 
 def test_log_level_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("ACE_LOG", "debug")
-    assert cli.main(["oracle", "--spec", "default"]) == 0
-    monkeypatch.setenv("ACE_LOG", "not-a-level")  # silently falls back
-    assert cli.main(["oracle", "--spec", "default"]) == 0
+    # basicConfig sets the level only on a root logger without handlers,
+    # and pytest's capture adds its own: set them aside for each call.
+    root = logging.getLogger()
+    handlers, level = root.handlers, root.level
+    try:
+        for name, expected in [
+            ("debug", logging.DEBUG),
+            ("not-a-level", logging.WARNING),  # silently falls back
+            ("basic_format", logging.WARNING),  # an attribute, but a format string
+            ("raiseExceptions", logging.WARNING),  # an attribute, but a bool
+        ]:
+            root.handlers = []
+            monkeypatch.setenv("ACE_LOG", name)
+            assert cli.main(["oracle", "--spec", "default"]) == 0, name
+            assert root.level == expected, name
+    finally:
+        root.handlers = handlers
+        root.setLevel(level)
+
+
+def test_progress_lines_go_to_the_ace_logger(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("ACE_LOG", "info")
+    caplog.set_level(logging.INFO, logger="ace")
+    path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "out", gens=2))
+    assert cli.main(["run", "--config", str(path), "--no-models"]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "ace"]
+    assert lines[0] == "starting suite: 4 runs, parallelism 1"
+    finished = sorted(line.split(":")[0] for line in lines[1:])
+    assert finished == [f"finished {arm}/chain run {i}"
+                        for arm in ("ace-ea", "std-ea") for i in (0, 1)]
+
+
+# Standard-library modules that only cold paths use: a pool (parallelism
+# above 1), logging (ACE_LOG), the CSV and statistics of an export, the
+# argument parser (main) and a traceback (a failure).
+COLD_MODULES = ("argparse", "concurrent.futures", "csv", "logging", "statistics", "traceback")
+
+IMPORT_GUARD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+cold = sys.argv[2:]
+import ace.cli
+print(*[m for m in cold if m in sys.modules])
+ace.cli.main(["maze", "--size", "3"])
+print(*[m for m in cold if m in sys.modules])
+"""
+
+
+def test_import_and_maze_load_no_cold_module():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "ACE_LOG"}
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, str(src), *COLD_MODULES],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out[0] == ""  # importing ace.cli loads none of them
+    assert out[-1] == "argparse"  # a command loads only its parser
 
 
 def test_oracle_command_matches_solver(capsys):
@@ -726,7 +782,7 @@ def recording_pool(monkeypatch) -> list:
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import statistics
 
 import pytest
 
@@ -8,7 +10,7 @@ from ace.chain import ChainDomain
 from ace.ea import EaExplorer, EaParams
 from ace.errors import ConfigError
 from ace.gca import GcaModel, GcaParams, save_model
-from ace.loop import ExperimentConfig, run_ace, run_standard
+from ace.loop import ExperimentConfig, Trajectory, _account_macro_usage, run_ace, run_standard
 from ace.maze import MazeDomain, generate_maze
 from ace.pso import PsoExplorer, PsoParams
 
@@ -191,6 +193,56 @@ def test_macro_usage_accounting():
         used = [m for m in model.macros if m.uses > 0]
         expected = sum(m.successful_uses / m.uses for m in used) / len(used)
         assert record.mean_macro_effectiveness == pytest.approx(expected)
+
+
+def _credited(fitnesses, credit) -> list[tuple[int, int]]:
+    """The (uses, successful_uses) of each macro after credit(model,
+    evaluated) over one generation: trajectory k carries macro k % 2
+    between atomic ops, and once more when k % 3 == 0."""
+    model = GcaModel(["U", "D", "L", "R"], GcaParams())
+    model.add_macro(0, 1)
+    model.add_macro(4, 2)
+    evaluated = []
+    for k, f in enumerate(fitnesses):
+        macro = 4 + k % 2
+        ops = [1, macro, 3] + ([macro] if k % 3 == 0 else [])
+        evaluated.append(Trajectory(ops=ops, atomic_ops=[], fitness=f))
+    credit(model, evaluated)
+    return [(m.uses, m.successful_uses) for m in model.macros]
+
+
+def _reference_credit(model, evaluated) -> None:
+    median = statistics.median(t.fitness for t in evaluated)
+    for traj in evaluated:
+        for op in traj.ops:
+            if op >= model.atomic_count:
+                m = model.macros[op - model.atomic_count]
+                m.uses += 1
+                m.successful_uses += traj.fitness > median
+
+
+@pytest.mark.parametrize("fitnesses", [
+    [3.0],
+    [1.0, 5.0, 2.0],                      # odd
+    [4.0, 1.0, 3.0, 2.0],                 # even: the mean of the middle two
+    [2.0, 2.0, 2.0, 2.0],                 # all tied: no use succeeds
+    [1.0, 2.0, 2.0, 3.0, 2.0],            # ties at an odd median
+    [1.0, 2.0, 2.0, 3.0],                 # ties at an even median
+    [0.0, -0.0, 0.0, 1.0],
+    [0.0, math.inf, 1.0, math.inf],
+    [-math.inf, 0.0, math.inf, 5.0],
+    [math.inf, -math.inf],                # the middle mean is nan
+    [0.1, 0.2, 0.30000000000000004, 0.3, 7.5, -2.25],
+])
+def test_macro_credit_matches_the_statistics_median(fitnesses):
+    assert _credited(fitnesses, _account_macro_usage) == _credited(fitnesses, _reference_credit)
+
+
+def test_macro_credit_matches_the_statistics_median_on_random_generations():
+    rng = random.Random(5)
+    for size in range(1, 40):
+        fitnesses = [rng.choice([0.0, 1.0, math.inf, rng.uniform(-10, 10)]) for _ in range(size)]
+        assert _credited(fitnesses, _account_macro_usage) == _credited(fitnesses, _reference_credit)
 
 
 @pytest.mark.medium
