@@ -11,6 +11,7 @@ complete so an aborted suite keeps everything it finished.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -199,11 +200,27 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
 
 
 def build_domain(spec: dict):
-    """The domain of one instance spec from _domain_instances."""
+    """The domain of one instance spec from _domain_instances: a chain
+    built anew, a maze from the process's memo (see _maze_domain)."""
     if spec["kind"] == "chain":
         return ChainDomain(spec["chain"])
-    maze = generate_maze(spec["width"], spec["height"], spec["connectivity"], spec["maze_seed"])
-    return MazeDomain(maze, path_slack=spec["path_slack"])
+    return _maze_domain(
+        spec["width"], spec["height"], spec["connectivity"], spec["maze_seed"], spec["path_slack"],
+    )
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _maze_domain(
+    width: int, height: int, connectivity: float, maze_seed: int, path_slack: int | None
+):
+    """One maze instance, built once while it is among the process's 16
+    most recently used: no run changes a domain, so every run of the
+    instance reads the same maze and tables and shares one swarm move
+    table (see ace.pso.MOVE_TABLES).  generate_maze and MazeDomain are
+    looked up in this module at each build, so a wrapper set there sees
+    every build."""
+    maze = generate_maze(width, height, connectivity, maze_seed)
+    return MazeDomain(maze, path_slack=path_slack)
 
 
 @dataclass
@@ -665,9 +682,12 @@ def main(argv=None) -> int:
         import logging
 
         # A name that is no level (`not-a-level`, or `basic_format`, whose
-        # attribute is a format string) falls back to WARNING.
+        # attribute is a format string) falls back to WARNING.  The level
+        # is the `ace` logger's, set on every call; basicConfig only adds
+        # a stderr handler where the root logger has none.
         level = getattr(logging, name.upper(), None)
-        logging.basicConfig(level=level if type(level) is int else logging.WARNING)
+        logging.getLogger("ace").setLevel(level if type(level) is int else logging.WARNING)
+        logging.basicConfig()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

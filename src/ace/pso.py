@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -377,8 +378,12 @@ class PsoState:
     what its steps have read of its one domain.  Each table is keyed on
     what a step reads and holds nothing cut to a step budget, so that its
     entries serve every particle and every budget; both assume that the
-    domain's step table, heuristic and goal stay as they are, and live
-    exactly as long as the state: nothing outlives the run.
+    domain's step table, heuristic and goal stay as they are.  The move
+    table lives with its domain: PsoExplorer.initialize gives every run
+    over one domain the same one (MOVE_TABLES), which no run's parameters
+    bind (a law is replaced when its terms differ).  The macro table and
+    the particles live with the run, as each run's model has its own
+    live macros.
 
     move_table holds an entry (moves, ends, corridor, law) for each (cell,
     entry cell) a step has met, under the key entry cell * cells + cell
@@ -423,6 +428,11 @@ class PsoState:
     macro_table: MacroTable = field(default_factory=dict)
 
 
+# Each domain's move table, shared by every run over it and dropped with
+# the domain (see PsoState).
+MOVE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class PsoExplorer:
     def __init__(self, params: PsoParams | None = None):
         self.params = params or PsoParams()
@@ -439,7 +449,11 @@ class PsoExplorer:
             )
 
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> PsoState:
-        return PsoState(swarm=[Particle() for _ in range(config.population_size)])
+        """A fresh swarm and macro table, and the domain's move table."""
+        return PsoState(
+            swarm=[Particle() for _ in range(config.population_size)],
+            move_table=MOVE_TABLES.setdefault(domain, {}),
+        )
 
     def run_generation(
         self,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import tracemalloc
 from bisect import bisect_right
 from itertools import repeat
 
+from ace import cli
 from ace.errors import DomainError, check_range
 from ace.gca import (
     _THRESHOLD_FIELDS,
@@ -390,6 +392,30 @@ def model_io_peaks(model: GcaModel) -> tuple[float, float]:
         del result
         ratios.append((peak - base) / len(text))
     return ratios[0], ratios[1]
+
+
+def retained_instance_memory(path="configs/maze_suite.json", arm="std-pso") -> tuple[int, int]:
+    """(instances, bytes): the traced memory a process keeps after one
+    run of arm (max_generations 2) over each instance of the maze suite
+    at path, with its instance memo emptied first.  What it keeps is what
+    later runs reuse: each maze domain and its swarm move table."""
+    suite = cli.SuiteSpec.from_file(path)
+    suite.runs_per_arm = 1
+    for each in suite.arms:
+        each.config = dataclasses.replace(each.config, max_generations=2)
+    tasks = cli.build_tasks(suite, arm)
+    cli._maze_domain.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for task in tasks:
+            cli._execute_run(task, False)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return len(tasks), kept
 
 
 def code_lines(path) -> int:

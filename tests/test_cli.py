@@ -304,25 +304,41 @@ def test_stats_skips_null_success_only_fields(tmp_path, capsys):
     assert (cells["gen"], cells["patheff"]) == ("5.0", "0.500")
 
 
-def test_log_level_env_var(monkeypatch, capsys):
-    # basicConfig sets the level only on a root logger without handlers,
-    # and pytest's capture adds its own: set them aside for each call.
+@pytest.fixture
+def ace_logger():
+    """The `ace` logger, its level restored after the test."""
+    logger = logging.getLogger("ace")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
+
+
+def test_log_level_env_var(monkeypatch, capsys, ace_logger):
+    for name, expected in [
+        ("debug", logging.DEBUG),
+        ("not-a-level", logging.WARNING),  # silently falls back
+        ("basic_format", logging.WARNING),  # an attribute, but a format string
+        ("raiseExceptions", logging.WARNING),  # an attribute, but a bool
+    ]:
+        monkeypatch.setenv("ACE_LOG", name)
+        assert cli.main(["oracle", "--spec", "default"]) == 0, name
+        assert ace_logger.level == expected, name
+
+
+def test_log_level_is_set_by_each_main_call_under_a_root_handler(monkeypatch, capsys, ace_logger):
+    # a root logger that already has a handler (an embedding program's)
+    # keeps it, and every call still sets its own level
     root = logging.getLogger()
-    handlers, level = root.handlers, root.level
+    handler = logging.NullHandler()
+    root.addHandler(handler)
     try:
-        for name, expected in [
-            ("debug", logging.DEBUG),
-            ("not-a-level", logging.WARNING),  # silently falls back
-            ("basic_format", logging.WARNING),  # an attribute, but a format string
-            ("raiseExceptions", logging.WARNING),  # an attribute, but a bool
-        ]:
-            root.handlers = []
+        for name, expected in (("debug", logging.DEBUG), ("warning", logging.WARNING)):
             monkeypatch.setenv("ACE_LOG", name)
             assert cli.main(["oracle", "--spec", "default"]) == 0, name
-            assert root.level == expected, name
+            assert ace_logger.getEffectiveLevel() == expected, name
+            assert handler in root.handlers
     finally:
-        root.handlers = handlers
-        root.setLevel(level)
+        root.removeHandler(handler)
 
 
 def test_progress_lines_go_to_the_ace_logger(tmp_path, monkeypatch, caplog):
