@@ -12,13 +12,22 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+# The interpreter's built-in SHA-256, as random.py takes its SHA-512:
+# hashlib would load OpenSSL into every set-up for one digest per run.
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256  # builds without the built-in hashes
 
 from . import gca, stats
 from .chain import ChainDomain, ChainSpec, brute_force_optimum
@@ -341,7 +350,7 @@ def derive_seed(suite_seed: int, arm_name: str, instance_id: str, run_index: int
     """Stable 64-bit run seed; keyed by arm name so filtering arms does
     not reshuffle the seeds of the remaining ones."""
     data = f"{suite_seed}|{arm_name}|{instance_id}|{run_index}".encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+    return int.from_bytes(_sha256(data).digest()[:8], "big")
 
 
 def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:

@@ -381,9 +381,10 @@ class PsoState:
     domain's step table, heuristic and goal stay as they are.  The move
     table lives with its domain: PsoExplorer.initialize gives every run
     over one domain the same one (MOVE_TABLES), which no run's parameters
-    bind (a law is replaced when its terms differ).  The macro table and
-    the particles live with the run, as each run's model has its own
-    live macros.
+    bind (a law is replaced when its terms differ); a domain that cannot
+    be hashed or weakly referenced gives each run a table of its own.
+    The macro table and the particles live with the run, as each run's
+    model has its own live macros.
 
     move_table holds an entry (moves, ends, corridor, law) for each (cell,
     entry cell) a step has met, under the key entry cell * cells + cell
@@ -450,10 +451,12 @@ class PsoExplorer:
 
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> PsoState:
         """A fresh swarm and macro table, and the domain's move table."""
-        return PsoState(
-            swarm=[Particle() for _ in range(config.population_size)],
-            move_table=MOVE_TABLES.setdefault(domain, {}),
-        )
+        try:
+            move_table = MOVE_TABLES.setdefault(domain, {})
+        except TypeError:  # the domain cannot key MOVE_TABLES
+            move_table = {}
+        return PsoState(swarm=[Particle() for _ in range(config.population_size)],
+                        move_table=move_table)
 
     def run_generation(
         self,

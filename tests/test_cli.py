@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import hashlib
 import importlib
+import importlib.util
 import json
 import logging
 import math
@@ -65,6 +67,44 @@ def test_derived_seeds_are_stable_and_distinct():
     assert s1 != derive_seed(7, "ace", "maze1", 1)
     assert s1 != derive_seed(7, "std", "maze1", 0)
     assert s1 != derive_seed(8, "ace", "maze1", 0)
+
+
+SEED_KEYS = [
+    (suite_seed, arm, instance_id, run_index)
+    for suite_seed in (0, 1, -5, 2**63 - 1)
+    for arm in ("std-ea", "ace_pso", "ärm")  # isalnum admits a non-ASCII letter
+    for instance_id in ("m15x15_c0.1_s101", "chain")
+    for run_index in (0, 7)
+]
+
+
+def reference_seed(suite_seed, arm, instance_id, run_index):
+    data = f"{suite_seed}|{arm}|{instance_id}|{run_index}".encode()
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
+def test_derived_seeds_are_the_first_eight_bytes_of_a_sha256_digest():
+    assert [derive_seed(*key) for key in SEED_KEYS] == [reference_seed(*key) for key in SEED_KEYS]
+
+
+SEEDS_WITHOUT_BUILTIN_SHA256 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from ace.cli import derive_seed
+print(json.dumps(["hashlib" in sys.modules, [derive_seed(*key) for key in json.loads(sys.argv[2])]]))
+"""
+
+
+def test_derived_seeds_are_the_same_through_the_hashlib_fallback():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", SEEDS_WITHOUT_BUILTIN_SHA256, str(src), json.dumps(SEED_KEYS)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    loaded_hashlib, seeds = json.loads(out)
+    assert loaded_hashlib
+    assert seeds == [reference_seed(*key) for key in SEED_KEYS]
 
 
 def test_task_expansion_counts(tmp_path):
@@ -369,11 +409,18 @@ print(*[m for m in cold if m in sys.modules])
 """
 
 
+# hashlib loads OpenSSL (_hashlib); seeds hash through the interpreter's
+# built-in SHA-256 wherever it has one.
+OPENSSL_MODULES = ("hashlib", "_hashlib")
+
+
 def test_import_and_maze_load_no_cold_module():
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "ACE_LOG"}
+    builtin_sha256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    cold = COLD_MODULES + (OPENSSL_MODULES if builtin_sha256 else ())
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, str(src), *COLD_MODULES],
+        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, str(src), *cold],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
     assert out[0] == ""  # importing ace.cli loads none of them

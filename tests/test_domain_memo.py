@@ -12,12 +12,14 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 import ace.cli as cli
 import ace.pso as pso
 from ace.cli import SuiteSpec, build_domain, orchestrate
-from ace.loop import ExperimentConfig, run_standard
+from ace.loop import ExperimentConfig, run_ace, run_standard
 
-from helpers import retained_instance_memory
+from helpers import GridStub, retained_instance_memory
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -101,6 +103,35 @@ def test_an_evicted_maze_is_built_anew_and_its_move_table_dropped():
     gc.collect()
     assert ref() is None
     assert len(pso.MOVE_TABLES) == tables - 1
+
+
+class UnhashableGrid(GridStub):
+    __hash__ = None  # as an unfrozen dataclass with eq=True has
+
+
+class UnreferencedGrid:
+    """A GridStub behind a wrapper that cannot be weakly referenced."""
+
+    __slots__ = ("_grid",)
+
+    def __init__(self, width, height):
+        self._grid = GridStub(width, height)
+
+    def __getattr__(self, name):
+        return getattr(self._grid, name)
+
+
+def swarm_records(domain):
+    config = ExperimentConfig(population_size=6, max_generations=8)
+    explorer = pso.PsoExplorer(pso.PsoParams(heuristic_weight=2.0))
+    _, standard = run_standard(config, explorer, domain, random.Random(8))
+    _, _, guided = run_ace(config, explorer, domain, random.Random(8))
+    return [{**r.to_dict(), "wall_clock_seconds": None} for r in (standard, guided)]
+
+
+@pytest.mark.parametrize("make", [UnhashableGrid, UnreferencedGrid], ids=["unhashable", "unreferenced"])
+def test_a_domain_that_cannot_key_the_move_tables_runs_with_its_own(make):
+    assert swarm_records(make(4, 4)) == swarm_records(GridStub(4, 4))
 
 
 def test_retained_instance_memory_is_a_few_tables_per_instance():
