@@ -5,7 +5,10 @@ records, solve a chain spec exactly, generate/print a maze, and inspect
 a serialized guidance model.  Suite runs derive one stable seed per
 (arm, instance, run) so results do not depend on execution order or the
 parallelism degree; finished records stream to records.jsonl as they
-complete so an aborted suite keeps everything it finished.
+complete so an aborted suite keeps everything it finished.  Each output
+has one writer: a guided run saves its own model file through
+ace.gca.save_model, in the process that ran it, and the summary is
+rendered once, written to summary.txt and printed.
 """
 
 from __future__ import annotations
@@ -163,16 +166,26 @@ def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
 def parse_chain(doc: dict, where: str = "domain") -> ChainSpec:
     """The validated chain spec of a chain document.  An absent key takes
     the default; a given value is used as given (an empty
-    `target_bigrams` plants no pairs)."""
+    `target_bigrams` plants no pairs).  Each bigram is a [from, to,
+    reward] list of two integer ids and a number, and each (from, to)
+    pair is listed once; `kind`, if given, is "chain"."""
     values = _read(doc, CHAIN, where)
-    values.pop("kind", None)
+    kind = values.pop("kind", "chain")
+    if kind != "chain":
+        raise ConfigError(f"{where}.kind must be 'chain', got {kind!r}")
     if "rewards" in values:
-        try:
-            values["rewards"] = {
-                (int(i), int(j)): float(r) for i, j, r in values["rewards"]
-            }
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigError(f"{where}.target_bigrams must list [from, to, reward]: {e}") from e
+        rewards = {}
+        for n, entry in enumerate(values["rewards"]):
+            at = f"{where}.target_bigrams[{n}]"
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(map(_fits, entry, ("int", "int", "float")))):
+                raise ConfigError(
+                    f"{at} must be [from, to, reward] with integer ids, got {entry!r}")
+            i, j, r = entry
+            if (i, j) in rewards:
+                raise ConfigError(f"{at}: pair ({i}, {j}) is listed twice")
+            rewards[i, j] = float(r)
+        values["rewards"] = rewards
     spec = ChainSpec(**values)
     spec.validate()
     return spec
@@ -373,22 +386,20 @@ def build_tasks(suite: SuiteSpec, arm_filter: str | None = None) -> list[dict]:
     return tasks
 
 
-def _execute_run(task: dict, save_model: bool) -> dict:
+def _execute_run(task: dict, model_path: Path | None) -> dict:
     """Worker: build the task's domain and explorer and run once.  A
-    guided run's model is serialized only when it will be saved."""
+    guided run saves its model to model_path unless that is None."""
     arm = task["arm"]
     domain = build_domain(task["instance_spec"])
     explorer = EXPLORERS[arm.explorer][1](arm.params)
     rng = random.Random(task["seed"])
-    model_json = None
     if arm.guided:
         _, model, record = run_ace(arm.config, explorer, domain, rng)
-        if save_model:
-            model_json = gca.serialize_model(model)
+        if model_path is not None:
+            gca.save_model(model, model_path)
     else:
         _, record = run_standard(arm.config, explorer, domain, rng)
-
-    row = {
+    return {
         "arm": arm.name,
         "explorer": arm.explorer,
         "guided": arm.guided,
@@ -398,11 +409,8 @@ def _execute_run(task: dict, save_model: bool) -> dict:
         "run_index": task["run_index"],
         "seed": task["seed"],
         "max_generations": arm.config.max_generations,
+        **record.to_dict(),
     }
-    row.update(record.to_dict())
-    if model_json is not None:
-        row["_model_json"] = model_json
-    return row
 
 
 def orchestrate(
@@ -413,7 +421,8 @@ def orchestrate(
     save_models: bool = True,
 ) -> list[dict]:
     """Run every (arm, instance, run) combination, streaming finished
-    records to records.jsonl.  On failure the partial records file stays
+    records to records.jsonl; each guided run writes its own model file
+    unless save_models is off.  On failure the partial records file stays
     in place and an error manifest is written before re-raising.  An
     output directory or records file that cannot be made raises
     ConfigError before any run."""
@@ -428,12 +437,14 @@ def orchestrate(
     records = []
     log.info("starting suite: %d runs, parallelism %d", len(tasks), workers)
 
+    # Where each task's run saves its model: None for a standard run, or
+    # for every run when save_models is off.
+    model_paths = [
+        out_dir / f"gca_{t['arm'].name}_{t['instance_id']}_{t['run_index']}.json"
+        if save_models and t["arm"].guided else None for t in tasks
+    ]
+
     def _consume(row: dict, jsonl) -> None:
-        if "_model_json" in row:
-            name = f"gca_{row['arm']}_{row['maze_id']}_{row['run_index']}.json"
-            with _open_out(out_dir / name) as f:
-                f.write(row["_model_json"])
-        row = {k: v for k, v in row.items() if not k.startswith("_")}
         records.append(row)
         jsonl.write(json.dumps(row) + "\n")
         jsonl.flush()
@@ -446,13 +457,13 @@ def orchestrate(
     try:
         with jsonl:
             if workers <= 1:
-                for task in tasks:
-                    _consume(_execute_run(task, save_models), jsonl)
+                for task, path in zip(tasks, model_paths):
+                    _consume(_execute_run(task, path), jsonl)
             else:
                 import concurrent.futures
 
                 with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {pool.submit(_execute_run, t, save_models): t for t in tasks}
+                    futures = [pool.submit(_execute_run, t, p) for t, p in zip(tasks, model_paths)]
                     for fut in concurrent.futures.as_completed(futures):
                         _consume(fut.result(), jsonl)
     except Exception as e:
@@ -474,20 +485,16 @@ def orchestrate(
 # -- exports ----------------------------------------------------------------
 
 
-def _sorted_records(records: list[dict]) -> list[dict]:
-    return sorted(records, key=lambda r: (r["arm"], r["maze_id"], r["run_index"]))
-
-
-def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = None) -> None:
+def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = None) -> str:
     """Write records.csv / records.json / summary.txt and one best-fitness
     curve file per arm (mean and SD across that arm's runs, padded to the
-    configured generation count)."""
+    configured generation count); the summary text."""
     import csv
     import statistics
 
     if not records:
         raise ConfigError("no records to export")
-    ordered = _sorted_records(records)
+    ordered = sorted(records, key=lambda r: (r["arm"], r["maze_id"], r["run_index"]))
 
     with _open_out(out_dir / "records.csv", newline="") as f:
         writer = csv.writer(f)
@@ -498,9 +505,6 @@ def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = 
     doc = {"suite": suite_doc or {}, "records": ordered}
     with _open_out(out_dir / "records.json") as f:
         json.dump(doc, f, indent=1)
-
-    with _open_out(out_dir / "summary.txt") as f:
-        f.write(render_summary(ordered))
 
     arms = sorted({r["arm"] for r in ordered})
     for arm in arms:
@@ -517,6 +521,15 @@ def export_results(records: list[dict], out_dir: Path, suite_doc: dict | None = 
                 col = [c[g] for c in curves]
                 sd = statistics.stdev(col) if len(col) > 1 else 0.0
                 writer.writerow([g + 1, statistics.fmean(col), sd])
+    return _write_summary(ordered, out_dir)
+
+
+def _write_summary(records: list[dict], out_dir: Path) -> str:
+    """render_summary(records), written to out_dir/summary.txt."""
+    text = render_summary(records)
+    with _open_out(out_dir / "summary.txt") as f:
+        f.write(text)
+    return text
 
 
 def render_summary(records: list[dict]) -> str:
@@ -547,8 +560,7 @@ def cmd_run(args) -> int:
         parallelism=args.parallelism,
         save_models=not args.no_models,
     )
-    export_results(records, out_dir, suite_doc={"suite_seed": suite.suite_seed})
-    print(render_summary(records))
+    print(export_results(records, out_dir, suite_doc={"suite_seed": suite.suite_seed}))
     print(f"wrote {len(records)} records to {out_dir}")
     return 0
 
@@ -578,11 +590,7 @@ def _summary_records(doc) -> list[dict]:
 
 def cmd_stats(args) -> int:
     records = _summary_records(_load_json(args.records, "records file"))
-    text = render_summary(records)
-    if args.out:
-        with _open_out(Path(args.out) / "summary.txt") as f:
-            f.write(text)
-    print(text)
+    print(_write_summary(records, Path(args.out)) if args.out else render_summary(records))
     return 0
 
 

@@ -1000,9 +1000,16 @@ def deserialize_model(text: str) -> GcaModel:
 
 
 def save_model(model: GcaModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_model(model))
-        f.write("\n")
+    """Write exactly serialize_model(model) to path, so that the file
+    re-serializes to its own bytes; ConfigError naming a path that cannot
+    be opened."""
+    text = serialize_model(model)
+    try:
+        f = open(path, "w", newline="", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write model file {path}: {e}") from e
+    with f:
+        f.write(text)
 
 
 def load_model(path) -> GcaModel:

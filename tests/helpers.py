@@ -410,7 +410,7 @@ def retained_instance_memory(path="configs/maze_suite.json", arm="std-pso") -> t
     try:
         base = tracemalloc.get_traced_memory()[0]
         for task in tasks:
-            cli._execute_run(task, False)
+            cli._execute_run(task, None)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:

@@ -153,8 +153,8 @@ def test_orchestrate_writes_streaming_records(tmp_path):
 
 def test_orchestrate_parallelism_equivalence(tmp_path):
     suite = SuiteSpec.from_dict(tiny_chain_suite(tmp_path / "a"))
-    seq = orchestrate(suite, tmp_path / "a", parallelism=1, save_models=False)
-    par = orchestrate(suite, tmp_path / "b", parallelism=2, save_models=False)
+    seq = orchestrate(suite, tmp_path / "a", parallelism=1)
+    par = orchestrate(suite, tmp_path / "b", parallelism=2)
 
     def canon(rows):
         out = []
@@ -165,6 +165,11 @@ def test_orchestrate_parallelism_equivalence(tmp_path):
         return out
 
     assert canon(seq) == canon(par)
+    # Pool workers write the guided models: the same files, byte for byte.
+    serial = {f.name: f.read_bytes() for f in (tmp_path / "a").glob("gca_*.json")}
+    pooled = {f.name: f.read_bytes() for f in (tmp_path / "b").glob("gca_*.json")}
+    assert sorted(serial) == ["gca_ace-ea_chain_0.json", "gca_ace-ea_chain_1.json"]
+    assert pooled == serial
 
 
 def test_orchestrate_crash_preserves_partial_results(tmp_path, monkeypatch):
@@ -172,11 +177,11 @@ def test_orchestrate_crash_preserves_partial_results(tmp_path, monkeypatch):
     real = cli._execute_run
     calls = {"n": 0}
 
-    def flaky(task, save_model):
+    def flaky(task, model_path):
         calls["n"] += 1
         if calls["n"] == 3:
             raise RuntimeError("simulated abort")
-        return real(task, save_model)
+        return real(task, model_path)
 
     monkeypatch.setattr(cli, "_execute_run", flaky)
     with pytest.raises(RuntimeError):
@@ -204,6 +209,24 @@ def test_run_command_outputs(tmp_path, capsys):
     assert list(rows[0]) == cli.CSV_COLUMNS
     curves = read_csv_rows(out_dir / "curves_ace-ea.csv")
     assert len(curves) == 6  # one row per generation
+
+
+def test_run_renders_the_summary_once_and_prints_what_it_wrote(tmp_path, capsys, monkeypatch):
+    real = cli.render_summary
+    calls = []
+    monkeypatch.setattr(cli, "render_summary", lambda rows: calls.append(rows) or real(rows))
+    suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(suite_path)]) == 0
+    assert len(calls) == 1
+    summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out.startswith(summary + "\n")
+    # stats --out renders once too, and writes what it prints.
+    records = str(tmp_path / "out" / "records.json")
+    assert cli.main(["stats", "--records", records, "--out", str(tmp_path / "again")]) == 0
+    assert len(calls) == 2
+    again = (tmp_path / "again" / "summary.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == again + "\n"
+    assert again == summary
 
 
 def test_run_command_deterministic_modulo_wall_clock(tmp_path):
@@ -1169,6 +1192,45 @@ def chain_domain(doc):
     return cli.build_domain(spec)
 
 
+@pytest.mark.parametrize("bigrams, message", [
+    ([["0", "1", "2"]],
+     "target_bigrams[0] must be [from, to, reward] with integer ids, got ['0', '1', '2']"),
+    ([[0, 1, 5.0], [1.9, 2, 1.0]], "target_bigrams[1] must be [from, to, reward]"),
+    ([[True, 1, 1.0]], "target_bigrams[0] must be [from, to, reward]"),
+    ([[0, 1, "2"]], "target_bigrams[0] must be [from, to, reward]"),
+    ([[0, 1, False]], "target_bigrams[0] must be [from, to, reward]"),
+    ([[0, 1]], "target_bigrams[0] must be [from, to, reward]"),
+    ([[0, 1, 2.0, 3.0]], "target_bigrams[0] must be [from, to, reward]"),
+    ([5], "target_bigrams[0] must be [from, to, reward]"),
+    ([[0, 1, 2.0], [1, 2, 1.0], [0, 1, 7.0]], "target_bigrams[2]: pair (0, 1) is listed twice"),
+], ids=["string-ids", "float-id", "bool-id", "string-reward", "bool-reward", "two-long",
+        "four-long", "no-list", "duplicate-pair"])
+def test_malformed_target_bigram_exits_1_naming_it(tmp_path, capsys, bigrams, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"alphabet_size": 4, "sequence_length": 3, "target_bigrams": bigrams}))
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 1
+    assert f"error: chain spec.{message}" in capsys.readouterr().err
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["domain"]["target_bigrams"] = bigrams
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert f"error: domain.{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chain_spec_of_another_kind_exits_1(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "maze", "alphabet_size": 4, "sequence_length": 3,
+                                     "target_bigrams": [[0, 1, 7.0]]}))
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 1
+    assert "error: chain spec.kind must be 'chain', got 'maze'" in capsys.readouterr().err
+    spec_path.write_text(json.dumps({"kind": "chain", "alphabet_size": 4, "sequence_length": 3,
+                                     "target_bigrams": [[0, 1, 7]]}))
+    assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
+    assert "optimum=6.8" in capsys.readouterr().out
+
+
 def test_oracle_and_run_read_a_chain_spec_alike(tmp_path, capsys):
     doc = {"alphabet_size": 4, "sequence_length": 5, "target_bigrams": [], "noise_penalty": 0.5}
     spec_path = tmp_path / "spec.json"
@@ -1203,7 +1265,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 # -- unwritable outputs -------------------------------------------------------------
 
 
-def _no_run(task, save_model):
+def _no_run(task, model_path):
     raise AssertionError("a run started")
 
 
@@ -1245,7 +1307,7 @@ def test_maze_to_a_directory_exits_1(tmp_path, capsys):
 def test_os_error_inside_a_run_still_exits_2(tmp_path, capsys, monkeypatch):
     # Only making the output directory or opening its files is an input
     # error; an OSError a run raises is a runtime failure.
-    def broken(task, save_model):
+    def broken(task, model_path):
         raise OSError("simulated device error")
 
     suite_path = write_suite(tmp_path, tiny_chain_suite(tmp_path / "out"))

@@ -4,7 +4,8 @@ serialize_model joins each row of the table into one string and the rows
 once into the result; deserialize_model stores each checked triple as it
 reads it.  These tests hold the text to the reference writer of
 tests/helpers.py, the loaded table to the file's order, and both
-functions to a memory bound on a 12,000-entry model.
+functions to a memory bound on a 12,000-entry model.  save_model writes
+exactly the serialized text, so a saved file re-serializes to its bytes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import random
 
 import pytest
 
-from ace.errors import ParseError
-from ace.gca import GcaModel, deserialize_model, serialize_model
+from ace.errors import ConfigError, ParseError
+from ace.gca import GcaModel, deserialize_model, load_model, save_model, serialize_model
 from helpers import (
     make_model,
     model_io_peaks,
@@ -61,6 +62,24 @@ def test_text_matches_the_reference_writer_and_loads_in_file_order(name, model):
     expected = sorted((pair, w, support.get(pair, 0)) for pair, w in model.weights.items())
     assert list(again.weights.entries()) == expected
     assert serialize_model(again) == text
+
+
+@pytest.mark.parametrize("name, model", list(_models())[:5],
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_saved_file_holds_the_text_and_reserializes_to_its_own_bytes(tmp_path, name, model):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = path.read_bytes()
+    assert data == serialize_model(model).encode("utf-8")
+    assert serialize_model(load_model(path)).encode("utf-8") == data
+
+
+def test_saving_where_a_directory_stands_names_the_path(tmp_path):
+    taken = tmp_path / "gca_ace-ea_chain_0.json"
+    taken.mkdir()
+    with pytest.raises(ConfigError, match="cannot write model file") as caught:
+        save_model(make_model(weights={(0, 1): 0.5}), taken)
+    assert str(taken) in str(caught.value)
 
 
 @pytest.mark.parametrize("model", list(_non_finite_models()), ids=["inf", "-inf", "nan"])
