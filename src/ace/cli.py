@@ -35,7 +35,8 @@ except ImportError:
 from . import gca, stats
 from .chain import ChainDomain, ChainSpec, brute_force_optimum
 from .ea import EaExplorer, EaParams
-from .errors import AceError, ConfigError, ParseError, check_range
+from .errors import AceError, ConfigError, ParseError, check_range, read_fields, read_file
+from .errors import read_triples
 from .gca import GcaParams, GcaThresholds
 from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_shape
@@ -74,14 +75,10 @@ ALIASES = {
 }
 _KEY_OF = {name: key for key, name in ALIASES.items()}
 
-# Checkable value types by annotation (`list[...]` checks the list); ints
-# also pass where floats go.
-_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict, "list": list}
-
 
 def _schema(*sources, skip=()) -> dict[str, tuple[str, str]]:
     """Config key -> (field name, annotation) over the fields of
-    dataclasses."""
+    dataclasses, the schema ace.errors.read_fields takes."""
     schema = {}
     for src in sources:
         for f in dataclasses.fields(src):
@@ -113,52 +110,9 @@ ARM = _plain({
 })
 
 
-def _check_keys(doc, allowed, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {where}: {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(allowed))})"
-        )
-
-
-def _read(doc, schema: dict[str, tuple[str, str]], where: str, required=()) -> dict:
-    """Field name -> value for a config section; unknown keys, missing
-    required keys and values of the wrong type raise ConfigError.  Ints
-    given for floats widen."""
-    _check_keys(doc, schema, where)
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{where} missing required field {key!r}")
-    values = {}
-    for key, value in doc.items():
-        name, hint = schema[key]
-        if not _fits(value, hint):
-            raise ConfigError(f"{where}.{key} must be {hint}, got {value!r}")
-        if value is not None and hint.partition(" | ")[0] == "float":
-            value = float(value)
-        values[name] = value
-    return values
-
-
-def _fits(value, hint: str) -> bool:
-    """Whether a value has the type an annotation names (True for a type
-    without a check); a bool is no number, an int passes for a float
-    unless it overflows one."""
-    base, _, rest = hint.partition(" | ")
-    kind = _TYPES.get(base.partition("[")[0])
-    if kind is None or (value is None and rest == "None"):
-        return True
-    if base == "float" and type(value) is int and abs(value) > sys.float_info.max:
-        return False  # it would overflow when widened
-    return isinstance(value, kind) and isinstance(value, bool) == (base == "bool")
-
-
 def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
     """Validated model hyperparameters from a `gca` config section."""
-    params = gca.gca_params(_read(doc, GCA, where))
+    params = gca.gca_params(read_fields(doc, GCA, where, ConfigError))
     params.validate()
     return params
 
@@ -169,22 +123,20 @@ def parse_chain(doc: dict, where: str = "domain") -> ChainSpec:
     `target_bigrams` plants no pairs).  Each bigram is a [from, to,
     reward] list of two integer ids and a number, and each (from, to)
     pair is listed once; `kind`, if given, is "chain"."""
-    values = _read(doc, CHAIN, where)
+    values = read_fields(doc, CHAIN, where, ConfigError)
     kind = values.pop("kind", "chain")
     if kind != "chain":
         raise ConfigError(f"{where}.kind must be 'chain', got {kind!r}")
     if "rewards" in values:
+        # A copy, since the reader empties the list it reads: the suite's
+        # document is parsed again for every task list.
+        bigrams = list(values["rewards"])
         rewards = {}
-        for n, entry in enumerate(values["rewards"]):
-            at = f"{where}.target_bigrams[{n}]"
-            if not (isinstance(entry, list) and len(entry) == 3
-                    and all(map(_fits, entry, ("int", "int", "float")))):
-                raise ConfigError(
-                    f"{at} must be [from, to, reward] with integer ids, got {entry!r}")
-            i, j, r = entry
-            if (i, j) in rewards:
-                raise ConfigError(f"{at}: pair ({i}, {j}) is listed twice")
-            rewards[i, j] = float(r)
+        for at, pair, r in read_triples(bigrams, "float", "reward", f"{where}.target_bigrams",
+                                        ConfigError):
+            if pair in rewards:
+                raise ConfigError(f"{at}: pair {pair} is listed twice")
+            rewards[pair] = r
         values["rewards"] = rewards
     spec = ChainSpec(**values)
     spec.validate()
@@ -202,7 +154,7 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
         return [("chain", {"kind": kind, "chain": parse_chain(doc)})]
     if kind != "maze":
         raise ConfigError(f"unknown domain kind {kind!r}")
-    values = _read(doc, MAZE, "domain", required=("instances",))
+    values = read_fields(doc, MAZE, "domain", ConfigError, required=("instances",))
     width, height = values.get("width", 15), values.get("height", 15)
     slack = values.get("path_slack")
     check_maze_options(path_slack=slack)
@@ -210,7 +162,7 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
     instances, seen = [], set()
     for i, inst in enumerate(values["instances"]):
         where = f"domain.instances[{i}]"
-        inst = _read(inst, MAZE_INSTANCE, where, required=MAZE_INSTANCE)
+        inst = read_fields(inst, MAZE_INSTANCE, where, ConfigError, required=MAZE_INSTANCE)
         check_maze_shape(width, height, inst["connectivity"])
         maze = (inst["connectivity"], inst["maze_seed"])
         if maze in seen:
@@ -258,7 +210,8 @@ class ArmSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, index: int, suite_run: dict, suite_gca: dict) -> "ArmSpec":
-        values = _read(doc, ARM, f"arms[{index}]", required=("name", "explorer", "guided"))
+        values = read_fields(
+            doc, ARM, f"arms[{index}]", ConfigError, required=("name", "explorer", "guided"))
         name, explorer = values["name"], values["explorer"]
         if not name or not all(c.isalnum() or c in "-_" for c in name):
             raise ConfigError(f"arm name {name!r} must be alphanumeric/-/_")
@@ -269,11 +222,14 @@ class ArmSpec:
             if other != explorer and other in values:
                 raise ConfigError(f"{where}: {explorer} arms take no {other!r} section")
         params_cls = EXPLORERS[explorer][0]
-        params = params_cls(**_read(values.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}"))
+        params = params_cls(**read_fields(
+            values.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}", ConfigError))
         params.validate()
+        run = read_fields(values.get("run", {}), RUN, f"{where}.run", ConfigError)
+        arm_gca = read_fields(values.get("gca", {}), GCA, f"{where}.gca", ConfigError)
         config = ExperimentConfig(
-            **{**suite_run, **_read(values.get("run", {}), RUN, f"{where}.run")},
-            gca=gca.gca_params({**suite_gca, **_read(values.get("gca", {}), GCA, f"{where}.gca")}),
+            **{**suite_run, **run},
+            gca=gca.gca_params({**suite_gca, **arm_gca}),
             warm_start_model=values.get("warm_start_model"),
         )
         config.validate()
@@ -302,14 +258,12 @@ class SuiteSpec:
     def from_dict(cls, doc: dict) -> "SuiteSpec":
         """Parse and check a whole suite.  Unknown keys, mistyped values
         and invalid arm settings fail here, before any run starts."""
-        _check_keys(doc, SUITE_KEYS, "suite config")
-        top = _read(
-            {k: v for k, v in doc.items() if k in SUITE}, SUITE, "suite config",
-            required=("runs_per_arm", "domain", "arms"),
-        )
+        top = read_fields(
+            doc, SUITE, "suite config", ConfigError, required=("runs_per_arm", "domain", "arms"))
         instances = _domain_instances(top["domain"])
-        run = _read(doc.get("run", {}), RUN, "run")
-        gca = _read(doc.get("gca", {}), GCA, "gca")
+        top.pop("notes", None)
+        run = read_fields(top.pop("run", {}), RUN, "run", ConfigError)
+        gca = read_fields(top.pop("gca", {}), GCA, "gca", ConfigError)
         top["arms"] = [ArmSpec.from_dict(a, i, run, gca) for i, a in enumerate(top["arms"])]
         spec = cls(**top)
         if len({a.name for a in spec.arms}) != len(spec.arms):
@@ -324,29 +278,17 @@ class SuiteSpec:
 
     @classmethod
     def from_file(cls, path) -> "SuiteSpec":
-        return cls.from_dict(_load_json(path, "suite config"))
+        return cls.from_dict(read_file(path, "suite config", gca.finite_json))
 
 
-SUITE = _schema(SuiteSpec)
-SUITE_KEYS = {*SUITE, "notes", "run", "gca"}
+# `notes` may hold anything: no check reads an "any" annotation.
+SUITE = {**_schema(SuiteSpec), **_plain({"notes": "any", "run": "dict", "gca": "dict"})}
 
 
 def _check_parallelism(workers: int) -> None:
     """Raise ConfigError unless 1 <= workers <= MAX_PARALLELISM."""
     check_range("parallelism", workers, 1)
     check_range("parallelism", workers, high=MAX_PARALLELISM)
-
-
-def _load_json(path, what: str):
-    """The JSON document in a file.  ConfigError when the file cannot be
-    read, ParseError when it is not JSON or holds a non-finite number."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return gca.finite_json(f.read())
-    except OSError as e:
-        raise ConfigError(f"cannot read {what} {path}: {e}") from e
-    except ValueError as e:
-        raise ParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def _open_out(path: Path, newline: str | None = None):
@@ -464,8 +406,14 @@ def orchestrate(
 
                 with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [pool.submit(_execute_run, t, p) for t, p in zip(tasks, model_paths)]
-                    for fut in concurrent.futures.as_completed(futures):
-                        _consume(fut.result(), jsonl)
+                    try:
+                        for fut in concurrent.futures.as_completed(futures):
+                            _consume(fut.result(), jsonl)
+                    except BaseException:
+                        # The runs not yet handed to a worker would only be
+                        # thrown away: cancel them.
+                        pool.shutdown(cancel_futures=True)
+                        raise
     except Exception as e:
         import traceback
 
@@ -565,9 +513,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The group keys render_summary passes to stats.summarize, with the type
-# of their values.
-SUMMARY_GROUPS = {"arm": "str", "connectivity": "float | None"}
+# The record fields a summary reads, with the type of their values: the
+# group keys render_summary passes to stats.summarize, then
+# stats.RECORD_FIELDS.
+SUMMARY_RECORD = _plain({"arm": "str", "connectivity": "float | None", **stats.RECORD_FIELDS})
 
 
 def _summary_records(doc) -> list[dict]:
@@ -578,18 +527,16 @@ def _summary_records(doc) -> list[dict]:
     if not isinstance(records, list):
         raise ParseError("records file: records must be a list of objects")
     for i, row in enumerate(records):
-        if not isinstance(row, dict):
-            raise ParseError(f"records file: records[{i}] must be an object")
-        for key, hint in {**SUMMARY_GROUPS, **stats.RECORD_FIELDS}.items():
-            if key not in row:
-                raise ParseError(f"records file: records[{i}] is missing field '{key}'")
-            if not _fits(row[key], hint):
-                raise ParseError(f"records file: records[{i}].{key} must be {hint}, got {row[key]!r}")
+        # A row may hold fields that no summary reads: those go unchecked.
+        if isinstance(row, dict):
+            row = {key: row[key] for key in SUMMARY_RECORD if key in row}
+        read_fields(row, SUMMARY_RECORD, f"records file: records[{i}]", ParseError,
+                    required=SUMMARY_RECORD)
     return records
 
 
 def cmd_stats(args) -> int:
-    records = _summary_records(_load_json(args.records, "records file"))
+    records = _summary_records(read_file(args.records, "records file", gca.finite_json))
     print(_write_summary(records, Path(args.out)) if args.out else render_summary(records))
     return 0
 
@@ -598,7 +545,7 @@ def cmd_oracle(args) -> int:
     if args.spec == "default":
         spec = ChainSpec()
     else:
-        spec = parse_chain(_load_json(args.spec, "chain spec"), "chain spec")
+        spec = parse_chain(read_file(args.spec, "chain spec", gca.finite_json), "chain spec")
     value, witness = brute_force_optimum(spec)
     print(f"alphabet={spec.alphabet_size} length={spec.sequence_length}")
     print(f"optimum={value!r}")

@@ -22,7 +22,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .errors import ConfigError, DomainError, InternalError, ParseError, check_range
+from .errors import ConfigError, DomainError, InternalError, ParseError, check_range, read_fields
+from .errors import read_file, read_triples
 
 FORMAT_VERSION = 1
 
@@ -865,67 +866,44 @@ def _finite_number(text: str) -> float | int:
     return int(text) if text.lstrip("-").isdigit() else value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its key-value pairs; ValueError naming a key
+    that the object gives twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
+
+
 def finite_json(text: str):
-    """Parse JSON text whose numbers are all finite: NaN, Infinity,
-    -Infinity and number literals that overflow a float raise ValueError."""
+    """Parse JSON text whose numbers are all finite and whose objects give
+    each key once: NaN, Infinity, -Infinity, number literals that overflow
+    a float and a repeated key raise ValueError."""
     number = _finite_number  # integer literals stay ints
-    return json.loads(text, parse_float=number, parse_int=number, parse_constant=number)
+    return json.loads(
+        text, parse_float=number, parse_int=number, parse_constant=number,
+        object_pairs_hook=_unique_keys,
+    )
 
 
-# The keys a model document may hold, at the top level and under
-# "thresholds"; a macro entry holds the MacroOperation fields.
-_MODEL_KEYS = {"version", "atomic_ops", "vocab_size", "thresholds", "weights", "support", "macros"}
-_MODEL_KEYS.update(key for _, key, name, _ in HYPERPARAMETERS if name not in _THRESHOLD_FIELDS)
-_THRESHOLD_KEYS = {key for _, key, name, _ in HYPERPARAMETERS if name in _THRESHOLD_FIELDS}
-_MACRO_FIELDS = {
-    f.name: {"int": int, "bool": bool}[f.type] for f in dataclasses.fields(MacroOperation)
+# The model document as ace.errors.read_fields reads it, key -> (field
+# name, annotation): its top level, its "thresholds" and a macro entry.
+_MODEL = {key: (key, hint) for key, hint in (
+    ("version", "int"), ("atomic_ops", "list"), ("vocab_size", "int"), ("thresholds", "dict"),
+    ("weights", "list"), ("support", "list"), ("macros", "list"),
+)}
+_MODEL.update(
+    (key, (name, kind.__name__)) for _, key, name, kind in HYPERPARAMETERS
+    if name not in _THRESHOLD_FIELDS
+)
+_THRESHOLDS = {
+    key: (name, kind.__name__) for _, key, name, kind in HYPERPARAMETERS if name in _THRESHOLD_FIELDS
 }
-
-
-def _check_keys(doc: dict, allowed, ctx: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ParseError(f"{ctx}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _parse_field(doc: dict, key: str, kind, ctx: str):
-    if key not in doc:
-        raise ParseError(f"{ctx}: missing field '{key}'")
-    val = doc[key]
-    if kind is float and _is_int(val):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
-        raise ParseError(f"{ctx}: field '{key}' has wrong type {type(val).__name__}")
-    return val
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _triples_in(doc: dict, key: str, noun: str, kind, vocab_size: int):
-    """(context, pair, value) for each [from, to, value] triple of the
-    weights or support table: integer ids inside the vocabulary and a
-    non-negative value of the given kind (an integer weight widens to
-    float).  Each triple is dropped from doc once read."""
-    entries = _parse_field(doc, key, list, "model")
-    for idx, entry in enumerate(entries):
-        entries[idx] = None
-        ec = f"{key}[{idx}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{ec}: expected [from, to, {noun}]")
-        i, j, v = entry
-        if not _is_int(i) or not _is_int(j):
-            raise ParseError(f"{ec}: ids must be integers")
-        if not (0 <= i < vocab_size and 0 <= j < vocab_size):
-            raise ParseError(f"{ec}: id outside vocabulary of size {vocab_size}")
-        if kind is float and _is_int(v):
-            v = float(v)
-        if not isinstance(v, kind) or isinstance(v, bool):
-            raise ParseError(f"{ec}: {noun}s must be {'numbers' if kind is float else 'integers'}")
-        if v < 0:
-            raise ParseError(f"{ec}: negative {noun} {v}")
-        yield ec, (i, j), v
+_MACRO = {f.name: (f.name, f.type) for f in dataclasses.fields(MacroOperation)}
+# Every macro field is required but "pruned", whose absence means active.
+_MACRO_REQUIRED = [name for name in _MACRO if name != "pruned"]
 
 
 def deserialize_model(text: str) -> GcaModel:
@@ -935,44 +913,30 @@ def deserialize_model(text: str) -> GcaModel:
     try:
         doc = finite_json(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"model document is not valid JSON: line {e.lineno}: {e.msg}") from e
+        raise ParseError(f"model document is not valid JSON: {e}") from e
     except ValueError as e:
         raise ParseError(f"model document: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
     ctx = "model"
-    _check_keys(doc, _MODEL_KEYS, ctx)
-    version = _parse_field(doc, "version", int, ctx)
+    values = read_fields(doc, _MODEL, ctx, ParseError, required=_MODEL)
+    version, atomic_ops = values.pop("version"), values.pop("atomic_ops")
     if version != FORMAT_VERSION:
         raise ParseError(f"{ctx}: unsupported format version {version}")
-    atomic_ops = _parse_field(doc, "atomic_ops", list, ctx)
     if not atomic_ops or not all(isinstance(s, str) for s in atomic_ops):
         raise ParseError(f"{ctx}: atomic_ops must be a non-empty list of names")
-    vocab_size = _parse_field(doc, "vocab_size", int, ctx)
-    th_doc = _parse_field(doc, "thresholds", dict, ctx)
-    _check_keys(th_doc, _THRESHOLD_KEYS, "thresholds")
-    params = gca_params({
-        name: _parse_field(th_doc, key, kind, "thresholds")
-        if name in _THRESHOLD_FIELDS else _parse_field(doc, key, kind, ctx)
-        for _, key, name, kind in HYPERPARAMETERS
-    })
+    vocab_size = values.pop("vocab_size")
+    weights, support, macro_docs = values.pop("weights"), values.pop("support"), values.pop("macros")
+    values.update(read_fields(
+        values.pop("thresholds"), _THRESHOLDS, "thresholds", ParseError, required=_THRESHOLDS))
+    params = gca_params(values)
     try:
         params.validate()
     except ConfigError as e:
         raise ParseError(f"{ctx}: {e}") from e
 
     macros = []
-    for idx, m_doc in enumerate(_parse_field(doc, "macros", list, ctx)):
+    for idx, m_doc in enumerate(macro_docs):
         mc = f"macros[{idx}]"
-        if not isinstance(m_doc, dict):
-            raise ParseError(f"{mc}: must be an object")
-        _check_keys(m_doc, _MACRO_FIELDS, mc)
-        # Every field is required but "pruned", whose absence means active.
-        m = MacroOperation(**{
-            name: _parse_field(m_doc, name, kind, mc)
-            for name, kind in _MACRO_FIELDS.items()
-            if name in m_doc or name != "pruned"
-        })
+        m = MacroOperation(**read_fields(m_doc, _MACRO, mc, ParseError, required=_MACRO_REQUIRED))
         if m.id != len(atomic_ops) + idx:
             raise ParseError(f"{mc}: macro ids must be consecutive from atomic_count")
         if m.left >= m.id or m.right >= m.id or m.left < 0 or m.right < 0:
@@ -982,20 +946,25 @@ def deserialize_model(text: str) -> GcaModel:
         macros.append(m)
     if vocab_size != len(atomic_ops) + len(macros):
         raise ParseError(f"{ctx}: vocab_size does not match atomic_ops + macros")
-    # Each checked triple goes straight into the table, in file order.
+    # Each triple goes straight into the table, in file order, and the
+    # table catches a pair given twice.
     table = PairTable()
-    for ec, pair, w in _triples_in(doc, "weights", "weight", float, vocab_size):
-        if not table.add(pair, w):
-            raise ParseError(f"{ec}: duplicate entry {pair}")
-    for ec, pair, count in _triples_in(doc, "support", "count", int, vocab_size):
+    for at, (i, j), w in read_triples(weights, "float", "weight", "weights", ParseError):
+        if not (0 <= i < vocab_size and 0 <= j < vocab_size):
+            raise ParseError(f"{at}: id outside vocabulary of size {vocab_size}")
+        if w < 0:
+            raise ParseError(f"{at}: negative weight {w}")
+        if not table.add((i, j), w):
+            raise ParseError(f"{at}: duplicate entry {(i, j)}")
+    for at, pair, count in read_triples(support, "int", "count", "support", ParseError):
         try:
             earlier = table.set_count(pair, count)
         except KeyError:
-            raise ParseError(f"{ec}: support for {pair}, which has no weight entry") from None
-        if count == 0:
-            raise ParseError(f"{ec}: support count must be >= 1, got 0")
+            raise ParseError(f"{at}: support for {pair}, which has no weight entry") from None
+        if count < 1:
+            raise ParseError(f"{at}: support count must be >= 1, got {count}")
         if earlier:
-            raise ParseError(f"{ec}: duplicate entry {pair}")
+            raise ParseError(f"{at}: duplicate entry {pair}")
     return GcaModel(atomic_ops=list(atomic_ops), params=params, weights=table, macros=macros)
 
 
@@ -1013,14 +982,6 @@ def save_model(model: GcaModel, path) -> None:
 
 
 def load_model(path) -> GcaModel:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read model file {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"model file {path} is not valid JSON: {e}") from e
-    try:
-        return deserialize_model(text)
-    except ParseError as e:
-        raise ParseError(f"model file {path}: {e}") from e
+    """The model in the file at path; ConfigError when the file cannot be
+    read, ParseError naming it when it holds no valid model."""
+    return read_file(path, "model file", deserialize_model)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import csv
 import hashlib
 import importlib
@@ -191,6 +192,35 @@ def test_orchestrate_crash_preserves_partial_results(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "c" / "error_manifest.json").read_text())
     assert manifest["completed_runs"] == 2
     assert "simulated abort" in manifest["error"]
+
+
+# The real worker, kept here so that a pool worker forked while a test
+# patches cli._execute_run can still call it.
+_EXECUTE_RUN = cli._execute_run
+
+
+def _first_run_raises(task, model_path):
+    """cli._execute_run, except that the suite's first run raises."""
+    if task["arm"].name == "std-ea" and task["run_index"] == 0:
+        raise RuntimeError("simulated abort")
+    return _EXECUTE_RUN(task, model_path)
+
+
+def test_failed_parallel_suite_cancels_the_runs_not_yet_started(tmp_path, monkeypatch):
+    # 10 standard runs, the first of which raises, then 10 guided runs
+    # that would each save a model.
+    out = tmp_path / "f"
+    suite = SuiteSpec.from_dict(tiny_chain_suite(out, runs=10))
+    monkeypatch.setattr(cli, "_execute_run", _first_run_raises)
+    with pytest.raises(RuntimeError, match="simulated abort"):
+        orchestrate(suite, out, parallelism=2)
+    lines = (out / "records.jsonl").read_text().splitlines()
+    manifest = json.loads((out / "error_manifest.json").read_text())
+    assert manifest["completed_runs"] == len(lines)
+    assert manifest["total_runs"] == 20
+    # Beyond the recorded runs, only those the two workers already held
+    # may have finished and saved a model.
+    assert len(list(out.glob("gca_*.json"))) <= len(lines) + 2
 
 
 # -- cli commands -----------------------------------------------------------------
@@ -559,12 +589,12 @@ def test_model_with_unknown_macro_key_exits_1(tmp_path, capsys):
     donor = tmp_path / "donor.json"
     donor.write_text(json.dumps(doc))
     assert cli.main(["model", "--path", str(donor)]) == 1
-    assert "macros[0]: unknown key(s) 'prunned'" in capsys.readouterr().err
+    assert "unknown key(s) in macros[0]: prunned" in capsys.readouterr().err
     out = tmp_path / "out"
     suite = tiny_chain_suite(out)
     suite["arms"][1]["warm_start_model"] = str(donor)
     assert cli.main(["run", "--config", str(write_suite(tmp_path, suite))]) == 1
-    assert "macros[0]: unknown key(s) 'prunned'" in capsys.readouterr().err
+    assert "unknown key(s) in macros[0]: prunned" in capsys.readouterr().err
     assert not (out / "records.jsonl").exists()
 
 
@@ -754,7 +784,7 @@ def test_maze_domain_without_instances_exits_1_before_any_run(tmp_path, capsys):
     doc = _maze_suite(out)
     del doc["domain"]["instances"]
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
-    assert "domain missing required field 'instances'" in capsys.readouterr().err
+    assert "domain is missing field 'instances'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1194,7 +1224,8 @@ def chain_domain(doc):
 
 @pytest.mark.parametrize("bigrams, message", [
     ([["0", "1", "2"]],
-     "target_bigrams[0] must be [from, to, reward] with integer ids, got ['0', '1', '2']"),
+     "target_bigrams[0] must be [from, to, reward] with integer ids and a reward of type float, "
+     "got ['0', '1', '2']"),
     ([[0, 1, 5.0], [1.9, 2, 1.0]], "target_bigrams[1] must be [from, to, reward]"),
     ([[True, 1, 1.0]], "target_bigrams[0] must be [from, to, reward]"),
     ([[0, 1, "2"]], "target_bigrams[0] must be [from, to, reward]"),
@@ -1229,6 +1260,34 @@ def test_chain_spec_of_another_kind_exits_1(tmp_path, capsys):
                                      "target_bigrams": [[0, 1, 7]]}))
     assert cli.main(["oracle", "--spec", str(spec_path)]) == 0
     assert "optimum=6.8" in capsys.readouterr().out
+
+
+def test_parsing_a_suite_leaves_its_document_whole(tmp_path):
+    # The triple reader empties the list it reads; a chain suite's bigrams
+    # are read again by build_tasks (and by bench/run.py), so each reading
+    # gets a copy.
+    doc = tiny_chain_suite(tmp_path / "out")
+    doc["domain"]["target_bigrams"] = [[0, 1, 5.0], [2, 3, 1.5]]
+    before = copy.deepcopy(doc)
+    suite = SuiteSpec.from_dict(doc)
+    assert len(build_tasks(suite)) == 4
+    assert doc == before
+    assert suite.domain == before["domain"]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    (["run", "--config"], '{"runs_per_arm": 0, "runs_per_arm": 10}', "runs_per_arm"),
+    (["oracle", "--spec"], '{"alphabet_size": 4, "sequence_length": 3, "alphabet_size": 5}',
+     "alphabet_size"),
+    (["stats", "--records"], '{"records": [], "records": [{"arm": "a"}]}', "records"),
+], ids=["suite", "chain-spec", "records"])
+def test_key_given_twice_exits_1_naming_it(tmp_path, capsys, command, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path} is not valid JSON: key {key!r} given twice in one object" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_and_run_read_a_chain_spec_alike(tmp_path, capsys):

@@ -1099,6 +1099,11 @@ def test_duplicate_table_entries_rejected(table, entries):
 def test_malformed_json_rejected():
     with pytest.raises(ParseError, match="not valid JSON"):
         deserialize_model("{nope")
+    # A key given twice: the last value would win unseen.
+    text = serialize_model(make_model()).replace('"tau": 1.0', '"tau": -5.0,\n  "tau": 1.0')
+    with pytest.raises(ParseError) as caught:
+        deserialize_model(text)
+    assert str(caught.value) == "model document: key 'tau' given twice in one object"
 
 
 def test_bad_macro_ordering_rejected():
@@ -1120,12 +1125,23 @@ def test_out_of_range_weight_id_rejected():
     ("weights", [0, False, 0.5]),
     ("support", [0, 1, True]),
     ("support", [True, 1, 2]),
+    # the other malformed triples of a chain spec's target_bigrams
+    ("weights", ["0", 1, 0.5]),  # string id
+    ("weights", [0.0, 1, 0.5]),  # float id
+    ("weights", [0, 1, False]),  # bool value
+    ("weights", [0, 1]),  # two long
+    ("weights", [0, 1, 0.5, 0.5]),  # four long
+    ("weights", 5),  # not a list
 ])
 def test_boolean_ids_and_counts_rejected(table, entry):
     m = make_model(weights={(0, 1): 0.5}, support={(0, 1): 2})
     text = _mangled(m, lambda d: d[table].__setitem__(0, entry))
-    with pytest.raises(ParseError, match="must be integers"):
+    noun, kind = {"weights": ("weight", "float"), "support": ("count", "int")}[table]
+    message = (f"{table}[0] must be [from, to, {noun}] with integer ids and a {noun} of type "
+               f"{kind}, got {entry!r}")
+    with pytest.raises(ParseError) as caught:
         deserialize_model(text)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("where, key, value", [
@@ -1135,13 +1151,19 @@ def test_boolean_ids_and_counts_rejected(table, entry):
 ])
 def test_unknown_model_keys_rejected(where, key, value):
     m = make_model(macros=[MacroOperation(id=4, left=0, right=1)])
+    accepted = []
 
     def plant(doc):
         parts = {"model": doc, "thresholds": doc["thresholds"], "macros[0]": doc["macros"][0]}
+        accepted.extend(sorted(parts[where]))  # a saved model holds every key it may
         parts[where][key] = value
 
-    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: unknown key\(s\) '{key}'$"):
-        deserialize_model(_mangled(m, plant))
+    text = _mangled(m, plant)
+    with pytest.raises(ParseError) as caught:
+        deserialize_model(text)
+    assert str(caught.value) == (
+        f"unknown key(s) in {where}: {key} (accepted: {', '.join(accepted)})"
+    )
 
 
 def test_macro_without_pruned_flag_loads_active():

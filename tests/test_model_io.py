@@ -106,6 +106,16 @@ def test_table_errors_keep_their_order(weights, support, message):
     assert str(caught.value) == message
 
 
+def test_a_mistyped_table_is_named_not_printed_whole():
+    doc = json.loads(serialize_model(synthetic_model(entries=2_000, vocab=60, supported=0)))
+    doc["weights"] = {str(k): entry for k, entry in enumerate(doc["weights"])}
+    with pytest.raises(ParseError) as caught:
+        deserialize_model(json.dumps(doc))
+    message = str(caught.value)
+    assert message.startswith("model.weights must be list, got {'0': [")
+    assert len(message) == len("model.weights must be list, got ") + 80
+
+
 def test_model_io_peaks_stay_bounded():
     # V = 120, 12,000 stored pairs, 4,000 of them supported: about 0.9 MB
     # of text.  Holding one string per entry, or a weights dict and a

@@ -12,8 +12,8 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 
 def suite_keys() -> set[str]:
     """Every key a suite document may hold, in any section."""
-    keys = set(cli.SUITE_KEYS)
-    for schema in (cli.RUN, cli.GCA, cli.CHAIN, cli.MAZE, cli.MAZE_INSTANCE, cli.ARM):
+    keys = set()
+    for schema in (cli.SUITE, cli.RUN, cli.GCA, cli.CHAIN, cli.MAZE, cli.MAZE_INSTANCE, cli.ARM):
         keys.update(schema)
     for params_cls, _ in cli.EXPLORERS.values():
         keys.update(cli._schema(params_cls))
