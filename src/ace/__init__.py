@@ -16,7 +16,6 @@ from .errors import (
 from .gca import (
     GcaModel,
     GcaParams,
-    GcaThresholds,
     MacroOperation,
     apply_exploration_floor,
     deserialize_model,

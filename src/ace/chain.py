@@ -38,6 +38,11 @@ class ChainSpec:
     rewards: dict[tuple[int, int], float] = field(default_factory=default_rewards)
     noise_penalty: float = 0.2
 
+    @property
+    def atomic_op_names(self) -> list[str]:
+        """The token names t0, t1, ..., one per letter of the alphabet."""
+        return [f"t{i}" for i in range(self.alphabet_size)]
+
     def validate(self) -> None:
         check_range("alphabet_size", self.alphabet_size, 2)
         check_range("sequence_length", self.sequence_length, 1)
@@ -168,7 +173,7 @@ class ChainDomain:
     def __init__(self, spec: ChainSpec | None = None):
         self.spec = spec or ChainSpec()
         self.spec.validate()
-        self.atomic_op_names = [f"t{i}" for i in range(self.spec.alphabet_size)]
+        self.atomic_op_names = self.spec.atomic_op_names
         self.atomic_count = self.spec.alphabet_size
         length = self.spec.sequence_length
         self.default_genome_bounds = (min(2, length), length)

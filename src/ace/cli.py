@@ -37,10 +37,10 @@ from .chain import ChainDomain, ChainSpec, brute_force_optimum
 from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError, check_range, read_fields, read_file
 from .errors import read_triples
-from .gca import GcaParams, GcaThresholds
+from .gca import GcaParams
 from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_shape
-from .maze import generate_maze, maze_to_text
+from .maze import MOVE_NAMES, generate_maze, maze_to_text
 from .pso import PsoExplorer, PsoParams
 
 # Standard-library modules that only cold paths use (the pool, logging,
@@ -70,21 +70,19 @@ CSV_COLUMNS = [
 # Config keys that differ from the field or parameter they set; every
 # other key is the field name itself.
 ALIASES = {
-    **{key: name for key, _, name, _ in gca.HYPERPARAMETERS},
+    **{key: name for key, _, name in gca.HYPERPARAMETERS},
     "target_bigrams": "rewards",
 }
 _KEY_OF = {name: key for key, name in ALIASES.items()}
 
 
-def _schema(*sources, skip=()) -> dict[str, tuple[str, str]]:
-    """Config key -> (field name, annotation) over the fields of
-    dataclasses, the schema ace.errors.read_fields takes."""
-    schema = {}
-    for src in sources:
-        for f in dataclasses.fields(src):
-            if f.name not in skip:
-                schema[_KEY_OF.get(f.name, f.name)] = (f.name, f.type)
-    return schema
+def _schema(src, skip=()) -> dict[str, tuple[str, str]]:
+    """Config key -> (field name, annotation) over the fields of a
+    dataclass, the schema ace.errors.read_fields takes."""
+    return {
+        _KEY_OF.get(f.name, f.name): (f.name, f.type)
+        for f in dataclasses.fields(src) if f.name not in skip
+    }
 
 
 def _plain(hints: dict[str, str]) -> dict[str, tuple[str, str]]:
@@ -93,7 +91,7 @@ def _plain(hints: dict[str, str]) -> dict[str, tuple[str, str]]:
 
 EXPLORERS = {"ea": (EaParams, EaExplorer), "pso": (PsoParams, PsoExplorer)}
 RUN = _schema(ExperimentConfig, skip=("gca", "warm_start_model"))
-GCA = _schema(GcaParams, GcaThresholds, skip=("thresholds",))
+GCA = _schema(GcaParams)
 CHAIN = {
     **_schema(ChainSpec),
     "target_bigrams": ("rewards", "list"),  # [from, to, reward] triples
@@ -108,13 +106,6 @@ ARM = _plain({
     "name": "str", "explorer": "str", "guided": "bool", "warm_start_model": "str | None",
     "ea": "dict", "pso": "dict", "run": "dict", "gca": "dict",
 })
-
-
-def parse_gca(doc: dict, where: str = "gca") -> GcaParams:
-    """Validated model hyperparameters from a `gca` config section."""
-    params = gca.gca_params(read_fields(doc, GCA, where, ConfigError))
-    params.validate()
-    return params
 
 
 def parse_chain(doc: dict, where: str = "domain") -> ChainSpec:
@@ -209,7 +200,9 @@ class ArmSpec:
     config: ExperimentConfig
 
     @classmethod
-    def from_dict(cls, doc: dict, index: int, suite_run: dict, suite_gca: dict) -> "ArmSpec":
+    def from_dict(
+        cls, doc: dict, index: int, suite_run: dict, suite_gca: dict, op_names: list[str]
+    ) -> "ArmSpec":
         values = read_fields(
             doc, ARM, f"arms[{index}]", ConfigError, required=("name", "explorer", "guided"))
         name, explorer = values["name"], values["explorer"]
@@ -229,7 +222,7 @@ class ArmSpec:
         arm_gca = read_fields(values.get("gca", {}), GCA, f"{where}.gca", ConfigError)
         config = ExperimentConfig(
             **{**suite_run, **run},
-            gca=gca.gca_params({**suite_gca, **arm_gca}),
+            gca=GcaParams(**{**suite_gca, **arm_gca}),
             warm_start_model=values.get("warm_start_model"),
         )
         config.validate()
@@ -239,9 +232,13 @@ class ArmSpec:
                 f"{where}: a run makes {evaluations} evaluations "
                 f"(population_size x max_generations), over {MAX_RUN_EVALUATIONS}")
         if config.warm_start_model:
-            # Read the donor now so that a bad file fails before any run; its
-            # vocabulary is checked against the domain when a run loads it.
-            gca.load_model(config.warm_start_model)
+            # Read the donor now, so that a bad file or one over another
+            # vocabulary than the domain's op_names fails before any run.
+            donor = gca.load_model(config.warm_start_model).atomic_ops
+            if donor != op_names:
+                raise ConfigError(
+                    f"{where}: warm-start model vocabulary does not match the domain: "
+                    f"{donor} vs {op_names}")
         return cls(name, explorer, values["guided"], params, config)
 
 
@@ -264,7 +261,13 @@ class SuiteSpec:
         top.pop("notes", None)
         run = read_fields(top.pop("run", {}), RUN, "run", ConfigError)
         gca = read_fields(top.pop("gca", {}), GCA, "gca", ConfigError)
-        top["arms"] = [ArmSpec.from_dict(a, i, run, gca) for i, a in enumerate(top["arms"])]
+        # The domain's op names, read without building it: a chain domain
+        # runs the exact solver when built, and a maze's moves are MOVE_NAMES.
+        chain = instances[0][1].get("chain") if instances else None
+        op_names = chain.atomic_op_names if chain else list(MOVE_NAMES)
+        top["arms"] = [
+            ArmSpec.from_dict(a, i, run, gca, op_names) for i, a in enumerate(top["arms"])
+        ]
         spec = cls(**top)
         if len({a.name for a in spec.arms}) != len(spec.arms):
             raise ConfigError("arm names must be unique")
@@ -574,8 +577,8 @@ def cmd_model(args) -> int:
     unpruned = [m for m in model.macros if not m.pruned]
     print(f"atomic ops: {' '.join(model.atomic_ops)}")
     print(f"vocabulary: {model.vocab_size} ({len(model.macros)} macros, {len(unpruned)} active)")
-    values = gca.hyperparameter_values(model.params)
-    print("params: " + " ".join(f"{key}={values[name]}" for key, _, name, _ in gca.HYPERPARAMETERS))
+    print("params: " + " ".join(
+        f"{key}={getattr(model.params, name)}" for key, _, name in gca.HYPERPARAMETERS))
     print(f"stored weights: {len(model.weights)}  support entries: {len(model.weights.support())}")
     top = sorted(model.weights.items(), key=lambda kv: -kv[1])[:5]
     for (i, j), w in top:

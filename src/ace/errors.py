@@ -109,19 +109,26 @@ def read_triples(entries: list, kind: str, noun: str, where: str, error):
     so that the caller's table holds the only copy; a caller whose list
     must stay whole passes a copy.  Ranges and repeats are the caller's
     to check."""
-    kinds = ("int", "int", kind)
+    floats = kind == "float"
+    number = (int, float) if floats else int
     for k, entry in enumerate(entries):
         entries[k] = None
         at = f"{where}[{k}]"
-        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_has_type, entry, kinds))):
-            raise error(
-                f"{at} must be [from, to, {noun}] with integer ids and a {noun} of type {kind}, "
-                f"got {entry!r:.80}"
-            )
-        i, j, value = entry
-        if kind == "float":
-            value = float(value)
-        yield at, (i, j), value
+        # _has_type's rules, written out: the ids and the value are no
+        # bool, and an int value passes for a float unless it overflows one.
+        if isinstance(entry, list) and len(entry) == 3:
+            i, j, value = entry
+            if (
+                isinstance(i, int) and isinstance(j, int) and isinstance(value, number)
+                and bool not in (type(i), type(j), type(value))
+                and not (floats and type(value) is int and abs(value) > sys.float_info.max)
+            ):
+                yield at, (i, j), float(value) if floats else value
+                continue
+        raise error(
+            f"{at} must be [from, to, {noun}] with integer ids and a {noun} of type {kind}, "
+            f"got {entry!r:.80}"
+        )
 
 
 def read_file(path, what: str, parse):

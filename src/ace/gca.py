@@ -34,72 +34,47 @@ DEFAULT_MAX_NEW_MACROS = 3
 
 
 @dataclass
-class GcaThresholds:
-    """Gates for promoting an operation pair into a macro and for
-    retiring macros that stopped earning their keep."""
-
-    weight_min: float = 0.3     # pair weight must strictly exceed this
-    support_min: int = 3        # minimum co-occurrence count
-    lift_min: float = 1.4       # pair weight vs product of marginal means
-    effectiveness_min: float = 0.1  # usage-weighted success rate floor
-
-
-@dataclass
 class GcaParams:
     """Hyperparameters of the transition model.
 
     temperature and exploration_floor shape sampling; learning_rate and
     decay shape the reinforcement update. learning_rate may be zero to
-    neutralize guidance entirely (useful for ablation arms).
+    neutralize guidance entirely (useful for ablation arms).  The four
+    gates promote an operation pair into a macro and retire macros that
+    stopped earning their keep.
     """
 
     temperature: float = 1.0
     exploration_floor: float = 0.1
     learning_rate: float = 0.15
     decay: float = 0.2
-    thresholds: GcaThresholds = field(default_factory=GcaThresholds)
+    weight_min: float = 0.3     # pair weight must strictly exceed this
+    support_min: int = 3        # minimum co-occurrence count
+    lift_min: float = 1.4       # pair weight vs product of marginal means
+    effectiveness_min: float = 0.1  # usage-weighted success rate floor
 
     def validate(self) -> None:
         check_range("temperature", self.temperature, 0, math.inf, open_low=True, open_high=True)
         check_range("exploration_floor", self.exploration_floor, 0, 1, open_low=True, open_high=True)
         check_range("learning_rate", self.learning_rate, 0, math.inf, open_high=True)
         check_range("decay", self.decay, 0, 1)
-        t = self.thresholds
         for name in ("weight_min", "support_min", "lift_min"):
-            check_range(name, getattr(t, name), 0)
-        check_range("effectiveness_min", t.effectiveness_min, 0, 1)
+            check_range(name, getattr(self, name), 0)
+        check_range("effectiveness_min", self.effectiveness_min, 0, 1)
 
 
-# Every hyperparameter once: (suite-config key, model-file key, field,
-# type).  GcaParams fields sit at the top level of a model file, the
-# GcaThresholds fields under "thresholds"; both keep this order.
+# Every hyperparameter once, in GcaParams field order: (suite-config key,
+# model-file key, field).  Types are the fields' annotations.
 HYPERPARAMETERS = (
-    ("tau", "tau", "temperature", float),
-    ("epsilon", "epsilon", "exploration_floor", float),
-    ("lambda", "lambda", "learning_rate", float),
-    ("gamma", "gamma", "decay", float),
-    ("theta_w", "w", "weight_min", float),
-    ("theta_s", "s", "support_min", int),
-    ("theta_l", "l", "lift_min", float),
-    ("theta_eff", "eff", "effectiveness_min", float),
+    ("tau", "tau", "temperature"),
+    ("epsilon", "epsilon", "exploration_floor"),
+    ("lambda", "lambda", "learning_rate"),
+    ("gamma", "gamma", "decay"),
+    ("theta_w", "w", "weight_min"),
+    ("theta_s", "s", "support_min"),
+    ("theta_l", "l", "lift_min"),
+    ("theta_eff", "eff", "effectiveness_min"),
 )
-_THRESHOLD_FIELDS = frozenset(f.name for f in dataclasses.fields(GcaThresholds))
-
-
-def gca_params(values: dict) -> GcaParams:
-    """GcaParams from field name -> value, threshold fields included;
-    absent fields take their defaults.  Not validated."""
-    thresholds = {k: v for k, v in values.items() if k in _THRESHOLD_FIELDS}
-    rest = {k: v for k, v in values.items() if k not in _THRESHOLD_FIELDS}
-    return GcaParams(**rest, thresholds=GcaThresholds(**thresholds))
-
-
-def hyperparameter_values(params: GcaParams) -> dict:
-    """Field name -> value for every row of HYPERPARAMETERS, in its order."""
-    return {
-        name: getattr(params.thresholds if name in _THRESHOLD_FIELDS else params, name)
-        for _, _, name, _ in HYPERPARAMETERS
-    }
 
 
 @dataclass
@@ -709,8 +684,8 @@ class GcaModel:
         """
         if k_max_new < 0:
             raise DomainError(f"k_max_new must be >= 0, got {k_max_new}")
-        t = self.params.thresholds
-        weight_min, support_min = t.weight_min, t.support_min
+        params = self.params
+        weight_min, support_min = params.weight_min, params.support_min
         # The pairs that clear the weight and support gates, in promotion
         # order; the other gates are judged only until the cap is reached.
         gated = sorted(
@@ -726,7 +701,7 @@ class GcaModel:
             if (
                 self.valid_pair(i, j)
                 and (i, j) not in promoted
-                and self.compute_lift(i, j) >= t.lift_min
+                and self.compute_lift(i, j) >= params.lift_min
             ):
                 chosen.append((i, j))
         return [self.add_macro(i, j, generation) for i, j in chosen]
@@ -763,7 +738,7 @@ class GcaModel:
         """Retire macros whose success rate fell below the effectiveness
         floor, once they have been used at least u_min times (and at least
         once: an unused macro has no success rate)."""
-        theta = self.params.thresholds.effectiveness_min
+        theta = self.params.effectiveness_min
         pruned = []
         for m in self.macros:
             if m.pruned or m.uses < u_min or m.uses == 0:
@@ -805,17 +780,12 @@ def serialize_model(model: GcaModel) -> str:
     """Render a model as JSON text.  Float fields are written as floats in
     Python's shortest round-trip representation, so loading restores them
     exactly and a reloaded model serializes to the same text."""
-    top, thresholds = {}, {}
-    values = hyperparameter_values(model.params)
-    for _, key, name, kind in HYPERPARAMETERS:
-        value = float(values[name]) if kind is float else values[name]
-        (thresholds if name in _THRESHOLD_FIELDS else top)[key] = value
     doc = {
         "version": FORMAT_VERSION,
         "atomic_ops": list(model.atomic_ops),
         "vocab_size": model.vocab_size,
-        **top,
-        "thresholds": thresholds,
+        **_param_entries(model.params, _TOP_PARAMS),
+        "thresholds": _param_entries(model.params, _THRESHOLDS),
     }
     tail = {"macros": [dataclasses.asdict(m) for m in model.macros]}
     # The weight and support tables are most of the text, so they are
@@ -841,6 +811,15 @@ def serialize_model(model: GcaModel) -> str:
         head, ',\n  "weights": ', *_json_list(weights),
         ',\n  "support": ', *_json_list(support), ",", rest,
     ])
+
+
+def _param_entries(params: GcaParams, schema: dict) -> dict:
+    """Model-file key -> value of the hyperparameters a schema lists, a
+    float field written as a float."""
+    return {
+        key: float(getattr(params, name)) if hint == "float" else getattr(params, name)
+        for key, (name, hint) in schema.items()
+    }
 
 
 def _float_text(x: float) -> str:
@@ -890,17 +869,18 @@ def finite_json(text: str):
 
 # The model document as ace.errors.read_fields reads it, key -> (field
 # name, annotation): its top level, its "thresholds" and a macro entry.
+# The first four hyperparameters sit at the top level, the promotion
+# gates under "thresholds".
+_HINTS = {f.name: f.type for f in dataclasses.fields(GcaParams)}
+_TOP_PARAMS, _THRESHOLDS = (
+    {key: (name, _HINTS[name]) for _, key, name in rows}
+    for rows in (HYPERPARAMETERS[:4], HYPERPARAMETERS[4:])
+)
 _MODEL = {key: (key, hint) for key, hint in (
     ("version", "int"), ("atomic_ops", "list"), ("vocab_size", "int"), ("thresholds", "dict"),
     ("weights", "list"), ("support", "list"), ("macros", "list"),
 )}
-_MODEL.update(
-    (key, (name, kind.__name__)) for _, key, name, kind in HYPERPARAMETERS
-    if name not in _THRESHOLD_FIELDS
-)
-_THRESHOLDS = {
-    key: (name, kind.__name__) for _, key, name, kind in HYPERPARAMETERS if name in _THRESHOLD_FIELDS
-}
+_MODEL.update(_TOP_PARAMS)
 _MACRO = {f.name: (f.name, f.type) for f in dataclasses.fields(MacroOperation)}
 # Every macro field is required but "pruned", whose absence means active.
 _MACRO_REQUIRED = [name for name in _MACRO if name != "pruned"]
@@ -927,7 +907,7 @@ def deserialize_model(text: str) -> GcaModel:
     weights, support, macro_docs = values.pop("weights"), values.pop("support"), values.pop("macros")
     values.update(read_fields(
         values.pop("thresholds"), _THRESHOLDS, "thresholds", ParseError, required=_THRESHOLDS))
-    params = gca_params(values)
+    params = GcaParams(**values)
     try:
         params.validate()
     except ConfigError as e:

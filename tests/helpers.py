@@ -15,17 +15,13 @@ from itertools import repeat
 from ace import cli
 from ace.errors import DomainError, check_range
 from ace.gca import (
-    _THRESHOLD_FIELDS,
     FORMAT_VERSION,
-    HYPERPARAMETERS,
     GcaModel,
     GcaParams,
-    GcaThresholds,
     MacroOperation,
     PairTable,
     _float_text,
     deserialize_model,
-    hyperparameter_values,
     serialize_model,
     softmax_floor_choice,
 )
@@ -95,12 +91,10 @@ def random_model(rng: random.Random) -> GcaModel:
             exploration_floor=rng.uniform(1e-6, 0.999),
             learning_rate=rng.uniform(0.0, 2.0),
             decay=rng.uniform(0.0, 1.0),
-            thresholds=GcaThresholds(
-                weight_min=rng.uniform(0, 2),
-                support_min=rng.randint(0, 10),
-                lift_min=rng.uniform(0, 5),
-                effectiveness_min=rng.uniform(0, 1),
-            ),
+            weight_min=rng.uniform(0, 2),
+            support_min=rng.randint(0, 10),
+            lift_min=rng.uniform(0, 5),
+            effectiveness_min=rng.uniform(0, 1),
         ),
         weights=PairTable(weights, support),
         macros=macros,
@@ -328,17 +322,19 @@ def reference_serialize_model(model: GcaModel) -> str:
     """Reference writer: serialize_model as it was before it joined the
     text row by row, holding one string per stored entry.  serialize_model
     must write the same text."""
-    top, thresholds = {}, {}
-    values = hyperparameter_values(model.params)
-    for _, key, name, kind in HYPERPARAMETERS:
-        value = float(values[name]) if kind is float else values[name]
-        (thresholds if name in _THRESHOLD_FIELDS else top)[key] = value
+    p = model.params
     doc = {
         "version": FORMAT_VERSION,
         "atomic_ops": list(model.atomic_ops),
         "vocab_size": model.vocab_size,
-        **top,
-        "thresholds": thresholds,
+        "tau": float(p.temperature),
+        "epsilon": float(p.exploration_floor),
+        "lambda": float(p.learning_rate),
+        "gamma": float(p.decay),
+        "thresholds": {
+            "w": float(p.weight_min), "s": p.support_min, "l": float(p.lift_min),
+            "eff": float(p.effectiveness_min),
+        },
     }
     tail = {"macros": [dataclasses.asdict(m) for m in model.macros]}
     weights, support = [], []

@@ -30,6 +30,8 @@ from test_stats import enumerate_signed_rank_p
 
 REPO = Path(__file__).resolve().parent.parent
 CHAIN_SUITE = json.loads((REPO / "configs" / "chain_suite.json").read_text())
+# The shipped chain suite's guided arm as the suite parser reads it.
+GUIDED_ARM = next(a for a in cli.SuiteSpec.from_dict(CHAIN_SUITE).arms if a.guided)
 
 
 def report(number, title, ok):
@@ -44,7 +46,7 @@ def chain_run(seed, *, guided=True, gens=None, pop=None, gca=None, warm=None):
         population_size=pop or doc["run"]["population_size"],
         max_generations=gens or doc["run"]["max_generations"],
         abstraction_period=doc["run"]["abstraction_period"],
-        gca=gca or cli.parse_gca(doc["gca"]),
+        gca=gca or GUIDED_ARM.config.gca,
         warm_start_model=warm,
     )
     explorer = EaExplorer(EaParams(**arm["ea"]))

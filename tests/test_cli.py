@@ -574,8 +574,8 @@ def test_model_command_inspects(tmp_path, capsys):
 def test_gca_config_keys_are_the_hyperparameter_table():
     from ace.gca import HYPERPARAMETERS
 
-    assert sorted(cli.GCA) == sorted(key for key, _, _, _ in HYPERPARAMETERS)
-    for key, _, name, _ in HYPERPARAMETERS:
+    assert sorted(cli.GCA) == sorted(key for key, _, _ in HYPERPARAMETERS)
+    for key, _, name in HYPERPARAMETERS:
         assert cli.ALIASES[key] == name and cli.GCA[key][0] == name
 
 
@@ -856,6 +856,23 @@ def test_unreadable_donor_exits_1_before_any_run(tmp_path, capsys, content):
     doc["arms"][1]["warm_start_model"] = str(donor)
     assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
     assert ("cannot read model file" if content is None else "model") in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+def test_warm_start_vocabulary_mismatch_exits_1_before_any_run(tmp_path, capsys):
+    from ace.gca import GcaModel, save_model
+
+    donor = tmp_path / "maze_donor.json"
+    save_model(GcaModel(["N", "E", "S", "W"]), donor)
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1]["warm_start_model"] = str(donor)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "arm ace-ea: warm-start model vocabulary does not match the domain: "
+        "['N', 'E', 'S', 'W'] vs ['t0', 't1', 't2', 't3']"
+    ) in err
     assert not (out / "records.jsonl").exists()
 
 

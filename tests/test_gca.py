@@ -17,7 +17,6 @@ from ace.gca import (
     HYPERPARAMETERS,
     GcaModel,
     GcaParams,
-    GcaThresholds,
     MacroOperation,
     PairTable,
     add_up,
@@ -713,7 +712,7 @@ def test_scan_soundness_recheck():
         support = {k: rng.randint(0, 8) for k in weights}
         m = make_model(n_atomic=n, weights=weights, support=support)
         snapshot = make_model(n_atomic=n, weights=weights, support=support)
-        t = snapshot.params.thresholds
+        t = snapshot.params
         created = m.scan_and_abstract(5)
         for macro in created:
             i, j = macro.left, macro.right
@@ -725,7 +724,7 @@ def test_scan_soundness_recheck():
 def _reference_scan(m, k):
     """The first k qualifying pairs of a model, in (-w, i, j) order, with
     every gate and the lift written out from their definitions."""
-    t = m.params.thresholds
+    t = m.params
     w, support = m.weights, m.weights.support()
     pruned = {mac.id for mac in m.macros if mac.pruned}
     promoted = {(mac.left, mac.right) for mac in m.macros if not mac.pruned}
@@ -763,7 +762,7 @@ def _reference_scan(m, k):
 @pytest.mark.parametrize("mask_mode", ["all", "no_self"])
 def test_scan_promotes_exactly_the_first_k_qualifying_pairs(mask_mode):
     rng = random.Random(17)
-    t = GcaThresholds()
+    t = GcaParams()
     promoted = judged_past_a_rejection = 0
     for trial in range(300):
         m = make_model(n_atomic=rng.randint(2, 5), mask_mode=mask_mode)
@@ -966,10 +965,9 @@ def test_round_trip_populated_model():
 
 
 def test_round_trip_int_valued_hyperparameters_is_byte_exact():
-    params = GcaParams(temperature=1, learning_rate=0, decay=1)
-    params.thresholds.weight_min = 0
-    params.thresholds.lift_min = 2
-    params.thresholds.effectiveness_min = 0
+    params = GcaParams(
+        temperature=1, learning_rate=0, decay=1, weight_min=0, lift_min=2, effectiveness_min=0
+    )
     m = make_model(weights={(0, 1): 3})
     m.params = params
     text = serialize_model(m)
@@ -1019,7 +1017,7 @@ def test_serialize_matches_json_dumps_byte_for_byte():
         m.atomic_ops = list(names)
         m.add_macro(0, 1, generation=3).uses = 2
         m.weights = PairTable(weights, support)  # without the macro's seeds
-        p, t = m.params, m.params.thresholds
+        p = m.params
         doc = {
             "version": 1,
             "atomic_ops": names,
@@ -1029,8 +1027,8 @@ def test_serialize_matches_json_dumps_byte_for_byte():
             "lambda": p.learning_rate,
             "gamma": p.decay,
             "thresholds": {
-                "w": t.weight_min, "s": t.support_min, "l": t.lift_min,
-                "eff": t.effectiveness_min,
+                "w": p.weight_min, "s": p.support_min, "l": p.lift_min,
+                "eff": p.effectiveness_min,
             },
             "weights": [[i, j, float(v)] for (i, j), v in sorted(weights.items())],
             "support": [[i, j, c] for (i, j), c in sorted(support.items())],
@@ -1048,15 +1046,13 @@ def test_serialize_matches_json_dumps_byte_for_byte():
 
 
 def test_hyperparameter_table_lists_every_field_once():
-    fields = {f.name: f.type for f in dataclasses.fields(GcaParams) if f.name != "thresholds"}
-    fields.update((f.name, f.type) for f in dataclasses.fields(GcaThresholds))
-    names = [name for _, _, name, _ in HYPERPARAMETERS]
-    assert sorted(names) == sorted(fields)
+    # one row per field, in field order, of three columns
+    assert [name for _, _, name in HYPERPARAMETERS] == [
+        f.name for f in dataclasses.fields(GcaParams)
+    ]
     for column in range(2):
         keys = [row[column] for row in HYPERPARAMETERS]
         assert len(set(keys)) == len(keys)
-    # each row's type is its field's annotation
-    assert all(kind.__name__ == fields[name] for _, _, name, kind in HYPERPARAMETERS)
 
 
 def _mangled(model, mutate):
@@ -1199,7 +1195,7 @@ def test_params_reject_non_finite(name, value):
 )
 def test_thresholds_validated(name, value):
     params = GcaParams()
-    setattr(params.thresholds, name, value)
+    setattr(params, name, value)
     with pytest.raises(ConfigError, match=f"{name} must"):
         params.validate()
 
@@ -1207,7 +1203,7 @@ def test_thresholds_validated(name, value):
 def test_threshold_range_ends_are_legal():
     for values in ({"weight_min": 0.0, "support_min": 0, "lift_min": 0.0, "effectiveness_min": 0.0},
                    {"effectiveness_min": 1.0}):
-        GcaParams(thresholds=GcaThresholds(**values)).validate()
+        GcaParams(**values).validate()
 
 
 def test_finite_json_keeps_integers_and_rejects_overflowing_literals():

@@ -1,6 +1,6 @@
 """Stateful property test of the transition model: random sequences of
-learning, abstraction, pruning, vocabulary growth and save/load, with the
-model's invariants checked after every step."""
+learning, abstraction, pruning, vocabulary growth, hyperparameter swaps
+and save/load, with the model's invariants checked after every step."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from ace.gca import (
     GcaModel,
     GcaParams,
-    GcaThresholds,
     PairTable,
     apply_exploration_floor,
     deserialize_model,
@@ -22,6 +21,18 @@ from ace.gca import (
 )
 
 GAINS = st.floats(-1.0, 2.0, allow_nan=False)
+# An in-range GcaParams, all eight hyperparameters drawn.
+PARAMS = st.builds(
+    GcaParams,
+    temperature=st.floats(0.05, 8.0),
+    exploration_floor=st.floats(1e-6, 0.999),
+    learning_rate=st.floats(0.0, 2.0),
+    decay=st.floats(0.0, 1.0),
+    weight_min=st.floats(0.0, 1.0),
+    support_min=st.integers(0, 4),
+    lift_min=st.floats(0.0, 2.0),
+    effectiveness_min=st.floats(0.0, 1.0),
+)
 
 
 class GcaModelMachine(RuleBasedStateMachine):
@@ -35,9 +46,10 @@ class GcaModelMachine(RuleBasedStateMachine):
         params = GcaParams(
             learning_rate=0.5,
             decay=decay,
-            thresholds=GcaThresholds(
-                weight_min=0.1, support_min=1, lift_min=0.5, effectiveness_min=0.5
-            ),
+            weight_min=0.1,
+            support_min=1,
+            lift_min=0.5,
+            effectiveness_min=0.5,
         )
         self.model = GcaModel(
             atomic_ops=[f"a{i}" for i in range(n_atomic)], params=params, mask_mode=mask_mode
@@ -86,6 +98,12 @@ class GcaModelMachine(RuleBasedStateMachine):
         op = self._op(data)
         nxt = self.model.sample_successor(op, random.Random(seed))
         assert nxt in self.model.sampling_vocabulary()
+
+    @rule(params=PARAMS)
+    def set_params(self, params):
+        # A warm start's step: the donor takes the run's hyperparameters.
+        params.validate()
+        self.model.params = params
 
     @rule()
     def save_and_load(self):

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from ace.errors import DomainError
-from ace.gca import GcaModel, GcaParams, GcaThresholds, MacroOperation, PairTable
+from ace.gca import GcaModel, GcaParams, MacroOperation, PairTable
 
 
 class DictReference:
@@ -98,7 +98,7 @@ class DictReference:
         return w_ij / denom
 
     def scan(self, generation: int, k_max_new: int) -> None:
-        t = self.params.thresholds
+        t = self.params
         promoted = {(m.left, m.right) for m in self.macros if not m.pruned}
         cands = sorted(
             (-w, i, j)
@@ -128,7 +128,7 @@ class DictReference:
         self.vocab_size = m + 1
 
     def prune(self, u_min: int) -> None:
-        theta = self.params.thresholds.effectiveness_min
+        theta = self.params.effectiveness_min
         for m in self.macros:
             if not m.pruned and m.uses >= u_min and m.uses and m.successful_uses / m.uses < theta:
                 m.pruned = True
@@ -146,10 +146,8 @@ def run_sequence(seed: int) -> None:
     params = GcaParams(
         learning_rate=rng.choice([0.0, 0.15, 0.5, 1.7]),
         decay=rng.choice([0.0, 0.1, 0.2, 1.0, rng.random()]),
-        thresholds=GcaThresholds(
-            weight_min=rng.uniform(0.0, 0.3), support_min=rng.randint(1, 3),
-            lift_min=rng.uniform(0.5, 1.5), effectiveness_min=rng.uniform(0.2, 0.6),
-        ),
+        weight_min=rng.uniform(0.0, 0.3), support_min=rng.randint(1, 3),
+        lift_min=rng.uniform(0.5, 1.5), effectiveness_min=rng.uniform(0.2, 0.6),
     )
     model = GcaModel(atomic_ops=[f"a{i}" for i in range(n_atomic)], params=params,
                      mask_mode=mask_mode)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ace.cli as cli
+from ace.chain import ChainSpec
 from ace.cli import SuiteSpec, build_tasks, parse_chain
 from ace.errors import ConfigError, ParseError
 from ace.gca import GcaModel, MacroOperation, PairTable, deserialize_model, serialize_model
@@ -124,17 +125,23 @@ def mutated(data, doc):
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     (path / "donor.json").write_text(serialize_model(GcaModel(atomic_ops=["N", "E", "S", "W"])))
+    chain_ops = ChainSpec(alphabet_size=CHAIN_SPEC["alphabet_size"]).atomic_op_names
+    (path / "chain_donor.json").write_text(serialize_model(GcaModel(atomic_ops=chain_ops)))
     (path / "broken.json").write_text("{")
     return path
 
 
 def _confine_donors(doc, workdir) -> None:
     """Point every string warm_start_model at a file under workdir (a good
-    donor, a broken one or none), so that no generated path is opened."""
+    donor over the base document's vocabulary, a broken one or none), so
+    that no generated path is opened."""
     arms = doc.get("arms") if isinstance(doc, dict) else None
+    domain = doc.get("domain") if isinstance(doc, dict) else None
+    chain = isinstance(domain, dict) and domain.get("kind") == "chain"
+    good = "chain_donor.json" if chain else "donor.json"
     for arm in arms if isinstance(arms, list) else ():
         if isinstance(arm, dict) and isinstance(arm.get("warm_start_model"), str):
-            name = ("donor.json", "broken.json", "absent.json")[len(arm["warm_start_model"]) % 3]
+            name = (good, "broken.json", "absent.json")[len(arm["warm_start_model"]) % 3]
             arm["warm_start_model"] = str(workdir / name)
 
 

@@ -14,7 +14,7 @@ import pytest
 from ace.chain import ChainSpec
 from ace.ea import EaParams
 from ace.errors import ConfigError, check_range
-from ace.gca import GcaParams, GcaThresholds, apply_exploration_floor, softmax_floor
+from ace.gca import GcaParams, apply_exploration_floor, softmax_floor
 from ace.loop import ExperimentConfig
 from ace.maze import MazeDomain, check_maze_shape, generate_maze
 from ace.pso import Particle, PsoParams, PsoState, construct_path
@@ -61,8 +61,6 @@ NAN = math.nan
 NAN_SETTINGS = {
     **{f"GcaParams.{n}": lambda n=n: GcaParams(**{n: NAN}).validate()
        for n in numeric_fields(GcaParams)},
-    **{f"GcaThresholds.{n}": lambda n=n: GcaParams(thresholds=GcaThresholds(**{n: NAN})).validate()
-       for n in numeric_fields(GcaThresholds)},
     **{f"{cls.__name__}.{n}": lambda cls=cls, n=n: cls(**{n: NAN}).validate()
        for cls in (EaParams, PsoParams, ExperimentConfig, ChainSpec) for n in numeric_fields(cls)},
     "ChainSpec.rewards": lambda: ChainSpec(rewards={(0, 1): NAN}).validate(),
