@@ -43,6 +43,12 @@ class ChainSpec:
         """The token names t0, t1, ..., one per letter of the alphabet."""
         return [f"t{i}" for i in range(self.alphabet_size)]
 
+    @property
+    def default_genome_bounds(self) -> tuple[int, int]:
+        """Genome lengths from 2 (1 for a one-token chain) to the
+        sequence length."""
+        return (min(2, self.sequence_length), self.sequence_length)
+
     def validate(self) -> None:
         check_range("alphabet_size", self.alphabet_size, 2)
         check_range("sequence_length", self.sequence_length, 1)
@@ -175,8 +181,7 @@ class ChainDomain:
         self.spec.validate()
         self.atomic_op_names = self.spec.atomic_op_names
         self.atomic_count = self.spec.alphabet_size
-        length = self.spec.sequence_length
-        self.default_genome_bounds = (min(2, length), length)
+        self.default_genome_bounds = self.spec.default_genome_bounds
         self.optimum, self.optimal_sequence = brute_force_optimum(self.spec)
         self.reward_rows = reward_rows(self.spec)
         # Within (1 - SUCCESS_FRACTION) * |optimum| of the optimum; for a

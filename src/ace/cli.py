@@ -40,7 +40,7 @@ from .errors import read_triples
 from .gca import GcaParams
 from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_shape
-from .maze import MOVE_NAMES, generate_maze, maze_to_text
+from .maze import MOVE_NAMES, generate_maze, genome_bounds, maze_to_text
 from .pso import PsoExplorer, PsoParams
 
 # Standard-library modules that only cold paths use (the pool, logging,
@@ -161,7 +161,19 @@ def _domain_instances(doc: dict) -> list[tuple[str, dict]]:
         seen.add(maze)
         maze_id = f"m{width}x{height}_c{inst['connectivity']}_s{inst['maze_seed']}"
         instances.append((maze_id, {**common, **inst}))
+    if not instances:
+        raise ConfigError("domain.instances lists no maze instance")
     return instances
+
+
+def _domain_interface(spec: dict) -> tuple[list[str], tuple[int, int]]:
+    """The op names and default genome bounds of the domain of an
+    instance spec from _domain_instances, read without building it: a
+    chain domain runs the exact solver when built, and a maze's moves are
+    MOVE_NAMES.  The maze instances of one suite share both."""
+    if spec["kind"] == "chain":
+        return spec["chain"].atomic_op_names, spec["chain"].default_genome_bounds
+    return list(MOVE_NAMES), genome_bounds(spec["width"], spec["height"])
 
 
 def build_domain(spec: dict):
@@ -201,8 +213,10 @@ class ArmSpec:
 
     @classmethod
     def from_dict(
-        cls, doc: dict, index: int, suite_run: dict, suite_gca: dict, op_names: list[str]
+        cls, doc: dict, index: int, suite_run: dict, suite_gca: dict, instance: dict
     ) -> "ArmSpec":
+        """The checked index-th arm of a suite whose domain is that of the
+        instance spec instance (one of _domain_instances)."""
         values = read_fields(
             doc, ARM, f"arms[{index}]", ConfigError, required=("name", "explorer", "guided"))
         name, explorer = values["name"], values["explorer"]
@@ -218,6 +232,18 @@ class ArmSpec:
         params = params_cls(**read_fields(
             values.get(explorer, {}), _schema(params_cls), f"{where}.{explorer}", ConfigError))
         params.validate()
+        op_names, bounds = _domain_interface(instance)
+        # What the explorer's check_domain and genome bounds would reject in
+        # the first run, rejected before any run builds a domain.
+        if explorer == "pso" and instance["kind"] != "maze":
+            raise ConfigError(
+                f"{where}: a {instance['kind']} domain does not expose the stepwise path "
+                "interface that pso arms need")
+        if explorer == "ea":
+            try:
+                params.genome_bounds(bounds)
+            except ConfigError as e:
+                raise ConfigError(f"{where}: {e}") from None
         run = read_fields(values.get("run", {}), RUN, f"{where}.run", ConfigError)
         arm_gca = read_fields(values.get("gca", {}), GCA, f"{where}.gca", ConfigError)
         config = ExperimentConfig(
@@ -261,12 +287,8 @@ class SuiteSpec:
         top.pop("notes", None)
         run = read_fields(top.pop("run", {}), RUN, "run", ConfigError)
         gca = read_fields(top.pop("gca", {}), GCA, "gca", ConfigError)
-        # The domain's op names, read without building it: a chain domain
-        # runs the exact solver when built, and a maze's moves are MOVE_NAMES.
-        chain = instances[0][1].get("chain") if instances else None
-        op_names = chain.atomic_op_names if chain else list(MOVE_NAMES)
         top["arms"] = [
-            ArmSpec.from_dict(a, i, run, gca, op_names) for i, a in enumerate(top["arms"])
+            ArmSpec.from_dict(a, i, run, gca, instances[0][1]) for i, a in enumerate(top["arms"])
         ]
         spec = cls(**top)
         if len({a.name for a in spec.arms}) != len(spec.arms):

@@ -44,6 +44,22 @@ class EaParams:
                     f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}"
                 )
 
+    def genome_bounds(self, default: tuple[int, int]) -> tuple[int, int]:
+        """The genome length range over a domain with the given default
+        bounds: min_len and max_len where set, else the default's; a
+        ConfigError if the range is empty."""
+        lo, hi = default
+        if self.min_len is not None:
+            lo = self.min_len
+        if self.max_len is not None:
+            hi = self.max_len
+        if lo > hi:
+            raise ConfigError(
+                f"empty genome length range {lo}..{hi}: min_len={self.min_len}, "
+                f"max_len={self.max_len}, domain default bounds {default}"
+            )
+        return lo, hi
+
 
 def crossover(
     ops_a: list[int],
@@ -205,22 +221,8 @@ class EaExplorer:
             )
         _atomic_count(domain)
 
-    def _bounds(self, domain) -> tuple[int, int]:
-        lo, hi = domain.default_genome_bounds
-        if self.params.min_len is not None:
-            lo = self.params.min_len
-        if self.params.max_len is not None:
-            hi = self.params.max_len
-        if lo > hi:
-            raise ConfigError(
-                f"empty genome length range {lo}..{hi}: min_len={self.params.min_len}, "
-                f"max_len={self.params.max_len}, domain default bounds "
-                f"{domain.default_genome_bounds}"
-            )
-        return lo, hi
-
     def initialize(self, domain, config: ExperimentConfig, rng: random.Random) -> EaState:
-        lo, hi = self._bounds(domain)
+        lo, hi = self.params.genome_bounds(domain.default_genome_bounds)
         n = _atomic_count(domain)
         k = n.bit_length()
         span = hi - lo + 1
@@ -253,7 +255,7 @@ class EaExplorer:
         rng: random.Random,
     ) -> GenerationResult:
         p = self.params
-        lo, hi = self._bounds(domain)
+        lo, hi = p.genome_bounds(domain.default_genome_bounds)
         evaluated: list[Trajectory] = []
 
         if not state.evaluated:

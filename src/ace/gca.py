@@ -371,15 +371,11 @@ class GcaModel:
     vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
 
-    # Successor lists: _successors[from_op] is the tuple of ops the mask
-    # admits after from_op.  They change only with the vocabulary, a
-    # pruned flag or the mask, so add_macro, prune_macros and a new
-    # mask_mode clear them.
-    _successors: dict = field(default_factory=dict, compare=False, repr=False)
-    # sampling_vocabulary's tuple, cleared with the successor lists.
+    # sampling_vocabulary's tuple.  It changes only with the vocabulary or
+    # a pruned flag, so add_macro and prune_macros clear it.
     _vocabulary: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # Sampling rows, cleared by _touch on every weight change, on a new
-    # weights or params, and with the successor lists as well:
+    # weights, params or mask_mode, and with the vocabulary as well:
     # sample_successor's (ops, softmax_floor_sums) keyed on from_op,
     # and floored_distribution's rows keyed on (from_op, successor tuple).
     _row_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -396,16 +392,13 @@ class GcaModel:
 
     def __setattr__(self, name, value):
         # weights is always a PairTable.  The sampling rows are derived from
-        # weights and params, the successor lists from mask_mode, so a new
-        # value drops them (there are none yet while __init__ runs).
+        # weights, params and mask_mode, so a new value drops them (there
+        # are none yet while __init__ runs).
         if name == "weights" and not isinstance(value, PairTable):
             value = PairTable(value)
         object.__setattr__(self, name, value)
-        if "_row_cache" in self.__dict__:
-            if name in ("weights", "params"):
-                self._touch()
-            elif name == "mask_mode":
-                self._vocabulary_changed()
+        if name in ("weights", "params", "mask_mode") and "_row_cache" in self.__dict__:
+            self._touch()
 
     # -- vocabulary ------------------------------------------------------
 
@@ -452,7 +445,6 @@ class GcaModel:
 
     def _vocabulary_changed(self) -> None:
         self._vocabulary = None
-        self._successors.clear()
         self._touch()
 
     # -- sampling --------------------------------------------------------
@@ -505,21 +497,18 @@ class GcaModel:
     def sample_successor(self, from_op: int, rng: random.Random) -> int:
         """Draw a successor from the floored transition distribution over
         every sampling-eligible op the transition mask admits after
-        from_op.  The successor list is kept until the next vocabulary
-        change, the row until the next weight or vocabulary change.
+        from_op.  The row, with its successor list, is kept until the
+        next weight or vocabulary change.
         """
         row = self._row_cache.get(from_op)
         if row is None:
-            ops = self._successors.get(from_op)
-            if ops is None:
-                self._check_id(from_op)
-                # The sampling vocabulary holds no pruned op, so the mask
-                # drops at most from_op itself.  A pruned or fully masked
-                # from_op may go on to any eligible op.
-                ops = self.sampling_vocabulary()
-                if self.mask_mode == "no_self" and not self.is_pruned(from_op):
-                    ops = tuple(j for j in ops if j != from_op) or ops
-                self._successors[from_op] = ops
+            self._check_id(from_op)
+            # The sampling vocabulary holds no pruned op, so the mask drops
+            # at most from_op itself.  A pruned or fully masked from_op may
+            # go on to any eligible op.
+            ops = self.sampling_vocabulary()
+            if self.mask_mode == "no_self" and not self.is_pruned(from_op):
+                ops = tuple(j for j in ops if j != from_op) or ops
             sums = softmax_floor_sums(self._logits(from_op, ops), self.params.exploration_floor)
             row = self._row_cache[from_op] = (ops, sums)
         ops, sums = row

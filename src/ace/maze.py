@@ -94,6 +94,12 @@ def check_maze_options(*, path_slack: int | None = None) -> None:
         check_range("path_slack", path_slack, 0, MAX_PATH_LEN)
 
 
+def genome_bounds(width: int, height: int) -> tuple[int, int]:
+    """The default genome lengths over a width x height maze: 1 up to
+    four moves per cell."""
+    return (1, 4 * width * height)
+
+
 def generate_maze(width: int, height: int, connectivity: float, seed: int) -> Maze:
     """Depth-first carved spanning tree, then a connectivity fraction of
     the remaining closed walls opened uniformly at random.  Deterministic
@@ -216,7 +222,7 @@ class MazeDomain:
         w, h = maze.width, maze.height
         self.start_index = maze.index(maze.start)
         self.goal_index = maze.index(maze.goal)
-        self.default_genome_bounds = (1, 4 * w * h)
+        self.default_genome_bounds = genome_bounds(w, h)
         self.shortest_path_len, _ = bfs_shortest_path(maze)
         if path_slack is not None:
             # Step budget = this instance's shortest path plus a fixed

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import sys
 import tokenize
 import tracemalloc
 from bisect import bisect_right
@@ -26,6 +27,17 @@ from ace.gca import (
     softmax_floor_choice,
 )
 from ace.loop import Trajectory
+
+# The interpreter a reading was taken on, as the readings that vary with it
+# name it.
+PYTHON = "Python %d.%d" % sys.version_info[:2]
+
+
+def print_report(reading: str) -> None:
+    """Print one reading as a REPORT line.  CI copies these lines, with
+    the ACCEPTANCE lines, from the tier-1 log into its step summary; run
+    `pytest -rP` to see them locally."""
+    print("REPORT", reading)
 
 
 def draw(cum: list[float], rng: random.Random) -> int:

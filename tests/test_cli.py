@@ -23,6 +23,8 @@ from ace.ea import MAX_GENOME_LEN, MAX_TOURNAMENT_SIZE
 from ace.errors import ConfigError
 from ace.maze import MAX_MAZE_CELLS, MAX_PATH_LEN
 
+from helpers import PYTHON, print_report
+
 
 def tiny_chain_suite(out, runs=2, gens=6):
     return {
@@ -451,14 +453,19 @@ def test_progress_lines_go_to_the_ace_logger(tmp_path, monkeypatch, caplog):
 # argument parser (main) and a traceback (a failure).
 COLD_MODULES = ("argparse", "concurrent.futures", "csv", "logging", "statistics", "traceback")
 
+# Prints how many modules `import ace.cli` adds, then which of the
+# watched modules (argv[2:]) are loaded after the import and, on the last
+# line (after the maze the command prints), after a command.
 IMPORT_GUARD = """
 import sys
 sys.path.insert(0, sys.argv[1])
-cold = sys.argv[2:]
+watched = sys.argv[2:]
+before = len(sys.modules)
 import ace.cli
-print(*[m for m in cold if m in sys.modules])
+print(len(sys.modules) - before)
+print(*[m for m in watched if m in sys.modules])
 ace.cli.main(["maze", "--size", "3"])
-print(*[m for m in cold if m in sys.modules])
+print(*[m for m in watched if m in sys.modules])
 """
 
 
@@ -473,11 +480,19 @@ def test_import_and_maze_load_no_cold_module():
     builtin_sha256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     cold = COLD_MODULES + (OPENSSL_MODULES if builtin_sha256 else ())
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, str(src), *cold],
+        [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, str(src), *COLD_MODULES, *OPENSSL_MODULES],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
-    assert out[0] == ""  # importing ace.cli loads none of them
-    assert out[-1] == "argparse"  # a command loads only its parser
+    added, imported, commanded = int(out[0]), out[1].split(), out[-1].split()
+
+    def among(group):
+        return ", ".join(m for m in imported if m in group) or "none"
+
+    print_report(f"Set-up imports ({PYTHON}): import ace.cli adds {added} modules; "
+                 f"cold modules among them: {among(COLD_MODULES)}; "
+                 f"hashlib modules among them: {among(OPENSSL_MODULES)}")
+    assert [m for m in imported if m in cold] == []  # importing ace.cli loads none of them
+    assert [m for m in commanded if m in cold] == ["argparse"]  # a command loads only its parser
 
 
 def test_oracle_command_matches_solver(capsys):
@@ -765,6 +780,7 @@ def test_mistyped_top_level_value_exits_1_before_any_run(tmp_path, capsys, key, 
         ({"connectivity_levels": ["x"]}, "connectivity_levels"),
         ({"instances": [{"connectivity": "x", "maze_seed": 1}]},
          "domain.instances[0].connectivity must be float"),
+        ({"instances": []}, "domain.instances lists no maze instance"),
     ],
 )
 def test_bad_maze_shape_exits_1_before_any_run(tmp_path, capsys, monkeypatch, domain, message):
@@ -822,6 +838,31 @@ def test_empty_genome_bounds_exit_1(tmp_path, capsys, bounds):
     [(key, value)] = bounds.items()
     # the tiny chain's default bounds are 2..sequence_length
     assert f"{key}={value}" in err and "domain default bounds (2, 6)" in err
+
+
+def test_pso_arm_on_a_chain_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"][1] = {"name": "std-pso", "explorer": "pso", "guided": False}
+    # the check builds no domain: a chain domain runs the exact solver
+    monkeypatch.setattr(cli, "ChainDomain", lambda *a: pytest.fail("chain built"))
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert ("arm std-pso: a chain domain does not expose the stepwise path interface "
+            "that pso arms need") in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
+def test_empty_maze_genome_bounds_exit_1_before_any_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    doc = _maze_suite(out)
+    doc["arms"].append({"name": "std-ea", "explorer": "ea", "guided": False,
+                        "ea": {"min_len": 500}})
+    monkeypatch.setattr(cli, "generate_maze", lambda *a: pytest.fail("maze generated"))
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    # a 5x5 maze's default bounds are 1..4 moves per cell
+    assert ("arm std-ea: empty genome length range 500..100: min_len=500, max_len=None, "
+            "domain default bounds (1, 100)") in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
 
 
 @pytest.mark.parametrize("key, value", [("min_len", -5), ("min_len", 0), ("max_len", 0)])

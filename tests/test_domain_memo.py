@@ -19,7 +19,7 @@ import ace.pso as pso
 from ace.cli import SuiteSpec, build_domain, orchestrate
 from ace.loop import ExperimentConfig, run_ace, run_standard
 
-from helpers import GridStub, retained_instance_memory
+from helpers import PYTHON, GridStub, print_report, retained_instance_memory
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -136,6 +136,9 @@ def test_a_domain_that_cannot_key_the_move_tables_runs_with_its_own(make):
 
 def test_retained_instance_memory_is_a_few_tables_per_instance():
     instances, kept = retained_instance_memory()
+    print_report(f"Retained instance memory ({PYTHON}): {kept} bytes after one std-pso run "
+                 f"(max_generations 2) on each of {instances} instances, "
+                 f"{kept // instances} per instance")
     assert instances == 8
     # about 0.18 MB per 15x15 instance after a two-generation run
     assert 0 < kept < instances * 1_000_000

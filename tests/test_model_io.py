@@ -19,8 +19,10 @@ import pytest
 from ace.errors import ConfigError, ParseError
 from ace.gca import GcaModel, deserialize_model, load_model, save_model, serialize_model
 from helpers import (
+    PYTHON,
     make_model,
     model_io_peaks,
+    print_report,
     random_model,
     reference_serialize_model,
     synthetic_model,
@@ -122,6 +124,8 @@ def test_model_io_peaks_stay_bounded():
     # support dict beside the table, reads 4.0x and 6.9x here.
     model = synthetic_model()
     loading, writing = model_io_peaks(model)
+    print_report(f"Model file peaks over the text ({PYTHON}): "
+                 f"loading {loading:.2f}x, writing {writing:.2f}x")
     assert loading <= 4.0 and writing <= 3.0, (
         f"peaks over the text: loading {loading:.2f}x, writing {writing:.2f}x"
     )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import ace.cli as cli
 
+from helpers import print_report
+
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
@@ -33,6 +35,7 @@ def cli_flags() -> set[str]:
 
 def test_every_suite_key_is_documented():
     keys = suite_keys()
+    print_report(f"Suite keys: {len(keys)}")
     assert len(keys) >= 52
     assert sorted(k for k in keys if f"`{k}`" not in README) == []
 
