@@ -284,6 +284,8 @@ class SuiteSpec:
         top = read_fields(
             doc, SUITE, "suite config", ConfigError, required=("runs_per_arm", "domain", "arms"))
         instances = _domain_instances(top["domain"])
+        if not top["arms"]:
+            raise ConfigError("arms lists no arm")
         top.pop("notes", None)
         run = read_fields(top.pop("run", {}), RUN, "run", ConfigError)
         gca = read_fields(top.pop("gca", {}), GCA, "gca", ConfigError)
@@ -607,9 +609,7 @@ def cmd_model(args) -> int:
         print(f"  W[{i},{j}] = {w:.4f}")
     for m in model.macros:
         flat = model.flatten_macro(m.id)
-        names = ">".join(
-            model.atomic_ops[x] if x < model.atomic_count else str(x) for x in flat
-        )
+        names = ">".join(model.atomic_ops[x] for x in flat)
         state = "pruned" if m.pruned else "active"
         print(
             f"  macro {m.id} = ({m.left},{m.right}) -> {names} "

@@ -280,7 +280,11 @@ class EaExplorer:
             child = self._evaluate(child_ops, model, domain)
             offspring.append(child)
             if crossed:
-                events.append(PairEvent(parent_a, parent_b, child))
+                # The child's gain over its parents' mean is this explorer's
+                # Hebbian credit; only an improving child earns any.
+                gain = child.fitness - 0.5 * (parent_a.fitness + parent_b.fitness)
+                if gain > 0:
+                    events.append(PairEvent(parent_a.ops, parent_b.ops, gain))
         evaluated.extend(offspring)
 
         state.population = select(

@@ -432,6 +432,12 @@ class GcaModel:
         if not 0 <= op < self.vocab_size:
             raise DomainError(f"operation id {op} outside vocabulary of size {self.vocab_size}")
 
+    def _check_ids(self, ops) -> None:
+        n = self.vocab_size
+        for op in ops:
+            if not 0 <= op < n:
+                self._check_id(op)  # raises DomainError
+
     def _extend_table(self, macro: MacroOperation) -> None:
         op = len(self._flat)
         if macro.id != op or not (0 <= macro.left < op and 0 <= macro.right < op):
@@ -453,10 +459,7 @@ class GcaModel:
         if not successors:
             raise DomainError("no valid successors")
         self._check_id(from_op)
-        n = self.vocab_size
-        for s in successors:
-            if not 0 <= s < n:
-                self._check_id(s)  # raises DomainError
+        self._check_ids(successors)
 
     def _logits(self, from_op: int, successors) -> list[float]:
         """The weights from from_op to the successors over the model
@@ -516,39 +519,25 @@ class GcaModel:
 
     # -- learning --------------------------------------------------------
 
-    def hebbian_pair_update(
-        self,
-        counts_a: list[int],
-        counts_b: list[int],
-        fit_a: float,
-        fit_b: float,
-        fit_child: float,
-    ) -> float:
+    def hebbian_pair_update(self, ops_a: list[int], ops_b: list[int], gain: float) -> None:
         """Reinforce pairs co-active across two parents of an improving child.
 
-        The gain is the child fitness minus the parent mean.  Every stored
+        gain is the child's fitness less the parents' mean, and counts_a[i]
+        is how often op i occurs in ops_a (counts_b likewise).  Every stored
         weight decays by (1 - decay) per call; on positive gain the pair
         (i, j) additionally receives learning_rate * gain *
         (counts_a[i]*counts_b[j] + counts_b[i]*counts_a[j]), restricted to
         the valid transition relation, and its support count increments.
-        Returns the gain.  Count vectors of the wrong length or with a
-        negative count, a gain that is not finite, or a positive gain whose
-        increment learning_rate * gain, or a resulting weight, is not
-        finite raise DomainError before anything changes.
+        An id outside the vocabulary, a gain that is not finite, or a
+        positive gain whose increment learning_rate * gain, or a resulting
+        weight, is not finite raises DomainError before anything changes.
         """
-        n = self.vocab_size
-        if len(counts_a) != n or len(counts_b) != n:
-            raise DomainError(
-                f"count vectors must have length {n}, got {len(counts_a)} and {len(counts_b)}"
-            )
-        if min(counts_a, default=0) < 0 or min(counts_b, default=0) < 0:
-            raise DomainError("count vectors must not hold a negative count")
-        gain = fit_child - 0.5 * (fit_a + fit_b)
+        self._check_ids(ops_a)
+        self._check_ids(ops_b)
         scale = self._increment_scale(gain)
-        rows = self._pair_rows(counts_a, counts_b) if scale else []
+        rows = self._pair_rows(ops_a, ops_b) if scale else []
         self.weights.reinforce(rows, scale, 1.0 - self.params.decay)
         self._touch()
-        return gain
 
     def _increment_scale(self, gain: float) -> float:
         """learning_rate * gain for a positive gain, 0.0 for any other
@@ -563,20 +552,25 @@ class GcaModel:
             raise DomainError(f"weight increment must be finite, got {scale}")
         return scale
 
-    def _pair_rows(self, counts_a: list[int], counts_b: list[int]) -> list:
+    def _pair_rows(self, ops_a: list[int], ops_b: list[int]) -> list:
         """(i, columns, terms) for each row i of the pairs (i, j) with a
         positive term that the transition relation admits, as the pair
-        update reinforces them; no row is empty.  The counts are not
-        negative, so every term of two nonzero counts is positive."""
+        update reinforces them; no row is empty.  a and b count each op's
+        occurrences in ops_a and ops_b, so every term of two nonzero counts
+        is positive."""
+        a, b = [0] * self.vocab_size, [0] * self.vocab_size
+        for op in ops_a:
+            a[op] += 1
+        for op in ops_b:
+            b[op] += 1
         pruned = self._pruned_ids()
-        nz_a = [i for i, c in enumerate(counts_a) if c and i not in pruned]
-        nz_b = [i for i, c in enumerate(counts_b) if c and i not in pruned]
+        nz_a = [i for i, c in enumerate(a) if c and i not in pruned]
+        nz_b = [i for i, c in enumerate(b) if c and i not in pruned]
         # The pair terms in the order the two outer products first meet
         # them: a's ops against b's, then b's against a's for the pairs
         # the first one did not reach.  Those are a whole row outside a's
         # ops, and the columns outside b's ops in a row inside them, so
         # no self-pair is among them.
-        a, b = counts_a, counts_b
         in_a, in_b = set(nz_a), set(nz_b)
         only_a = [j for j in nz_a if j not in in_b]
         no_self = self.mask_mode == "no_self"
@@ -603,10 +597,7 @@ class GcaModel:
         gain whose increment learning_rate * gain, or a resulting weight,
         is not finite raises DomainError before anything changes.
         """
-        n = self.vocab_size
-        for op in ops:
-            if not 0 <= op < n:
-                self._check_id(op)  # raises DomainError
+        self._check_ids(ops)
         scale = self._increment_scale(gain)
         rows = []
         if scale:

@@ -79,32 +79,34 @@ class RunRecord:
 
 @dataclass(slots=True)
 class PairEvent:
-    """An offspring produced by recombining two evaluated parents."""
+    """Two parents whose crossed child beat their mean fitness by gain > 0."""
 
-    parent_a: Trajectory
-    parent_b: Trajectory
-    child: Trajectory
+    ops_a: list[int]
+    ops_b: list[int]
+    gain: float
+
+    def reinforce(self, model: GcaModel) -> None:
+        model.hebbian_pair_update(self.ops_a, self.ops_b, self.gain)
 
 
 @dataclass(slots=True)
 class TrajectoryEvent:
-    """A single trajectory that improved on its owner's previous best."""
+    """A trajectory that beat its owner's previous best by gain > 0."""
 
     ops: list[int]
     gain: float
 
+    def reinforce(self, model: GcaModel) -> None:
+        model.hebbian_trajectory_update(self.ops, self.gain)
+
 
 @dataclass(slots=True)
 class GenerationResult:
+    """A generation's evaluated trajectories and its improving events,
+    each of which the loop hands to a guided run's model."""
+
     evaluated: list[Trajectory]
-    events: list
-
-
-def count_vector(ops: list[int], n: int) -> list[int]:
-    v = [0] * n
-    for op in ops:
-        v[op] += 1
-    return v
+    events: list[PairEvent | TrajectoryEvent]
 
 
 def path_efficiency(domain, traj: Trajectory | None) -> float | None:
@@ -192,25 +194,9 @@ def _run_loop(
                     best_successful = traj
 
         if model is not None:
-            n = model.vocab_size
             for ev in result.events:
-                if isinstance(ev, PairEvent):
-                    gain = ev.child.fitness - 0.5 * (
-                        ev.parent_a.fitness + ev.parent_b.fitness
-                    )
-                    if gain > 0:
-                        model.hebbian_pair_update(
-                            count_vector(ev.parent_a.ops, n),
-                            count_vector(ev.parent_b.ops, n),
-                            ev.parent_a.fitness,
-                            ev.parent_b.fitness,
-                            ev.child.fitness,
-                        )
-                        hebbian_updates += 1
-                else:
-                    if ev.gain > 0:
-                        model.hebbian_trajectory_update(ev.ops, ev.gain)
-                        hebbian_updates += 1
+                ev.reinforce(model)
+            hebbian_updates += len(result.events)
             _account_macro_usage(model, result.evaluated)
             if t % config.abstraction_period == 0:
                 model.scan_and_abstract(t, config.max_new_macros_per_scan)

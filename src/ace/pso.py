@@ -44,7 +44,6 @@ class PsoParams:
 class Particle:
     current: Trajectory | None = None
     pbest: Trajectory | None = None
-    pbest_fitness: float = -math.inf
 
 
 def _reference_states(traj: Trajectory | None) -> list[int] | tuple:
@@ -484,15 +483,13 @@ class PsoExplorer:
             particle.current = traj
             if particle.pbest is None:
                 particle.pbest = traj
-                particle.pbest_fitness = traj.fitness
-            elif traj.fitness > particle.pbest_fitness:
-                events.append(TrajectoryEvent(traj.ops, traj.fitness - particle.pbest_fitness))
+            elif traj.fitness > particle.pbest.fitness:
+                events.append(TrajectoryEvent(traj.ops, traj.fitness - particle.pbest.fitness))
                 particle.pbest = traj
-                particle.pbest_fitness = traj.fitness
 
         best = swarm[0]
         for particle in swarm[1:]:
-            if particle.pbest_fitness > best.pbest_fitness:
+            if particle.pbest.fitness > best.pbest.fitness:
                 best = particle
         state.gbest = best.pbest
         return GenerationResult(new_paths, events)

@@ -70,6 +70,12 @@ def make_model(
     return model
 
 
+def ops_with_counts(counts: list[int]) -> list[int]:
+    """An op list in which op i occurs counts[i] times, ascending: the
+    parent ops a pair update reads those counts from."""
+    return [i for i, c in enumerate(counts) for _ in range(c)]
+
+
 def random_model(rng: random.Random) -> GcaModel:
     """Randomized but invariant-respecting model, for round-trip tests."""
     n_atomic = rng.randint(2, 6)

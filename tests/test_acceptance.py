@@ -25,7 +25,7 @@ from ace.loop import ExperimentConfig, path_efficiency, run_ace, run_standard
 from ace.maze import MazeDomain, bfs_shortest_path, generate_maze
 from ace.stats import PairedSample, sign_test_one_sided, wilcoxon_signed_rank
 
-from helpers import make_model, random_model
+from helpers import make_model, ops_with_counts, random_model
 from test_stats import enumerate_signed_rank_p
 
 REPO = Path(__file__).resolve().parent.parent
@@ -98,12 +98,12 @@ def test_criterion_3_consolidation_branches():
     ok = True
     # decay-only branch scales exactly
     m = make_model(weights={(0, 1): 1.0, (2, 0): 0.25}, decay=0.2)
-    m.hebbian_pair_update([1, 0, 0, 0], [0, 0, 0, 1], 3.0, 3.0, 1.0)
+    m.hebbian_pair_update([0], [3], 1.0 - 0.5 * (3.0 + 3.0))
     ok = ok and m.weights[(0, 1)] == 0.8 and m.weights[(2, 0)] == 0.25 * 0.8
 
-    # symmetric outer product on unit count vectors
+    # symmetric outer product over one-op parents (unit count vectors)
     m = make_model(learning_rate=0.15, decay=0.0)
-    m.hebbian_pair_update([0, 1, 0, 0], [0, 0, 1, 0], 0.0, 0.0, 2.0)
+    m.hebbian_pair_update([1], [2], 2.0)
     ok = ok and abs(m.weights[(1, 2)] - 0.3) < 1e-15
     ok = ok and abs(m.weights[(2, 1)] - 0.3) < 1e-15
     ok = ok and set(m.weights) == {(1, 2), (2, 1)}
@@ -120,7 +120,7 @@ def test_criterion_3_consolidation_branches():
         m = make_model(n_atomic=n, weights=dict(weights), decay=decay, learning_rate=0.3)
         a = [rng.randint(0, 2) for _ in range(n)]
         b = [rng.randint(0, 2) for _ in range(n)]
-        m.hebbian_pair_update(a, b, 0.0, 0.0, 1.5)
+        m.hebbian_pair_update(ops_with_counts(a), ops_with_counts(b), 1.5)
         for (i, j), before in weights.items():
             if a[i] * b[j] + b[i] * a[j] == 0:
                 ok = ok and math.isclose(

@@ -852,6 +852,18 @@ def test_pso_arm_on_a_chain_exits_1_before_any_run(tmp_path, capsys, monkeypatch
     assert not (out / "records.jsonl").exists()
 
 
+def test_suite_without_arms_exits_1_at_parse_time(tmp_path, capsys):
+    # Not "no runs selected" after the parse: the suite names no arm at all.
+    out = tmp_path / "out"
+    doc = tiny_chain_suite(out)
+    doc["arms"] = []
+    with pytest.raises(ConfigError, match="arms lists no arm"):
+        SuiteSpec.from_dict(doc)
+    assert cli.main(["run", "--config", str(write_suite(tmp_path, doc))]) == 1
+    assert "arms lists no arm" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+
 def test_empty_maze_genome_bounds_exit_1_before_any_run(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     doc = _maze_suite(out)

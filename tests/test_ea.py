@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ace.ea as ea
 from ace.chain import ChainDomain
 from ace.ea import MAX_TOURNAMENT_SIZE, EaExplorer, EaParams, crossover, mutate, select
 from ace.errors import ConfigError, DomainError
@@ -242,6 +243,54 @@ def test_generation_produces_bounded_offspring():
         assert len(state.population) == 12
     # generation 1 also evaluated the initial population
     assert result.events is not None
+
+
+def test_generation_events_are_the_crossed_children_that_beat_their_parents(monkeypatch):
+    # Each crossed child is evaluated right after its crossover, so the
+    # parents' ops land in crossed just before the child is evaluated.
+    crossed, children = [], []
+    real_crossover = ea.crossover
+
+    def crossing(ops_a, ops_b, *args):
+        crossed.append((ops_a, ops_b))
+        return real_crossover(ops_a, ops_b, *args)
+
+    class Spy(EaExplorer):
+        def _evaluate(self, ops, model, domain):
+            child = super()._evaluate(ops, model, domain)
+            children.append((crossed.pop() if crossed else None, child))
+            return child
+
+    monkeypatch.setattr(ea, "crossover", crossing)
+    dom = ChainDomain()
+    explorer = Spy(EaParams(crossover_rate=0.6, mutation_rate=0.2))
+    config = ExperimentConfig(population_size=12)
+    rng = random.Random(17)
+    state = explorer.initialize(dom, config, rng)
+    explorer.run_generation(state, None, dom, config, rng)  # evaluates the population
+    forwarded = losing = 0
+    for _ in range(8):
+        population = state.population
+        children.clear()
+        events = explorer.run_generation(state, None, dom, config, rng).events
+        # The parents' fitness, read from the members holding their ops.
+        fitness = {id(t.ops): t.fitness for t in population}
+        expected = []
+        for parents, child in children:
+            if parents is not None:
+                fit_a, fit_b = (fitness[id(ops)] for ops in parents)
+                gain = child.fitness - 0.5 * (fit_a + fit_b)
+                if gain > 0:
+                    expected.append((*parents, gain))
+                else:
+                    losing += 1
+        assert all(ev.gain > 0 for ev in events)
+        assert all(id(ev.ops_a) in fitness and id(ev.ops_b) in fitness for ev in events)
+        assert len(events) == len(expected)
+        assert [(ev.ops_a, ev.ops_b, ev.gain) for ev in events] == expected
+        forwarded += len(events)
+    # Both sides of the gate were reached.
+    assert forwarded > 0 and losing > 0
 
 
 def test_elitism_never_regresses():

@@ -29,7 +29,7 @@ from ace.gca import (
     softmax_floor_sums,
 )
 
-from helpers import draw, make_model, random_model
+from helpers import draw, make_model, ops_with_counts, random_model
 
 
 # -- transition distribution -------------------------------------------------
@@ -386,8 +386,7 @@ def test_softmax_floor_sums_scan_picks_what_the_choice_picks(logits, eps, seed):
 
 def test_pair_update_decay_only_branch():
     m = make_model(weights={(0, 1): 1.0, (2, 3): 0.5}, decay=0.2)
-    gain = m.hebbian_pair_update([1, 0, 0, 0], [0, 1, 0, 0], 5.0, 5.0, 4.0)
-    assert gain == -1.0
+    m.hebbian_pair_update([0], [1], -1.0)
     assert m.weights[(0, 1)] == 1.0 * 0.8
     assert m.weights[(2, 3)] == 0.5 * 0.8
     assert m.weights.support() == {}
@@ -395,9 +394,7 @@ def test_pair_update_decay_only_branch():
 
 def test_pair_update_symmetric_outer_product():
     m = make_model(learning_rate=0.15, decay=0.0)
-    e1 = [0, 1, 0, 0]
-    e2 = [0, 0, 1, 0]
-    m.hebbian_pair_update(e1, e2, 0.0, 0.0, 2.0)
+    m.hebbian_pair_update([1], [2], 2.0)
     assert m.weights[(1, 2)] == pytest.approx(0.3, abs=1e-15)
     assert m.weights[(2, 1)] == pytest.approx(0.3, abs=1e-15)
     assert set(m.weights) == {(1, 2), (2, 1)}
@@ -406,7 +403,7 @@ def test_pair_update_symmetric_outer_product():
 
 def test_pair_update_zero_counts_pure_decay():
     m = make_model(weights={(0, 1): 2.0}, decay=0.25)
-    m.hebbian_pair_update([0] * 4, [0] * 4, 0.0, 0.0, 5.0)
+    m.hebbian_pair_update([], [], 5.0)
     assert m.weights == {(0, 1): 1.5}
     assert m.weights.support() == {}
 
@@ -414,27 +411,27 @@ def test_pair_update_zero_counts_pure_decay():
 def test_pair_update_respects_mask():
     # co-active pairs (0, 1), (1, 0) and (1, 1); the self-pair is masked
     m = make_model(n_atomic=2, mask_mode="no_self", learning_rate=0.15, decay=0.0)
-    m.hebbian_pair_update([1, 1], [0, 1], 0.0, 0.0, 2.0)
+    m.hebbian_pair_update([0, 1], [1], 2.0)
     assert set(m.weights) == {(0, 1), (1, 0)}
 
 
-def test_pair_update_length_mismatch():
+def test_pair_update_rejects_id_past_the_vocabulary():
     m = make_model()
-    with pytest.raises(DomainError):
-        m.hebbian_pair_update([1, 0], [0, 1, 0, 0], 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="operation id 4 outside vocabulary of size 4"):
+        m.hebbian_pair_update([0, 1], [1, 4], 1.0)
 
 
-@pytest.mark.parametrize("fit_child", [2.0, 0.0, -1.0])
-def test_pair_update_negative_count_raises_before_any_change(fit_child):
-    # Whatever the gain, a negative count is rejected with weights, support
-    # and sampling rows unchanged, rather than some pairs being reinforced
-    # and those whose terms it made non-positive dropped.
+@pytest.mark.parametrize("gain", [2.0, 0.0, -1.0])
+def test_pair_update_negative_id_raises_before_any_change(gain):
+    # Whatever the gain, a negative id in either parent is rejected with
+    # weights, support and sampling rows unchanged, decay included, rather
+    # than counted as an id from the end of the vocabulary.
     m = make_model(weights={(0, 1): 1.0, (2, 3): 0.5}, support={(0, 1): 2}, decay=0.5)
     row = m.floored_distribution(0, [1, 2, 3])
     rows = dict(m._row_cache)
-    for counts in (([-1, 1, 0, 0], [0, 1, 0, 2]), ([0, 1, 0, 2], [-1, 1, 0, 0])):
-        with pytest.raises(DomainError, match="negative count"):
-            m.hebbian_pair_update(*counts, 0.0, 0.0, fit_child)
+    for ops in (([-1, 1], [1, 3, 3]), ([1, 3, 3], [-1, 1])):
+        with pytest.raises(DomainError, match="operation id -1 outside vocabulary"):
+            m.hebbian_pair_update(*ops, gain)
     assert m.weights == {(0, 1): 1.0, (2, 3): 0.5}
     assert m.weights.support() == {(0, 1): 2}
     assert m._row_cache == rows and m.floored_distribution(0, [1, 2, 3]) == row
@@ -452,7 +449,7 @@ def test_pair_update_locality():
         m = make_model(n_atomic=n, weights=weights, decay=decay, learning_rate=0.2)
         a = [rng.randint(0, 2) for _ in range(n)]
         b = [rng.randint(0, 2) for _ in range(n)]
-        m.hebbian_pair_update(a, b, 0.0, 0.0, 1.0)
+        m.hebbian_pair_update(ops_with_counts(a), ops_with_counts(b), 1.0)
         for (i, j), before in weights.items():
             term = a[i] * b[j] + b[i] * a[j]
             if term == 0:
@@ -463,12 +460,12 @@ def test_pair_update_locality():
 
 def test_pair_update_fitness_modulation():
     base = dict(weights={(0, 1): 1.0}, learning_rate=0.15, decay=0.2)
-    a = [2, 1, 0, 0]
-    b = [0, 1, 1, 0]
+    a = [0, 0, 1]  # counts 2, 1, 0, 0
+    b = [1, 2]     # counts 0, 1, 1, 0
     m1 = make_model(**base)
     m2 = make_model(**base)
-    m1.hebbian_pair_update(a, b, 0.0, 0.0, 1.0)
-    m2.hebbian_pair_update(a, b, 0.0, 0.0, 2.0)
+    m1.hebbian_pair_update(a, b, 1.0)
+    m2.hebbian_pair_update(a, b, 2.0)
     decayed = 1.0 * 0.8
     for key in m1.weights:
         inc1 = m1.weights[key] - (decayed if key == (0, 1) else 0.0)
@@ -519,7 +516,7 @@ def test_updates_reject_non_finite_gain_before_any_change(gain):
     with pytest.raises(DomainError, match="gain must be finite"):
         m.hebbian_trajectory_update([0, 1, 0], gain)
     with pytest.raises(DomainError, match="gain must be finite"):
-        m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, gain)
+        m.hebbian_pair_update([0, 1], [0, 1], gain)
     # Nothing changed, decay included, and the model still round-trips.
     assert m.weights == {(0, 1): 1.0}
     assert m.weights.support() == {(0, 1): 2}
@@ -548,7 +545,8 @@ def test_updates_reject_overflowing_increment_before_any_change(update, gain, co
         if update.startswith("trajectory"):
             m.hebbian_trajectory_update([0, 1], gain)
         else:
-            m.hebbian_pair_update(counts, counts, 0.0, 0.0, gain)
+            ops = ops_with_counts(counts)
+            m.hebbian_pair_update(ops, ops, gain)
 
     if twice:
         call()
@@ -574,16 +572,17 @@ def test_updates_with_non_positive_gain_ignore_the_increment():
     # a negative gain reinforces nothing, so a huge one only decays
     m = make_model(n_atomic=2, weights={(0, 1): 1.0}, decay=0.5, learning_rate=2.0)
     m.hebbian_trajectory_update([0, 1], -1e308)
-    assert m.hebbian_pair_update([1, 1], [1, 1], 0.0, 0.0, -1e308) == -1e308
+    m.hebbian_pair_update([0, 1], [0, 1], -1e308)
     assert m.weights == {(0, 1): 0.25}
     assert m.weights.support() == {}
 
 
 def test_pair_update_rejects_non_finite_parent_fitness():
-    # inf - inf: the gain is NaN even though no argument is
+    # inf - inf: the gain over parents of infinite fitness is NaN, though
+    # no fitness is
     m = make_model(n_atomic=2, weights={(0, 1): 1.0}, decay=0.5)
     with pytest.raises(DomainError, match="gain must be finite"):
-        m.hebbian_pair_update([1, 1], [1, 1], math.inf, 0.0, math.inf)
+        m.hebbian_pair_update([0, 1], [0, 1], math.inf - 0.5 * (math.inf + 0.0))
     assert m.weights == {(0, 1): 1.0}
 
 
@@ -596,7 +595,7 @@ def test_decay_contraction_property(rng):
         }
         decay = rng.uniform(0, 1)
         m = make_model(n_atomic=n, weights=weights, decay=decay)
-        m.hebbian_pair_update([0] * n, [0] * n, 1.0, 1.0, 0.0)
+        m.hebbian_pair_update([], [], -1.0)
         for key, before in weights.items():
             assert m.weights[key] == before * (1 - decay)
 

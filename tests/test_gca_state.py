@@ -63,11 +63,10 @@ class GcaModelMachine(RuleBasedStateMachine):
         ops = data.draw(st.lists(st.integers(0, self.model.vocab_size - 1), max_size=6))
         self.model.hebbian_trajectory_update(ops, gain)
 
-    @rule(data=st.data(), fits=st.tuples(GAINS, GAINS, GAINS))
-    def pair_update(self, data, fits):
-        counts = st.lists(st.integers(0, 3), min_size=self.model.vocab_size,
-                          max_size=self.model.vocab_size)
-        self.model.hebbian_pair_update(data.draw(counts), data.draw(counts), *fits)
+    @rule(data=st.data(), gain=GAINS)
+    def pair_update(self, data, gain):
+        ops = st.lists(st.integers(0, self.model.vocab_size - 1), max_size=8)
+        self.model.hebbian_pair_update(data.draw(ops), data.draw(ops), gain)
 
     @rule(generation=st.integers(0, 100), k=st.integers(1, 3))
     def scan(self, generation, k):

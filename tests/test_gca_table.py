@@ -20,6 +20,8 @@ import pytest
 from ace.errors import DomainError
 from ace.gca import GcaModel, GcaParams, MacroOperation, PairTable
 
+from helpers import ops_with_counts
+
 
 class DictReference:
     """The transition model's update rules over a plain weight dict."""
@@ -46,11 +48,12 @@ class DictReference:
         for k in self.weights:
             self.weights[k] *= 1.0 - d
 
-    def pair_update(self, counts_a, counts_b, fit_a, fit_b, fit_child) -> None:
-        gain = fit_child - 0.5 * (fit_a + fit_b)
+    def pair_update(self, ops_a, ops_b, gain) -> None:
         self.decay()
         if gain <= 0:
             return
+        counts_a = [ops_a.count(i) for i in range(self.vocab_size)]
+        counts_b = [ops_b.count(i) for i in range(self.vocab_size)]
         nz_a = [(i, c) for i, c in enumerate(counts_a) if c]
         nz_b = [(i, c) for i, c in enumerate(counts_b) if c]
         inc: dict[tuple[int, int], float] = {}
@@ -158,9 +161,12 @@ def run_sequence(seed: int) -> None:
                            weights=[5, 5, 2, 1, 2, 1])[0]
         if kind == "pair":
             counts = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(2)]
-            fits = [rng.uniform(-1.0, 2.0) for _ in range(3)]
-            model.hebbian_pair_update(*counts, *fits)
-            ref.pair_update(*counts, *fits)
+            fit_a, fit_b, fit_child = (rng.uniform(-1.0, 2.0) for _ in range(3))
+            # The parents' ops, and the child's gain over their mean.
+            ops = [ops_with_counts(cs) for cs in counts]
+            gain = fit_child - 0.5 * (fit_a + fit_b)
+            model.hebbian_pair_update(*ops, gain)
+            ref.pair_update(*ops, gain)
         elif kind == "trajectory":
             ops = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
             gain = rng.uniform(-0.5, 2.0)

@@ -221,8 +221,8 @@ def construct_path_digest(state_per_maze):
                         calls += 1
                         if with_references:
                             particle.current = traj
-                            if traj.fitness > particle.pbest_fitness:
-                                particle.pbest, particle.pbest_fitness = traj, traj.fitness
+                            if particle.pbest is None or traj.fitness > particle.pbest.fitness:
+                                particle.pbest = traj
                             gbest = particle.pbest
     digest.update(repr(rng.random()).encode())
     return calls, digest.hexdigest(), states

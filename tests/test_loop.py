@@ -76,18 +76,25 @@ def test_standard_run_shares_initialization_with_guided():
 
 def test_hebbian_gating_counts_positive_gains(monkeypatch):
     config, explorer, dom = chain_setup()
-    calls = {"pair": 0}
-    orig = GcaModel.hebbian_pair_update
+    calls = {"events": 0, "pair": 0}
+    orig_generation = EaExplorer.run_generation
+    orig_update = GcaModel.hebbian_pair_update
 
-    def counting(self, *a, **k):
-        gain = orig(self, *a, **k)
-        assert gain > 0  # the loop must only forward improving offspring
+    def generation(self, *a, **k):
+        result = orig_generation(self, *a, **k)
+        calls["events"] += len(result.events)
+        return result
+
+    def counting(self, ops_a, ops_b, gain):
+        assert gain > 0  # only improving offspring reach the model
         calls["pair"] += 1
-        return gain
+        return orig_update(self, ops_a, ops_b, gain)
 
+    monkeypatch.setattr(EaExplorer, "run_generation", generation)
     monkeypatch.setattr(GcaModel, "hebbian_pair_update", counting)
     _, _, record = run_ace(config, explorer, dom, random.Random(2))
-    assert record.hebbian_updates == calls["pair"]
+    # The loop forwards every event to the model, one update each.
+    assert record.hebbian_updates == calls["events"] == calls["pair"]
     assert calls["pair"] > 0
 
 

@@ -549,13 +549,13 @@ def test_generation_updates_pbest_and_emits_events():
     assert result.events == []  # first paths seed pbest silently
     assert all(p.pbest is not None for p in state.swarm)
     gbest = state.gbest
-    assert gbest.fitness == max(p.pbest_fitness for p in state.swarm)
+    assert gbest.fitness == max(p.pbest.fitness for p in state.swarm)
 
-    prev = [p.pbest_fitness for p in state.swarm]
+    prev = [p.pbest.fitness for p in state.swarm]
     events2 = explorer.run_generation(state, None, dom, config, rng).events
     for ev in events2:
         assert ev.gain > 0
-    improved = sum(1 for a, b in zip(prev, [p.pbest_fitness for p in state.swarm]) if b > a)
+    improved = sum(1 for a, b in zip(prev, [p.pbest.fitness for p in state.swarm]) if b > a)
     assert len(events2) == improved
     assert state.gbest.fitness >= gbest.fitness
 
@@ -573,8 +573,7 @@ def test_gbest_tie_prefers_lower_index():
     state = PsoState([Particle(), Particle()])
     t0 = dom.evaluate_path([0, 1], [1], [1], True)
     t1 = dom.evaluate_path([0, 1], [1], [1], True)
-    state.swarm[0].pbest, state.swarm[0].pbest_fitness = t0, t0.fitness
-    state.swarm[1].pbest, state.swarm[1].pbest_fitness = t1, t1.fitness
+    state.swarm[0].pbest, state.swarm[1].pbest = t0, t1
     explorer = PsoExplorer(PsoParams(heuristic_weight=1.0))
     explorer.run_generation(state, None, dom, ExperimentConfig(), random.Random(1))
     assert state.gbest is state.swarm[0].pbest
@@ -589,7 +588,7 @@ def test_pbest_monotone():
     last = None
     for _ in range(8):
         explorer.run_generation(state, None, dom, config, rng)
-        fits = [p.pbest_fitness for p in state.swarm]
+        fits = [p.pbest.fitness for p in state.swarm]
         if last is not None:
             assert all(b >= a for a, b in zip(last, fits))
         assert state.gbest.fitness == max(fits)
