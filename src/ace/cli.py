@@ -38,7 +38,7 @@ from .ea import EaExplorer, EaParams
 from .errors import AceError, ConfigError, ParseError, check_range, read_fields, read_file
 from .errors import read_triples
 from .gca import GcaParams
-from .loop import ExperimentConfig, RunRecord, run_ace, run_standard
+from .loop import ExperimentConfig, RunRecord, load_warm_start, run_ace, run_standard
 from .maze import MazeDomain, bfs_shortest_path, check_maze_options, check_maze_shape
 from .maze import MOVE_NAMES, generate_maze, genome_bounds, maze_to_text
 from .pso import PsoExplorer, PsoParams
@@ -260,11 +260,7 @@ class ArmSpec:
         if config.warm_start_model:
             # Read the donor now, so that a bad file or one over another
             # vocabulary than the domain's op_names fails before any run.
-            donor = gca.load_model(config.warm_start_model).atomic_ops
-            if donor != op_names:
-                raise ConfigError(
-                    f"{where}: warm-start model vocabulary does not match the domain: "
-                    f"{donor} vs {op_names}")
+            load_warm_start(config.warm_start_model, op_names, where)
         return cls(name, explorer, values["guided"], params, config)
 
 
@@ -598,9 +594,9 @@ def cmd_maze(args) -> int:
 
 def cmd_model(args) -> int:
     model = gca.load_model(args.path)
-    unpruned = [m for m in model.macros if not m.pruned]
     print(f"atomic ops: {' '.join(model.atomic_ops)}")
-    print(f"vocabulary: {model.vocab_size} ({len(model.macros)} macros, {len(unpruned)} active)")
+    print(f"vocabulary: {model.vocab_size} ({len(model.macros)} macros, "
+          f"{len(model.live_macros())} active)")
     print("params: " + " ".join(
         f"{key}={getattr(model.params, name)}" for key, _, name in gca.HYPERPARAMETERS))
     print(f"stored weights: {len(model.weights)}  support entries: {len(model.weights.support())}")

@@ -361,7 +361,15 @@ class GcaModel:
     mask_mode "all" admits every ordered pair of unpruned operations
     (self-pairs included) and "no_self" drops self-succession.  Loaders
     re-impose the mask from the domain, so it is neither serialized nor
-    compared.
+    compared.  valid_pair states the relation, and each op's partner
+    list (_partners) is the one other place it is written out.
+
+    The model keeps one view of its live vocabulary: the sampling ids,
+    the live macros with their atomic ids (live_macros) and each op's
+    partner list as it is asked for.  The view is built on first use
+    after a vocabulary change (_vocabulary_changed: add_macro, a prune
+    that retires a macro, or a new mask_mode), and every reader gets the
+    same tuples until the next one.
     """
 
     atomic_ops: list[str]
@@ -371,9 +379,9 @@ class GcaModel:
     vocab_size: int = field(init=False)
     mask_mode: str = field(default="all", compare=False)
 
-    # sampling_vocabulary's tuple.  It changes only with the vocabulary or
-    # a pruned flag, so add_macro and prune_macros clear it.
-    _vocabulary: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # The live-vocabulary view (sampling ids, live macros, op -> partner
+    # list), None until first use after _vocabulary_changed.
+    _view: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # Sampling rows, cleared by _touch on every weight change, on a new
     # weights, params or mask_mode, and with the vocabulary as well:
     # sample_successor's (ops, softmax_floor_sums) keyed on from_op,
@@ -397,8 +405,9 @@ class GcaModel:
         if name == "weights" and not isinstance(value, PairTable):
             value = PairTable(value)
         object.__setattr__(self, name, value)
+        # The partner lists follow the mask, so a new mask_mode drops the view.
         if name in ("weights", "params", "mask_mode") and "_row_cache" in self.__dict__:
-            self._touch()
+            (self._vocabulary_changed if name == "mask_mode" else self._touch)()
 
     # -- vocabulary ------------------------------------------------------
 
@@ -410,23 +419,38 @@ class GcaModel:
         k = op - len(self.atomic_ops)
         return 0 <= k < len(self.macros) and self.macros[k].pruned
 
+    def _live_view(self) -> tuple:
+        if self._view is None:
+            live = tuple((m.id, self._flat[m.id]) for m in self.macros if not m.pruned)
+            self._view = ((*range(self.atomic_count), *(op for op, _ in live)), live, {})
+        return self._view
+
     def sampling_vocabulary(self) -> tuple[int, ...]:
         """All operation ids currently eligible for sampling, ascending;
-        kept until the next vocabulary change."""
-        ids = self._vocabulary
-        if ids is None:
-            ids = self._vocabulary = (
-                *range(self.atomic_count), *(m.id for m in self.macros if not m.pruned)
-            )
-        return ids
+        the same tuple until the next vocabulary change."""
+        return self._live_view()[0]
+
+    def live_macros(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(id, atomic ids) for each unpruned macro, in id order; the same
+        tuple until the next vocabulary change."""
+        return self._live_view()[1]
 
     def valid_pair(self, i: int, j: int) -> bool:
         if self.mask_mode == "no_self" and i == j:
             return False
         return not self.is_pruned(i) and not self.is_pruned(j)
 
-    def _pruned_ids(self) -> set[int]:
-        return {m.id for m in self.macros if m.pruned}
+    def _partners(self, op: int) -> tuple[int, ...]:
+        """The ops k that valid_pair(op, k) admits, ascending: () for a
+        pruned op.  Kept with the vocabulary view."""
+        ids, _, memo = self._live_view()
+        ks = memo.get(op)
+        if ks is None:
+            ks = () if self.is_pruned(op) else ids
+            if ks and self.mask_mode == "no_self":
+                ks = tuple(k for k in ids if k != op)
+            memo[op] = ks
+        return ks
 
     def _check_id(self, op: int) -> None:
         if not 0 <= op < self.vocab_size:
@@ -450,7 +474,7 @@ class GcaModel:
         self._row_cache.clear()
 
     def _vocabulary_changed(self) -> None:
-        self._vocabulary = None
+        self._view = None
         self._touch()
 
     # -- sampling --------------------------------------------------------
@@ -506,12 +530,8 @@ class GcaModel:
         row = self._row_cache.get(from_op)
         if row is None:
             self._check_id(from_op)
-            # The sampling vocabulary holds no pruned op, so the mask drops
-            # at most from_op itself.  A pruned or fully masked from_op may
-            # go on to any eligible op.
-            ops = self.sampling_vocabulary()
-            if self.mask_mode == "no_self" and not self.is_pruned(from_op):
-                ops = tuple(j for j in ops if j != from_op) or ops
+            # A pruned or fully masked from_op may go on to any eligible op.
+            ops = self._partners(from_op) or self.sampling_vocabulary()
             sums = softmax_floor_sums(self._logits(from_op, ops), self.params.exploration_floor)
             row = self._row_cache[from_op] = (ops, sums)
         ops, sums = row
@@ -563,20 +583,19 @@ class GcaModel:
             a[op] += 1
         for op in ops_b:
             b[op] += 1
-        pruned = self._pruned_ids()
-        nz_a = [i for i, c in enumerate(a) if c and i not in pruned]
-        nz_b = [i for i, c in enumerate(b) if c and i not in pruned]
+        nz_a, nz_b = ([i for i in self.sampling_vocabulary() if c[i]] for c in (a, b))
         # The pair terms in the order the two outer products first meet
         # them: a's ops against b's, then b's against a's for the pairs
         # the first one did not reach.  Those are a whole row outside a's
         # ops, and the columns outside b's ops in a row inside them, so
-        # no self-pair is among them.
+        # no self-pair is among them.  Both lists hold live ops only, and
+        # between live ops the relation can refuse a self-pair alone.
         in_a, in_b = set(nz_a), set(nz_b)
         only_a = [j for j in nz_a if j not in in_b]
-        no_self = self.mask_mode == "no_self"
         rows = []
         for i in nz_a:
-            columns = [j for j in nz_b if j != i] if no_self and i in in_b else nz_b
+            keep_self = i not in in_b or self.valid_pair(i, i)
+            columns = nz_b if keep_self else [j for j in nz_b if j != i]
             if columns:
                 ai, bi = a[i], b[i]
                 rows.append((i, columns, [ai * b[j] + bi * a[j] for j in columns]))
@@ -601,14 +620,13 @@ class GcaModel:
         scale = self._increment_scale(gain)
         rows = []
         if scale:
-            pruned = self._pruned_ids()
-            no_self = self.mask_mode == "no_self"
-            # Adjacent pairs in order, a term of 1 each; a pair that shares
-            # its row with the pair before it joins that row (a run of one
-            # op), so the writes keep their order with fewer rows.
+            partners = self._partners
+            # Adjacent valid pairs in order, a term of 1 each; a pair that
+            # shares its row with the pair before it joins that row (a run
+            # of one op), so the writes keep their order with fewer rows.
             last = None
             for i, j in zip(ops, ops[1:]):
-                if i in pruned or j in pruned or (no_self and i == j):
+                if j not in partners(i):
                     continue
                 if i == last:
                     columns.append(j)
@@ -625,13 +643,9 @@ class GcaModel:
         """Mean weight over the valid pairs (k, op) if into, else (op, k),
         absent entries counted as zero; None when none is valid.  Summed
         by add_up in ascending k."""
-        pruned = self._pruned_ids()
-        if op in pruned:
-            return None
         # A pair is valid read either way round, so one list of partners
         # serves the row and the column.
-        no_self = self.mask_mode == "no_self"
-        ks = [k for k in range(self.vocab_size) if k not in pruned and not (no_self and k == op)]
+        ks = self._partners(op)
         if not ks:
             return None
         w = self.weights

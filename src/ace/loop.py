@@ -139,6 +139,17 @@ def _account_macro_usage(model: GcaModel, evaluated: list[Trajectory]) -> None:
                     m.successful_uses += 1
 
 
+def load_warm_start(path, op_names: list[str], where: str | None = None) -> GcaModel:
+    """The donor model in the file at path, whose atomic ops must be the
+    domain's op_names; ConfigError otherwise, after "where: " if given."""
+    model = gca.load_model(path)
+    if model.atomic_ops != op_names:
+        raise ConfigError(
+            f"{where + ': ' if where else ''}warm-start model vocabulary does not match the "
+            f"domain: {model.atomic_ops} vs {op_names}")
+    return model
+
+
 def _init_model(config: ExperimentConfig, domain) -> GcaModel:
     """A fresh model, or on a warm start the donor's weights, support and
     macros under the run's own hyperparameters (config.gca)."""
@@ -147,12 +158,7 @@ def _init_model(config: ExperimentConfig, domain) -> GcaModel:
             f"domain {type(domain).__name__} names no atomic operations for a guided run"
         )
     if config.warm_start_model:
-        model = gca.load_model(config.warm_start_model)
-        if model.atomic_ops != list(domain.atomic_op_names):
-            raise ConfigError(
-                "warm-start model vocabulary does not match the domain: "
-                f"{model.atomic_ops} vs {list(domain.atomic_op_names)}"
-            )
+        model = load_warm_start(config.warm_start_model, list(domain.atomic_op_names))
         model.params = config.gca
     else:
         model = GcaModel(list(domain.atomic_op_names), config.gca)
@@ -208,7 +214,7 @@ def _run_loop(
 
     if model is not None:
         macros_created = len(model.macros)
-        macros_surviving = sum(1 for m in model.macros if not m.pruned)
+        macros_surviving = len(model.live_macros())
         used = [m for m in model.macros if m.uses > 0]
         total = gca.add_up(m.successful_uses / m.uses for m in used)
         effectiveness = total / len(used) if used else 0.0

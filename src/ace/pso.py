@@ -67,7 +67,7 @@ MacroMoves = tuple[
     tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...],
 ]
 
-# Live macros ((id, flat), ...) -> (cell, entry cell) key -> MacroMoves.
+# GcaModel.live_macros() -> (cell, entry cell) key -> MacroMoves.
 MacroTable = dict[tuple[tuple[int, tuple[int, ...]], ...], dict[int, MacroMoves]]
 
 
@@ -200,12 +200,7 @@ def construct_path(
     n_cells = len(step) >> 2
     move_table = state.move_table
 
-    live = ()
-    if model is not None:
-        live = tuple(
-            (macro.id, tuple(model.flatten_macro(macro.id)))
-            for macro in model.macros if not macro.pruned
-        )
+    live = () if model is None else model.live_macros()
     if live:
         joined = state.macro_table.get(live)
         if joined is None:
@@ -402,10 +397,12 @@ class PsoState:
       they give the step's candidates.  A later such step reuses the law
       while its own terms are these, and replaces it otherwise.
 
-    macro_table maps the live macros, as ((id, flat), ...) in id order
-    with flat the macro's atomic moves, to an entry (cand, ends, depths,
-    strides, reach, walks) for each (cell, entry cell) a guided step has
-    met, under the move table's key.
+    macro_table is keyed on the model's live-macro tuple
+    (GcaModel.live_macros: ((id, flat), ...) in id order with flat the
+    macro's atomic moves, one tuple until the vocabulary changes), and
+    maps it to an entry (cand, ends, depths, strides, reach, walks) for
+    each (cell, entry cell) a guided step has met, under the move
+    table's key.
     - walks hold (id, flat, cells, wall) for each live macro whose first
       move is among the step's atomic moves, in id order: cells are those
       its stride walks from the cell until a wall or the goal, and wall

@@ -5,15 +5,18 @@ removes or reshapes what they use fail the test suite rather than the
 benchmark.  The suite document of each workload is parsed here too
 (tests/test_cli.py parses each shipped config), so that removing a key
 one of them still sets fails the test suite rather than a benchmark
-run.  One round of the maze-pso workload is also run here and its
+run.  Round 0 of each workload at seed 1 is also run here and its
 record fingerprint pinned, so that a change meant to keep the
 benchmark's results bit-identical is checked on the benchmark's own
-workload.  Nothing under bench/ is changed."""
+workloads, on every Python version the tests run on.  Nothing under
+bench/ is changed."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import ace
 from ace.cli import SuiteSpec, _domain_instances, build_domain, build_tasks, orchestrate
@@ -21,9 +24,14 @@ from ace.maze import bfs_shortest_path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# `bench/run.py --workload maze-pso --seed 1` round 0: the fingerprint its
-# records print (std-pso and ace-pso on the eight curated mazes).
-MAZE_PSO_ROUND0_FINGERPRINT = "f7983a38e4ab14fe5c49fb0e782b8bf688d6e2a96c1cb2933687db3b877057ca"
+# `bench/run.py --workload W --seed 1` round 0: its record count and the
+# fingerprint of its records (std and ace arms on the eight curated mazes,
+# or on one generated chain).
+ROUND0_FINGERPRINTS = {
+    "maze-pso": (16, "f7983a38e4ab14fe5c49fb0e782b8bf688d6e2a96c1cb2933687db3b877057ca"),
+    "maze-ea": (16, "a19d73ac1858b3b39048dfca1d91e9be9ab96abfa466ceccdf537bbb0bc35912"),
+    "chain-wide": (2, "76a4773bb35f2bb89d9c1d9a6c0f6d052c6fd4544bf375baa874d77ebb51bc7b"),
+}
 
 
 def load_bench(name, alias):
@@ -89,15 +97,17 @@ def test_references_cover_every_instance(tmp_path, monkeypatch):
                 _, moves = bfs_shortest_path(domain.maze)
                 assert refs[instance_id] == domain.evaluate_sequence(moves, moves).fitness
 
-def test_maze_pso_round_zero_fingerprint(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", sorted(ROUND0_FINGERPRINTS, reverse=True))
+def test_round_zero_fingerprint(workload, tmp_path, monkeypatch):
     # One orchestrate call per arm, as the benchmark's timed pass makes them.
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports spans
     run = load_bench("run", "bench_run")
-    suite = SuiteSpec.from_dict(run.round_docs("maze-pso", 1, 1)[0])
+    suite = SuiteSpec.from_dict(run.round_docs(workload, 1, 1)[0])
     records = []
     for arm in suite.arms:
         records += orchestrate(
             suite, tmp_path, arm_filter=arm.name, parallelism=1, save_models=True
         )
-    assert len(records) == 16
-    assert run.fingerprint(records) == MAZE_PSO_ROUND0_FINGERPRINT
+    count, fingerprint = ROUND0_FINGERPRINTS[workload]
+    assert len(records) == count
+    assert run.fingerprint(records) == fingerprint

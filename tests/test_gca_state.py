@@ -54,6 +54,8 @@ class GcaModelMachine(RuleBasedStateMachine):
         self.model = GcaModel(
             atomic_ops=[f"a{i}" for i in range(n_atomic)], params=params, mask_mode=mask_mode
         )
+        # (model, live_macros(), (macros, live macros)) after the last rule.
+        self.seen = None
 
     def _op(self, data):
         return data.draw(st.integers(0, self.model.vocab_size - 1))
@@ -151,6 +153,36 @@ class GcaModelMachine(RuleBasedStateMachine):
         # without clearing it fails here.
         fresh = (*range(m.atomic_count), *(x.id for x in m.macros if not x.pruned))
         assert m.sampling_vocabulary() == fresh
+
+    @invariant()
+    def live_view_consistent(self):
+        # The live macros are the unpruned ones with their flattened ids,
+        # and the sampling vocabulary is the atoms and then their ids.
+        m = self.model
+        live = m.live_macros()
+        unpruned = [x.id for x in m.macros if not x.pruned]
+        assert live == tuple((op, tuple(m.flatten_macro(op))) for op in unpruned)
+        assert m.sampling_vocabulary() == (*range(m.atomic_count), *(op for op, _ in live))
+        # The view is kept: a rule that neither adds nor retires a macro
+        # (nor loads a new model) leaves the very same tuple.
+        sizes = (len(m.macros), len(live))
+        if self.seen is not None and self.seen[0] is m and self.seen[2] == sizes:
+            assert live is self.seen[1]
+        self.seen = (m, live, sizes)
+
+    @invariant()
+    def partner_lists_match_valid_pair(self):
+        # Pairs drawn from a generator seeded by the model's state, so the
+        # run is reproducible: k is in i's ascending partner list exactly
+        # when the relation admits (i, k).
+        m = self.model
+        n = m.vocab_size
+        rng = random.Random(n * 7919 + len(m.weights))
+        for _ in range(16):
+            i, k = rng.randrange(n), rng.randrange(n)
+            partners = m._partners(i)
+            assert list(partners) == sorted(set(partners))
+            assert (k in partners) == m.valid_pair(i, k)
 
     @invariant()
     def flattening_matches_recursive_expansion(self):

@@ -149,8 +149,12 @@ def test_warm_start_vocabulary_mismatch(tmp_path):
 
     save_model(GcaModel(["N", "E", "S", "W"]), maze_model_path)
     config, explorer, dom = chain_setup(warm_start_model=str(maze_model_path))
-    with pytest.raises(ConfigError, match="vocabulary"):
+    with pytest.raises(ConfigError) as e:
         run_ace(config, explorer, dom, random.Random(1))
+    assert str(e.value) == (
+        "warm-start model vocabulary does not match the domain: "
+        f"['N', 'E', 'S', 'W'] vs {dom.atomic_op_names}"
+    )
 
 
 def test_warm_start_reuses_trained_model(tmp_path):
